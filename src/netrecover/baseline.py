@@ -16,37 +16,30 @@ import time
 
 import numpy as np
 
-from .activations import make_activation
-from .diagnostics import match_and_score
 from .exceptions import StageError
-from .pipeline import ExperimentResult, PipelineConfig, child_seed
-from .teacher import StudentNetwork, sample_teacher
+from .pipeline import (ExperimentResult, PipelineConfig, child_seed, score_stage,
+                       teacher_stage)
+from .teacher import StudentNetwork
 
 __all__ = ["run_baseline_sgd"]
 
 logger = logging.getLogger(__name__)
 
 
-def run_baseline_sgd(cfg: PipelineConfig, track_e_inf_every: int = 0,
-                     n_track: int = 2000) -> ExperimentResult:
-    """Fit a fresh student to the teacher by joint SGD and score it.
-
-    ``track_e_inf_every`` > 0 records the held-out uniform error every that
-    many epochs (on ``n_track`` fixed inputs) in ``result.e_inf_track``.
-    """
+def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
+    """Fit a fresh student to the pipeline's teacher by joint SGD and score it."""
     cfg.validate()
     m = cfg.resolved_m()
-    act = make_activation(cfg.activation)
     result = ExperimentResult(
         mode="baseline", dim=cfg.dim, beta_order=cfg.beta_order, m=m,
         seed=cfg.seed, exact_mode=False, fd_step=cfg.fd_step,
     )
     try:
-        net = sample_teacher(cfg.dim, m, cfg.shift_law, act,
-                             child_seed(cfg.seed, "teacher"))
+        net = teacher_stage(cfg)
     except Exception as exc:
         raise StageError("teacher", exc) from exc
-    result.n_shifts_clamped = getattr(net, "n_shifts_clamped", 0)
+    result.n_shifts_clamped = net.n_shifts_clamped
+    act = net.act
 
     rng = np.random.default_rng(child_seed(cfg.seed, "baseline_student"))
     weights = rng.standard_normal((cfg.dim, m))
@@ -64,11 +57,11 @@ def run_baseline_sgd(cfg: PipelineConfig, track_e_inf_every: int = 0,
     before = net.query_count
     xs = rng.standard_normal((n_train, cfg.dim))
     ys = net.eval_batch(xs)
-    track_xs = rng.standard_normal((n_track, cfg.dim))
-    track_ys = net.eval_batch(track_xs) if track_e_inf_every else None
+    # a 2000-input draw that nothing reads; the epoch permutations below
+    # come from the same stream, so removing it would change every run
+    rng.standard_normal((2000, cfg.dim))
 
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
-    e_inf_track = []
     epochs_done = 0
     steps = 0
     stop_reason = "max_epochs"
@@ -87,10 +80,6 @@ def run_baseline_sgd(cfg: PipelineConfig, track_e_inf_every: int = 0,
             steps += 1
         np.clip(tau, -act.tau_inf, act.tau_inf, out=tau)
         epochs_done = epoch + 1
-        if track_e_inf_every and epochs_done % track_e_inf_every == 0:
-            student = StudentNetwork(weights, tau, act)
-            e_inf_track.append(
-                float(np.max(np.abs(student.eval_batch(track_xs) - track_ys))) / m)
         full_loss = 0.5 * float(np.sum(
             (np.sum(act.g(xs @ weights + tau), axis=1) - ys) ** 2)) / n_train
         if full_loss <= cfg.stop_loss:
@@ -106,8 +95,6 @@ def run_baseline_sgd(cfg: PipelineConfig, track_e_inf_every: int = 0,
     result.final_loss = full_loss
 
     student = StudentNetwork(weights, tau, act)
-    result.metrics = match_and_score(student, net, n_eval=cfg.n_eval,
-                                     seed=child_seed(cfg.seed, "score"))
+    result.metrics = score_stage(cfg, student, net)
     result.sign_accuracy = float(np.mean(result.metrics.signs == 1))
-    result.e_inf_track = e_inf_track
     return result

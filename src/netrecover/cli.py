@@ -2,37 +2,35 @@
 
 Subcommands mirror the pipeline stages (``generate``, ``recover-weights``,
 ``init-shifts``, ``refine``), plus the composed runs (``pipeline``,
-``baseline``, ``study``) and ``diagnose``.  Options can come from a config
-file (one section per module, ``key = value``) with every key overridable
-by the flag of the same name.  Exit codes: 0 success, 2 validation error,
-3 stage failure.
+``baseline``, ``study``) and ``diagnose``.  The stage subcommands call the
+pipeline's own stage functions, so for the same ``--seed`` they reproduce
+the artifacts of ``pipeline``: ``teacher.net``, ``weights.txt``,
+``init.txt`` and the loss column of ``trajectory.csv``.  Options can come
+from a config file (one section per module, ``key = value``) with every key
+overridable by the flag of the same name.  Exit codes: 0 success, 2
+validation error, 3 stage failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
-from .activations import make_activation, slope_sign_certificate
+from .activations import slope_sign_certificate
 from .baseline import run_baseline_sgd
-from .diagnostics import (check_incoherence, estimate_alpha, kernel_floor_omega,
-                          match_and_score)
+from .diagnostics import check_incoherence, estimate_alpha, kernel_floor_omega
 from .exceptions import ConfigError, RecoveryError, StageError
-from .numdiff import FDConfig
-from .pipeline import (PipelineConfig, child_seed, run_pipeline,
-                       run_scaling_study)
-from .refine import RefineConfig, refine
-from .shift_init import init_signs_shifts
-from .spm import SpmConfig, collect_weights
-from .subspace import build_hessian_matrix, top_m_projector
+from .pipeline import (PipelineConfig, child_seed, hessian_stage, init_stage,
+                       projector_stage, refine_stage, run_pipeline,
+                       run_scaling_study, spm_stage, teacher_stage)
+from .refine import RefineConfig
+from .spm import SpmConfig
 from .teacher import (FixedShifts, GaussianShifts, StudentNetwork,
-                      UniformShifts, load_teacher, sample_teacher,
-                      save_teacher)
+                      UniformShifts, load_teacher)
 
 logger = logging.getLogger("netrecover")
 
@@ -80,129 +78,129 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--timeout-s", type=float, dest="timeout_s")
 
 
-_PIPELINE_KEYS = {
-    "d": ("dim", int), "dim": ("dim", int), "m": ("n_neurons", int),
-    "beta": ("beta_order", float), "activation": ("activation", str),
-    "shift_law": ("shift_law", str), "fd_step": ("fd_step", float),
-    "exact_derivatives": ("exact_derivatives", lambda v: v.lower() in ("1", "true", "yes")),
-    "n_h": ("n_hessians", int), "n_eval": ("n_eval", int), "seed": ("seed", int),
-    "out_dir": ("out_dir", str),
-    "dump_spectrum": ("dump_spectrum", lambda v: v.lower() in ("1", "true", "yes")),
+# Names that differ from the field they set: config keys by section, and
+# flag destinations under section None ("spm." marks an SpmConfig field).
+# A PipelineConfig field named here is read from a config file under the
+# keys listed here only.
+_ALIASES = {
+    ("pipeline", "d"): "dim",
+    ("pipeline", "dim"): "dim",
+    ("pipeline", "m"): "n_neurons",
+    ("pipeline", "beta"): "beta_order",
+    ("pipeline", "n_h"): "n_hessians",
+    ("refine", "max_steps"): "refine_max_steps",
+    (None, "spm_gamma"): "spm.gamma",
+    (None, "spm_steps"): "spm.max_steps",
+    (None, "spm_beta"): "spm.beta",
+    (None, "spm_restarts"): "spm.max_restarts",
 }
-_SPM_KEYS = {"gamma": float, "max_steps": int, "beta": float,
-             "dedup_cos": float, "max_restarts": int, "conv_tol": float}
-_REFINE_KEYS = {"n_train": ("n_train", int), "lr": ("lr", float),
-                "batch": ("batch", int), "max_steps": ("refine_max_steps", int),
-                "stop_loss": ("stop_loss", float), "timeout_s": ("timeout_s", float)}
+# PipelineConfig fields that no flag or config key sets
+_UNEXPOSED = ("spm", "baseline_lr", "baseline_n_train", "baseline_max_epochs")
 
 
-def build_pipeline_config(args) -> PipelineConfig:
-    """Merge defaults, config-file sections, and CLI flags (flags win)."""
-    values: dict = {}
-    spm_kwargs: dict = {}
+def _option_table() -> dict:
+    """(config section, key) or (None, flag destination) -> (target, field).
+
+    ``target`` names the dataclass the field belongs to, ``"pipeline"`` or
+    ``"spm"``.  PipelineConfig fields that configure the refinement live in
+    the ``[refine]`` section, every other one in ``[pipeline]``.
+    """
+    pipeline_fields = [f for f in dataclasses.fields(PipelineConfig)
+                       if f.name not in _UNEXPOSED]
+    spm_fields = dataclasses.fields(SpmConfig)
+    by_name = {f.name: ("pipeline", f) for f in pipeline_fields}
+    by_name.update({f"spm.{f.name}": ("spm", f) for f in spm_fields})
+    table = {key: by_name[name] for key, name in _ALIASES.items()}
+    refine_names = {f.name for f in dataclasses.fields(RefineConfig)}
+    aliased = set(_ALIASES.values())
+    for f in pipeline_fields:
+        table[None, f.name] = ("pipeline", f)
+        if f.name not in aliased:
+            section = "refine" if f.name in refine_names else "pipeline"
+            table[section, f.name] = ("pipeline", f)
+    for f in spm_fields:
+        table["spm", f.name] = ("spm", f)
+    return table
+
+
+_OPTIONS = _option_table()
+_SECTIONS = {section for section, _ in _OPTIONS if section is not None}
+
+
+def _parse_bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
+
+
+# parser of a config-file value by the first type in the field's annotation
+# (a string: both dataclasses' modules postpone annotation evaluation)
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+
+
+def build_pipeline_config(args, **fixed) -> PipelineConfig:
+    """Merge defaults, config-file sections, and CLI flags (flags win).
+
+    ``fixed`` values override all three, e.g. the dimension and the neuron
+    count of a teacher file.
+    """
+    values: dict = {"pipeline": {}, "spm": {}}
     if getattr(args, "config", None):
-        sections = fileio.read_config_file(args.config)
-        for key, raw in sections.get("pipeline", {}).items():
-            if key not in _PIPELINE_KEYS:
-                raise ConfigError(f"unknown [pipeline] key {key!r}")
-            dest, conv = _PIPELINE_KEYS[key]
-            values[dest] = conv(raw)
-        for key, raw in sections.get("spm", {}).items():
-            if key not in _SPM_KEYS:
-                raise ConfigError(f"unknown [spm] key {key!r}")
-            spm_kwargs[key] = _SPM_KEYS[key](raw)
-        for key, raw in sections.get("refine", {}).items():
-            if key not in _REFINE_KEYS:
-                raise ConfigError(f"unknown [refine] key {key!r}")
-            dest, conv = _REFINE_KEYS[key]
-            values[dest] = conv(raw)
-        for section in sections:
-            if section not in ("pipeline", "spm", "refine"):
+        for section, entries in fileio.read_config_file(args.config).items():
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
+            for key, raw in entries.items():
+                if (section, key) not in _OPTIONS:
+                    raise ConfigError(f"unknown [{section}] key {key!r}")
+                target, field = _OPTIONS[section, key]
+                values[target][field.name] = _PARSERS.get(field.type.split()[0], str)(raw)
+    for (section, dest), (target, field) in _OPTIONS.items():
+        if section is None and getattr(args, dest, None) is not None:
+            values[target][field.name] = getattr(args, dest)
 
-    for dest in ("dim", "n_neurons", "beta_order", "activation", "shift_law",
-                 "fd_step", "exact_derivatives", "n_hessians", "n_eval", "seed",
-                 "out_dir", "dump_spectrum", "n_train", "lr", "batch",
-                 "refine_max_steps", "timeout_s"):
-        flag_val = getattr(args, dest, None)
-        if flag_val is not None:
-            values[dest] = flag_val
-    for flag, key in (("spm_gamma", "gamma"), ("spm_steps", "max_steps"),
-                      ("spm_beta", "beta"), ("spm_restarts", "max_restarts")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            spm_kwargs[key] = v
-
-    if isinstance(values.get("shift_law"), str):
-        values["shift_law"] = parse_shift_law(values["shift_law"])
-    if "dim" not in values:
+    cfg_values = {**values["pipeline"], **fixed}
+    if isinstance(cfg_values.get("shift_law"), str):
+        cfg_values["shift_law"] = parse_shift_law(cfg_values["shift_law"])
+    if "dim" not in cfg_values:
         raise ConfigError("input dimension is required (--d or config [pipeline] d)")
-    if spm_kwargs:
-        values["spm"] = SpmConfig(**spm_kwargs)
-    return PipelineConfig(**values)
+    if values["spm"]:
+        cfg_values["spm"] = SpmConfig(**values["spm"])
+    return PipelineConfig(**cfg_values)
+
+
+def _teacher_and_config(args):
+    """The teacher file named by ``--net`` and a config of its D and m."""
+    net = load_teacher(args.net)
+    return net, build_pipeline_config(args, dim=net.dim, n_neurons=net.n_neurons)
 
 
 def _cmd_generate(args) -> int:
-    act = make_activation(args.activation or "tanh")
-    law = parse_shift_law(args.shift_law or "uniform:-0.5,0.5")
-    net = sample_teacher(args.dim, args.n_neurons, law, act, args.seed or 0)
-    save_teacher(net, args.out)
+    net = teacher_stage(build_pipeline_config(args), args.out)
     print(f"wrote teacher D={net.dim} m={net.n_neurons} -> {args.out}")
     return 0
 
 
 def _cmd_recover_weights(args) -> int:
-    net = load_teacher(args.net)
-    cfg = build_pipeline_config(args) if args.config else None
-    spm_cfg = cfg.spm if cfg else SpmConfig(
-        **{k: v for k, v in (("gamma", args.spm_gamma), ("max_steps", args.spm_steps),
-                             ("beta", args.spm_beta), ("max_restarts", args.spm_restarts))
-           if v is not None})
-    n_h = args.n_hessians or max(net.n_neurons,
-                                 int(np.ceil(np.log(net.dim) * net.n_neurons)))
-    fd_cfg = FDConfig(step_h=args.fd_step or 0.01)
-    seed = args.seed or 0
-    cols, _, _ = build_hessian_matrix(net, n_h, fd_cfg, child_seed(seed, "hessians"),
-                                      exact=bool(args.exact_derivatives))
-    proj = top_m_projector(cols, net.n_neurons)
-    if args.dump_spectrum:
-        spectrum = getattr(proj, "spectrum", proj.singular_values)
-        fileio.write_csv(Path(args.out).with_suffix(".spectrum.csv"),
-                         ["index", "sigma"],
-                         [[i, float(s)] for i, s in enumerate(spectrum)])
-    w_hat, stats = collect_weights(proj, net.n_neurons, spm_cfg, child_seed(seed, "spm"))
-    fileio.save_weights(w_hat, args.out)
+    net, cfg = _teacher_and_config(args)
+    cols, _ = hessian_stage(cfg, net)
+    proj = projector_stage(cfg, cols, Path(args.out).with_suffix(".spectrum.csv"))
+    w_hat, stats = spm_stage(cfg, proj, args.out)
     print(f"recovered {w_hat.shape[1]} directions in {stats.n_processed} restarts -> {args.out}")
     return 0
 
 
 def _cmd_init_shifts(args) -> int:
-    net = load_teacher(args.net)
-    w_hat = fileio.load_weights(args.weights)
-    fd_cfg = FDConfig(step_h=args.fd_step or 0.01)
-    res = init_signs_shifts(net, w_hat, net.act, fd_cfg,
-                            exact=bool(args.exact_derivatives))
-    fileio.save_init_result(res, args.out)
+    net, cfg = _teacher_and_config(args)
+    res = init_stage(cfg, net, fileio.load_weights(args.weights), args.out)
     print(f"wrote signs/shifts (cond_g2={res.cond_g2:.3g}, cond_g3={res.cond_g3:.3g}) "
           f"-> {args.out}")
     return 0
 
 
 def _cmd_refine(args) -> int:
-    net = load_teacher(args.net)
+    net, cfg = _teacher_and_config(args)
     w_hat = fileio.load_weights(args.weights)
     signs, tau0, _, _ = fileio.load_init_result(args.init)
     student = StudentNetwork(w_hat * signs, tau0, net.act)
-    cfg = RefineConfig(
-        n_train=args.n_train or net.n_neurons * net.dim ** 2,
-        lr=args.lr or 1e-3,
-        batch=args.batch if args.batch is not None else 64,
-        max_steps=args.refine_max_steps or 200_000,
-        timeout_s=args.timeout_s if args.timeout_s is not None else 180.0,
-    )
-    res = refine(student, net, cfg, args.seed or 0)
-    fileio.write_csv(args.out, ["step", "loss"],
-                     [[int(s), float(l)] for s, l in zip(res.record_steps, res.losses)])
+    res = refine_stage(cfg, student, net, path=args.out)
     final = Path(args.out).with_suffix(".shifts.txt")
     with open(final, "w") as fh:
         fh.write(" ".join(repr(float(t)) for t in res.student.shifts) + "\n")
@@ -229,7 +227,6 @@ def _cmd_baseline(args) -> int:
           f"e_inf={met.e_inf:.3e} max_weight_err={met.max_weight_err:.3e} "
           f"({res.refine_stop_reason})")
     return 0
-
 
 def _cmd_diagnose(args) -> int:
     net = load_teacher(args.net)
@@ -265,16 +262,8 @@ def _cmd_study(args) -> int:
     betas = [float(v) for v in args.beta_list.split(",")] if args.beta_list else []
     if not dims or not betas:
         raise ConfigError("study needs --d-list and --beta-list")
-    base = build_pipeline_config(args) if args.config else None
-    grid = []
-    for d in dims:
-        for b in betas:
-            kwargs = dict(dim=d, beta_order=b, seed=args.seed or 0)
-            if base is not None:
-                cfg = PipelineConfig(**{**base.__dict__, **kwargs, "n_neurons": None})
-            else:
-                cfg = PipelineConfig(**kwargs)
-            grid.append(cfg)
+    base = build_pipeline_config(args, dim=dims[0], n_neurons=None)
+    grid = [dataclasses.replace(base, dim=d, beta_order=b) for d in dims for b in betas]
     rows = run_scaling_study(grid, args.reps, out_csv=args.out)
     print(f"study: {len(rows)} rows -> {args.out}")
     return 0

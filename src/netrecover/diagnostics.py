@@ -32,12 +32,9 @@ __all__ = [
     "hermite_coeffs",
     "kernel_floor_omega",
     "OmegaResult",
-    "gram_norm_and_gershgorin_bound",
-    "squared_frame_energy",
     "match_weights",
     "match_and_score",
     "init_shift_error_bound",
-    "fd_scaling_exponent",
 ]
 
 
@@ -95,27 +92,6 @@ def check_incoherence(weights: np.ndarray, delta: float = 0.5,
         rip_target_delta=delta,
         rip_ok=worst <= delta,
     )
-
-
-def gram_norm_and_gershgorin_bound(weights: np.ndarray, n: int):
-    """Spectral norm of the Hadamard-power Gram matrix and its circle bound.
-
-    The bound is ``1 + (m - 1) max_{i != j} |<w_i, w_j>|^n``.
-    """
-    w = np.asarray(weights, dtype=float)
-    m = w.shape[1]
-    gn = (w.T @ w) ** n
-    norm = float(np.linalg.norm(gn, 2))
-    off = np.abs(w.T @ w - np.eye(m))
-    bound = 1.0 + (m - 1) * float(np.max(off) ** n) if m > 1 else 1.0
-    return norm, bound
-
-
-def squared_frame_energy(weights: np.ndarray, sym: np.ndarray) -> float:
-    """sum_k <T, w_k w_k^T>^2 for a symmetric test matrix T."""
-    w = np.asarray(weights, dtype=float)
-    vals = np.einsum("ik,ij,jk->k", w, np.asarray(sym, dtype=float), w)
-    return float(vals @ vals)
 
 
 # ---------------------------------------------------------------------------
@@ -312,36 +288,3 @@ def init_shift_error_bound(m: int, d: int, eps_hat: float, delta_max: float) -> 
     log_m = math.log(m) if m > 1 else 0.0
     return math.sqrt(m) * eps_hat + m ** 1.5 * (log_m / d) ** 0.75 * delta_max
 
-
-# ---------------------------------------------------------------------------
-# finite-difference scaling probe
-# ---------------------------------------------------------------------------
-
-def fd_scaling_exponent(act: Activation, n: int, cfg: FDConfig,
-                        b_grid=None, t_grid=None) -> float:
-    """Fitted exponent q in ``max_t |FD error of d^n/dt^n g(b t)| ~ b^q``.
-
-    The second-order stencils are expected to scale like ``b^{n+2}`` through
-    the (n+2)-th derivative of the activation; this measures the realized
-    exponent over a frequency grid instead of assuming it.
-    """
-    from .numdiff import fd_directional
-
-    if b_grid is None:
-        b_grid = np.geomspace(0.1, 2.0, 9)
-    if t_grid is None:
-        t_grid = np.linspace(-2.0, 2.0, 21)
-    worst = []
-    for b in b_grid:
-        errs = []
-        for t0 in t_grid:
-            def phi(x, _b=b):
-                return float(act.g(_b * x[0]))
-
-            exact = act.derivative(n)(b * t0) * b ** n
-            approx = fd_directional(phi, np.array([t0]), np.array([1.0]), n, cfg)
-            errs.append(abs(approx - exact))
-        worst.append(max(errs))
-    logs = np.log(np.maximum(worst, 1e-300))
-    slope = np.polyfit(np.log(b_grid), logs, 1)[0]
-    return float(slope)

@@ -25,7 +25,6 @@ class FDConfig:
     """Stencil spacing for the finite-difference operators."""
 
     step_h: float = 0.01
-    max_order: int = 3
 
     def __post_init__(self):
         if not (1e-8 <= self.step_h <= 1.0):

@@ -1,11 +1,14 @@
 """End-to-end orchestration: teacher sampling through scoring.
 
-The pipeline wires the stages together, derives per-stage seeds from the
-master seed with a counter scheme (so concurrency or stage reordering can
-never change results), tracks wall time and query counts per stage, and
-persists artifacts after every stage so a failed run can be post-mortemed
-or resumed.  The result CSV contains only deterministic fields; timings go
-to the human-readable report.
+Each stage is a module-level function of the run's :class:`PipelineConfig`
+that owns the stage's decisions (its seed, derived from the master seed with
+a counter scheme so concurrency or stage reordering can never change
+results; its finite-difference step; its budget defaults) and writes its
+artifact when given a path.  :func:`run_pipeline` chains them, tracks wall
+time and query counts per stage, and persists results after a failure so a
+run can be post-mortemed; the CLI stage subcommands call the same functions.
+The result CSV contains only deterministic fields; timings go to the
+human-readable report.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import dataclasses
 import logging
 import math
 import time
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +37,9 @@ from .teacher import (StudentNetwork, UniformShifts, sample_teacher,
 
 __all__ = ["PipelineConfig", "ExperimentResult", "child_seed", "neuron_count",
            "default_n_hessians", "run_pipeline", "run_scaling_study",
-           "RESULT_COLUMNS"]
+           "RESULT_COLUMNS", "STAGES", "teacher_stage", "hessian_stage",
+           "projector_stage", "spm_stage", "init_stage", "refine_stage",
+           "score_stage"]
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +52,8 @@ _STAGE_IDS = {
     "baseline_student": 5,
     "study": 6,
 }
+
+STAGES = ("teacher", "hessians", "projector", "spm", "init", "refine", "score")
 
 
 def child_seed(master: int, stage: str, extra: int = 0) -> int:
@@ -87,7 +95,6 @@ class PipelineConfig:
     seed: int = 0
     out_dir: str | None = None
     dump_spectrum: bool = False
-    measure_eps: bool = True   # probe FD accuracy against the analytic oracle
     baseline_lr: float = 5e-3
     baseline_n_train: int | None = None   # None -> ceil(2.5 m D^2)
     baseline_max_epochs: int = 500
@@ -118,16 +125,137 @@ class PipelineConfig:
         )
 
 
-RESULT_COLUMNS = [
-    "mode", "D", "beta", "m", "seed", "exact_mode", "fd_step",
-    "e_inf", "max_weight_err", "shift_rms", "sign_accuracy",
-    "init_shift_rms", "delta_w1", "delta_wo", "delta_ws", "init_shift_bound",
-    "eps_hat", "cond_g2", "cond_g3",
-    "spm_processed", "spm_accepted", "spm_duplicate", "spm_rejected",
-    "refine_steps", "refine_stop_reason", "final_loss",
-    "q_hessians", "q_init", "q_refine", "q_algorithm", "query_ceiling_ratio",
-    "n_shifts_clamped", "error",
+# ---------------------------------------------------------------------------
+# stages; the layer functions are looked up in this module's globals at call
+# time, so wrappers installed on ``pipeline.<name>`` see every call
+# ---------------------------------------------------------------------------
+
+def teacher_stage(cfg: PipelineConfig, path=None):
+    """Draw the planted network; write it to ``path`` when given."""
+    net = sample_teacher(cfg.dim, cfg.resolved_m(), cfg.shift_law,
+                         make_activation(cfg.activation), child_seed(cfg.seed, "teacher"))
+    if path is not None:
+        save_teacher(net, path)
+    return net
+
+
+def hessian_stage(cfg: PipelineConfig, net):
+    """Half-vectorized Hessian columns and the measured FD accuracy ``eps_hat``.
+
+    ``eps_hat`` is the largest entrywise deviation from the analytic oracle
+    over the first few anchors (0 in exact mode).
+    """
+    n_h = (cfg.n_hessians if cfg.n_hessians is not None
+           else default_n_hessians(cfg.dim, cfg.resolved_m()))
+    cols, anchors, _ = build_hessian_matrix(
+        net, n_h, FDConfig(step_h=cfg.fd_step), child_seed(cfg.seed, "hessians"),
+        exact=cfg.exact_derivatives,
+    )
+    eps_hat = 0.0
+    if not cfg.exact_derivatives:
+        for i in range(min(3, n_h)):
+            dev = unhvec(cols[:, i], cfg.dim) - net.analytic_hessian(anchors[i])
+            eps_hat = max(eps_hat, float(np.max(np.abs(dev))))
+    return cols, eps_hat
+
+
+def projector_stage(cfg: PipelineConfig, cols, spectrum_path=None):
+    """Top-m projector; with ``cfg.dump_spectrum`` its spectrum goes to ``spectrum_path``."""
+    proj = top_m_projector(cols, cfg.resolved_m())
+    if spectrum_path is not None and cfg.dump_spectrum:
+        fileio.write_csv(spectrum_path, ["index", "sigma"],
+                         [[i, float(s)] for i, s in enumerate(proj.spectrum)])
+    return proj
+
+
+def spm_stage(cfg: PipelineConfig, proj, path=None):
+    """Sphere-ascent collection; returns ``(w_hat, stats)``."""
+    w_hat, stats = collect_weights(proj, cfg.resolved_m(), cfg.spm,
+                                   child_seed(cfg.seed, "spm"))
+    if path is not None:
+        fileio.save_weights(w_hat, path)
+    return w_hat, stats
+
+
+def init_stage(cfg: PipelineConfig, net, w_hat, path=None):
+    """Signs and initial shifts from directional derivatives at the origin."""
+    res = init_signs_shifts(net, w_hat, net.act, FDConfig(step_h=cfg.fd_step),
+                            exact=cfg.exact_derivatives)
+    if path is not None:
+        fileio.save_init_result(res, path)
+    return res
+
+
+def refine_stage(cfg: PipelineConfig, student, net, tau_truth=None, path=None):
+    """Shift refinement; the trajectory goes to ``path`` when given."""
+    ref = refine(student, net, cfg.refine_config(cfg.resolved_m()),
+                 child_seed(cfg.seed, "refine"), tau_truth=tau_truth)
+    if path is not None:
+        header = ["step", "loss"]
+        rows = [[int(s), float(l)] for s, l in zip(ref.record_steps, ref.losses)]
+        if ref.shift_errors is not None:
+            header.append("shift_error")
+            for row, e in zip(rows, ref.shift_errors):
+                row.append(float(e))
+        fileio.write_csv(path, header, rows)
+    return ref
+
+
+def score_stage(cfg: PipelineConfig, student, net) -> Metrics:
+    """Held-out comparison of a recovered network against the planted one."""
+    return match_and_score(student, net, n_eval=cfg.n_eval,
+                           seed=child_seed(cfg.seed, "score"))
+
+
+# ---------------------------------------------------------------------------
+# results
+# ---------------------------------------------------------------------------
+
+def _metric(name):
+    return lambda r: getattr(r.metrics, name) if r.metrics else float("nan")
+
+
+def _queries(stage):
+    return lambda r: r.stage_queries.get(stage, 0)
+
+
+# (column, getter) for every column of result.csv, in order
+_RESULT_TABLE = [
+    ("mode", attrgetter("mode")),
+    ("D", attrgetter("dim")),
+    ("beta", lambda r: "" if r.beta_order is None else r.beta_order),
+    ("m", attrgetter("m")),
+    ("seed", attrgetter("seed")),
+    ("exact_mode", lambda r: int(r.exact_mode)),
+    ("fd_step", attrgetter("fd_step")),
+    ("e_inf", _metric("e_inf")),
+    ("max_weight_err", _metric("max_weight_err")),
+    ("shift_rms", _metric("shift_rms")),
+    ("sign_accuracy", attrgetter("sign_accuracy")),
+    ("init_shift_rms", attrgetter("init_shift_rms")),
+    ("delta_w1", _metric("delta_w1")),
+    ("delta_wo", _metric("delta_wo")),
+    ("delta_ws", _metric("delta_ws")),
+    ("init_shift_bound", attrgetter("init_shift_bound")),
+    ("eps_hat", attrgetter("eps_hat")),
+    ("cond_g2", attrgetter("cond_g2")),
+    ("cond_g3", attrgetter("cond_g3")),
+    ("spm_processed", attrgetter("spm_processed")),
+    ("spm_accepted", attrgetter("spm_accepted")),
+    ("spm_duplicate", attrgetter("spm_duplicate")),
+    ("spm_rejected", attrgetter("spm_rejected")),
+    ("refine_steps", attrgetter("refine_steps")),
+    ("refine_stop_reason", attrgetter("refine_stop_reason")),
+    ("final_loss", attrgetter("final_loss")),
+    ("q_hessians", _queries("hessians")),
+    ("q_init", _queries("init")),
+    ("q_refine", _queries("refine")),
+    ("q_algorithm", attrgetter("query_algorithm")),
+    ("query_ceiling_ratio", attrgetter("query_ceiling_ratio")),
+    ("n_shifts_clamped", attrgetter("n_shifts_clamped")),
+    ("error", attrgetter("error")),
 ]
+RESULT_COLUMNS = [column for column, _ in _RESULT_TABLE]
 
 
 @dataclasses.dataclass
@@ -175,28 +303,7 @@ class ExperimentResult:
         return self.query_algorithm / self.query_ceiling
 
     def csv_row(self) -> list:
-        met = self.metrics
-        return [
-            self.mode, self.dim,
-            "" if self.beta_order is None else self.beta_order,
-            self.m, self.seed, int(self.exact_mode), self.fd_step,
-            met.e_inf if met else float("nan"),
-            met.max_weight_err if met else float("nan"),
-            met.shift_rms if met else float("nan"),
-            self.sign_accuracy, self.init_shift_rms,
-            met.delta_w1 if met else float("nan"),
-            met.delta_wo if met else float("nan"),
-            met.delta_ws if met else float("nan"),
-            self.init_shift_bound, self.eps_hat, self.cond_g2, self.cond_g3,
-            self.spm_processed, self.spm_accepted, self.spm_duplicate,
-            self.spm_rejected, self.refine_steps, self.refine_stop_reason,
-            self.final_loss,
-            self.stage_queries.get("hessians", 0),
-            self.stage_queries.get("init", 0),
-            self.stage_queries.get("refine", 0),
-            self.query_algorithm, self.query_ceiling_ratio,
-            self.n_shifts_clamped, self.error,
-        ]
+        return [getter(self) for _, getter in _RESULT_TABLE]
 
     def write_result_csv(self, path):
         fileio.write_csv(path, RESULT_COLUMNS, [self.csv_row()])
@@ -226,12 +333,12 @@ class _StageRunner:
         self._result = result
         self._on_fail = on_fail
 
-    def run(self, name, fn):
+    def run(self, name, fn, *args):
         net = self._net_getter()
         before = net.query_count if net is not None else 0
         t0 = time.perf_counter()
         try:
-            out = fn()
+            out = fn(*args)
         except Exception as exc:
             self._result.stage_times[name] = time.perf_counter() - t0
             self._result.error = f"{name}: {exc}"
@@ -250,105 +357,46 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
 
     Stage order: sample teacher, approximate Hessians, principal subspace,
     sphere-ascent collection, sign/shift initialization, sign folding,
-    gradient-descent refinement, matching and scoring.  Raises
-    :class:`StageError` on failure after persisting partial artifacts.
+    gradient-descent refinement, matching and scoring.  Each stage writes
+    its artifact into ``cfg.out_dir`` as it finishes.  Raises
+    :class:`StageError` on failure after writing the result and report.
     """
     cfg.validate()
     m = cfg.resolved_m()
-    act = make_activation(cfg.activation)
-    n_h = cfg.n_hessians if cfg.n_hessians is not None else default_n_hessians(cfg.dim, m)
-    fd_cfg = FDConfig(step_h=cfg.fd_step)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+
+    def artifact(name):
+        return out_dir / name if out_dir else None
 
     result = ExperimentResult(
         mode="pipeline", dim=cfg.dim, beta_order=cfg.beta_order, m=m,
         seed=cfg.seed, exact_mode=cfg.exact_derivatives, fd_step=cfg.fd_step,
     )
-    state = {"net": None}
-    artifacts = {}
 
-    def persist_partial():
-        if out_dir is None:
-            return
-        if state["net"] is not None:
-            save_teacher(state["net"], out_dir / "teacher.net")
-        if "w_hat" in artifacts:
-            fileio.save_weights(artifacts["w_hat"], out_dir / "weights.txt")
-        if "init" in artifacts:
-            fileio.save_init_result(artifacts["init"], out_dir / "init.txt")
-        result.write_result_csv(out_dir / "result.csv")
-        result.write_report(out_dir / "report.txt")
-
-    stages = _StageRunner(lambda: state["net"], result, persist_partial)
-
-    def _teacher():
-        net = sample_teacher(cfg.dim, m, cfg.shift_law, act,
-                             child_seed(cfg.seed, "teacher"))
-        state["net"] = net
-        result.n_shifts_clamped = getattr(net, "n_shifts_clamped", 0)
+    def write_result():
         if out_dir:
-            save_teacher(net, out_dir / "teacher.net")
-        return net
+            result.write_result_csv(out_dir / "result.csv")
+            result.write_report(out_dir / "report.txt")
 
-    net = stages.run("teacher", _teacher)
-
-    def _hessians():
-        cols, anchors, _ = build_hessian_matrix(
-            net, n_h, fd_cfg, child_seed(cfg.seed, "hessians"),
-            exact=cfg.exact_derivatives,
-        )
-        if cfg.exact_derivatives:
-            eps_hat = 0.0
-        elif cfg.measure_eps:
-            # measured FD accuracy against the analytic oracle on a few probes
-            eps_hat = 0.0
-            for i in range(min(3, n_h)):
-                dev = unhvec(cols[:, i], cfg.dim) - net.analytic_hessian(anchors[i])
-                eps_hat = max(eps_hat, float(np.max(np.abs(dev))))
-        else:
-            eps_hat = float("nan")
-        return cols, eps_hat
-
-    cols, result.eps_hat = stages.run("hessians", _hessians)
-
-    def _projector():
-        proj = top_m_projector(cols, m)
-        if out_dir and cfg.dump_spectrum:
-            spectrum = getattr(proj, "spectrum", proj.singular_values)
-            fileio.write_csv(out_dir / "spectrum.csv", ["index", "sigma"],
-                             [[i, float(s)] for i, s in enumerate(spectrum)])
-        return proj
-
-    proj = stages.run("projector", _projector)
-
-    def _spm():
-        w_hat, stats = collect_weights(proj, m, cfg.spm, child_seed(cfg.seed, "spm"))
-        artifacts["w_hat"] = w_hat
-        result.spm_processed = stats.n_processed
-        result.spm_accepted = stats.n_accepted
-        result.spm_duplicate = stats.n_duplicate
-        result.spm_rejected = stats.n_rejected
-        if out_dir:
-            fileio.save_weights(w_hat, out_dir / "weights.txt")
-        return w_hat
-
-    w_hat = stages.run("spm", _spm)
-
-    def _init():
-        res = init_signs_shifts(net, w_hat, act, fd_cfg, exact=cfg.exact_derivatives)
-        artifacts["init"] = res
-        result.cond_g2, result.cond_g3 = res.cond_g2, res.cond_g3
-        if out_dir:
-            fileio.save_init_result(res, out_dir / "init.txt")
-        return res
-
-    init_res = stages.run("init", _init)
+    net = None
+    stages = _StageRunner(lambda: net, result, write_result)
+    net = stages.run("teacher", teacher_stage, cfg, artifact("teacher.net"))
+    result.n_shifts_clamped = net.n_shifts_clamped
+    cols, result.eps_hat = stages.run("hessians", hessian_stage, cfg, net)
+    proj = stages.run("projector", projector_stage, cfg, cols, artifact("spectrum.csv"))
+    w_hat, stats = stages.run("spm", spm_stage, cfg, proj, artifact("weights.txt"))
+    result.spm_processed = stats.n_processed
+    result.spm_accepted = stats.n_accepted
+    result.spm_duplicate = stats.n_duplicate
+    result.spm_rejected = stats.n_rejected
+    init_res = stages.run("init", init_stage, cfg, net, w_hat, artifact("init.txt"))
+    result.cond_g2, result.cond_g3 = init_res.cond_g2, init_res.cond_g3
 
     # fold the recovered signs into the columns, then evaluate the
     # initialization against the (diagnostics-only) matching
-    student0 = StudentNetwork(w_hat * init_res.signs, init_res.tau0, act)
+    student0 = StudentNetwork(w_hat * init_res.signs, init_res.tau0, net.act)
     perm, match_signs, werrs = match_weights(student0.weights, net.weights)
     delta_max = float(np.max(werrs))
     result.sign_accuracy = float(np.mean(match_signs == 1))
@@ -359,35 +407,17 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
     tau_truth_student = np.empty(m)
     tau_truth_student[perm] = net.shifts
 
-    def _refine():
-        ref = refine(student0, net, cfg.refine_config(m),
-                     child_seed(cfg.seed, "refine"), tau_truth=tau_truth_student)
-        result.refine_steps = ref.steps
-        result.refine_stop_reason = ref.stop_reason
-        result.final_loss = float(ref.losses[-1])
-        if out_dir:
-            rows = [[int(s), float(l)] + ([float(e)] if ref.shift_errors is not None else [])
-                    for s, l, e in zip(ref.record_steps, ref.losses,
-                                       ref.shift_errors if ref.shift_errors is not None
-                                       else ref.losses)]
-            header = ["step", "loss"] + (["shift_error"] if ref.shift_errors is not None else [])
-            fileio.write_csv(out_dir / "trajectory.csv", header, rows)
-        return ref
+    ref = stages.run("refine", refine_stage, cfg, student0, net, tau_truth_student,
+                     artifact("trajectory.csv"))
+    result.refine_steps = ref.steps
+    result.refine_stop_reason = ref.stop_reason
+    result.final_loss = float(ref.losses[-1])
 
-    ref = stages.run("refine", _refine)
-
-    def _score():
-        return match_and_score(ref.student, net, n_eval=cfg.n_eval,
-                               seed=child_seed(cfg.seed, "score"))
-
-    result.metrics = stages.run("score", _score)
+    result.metrics = stages.run("score", score_stage, cfg, ref.student, net)
     result.oracle_count = net.oracle_count
     if result.query_ceiling_ratio > 1.0:
         logger.warning("query budget exceeded: ratio %.3f", result.query_ceiling_ratio)
-
-    if out_dir:
-        result.write_result_csv(out_dir / "result.csv")
-        result.write_report(out_dir / "report.txt")
+    write_result()
     return result
 
 
@@ -419,14 +449,8 @@ def run_scaling_study(grid: list[PipelineConfig], repetitions: int,
                     error=str(exc),
                 )
                 logger.warning("study cell %d rep %d failed: %s", cell_idx, rep, exc)
-            row = res.csv_row()
-            for name in ("teacher", "hessians", "projector", "spm", "init",
-                         "refine", "score"):
-                row.append(res.stage_times.get(name, float("nan")))
-            rows.append(row)
+            rows.append(res.csv_row() + [res.stage_times.get(n, float("nan"))
+                                         for n in STAGES])
     if out_csv is not None:
-        header = RESULT_COLUMNS + [f"t_{n}" for n in
-                                   ("teacher", "hessians", "projector", "spm",
-                                    "init", "refine", "score")]
-        fileio.write_csv(out_csv, header, rows)
+        fileio.write_csv(out_csv, RESULT_COLUMNS + [f"t_{n}" for n in STAGES], rows)
     return rows

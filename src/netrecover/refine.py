@@ -108,8 +108,7 @@ def _loss_grad_cached(act, pre, ys):
 
 
 def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
-           tau_truth=None, record_every: int | None = None,
-           audit_grad: bool = False) -> RefineResult:
+           tau_truth=None, audit_grad: bool = False) -> RefineResult:
     """Minimize the least-squares objective over the shifts.
 
     Draws ``n_train`` fresh Gaussian inputs, queries the teacher for targets
@@ -122,8 +121,8 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
 
     ``tau_truth``, when given, must already be aligned with the student's
     column order; the distance to it is recorded alongside the loss.
-    Records land every ``record_every`` steps (default: each step for
-    full-batch runs, each epoch for mini-batch runs).
+    Records land after each step for full-batch runs and after each epoch
+    for mini-batch runs.
     """
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((cfg.n_train, student.dim))
@@ -143,9 +142,7 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
         logger.info("auto step size: lambda_max ~ %.4g -> lr = %.4g", lmax, lr)
 
     full_batch = cfg.batch == 0 or cfg.batch >= cfg.n_train
-    steps_per_epoch = 1 if full_batch else -(-cfg.n_train // cfg.batch)
-    if record_every is None:
-        record_every = 1 if full_batch else steps_per_epoch
+    record_every = 1 if full_batch else -(-cfg.n_train // cfg.batch)
 
     records, rec_steps, losses, errs = [], [], [], []
     best = np.inf

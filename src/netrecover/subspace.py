@@ -93,15 +93,20 @@ def _unhvec_batch(vs: np.ndarray, d: int) -> np.ndarray:
 class SubspaceProjector:
     """Orthogonal projector onto an m-dimensional space of symmetric matrices.
 
-    Stored as an orthonormal basis of half-vectorized matrices.  The top
+    Stored as an orthonormal basis of half-vectorized matrices.  The
     singular values of the source column matrix are retained because the
     m-th one enters the Wedin perturbation bound.
     """
 
     dim: int
     rank: int
-    basis: np.ndarray  # (half_dim(dim), rank), orthonormal columns
-    singular_values: np.ndarray
+    basis: np.ndarray     # (half_dim(dim), rank), orthonormal columns
+    spectrum: np.ndarray  # every singular value of the source columns, descending
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """The top ``rank`` singular values."""
+        return self.spectrum[: self.rank]
 
     def coeffs(self, v: np.ndarray) -> np.ndarray:
         return self.basis.T @ v
@@ -204,14 +209,7 @@ def top_m_projector(columns: np.ndarray, m: int) -> SubspaceProjector:
     # polish orthonormality lost to round-off in the Gram route
     basis, r = np.linalg.qr(basis)
     basis *= np.sign(np.diag(r))
-    proj = SubspaceProjector(
-        dim=dim,
-        rank=m,
-        basis=basis,
-        singular_values=svals[: min(m, n_cols)].copy(),
-    )
-    proj.spectrum = svals.copy()
-    return proj
+    return SubspaceProjector(dim=dim, rank=m, basis=basis, spectrum=svals)
 
 
 def projector_distance(p: SubspaceProjector, q: SubspaceProjector) -> float:

@@ -59,9 +59,6 @@ class UniformShifts:
             )
         return rng.uniform(self.low, self.high, size=m), 0
 
-    def describe(self):
-        return f"uniform:{self.low},{self.high}"
-
 
 @dataclasses.dataclass(frozen=True)
 class GaussianShifts:
@@ -77,9 +74,6 @@ class GaussianShifts:
         clamped = int(np.sum(np.abs(tau) > tau_inf))
         return np.clip(tau, -tau_inf, tau_inf), clamped
 
-    def describe(self):
-        return f"gaussian:{self.sigma}"
-
 
 @dataclasses.dataclass(frozen=True)
 class FixedShifts:
@@ -92,9 +86,6 @@ class FixedShifts:
         if np.max(np.abs(tau)) > tau_inf:
             raise ConfigError("fixed shifts exceed the admissible interval")
         return tau.copy(), 0
-
-    def describe(self):
-        return "fixed:" + ",".join(repr(v) for v in self.values)
 
 
 def _check_network_params(weights, shifts):
@@ -142,13 +133,16 @@ class TeacherNetwork(_ShallowNet):
     ``eval_batch``.  The analytic derivative oracles are test-only helpers
     and increment ``oracle_count`` instead.  The shifts must lie in the
     activation's admissible interval ``[-tau_inf, tau_inf]``.
+    ``n_shifts_clamped`` counts the sampled shifts that were clamped into it.
     """
 
-    def __init__(self, weights, shifts, act: Activation, seed: int | None = None):
+    def __init__(self, weights, shifts, act: Activation, seed: int | None = None,
+                 n_shifts_clamped: int = 0):
         super().__init__(weights, shifts, act)
         if np.max(np.abs(self.shifts), initial=0.0) > act.tau_inf + 1e-15:
             raise ConfigError("shifts exceed the admissible interval of the activation")
         self.seed = seed
+        self.n_shifts_clamped = n_shifts_clamped
         self._queries = _Counter()
         self._oracle = _Counter()
 
@@ -224,8 +218,8 @@ def sample_teacher(dim: int, n_neurons: int, shift_law, act: Activation, seed: i
 
     Columns are normalized standard Gaussian vectors (exact and
     dimension-free); shifts come from the given law.  Reproducible under the
-    seed.  Returns the network; the number of clamped Gaussian shifts, if
-    any, is available as ``net.n_shifts_clamped``.
+    seed.  The number of clamped Gaussian shifts, if any, is recorded as
+    ``net.n_shifts_clamped``.
     """
     if dim < 1 or n_neurons < 1:
         raise ConfigError("dim and n_neurons must be positive")
@@ -233,9 +227,7 @@ def sample_teacher(dim: int, n_neurons: int, shift_law, act: Activation, seed: i
     w = rng.standard_normal((dim, n_neurons))
     w /= np.linalg.norm(w, axis=0)
     tau, clamped = shift_law.sample(n_neurons, act.tau_inf, rng)
-    net = TeacherNetwork(w, tau, act, seed=seed)
-    net.n_shifts_clamped = clamped
-    return net
+    return TeacherNetwork(w, tau, act, seed=seed, n_shifts_clamped=clamped)
 
 
 def save_teacher(net: TeacherNetwork, path):

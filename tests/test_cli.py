@@ -1,0 +1,170 @@
+"""Command-line interface, driven through ``cli.main``."""
+
+import csv
+
+import pytest
+
+from netrecover import GaussianShifts, PipelineConfig, SpmConfig, cli
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def config_from(argv):
+    return cli.build_pipeline_config(cli.make_parser().parse_args(argv))
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The stage subcommands run one after another, and ``pipeline`` beside them."""
+    d = tmp_path_factory.mktemp("chain")
+    net, w, init, traj = (str(d / n) for n in
+                          ("teacher.net", "weights.txt", "init.txt", "traj.csv"))
+    assert cli.main(["generate", "--d", "10", "--m", "13", "--seed", "7", "--out", net]) == 0
+    assert cli.main(["recover-weights", "--net", net, "--out", w, "--seed", "7"]) == 0
+    assert cli.main(["init-shifts", "--net", net, "--weights", w, "--out", init]) == 0
+    assert cli.main(["refine", "--net", net, "--weights", w, "--init", init,
+                     "--out", traj, "--seed", "7"]) == 0
+    assert cli.main(["pipeline", "--d", "10", "--beta", "1.5", "--seed", "7",
+                     "--out-dir", str(d / "pipeline")]) == 0
+    return d
+
+
+class TestStageChain:
+    @pytest.mark.parametrize("name", ["teacher.net", "weights.txt", "init.txt"])
+    def test_artifacts_match_pipeline(self, chain, name):
+        assert (chain / name).read_bytes() == (chain / "pipeline" / name).read_bytes()
+
+    def test_trajectory_loss_matches_pipeline(self, chain):
+        ours = read_csv(chain / "traj.csv")
+        theirs = read_csv(chain / "pipeline" / "trajectory.csv")
+        assert ours[0] == ["step", "loss"]
+        assert [r[:2] for r in ours] == [r[:2] for r in theirs]
+
+    def test_refined_shifts_written(self, chain):
+        shifts = (chain / "traj.shifts.txt").read_text().split()
+        assert len(shifts) == 13
+
+    def test_diagnose_writes_every_quantity(self, chain, tmp_path):
+        out = tmp_path / "diag.csv"
+        assert cli.main(["diagnose", "--net", str(chain / "teacher.net"),
+                         "--out", str(out), "--seed", "1"]) == 0
+        rows = read_csv(out)
+        assert rows[0] == ["quantity", "value"]
+        assert len(rows) == 14
+        assert rows[1][0] == "max_sq_corr" and rows[-1][0] == "mean_slope_min_abs"
+
+
+# every config key the command line accepts, with the flag that sets the same value
+CONFIG_TEXT = """\
+[pipeline]
+d = 12
+m = 5
+beta = 1.25
+activation = sigmoid
+shift_law = gaussian:0.1
+fd_step = 0.02
+exact_derivatives = yes
+n_h = 40
+n_eval = 500
+seed = 9
+out_dir = somewhere
+dump_spectrum = true
+
+[spm]
+gamma = 3.0
+max_steps = 77
+beta = 0.25
+dedup_cos = 0.995
+max_restarts = 31
+conv_tol = 1e-10
+
+[refine]
+n_train = 1234
+lr = 0.002
+batch = 16
+max_steps = 99
+stop_loss = 1e-9
+timeout_s = 12.5
+"""
+FLAGS = ["--d", "12", "--m", "5", "--beta", "1.25", "--activation", "sigmoid",
+         "--shift-law", "gaussian:0.1", "--fd-step", "0.02", "--exact-derivatives",
+         "--n-h", "40", "--n-eval", "500", "--seed", "9", "--out-dir", "somewhere",
+         "--dump-spectrum", "--spm-gamma", "3.0", "--spm-steps", "77",
+         "--spm-beta", "0.25", "--spm-restarts", "31", "--n-train", "1234",
+         "--lr", "0.002", "--batch", "16", "--max-steps", "99", "--timeout-s", "12.5"]
+EXPECTED = PipelineConfig(
+    dim=12, n_neurons=5, beta_order=1.25, activation="sigmoid",
+    shift_law=GaussianShifts(0.1), fd_step=0.02, exact_derivatives=True,
+    n_hessians=40, n_eval=500, seed=9, out_dir="somewhere", dump_spectrum=True,
+    spm=SpmConfig(gamma=3.0, max_steps=77, beta=0.25, dedup_cos=0.995,
+                  max_restarts=31, conv_tol=1e-10),
+    n_train=1234, lr=0.002, batch=16, refine_max_steps=99, stop_loss=1e-9,
+    timeout_s=12.5,
+)
+
+
+class TestConfig:
+    def test_every_config_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT)
+        assert config_from(["pipeline", "--config", str(path)]) == EXPECTED
+
+    def test_flags_build_the_same_config(self, tmp_path):
+        # dedup_cos, conv_tol and stop_loss have no flag
+        path = tmp_path / "rest.cfg"
+        path.write_text("[spm]\ndedup_cos = 0.995\nconv_tol = 1e-10\n"
+                        "[refine]\nstop_loss = 1e-9\n")
+        assert config_from(["pipeline", "--config", str(path), *FLAGS]) == EXPECTED
+
+    def test_dim_key_and_flag_precedence(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[pipeline]\ndim = 8\nbeta = 1.0\nseed = 4\n[refine]\nlr = 0.5\n")
+        cfg = config_from(["pipeline", "--config", str(path), "--seed", "5"])
+        assert (cfg.dim, cfg.beta_order, cfg.seed, cfg.lr) == (8, 1.0, 5, 0.5)
+
+    def test_defaults_without_config(self):
+        assert config_from(["pipeline", "--d", "10"]) == PipelineConfig(dim=10)
+
+    @pytest.mark.parametrize("text", [
+        "[pipeline]\nd = 10\nbogus = 1\n",
+        "[spm]\nlr = 0.1\n",
+        "[refine]\ngamma = 2\n",
+        "[pipeline]\nd = 10\nn_hessians = 20\n",
+        "[pipeline]\nd = 10\n[extra]\nx = 1\n",
+    ])
+    def test_unknown_key_or_section_exits_2(self, tmp_path, text, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["pipeline", "--config", str(path)]) == 2
+        assert "unknown" in capsys.readouterr().err
+
+    def test_missing_dimension_exits_2(self, capsys):
+        assert cli.main(["pipeline", "--beta", "1.0"]) == 2
+        assert "input dimension is required" in capsys.readouterr().err
+
+
+class TestStudy:
+    def test_flags_reach_every_cell(self, tmp_path):
+        out = tmp_path / "study.csv"
+        assert cli.main(["study", "--d-list", "6", "--beta-list", "1.0",
+                         "--fd-step", "0.05", "--n-eval", "500", "--max-steps", "500",
+                         "--out", str(out)]) == 0
+        header, row = read_csv(out)
+        cell = dict(zip(header, row))
+        assert cell["fd_step"] == "0.05"
+        assert int(cell["refine_steps"]) <= 500
+
+    def test_config_without_dimension(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text("[pipeline]\nfd_step = 0.05\nn_eval = 500\n"
+                        "[refine]\nmax_steps = 500\n")
+        out = tmp_path / "study.csv"
+        assert cli.main(["study", "--d-list", "6,8", "--beta-list", "1.0",
+                         "--config", str(path), "--out", str(out)]) == 0
+        header, *rows = read_csv(out)
+        cells = [dict(zip(header, r)) for r in rows]
+        assert [(c["D"], c["m"], c["fd_step"]) for c in cells] == [
+            ("6", "3", "0.05"), ("8", "4", "0.05")]

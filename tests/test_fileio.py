@@ -1,0 +1,111 @@
+"""Artifact text formats: bit-exact round trips and malformed input."""
+
+import numpy as np
+import pytest
+
+from netrecover import ConfigError, InitResult
+from netrecover.fileio import (load_init_result, load_weights, read_config_file,
+                               save_init_result, save_weights, write_csv)
+from conftest import random_unit_columns
+
+
+def awkward_floats(n, seed):
+    """Values whose shortest repr needs all 17 significant digits."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+class TestWeights:
+    def test_round_trip_bit_exact(self, tmp_path):
+        w = random_unit_columns(7, 5, seed=0)
+        w[:, 0] = awkward_floats(7, seed=1)
+        save_weights(w, tmp_path / "w.txt")
+        back = load_weights(tmp_path / "w.txt")
+        assert back.shape == (7, 5)
+        assert np.array_equal(back.view(np.int64), w.view(np.int64))
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# recovered\n2 1\n\n0.6 0.8\n")
+        assert np.array_equal(load_weights(path), np.array([[0.6], [0.8]]))
+
+    def test_malformed_header_reports_line(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# comment\n2 x\n0.6 0.8\n")
+        with pytest.raises(ConfigError, match=r"w\.txt:2: malformed header"):
+            load_weights(path)
+
+    def test_short_column_reports_line(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2 2\n0.6 0.8\n1.0\n")
+        with pytest.raises(ConfigError, match=r"w\.txt:3: expected 2 values, found 1"):
+            load_weights(path)
+
+    def test_missing_columns(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2 3\n0.6 0.8\n")
+        with pytest.raises(ConfigError, match="expected 3 columns, found 1"):
+            load_weights(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# nothing\n")
+        with pytest.raises(ConfigError, match="empty weights file"):
+            load_weights(path)
+
+
+class TestInitResult:
+    def test_round_trip_bit_exact(self, tmp_path):
+        tau = awkward_floats(6, seed=2)
+        res = InitResult(signs=np.array([1, -1, 1, 1, -1, -1]), tau0=tau,
+                         cond_g2=3.141592653589793, cond_g3=1e-310,
+                         c2=np.zeros(6), c3=np.zeros(6))
+        save_init_result(res, tmp_path / "init.txt")
+        signs, tau0, cond2, cond3 = load_init_result(tmp_path / "init.txt")
+        assert signs.tolist() == [1, -1, 1, 1, -1, -1]
+        assert np.array_equal(tau0.view(np.int64), tau.view(np.int64))
+        assert (cond2, cond3) == (3.141592653589793, 1e-310)
+
+    @pytest.mark.parametrize("text", [
+        "signs 1 -1\nshifts 0.1 0.2\ncond_g2 1.0\n",            # missing key
+        "signs 1 x\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",  # bad sign
+        "signs 1 -1\nshifts 0.1 0.2\ncond_g2\ncond_g3 1.0\n",     # empty value
+    ])
+    def test_malformed_raises(self, tmp_path, text):
+        path = tmp_path / "init.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="malformed init-result file"):
+            load_init_result(path)
+
+
+class TestCsv:
+    def test_floats_round_trip_bit_exact(self, tmp_path):
+        vals = awkward_floats(5, seed=3).tolist() + [float("nan"), float("inf")]
+        write_csv(tmp_path / "t.csv", ["i", "v", "s"],
+                  [[i, v, "x"] for i, v in enumerate(vals)])
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "i,v,s"
+        back = [float(ln.split(",")[1]) for ln in lines[1:]]
+        assert np.array_equal(np.array(back[:5]).view(np.int64),
+                              np.array(vals[:5]).view(np.int64))
+        assert np.isnan(back[5]) and back[6] == float("inf")
+        assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(7)]
+
+    def test_deterministic_bytes(self, tmp_path):
+        rows = [[1, 0.1, "a"], [2, 1e-300, ""]]
+        write_csv(tmp_path / "a.csv", ["i", "v", "s"], rows)
+        write_csv(tmp_path / "b.csv", ["i", "v", "s"], rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_text() == "i,v,s\n1,0.1,a\n2,1e-300,\n"
+
+
+class TestConfigFile:
+    def test_sections_and_raw_values(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[pipeline]\nd = 10\nbeta = 1.5\n\n[spm]\ngamma = 3\n")
+        assert read_config_file(path) == {"pipeline": {"d": "10", "beta": "1.5"},
+                                          "spm": {"gamma": "3"}}
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found or unreadable"):
+            read_config_file(tmp_path / "absent.cfg")

@@ -1,0 +1,133 @@
+"""End-to-end orchestration: the fixed-seed result row and the study table."""
+
+import csv
+import math
+import warnings
+
+import pytest
+
+from netrecover import ConfigError, PipelineConfig, run_pipeline, run_scaling_study
+from netrecover.pipeline import RESULT_COLUMNS
+
+# D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv
+EXACT_COLUMNS = {
+    "mode": "pipeline", "D": "10", "beta": "1.5", "m": "13", "seed": "7",
+    "exact_mode": "0", "spm_processed": "51", "spm_accepted": "13",
+    "spm_duplicate": "38", "spm_rejected": "0", "refine_steps": "0",
+    "refine_stop_reason": "stop_loss", "q_hessians": "6030", "q_init": "91",
+    "q_refine": "1300", "q_algorithm": "7421", "n_shifts_clamped": "0",
+    "error": "",
+}
+FLOAT_COLUMNS = {
+    "fd_step": 0.01,
+    "e_inf": 1.186871951300935e-05,
+    "max_weight_err": 5.242582229052677e-06,
+    "shift_rms": 3.53006791545083e-05,
+    "sign_accuracy": 1.0,
+    "init_shift_rms": 3.53006791545083e-05,
+    "delta_w1": 0.00014851568712081424,
+    "delta_wo": 5.260943670856629e-10,
+    "delta_ws": 1.5604446521528857e-05,
+    "init_shift_bound": 0.00016579955872955362,
+    "eps_hat": 2.1420602459187865e-05,
+    "cond_g2": 5.757363027326157,
+    "cond_g3": 3.003715061708345,
+    "final_loss": 8.941921952557314e-10,
+    "query_ceiling_ratio": 0.06674490778765381,
+}
+REL_TOL = 1e-9
+
+STAGE_NAMES = ("teacher", "hessians", "projector", "spm", "init", "refine", "score")
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def d10_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("d10")
+    res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, out_dir=out,
+                                      dump_spectrum=True))
+    return res, out
+
+
+class TestFixedSeedRun:
+    def test_result_csv_header(self, d10_run):
+        _, out = d10_run
+        assert read_csv(out / "result.csv")[0] == RESULT_COLUMNS
+
+    def test_integer_and_string_columns_exact(self, d10_run):
+        _, out = d10_run
+        header, row = read_csv(out / "result.csv")
+        got = dict(zip(header, row))
+        assert {k: got[k] for k in EXACT_COLUMNS} == EXACT_COLUMNS
+
+    def test_float_columns(self, d10_run):
+        _, out = d10_run
+        header, row = read_csv(out / "result.csv")
+        got = dict(zip(header, row))
+        for name, expected in FLOAT_COLUMNS.items():
+            assert float(got[name]) == pytest.approx(expected, rel=REL_TOL), name
+
+    def test_every_column_pinned(self):
+        assert set(EXACT_COLUMNS) | set(FLOAT_COLUMNS) == set(RESULT_COLUMNS)
+
+    def test_artifacts_written(self, d10_run):
+        _, out = d10_run
+        names = {p.name for p in out.iterdir()}
+        assert names == {"teacher.net", "weights.txt", "init.txt", "trajectory.csv",
+                         "spectrum.csv", "result.csv", "report.txt"}
+
+    def test_trajectory_matches_result(self, d10_run):
+        res, out = d10_run
+        rows = read_csv(out / "trajectory.csv")
+        assert rows[0] == ["step", "loss", "shift_error"]
+        assert len(rows) == res.refine_steps + 2
+        assert float(rows[-1][1]) == res.final_loss
+
+    def test_spectrum_lists_every_singular_value(self, d10_run):
+        # n_h = ceil(log(10) * 13) = 30 columns; the top m are the projector's
+        res, out = d10_run
+        rows = read_csv(out / "spectrum.csv")
+        assert rows[0] == ["index", "sigma"]
+        sigmas = [float(s) for _, s in rows[1:]]
+        assert len(sigmas) == 30
+        assert sigmas == sorted(sigmas, reverse=True)
+        assert sigmas[12] / sigmas[13] > 1e4
+
+    def test_report_lists_stages(self, d10_run):
+        _, out = d10_run
+        text = (out / "report.txt").read_text()
+        assert text.startswith("pipeline run: D=10 m=13 seed=7\n")
+        for name in STAGE_NAMES:
+            assert f"  {name} " in text
+
+
+class TestScalingStudy:
+    def test_header_rows_and_failed_cell(self, tmp_path):
+        grid = [PipelineConfig(dim=6, beta_order=1.0, n_eval=2000),
+                # fewer Hessians than neurons: the projector stage fails
+                PipelineConfig(dim=10, n_neurons=13, n_hessians=5, n_eval=2000)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = run_scaling_study(grid, 1, out_csv=tmp_path / "study.csv")
+        header = RESULT_COLUMNS + [f"t_{n}" for n in STAGE_NAMES]
+        lines = (tmp_path / "study.csv").read_text().splitlines()
+        assert lines[0] == ",".join(header)
+        assert len(rows) == 2 and len(lines) == 3
+        assert all(len(r) == len(header) for r in rows)
+        ok, failed = (dict(zip(header, r)) for r in rows)
+        assert ok["error"] == "" and ok["m"] == 3
+        assert all(not math.isnan(ok[f"t_{n}"]) for n in STAGE_NAMES)
+        assert failed["error"] == ("stage 'projector' failed: "
+                                   "need at least m = 13 columns, got 5")
+        assert failed["m"] == 13
+        assert all(math.isnan(failed[f"t_{n}"]) for n in STAGE_NAMES)
+
+    def test_rejects_empty_grid_and_zero_repetitions(self):
+        with pytest.raises(ConfigError):
+            run_scaling_study([], 1)
+        with pytest.raises(ConfigError):
+            run_scaling_study([PipelineConfig(dim=6, beta_order=1.0)], 0)
