@@ -19,6 +19,7 @@ import numpy as np
 from .exceptions import StageError
 from .pipeline import (ExperimentResult, PipelineConfig, child_seed, score_stage,
                        teacher_stage)
+from .refine import loss
 from .teacher import StudentNetwork
 
 __all__ = ["run_baseline_sgd"]
@@ -80,8 +81,7 @@ def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
             steps += 1
         np.clip(tau, -act.tau_inf, act.tau_inf, out=tau)
         epochs_done = epoch + 1
-        full_loss = 0.5 * float(np.sum(
-            (np.sum(act.g(xs @ weights + tau), axis=1) - ys) ** 2)) / n_train
+        full_loss = loss(StudentNetwork(weights, tau, act), xs, ys)
         if full_loss <= cfg.stop_loss:
             stop_reason = "stop_loss"
             break

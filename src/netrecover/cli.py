@@ -14,6 +14,7 @@ validation error, 3 stage failure.
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
 import logging
 import sys
@@ -128,7 +129,11 @@ _SECTIONS = {section for section, _ in _OPTIONS if section is not None}
 
 
 def _parse_bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes")
+    """configparser's spellings: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 # parser of a config-file value by the first type in the field's annotation
@@ -151,7 +156,11 @@ def build_pipeline_config(args, **fixed) -> PipelineConfig:
                 if (section, key) not in _OPTIONS:
                     raise ConfigError(f"unknown [{section}] key {key!r}")
                 target, field = _OPTIONS[section, key]
-                values[target][field.name] = _PARSERS.get(field.type.split()[0], str)(raw)
+                parse = _PARSERS.get(field.type.split()[0], str)
+                try:
+                    values[target][field.name] = parse(raw)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
     for (section, dest), (target, field) in _OPTIONS.items():
         if section is None and getattr(args, dest, None) is not None:
             values[target][field.name] = getattr(args, dest)

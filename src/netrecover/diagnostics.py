@@ -19,8 +19,8 @@ import scipy.optimize
 
 from .activations import Activation
 from .exceptions import ConfigError
-from .numdiff import FDConfig, fd_hessian
-from .subspace import half_dim, hvec
+from .numdiff import FDConfig
+from .subspace import build_hessian_matrix
 from .teacher import StudentNetwork, TeacherNetwork
 
 __all__ = [
@@ -109,15 +109,7 @@ def estimate_alpha(net: TeacherNetwork, n_mc: int, cfg: FDConfig | None = None,
     """
     if n_mc < net.n_neurons:
         raise ConfigError(f"need n_mc >= m = {net.n_neurons}, got {n_mc}")
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((n_mc, net.dim))
-    cols = np.empty((half_dim(net.dim), n_mc))
-    for i in range(n_mc):
-        if exact:
-            h = net.analytic_hessian(xs[i])
-        else:
-            h = fd_hessian(net.eval, xs[i], cfg, f_batch=net.eval_batch)
-        cols[:, i] = hvec(h)
+    cols, _, _ = build_hessian_matrix(net, n_mc, cfg, seed, exact=exact)
     if n_mc <= cols.shape[0]:
         evals = np.linalg.eigvalsh(cols.T @ cols)
     else:

@@ -7,6 +7,7 @@ files are byte-identical across reruns with the same seed.
 from __future__ import annotations
 
 import configparser
+import csv
 
 import numpy as np
 
@@ -92,16 +93,20 @@ def load_init_result(path):
 
 
 def write_csv(path, header: list[str], rows: list[list]):
-    """Plain CSV with repr-formatted floats (deterministic bytes)."""
+    """CSV with repr-formatted floats (deterministic bytes).
+
+    Cells holding a comma, a quote or a line break are quoted, so every row
+    reads back with the header's length.
+    """
     def cell(v):
         if isinstance(v, float):
             return repr(v)
         return str(v)
 
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
 
 
 def read_config_file(path) -> dict:
@@ -111,7 +116,10 @@ def read_config_file(path) -> dict:
     the caller's job so CLI flags can override individual keys.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     return {section: dict(parser.items(section)) for section in parser.sections()}

@@ -64,23 +64,42 @@ class RefineResult:
     lmax: float | None
 
 
-def loss(student: StudentNetwork, xs, ys) -> float:
-    """Half mean squared prediction error over the sample set."""
+def _residual(act, pre, ys) -> np.ndarray:
+    """Prediction minus target for preactivations ``pre`` (n, m)."""
+    return np.sum(act.g(pre), axis=1) - ys
+
+
+def _half_mse(resid) -> float:
+    """Half mean squared residual: the loss every caller reports."""
+    return 0.5 * float(np.sum(resid ** 2)) / resid.size
+
+
+def _grad(act, pre, resid) -> np.ndarray:
+    """Gradient of :func:`_half_mse` of the residual with respect to the shifts."""
+    return (act.g1(pre).T @ resid) / resid.size
+
+
+def _sample_terms(student: StudentNetwork, xs, ys):
+    """Preactivations and residual of ``student`` on a sample set."""
+    xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ys.size == 0:
         raise ConfigError("empty sample set")
-    resid = student.eval_batch(xs) - ys
-    return 0.5 * float(resid @ resid) / ys.size
+    if xs.ndim != 2 or xs.shape[1] != student.dim:
+        raise ConfigError(f"batch must have shape (n, {student.dim})")
+    pre = xs @ student.weights + student.shifts
+    return pre, _residual(student.act, pre, ys)
+
+
+def loss(student: StudentNetwork, xs, ys) -> float:
+    """Half mean squared prediction error over the sample set."""
+    return _half_mse(_sample_terms(student, xs, ys)[1])
 
 
 def grad_loss(student: StudentNetwork, xs, ys) -> np.ndarray:
     """Exact gradient of :func:`loss` with respect to the shifts."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.size == 0:
-        raise ConfigError("empty sample set")
-    pre = np.asarray(xs, dtype=float) @ student.weights + student.shifts
-    resid = np.sum(student.act.g(pre), axis=1) - ys
-    return (student.act.g1(pre).T @ resid) / ys.size
+    pre, resid = _sample_terms(student, xs, ys)
+    return _grad(student.act, pre, resid)
 
 
 def power_iteration_lmax(mat: np.ndarray, iters: int = 200, seed: int = 0) -> float:
@@ -99,12 +118,10 @@ def power_iteration_lmax(mat: np.ndarray, iters: int = 200, seed: int = 0) -> fl
     return float(lam)
 
 
-def _loss_grad_cached(act, pre, ys):
-    g = act.g(pre)
-    resid = np.sum(g, axis=1) - ys
-    j = 0.5 * float(resid @ resid) / ys.size
-    grad = (act.g1(pre).T @ resid) / ys.size
-    return j, grad
+def _kernel_lmax(act, pre, seed: int) -> float:
+    """Largest eigenvalue of the empirical kernel F^T F / 2n, F = g'(pre)."""
+    f = act.g1(pre)
+    return power_iteration_lmax((f.T @ f) / (2.0 * pre.shape[0]), seed=seed)
 
 
 def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
@@ -121,8 +138,10 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
 
     ``tau_truth``, when given, must already be aligned with the student's
     column order; the distance to it is recorded alongside the loss.
-    Records land after each step for full-batch runs and after each epoch
-    for mini-batch runs.
+    A record (shifts, full-sample loss, step index) is taken at the starting
+    shifts and after each pass over the data -- one step for full-batch
+    runs, one epoch for mini-batch runs -- and a last one where the step
+    budget runs out mid-epoch.  Stopping is decided at records only.
     """
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((cfg.n_train, student.dim))
@@ -135,27 +154,26 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     lr = cfg.lr
     lmax = None
     if cfg.lr_auto:
-        f0 = act.g1(z + tau)
-        lmax = power_iteration_lmax((f0.T @ f0) / (2.0 * cfg.n_train), seed=seed)
+        lmax = _kernel_lmax(act, z + tau, seed)
         if lmax > 0:
             lr = 0.9 / lmax
         logger.info("auto step size: lambda_max ~ %.4g -> lr = %.4g", lmax, lr)
 
     full_batch = cfg.batch == 0 or cfg.batch >= cfg.n_train
-    record_every = 1 if full_batch else -(-cfg.n_train // cfg.batch)
-
     records, rec_steps, losses, errs = [], [], [], []
     best = np.inf
     stall = 0
     stop_reason = "max_steps"
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
     step = 0
-
-    def record(step_idx) -> bool:
-        nonlocal best, stall, stop_reason
-        j = 0.5 * float(np.sum((np.sum(act.g(z + tau), axis=1) - ys) ** 2)) / cfg.n_train
+    while True:
+        pre = z + tau
+        resid = _residual(act, pre, ys)
+        j = _half_mse(resid)
+        if audit_grad and len(records) % 100 == 99:
+            _audit_gradient(act, z, tau, ys, _grad(act, pre, resid))
         records.append(tau.copy())
-        rec_steps.append(step_idx)
+        rec_steps.append(step)
         losses.append(j)
         if truth is not None:
             errs.append(float(np.linalg.norm(tau - truth)))
@@ -167,8 +185,7 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
             if stall >= _DIVERGENCE_PATIENCE and j > 2.0 * best + 1e-300:
                 # diagnose the kernel at the starting shifts; the diverged
                 # iterate sits in activation saturation where it vanishes
-                f0 = act.g1(z + records[0])
-                lam = power_iteration_lmax((f0.T @ f0) / (2.0 * cfg.n_train), seed=seed)
+                lam = _kernel_lmax(act, z + records[0], seed)
                 suggestion = 0.9 / lam if lam > 0 else None
                 raise DivergenceError(
                     f"loss failed to improve for {_DIVERGENCE_PATIENCE} consecutive "
@@ -180,32 +197,29 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
                 )
         if j <= cfg.stop_loss:
             stop_reason = "stop_loss"
-            return True
+            break
         if deadline is not None and time.monotonic() > deadline:
             stop_reason = "timeout"
-            return True
-        return False
+            break
+        if step >= cfg.max_steps:
+            break
 
-    stopped = record(0)
-    while not stopped and step < cfg.max_steps:
         if full_batch:
-            _, grad = _loss_grad_cached(act, z + tau, ys)
-            tau -= lr * grad
+            # one step, from the g and g' of the record just taken
+            tau -= lr * _grad(act, pre, resid)
             step += 1
         else:
             perm = rng.permutation(cfg.n_train)
             for lo in range(0, cfg.n_train, cfg.batch):
                 idx = perm[lo:lo + cfg.batch]
                 pre = z[idx] + tau
-                resid = np.sum(act.g(pre), axis=1) - ys[idx]
+                resid = _residual(act, pre, ys[idx])
+                # (lr * sum) / size, not lr * mean: the two round
+                # differently, and the pinned trajectories use this order
                 tau -= lr * (act.g1(pre).T @ resid) / idx.size
                 step += 1
                 if step >= cfg.max_steps:
                     break
-        if step % record_every == 0 or step >= cfg.max_steps:
-            if audit_grad and len(records) % 100 == 99:
-                _audit_gradient(act, z, tau, ys)
-            stopped = record(step)
 
     final = student.with_shifts(tau)
     logger.info("refine: %d steps, final loss %.3e (%s)", step, losses[-1], stop_reason)
@@ -222,18 +236,13 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     )
 
 
-def _audit_gradient(act, z, tau, ys, h: float = 1e-6, tol: float = 1e-6):
-    """Spot-check the analytic gradient against a central difference."""
-    n = ys.size
-
-    def j_at(t):
-        return 0.5 * float(np.sum((np.sum(act.g(z + t), axis=1) - ys) ** 2)) / n
-
-    _, grad = _loss_grad_cached(act, z + tau, ys)
+def _audit_gradient(act, z, tau, ys, grad, h: float = 1e-6, tol: float = 1e-6):
+    """Spot-check the analytic gradient at ``tau`` against a central difference."""
     for k in range(min(3, tau.size)):
         e = np.zeros_like(tau)
         e[k] = h
-        fd = (j_at(tau + e) - j_at(tau - e)) / (2 * h)
+        fd = (_half_mse(_residual(act, z + (tau + e), ys))
+              - _half_mse(_residual(act, z + (tau - e), ys))) / (2 * h)
         if abs(fd - grad[k]) > tol:
             raise AssertionError(
                 f"gradient audit failed at component {k}: analytic {grad[k]!r} vs FD {fd!r}"

@@ -65,7 +65,7 @@ def directional_derivs_at_zero(net, w_hat: np.ndarray, n: int, cfg: FDConfig | N
         return np.array([net.directional_deriv_exact(w_hat[:, k], n) for k in range(m)])
     origin = np.zeros(net.dim)
     return np.array([
-        fd_directional(net.eval, origin, w_hat[:, k], n, cfg, f_batch=net.eval_batch)
+        fd_directional(net.eval_batch, origin, w_hat[:, k], n, cfg)
         for k in range(m)
     ])
 

@@ -159,7 +159,7 @@ def build_hessian_matrix(net, n_hessians: int, cfg: FDConfig | None, seed: int,
         if exact:
             h = net.analytic_hessian(anchors[i])
         else:
-            h = fd_hessian(net.eval, anchors[i], cfg, f_batch=net.eval_batch)
+            h = fd_hessian(net.eval_batch, anchors[i], cfg)
         cols[:, i] = hvec(h)
     n_queries = net.query_count - before
     logger.info("built %d Hessian columns (%d queries)", n_hessians, n_queries)

@@ -116,9 +116,6 @@ class _ShallowNet:
     def _preactivations(self, x):
         return x @ self.weights + self.shifts
 
-    def eval_raw(self, x):
-        return float(np.sum(self.act.g(self._preactivations(np.asarray(x, dtype=float)))))
-
     def eval_batch_raw(self, xs):
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
@@ -158,8 +155,7 @@ class TeacherNetwork(_ShallowNet):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ConfigError(f"input has shape {x.shape}, expected ({self.dim},)")
-        self._queries.add(1)
-        return self.eval_raw(x)
+        return float(self.eval_batch(x[None, :])[0])
 
     def eval_batch(self, xs) -> np.ndarray:
         vals = self.eval_batch_raw(xs)

@@ -141,6 +141,18 @@ class TestConfig:
         assert cli.main(["pipeline", "--config", str(path)]) == 2
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[pipeline]\nd = ten\n", "[pipeline] d = 'ten'"),
+        ("d = 10\n", "File contains no section headers"),
+        ("[pipeline]\nd = 10\nexact_derivatives = maybe\n",
+         "[pipeline] exact_derivatives = 'maybe'"),
+    ], ids=["unparsable-value", "no-section-header", "not-a-boolean"])
+    def test_malformed_config_exits_2(self, tmp_path, text, message, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["pipeline", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_dimension_exits_2(self, capsys):
         assert cli.main(["pipeline", "--beta", "1.0"]) == 2
         assert "input dimension is required" in capsys.readouterr().err

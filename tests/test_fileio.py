@@ -1,5 +1,7 @@
 """Artifact text formats: bit-exact round trips and malformed input."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,15 @@ class TestCsv:
         write_csv(tmp_path / "b.csv", ["i", "v", "s"], rows)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.csv").read_text() == "i,v,s\n1,0.1,a\n2,1e-300,\n"
+
+    def test_cells_with_separators_are_quoted(self, tmp_path):
+        rows = [[1, "a, b", 'say "hi"'], [2, "plain", None]]
+        write_csv(tmp_path / "q.csv", ["i", "s", "t"], rows)
+        assert (tmp_path / "q.csv").read_text() == (
+            'i,s,t\n1,"a, b","say ""hi"""\n2,plain,None\n')
+        with open(tmp_path / "q.csv", newline="") as fh:
+            back = list(csv.reader(fh))
+        assert back == [["i", "s", "t"], ["1", "a, b", 'say "hi"'], ["2", "plain", "None"]]
 
 
 class TestConfigFile:

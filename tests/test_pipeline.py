@@ -126,6 +126,21 @@ class TestScalingStudy:
         assert failed["m"] == 13
         assert all(math.isnan(failed[f"t_{n}"]) for n in STAGE_NAMES)
 
+    def test_failed_cell_reads_back(self, tmp_path):
+        # the error message holds a comma; the cell is quoted, so csv.reader
+        # gives every row the header's length
+        grid = [PipelineConfig(dim=10, n_neurons=13, n_hessians=5, n_eval=2000)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_scaling_study(grid, 1, out_csv=tmp_path / "study.csv")
+        header, *rows = read_csv(tmp_path / "study.csv")
+        assert header == RESULT_COLUMNS + [f"t_{n}" for n in STAGE_NAMES]
+        assert len(rows) == 1 and all(len(r) == len(header) for r in rows)
+        failed = dict(zip(header, rows[0]))
+        assert failed["error"] == ("stage 'projector' failed: "
+                                   "need at least m = 13 columns, got 5")
+        assert failed["m"] == "13" and failed["t_score"] == "nan"
+
     def test_rejects_empty_grid_and_zero_repetitions(self):
         with pytest.raises(ConfigError):
             run_scaling_study([], 1)

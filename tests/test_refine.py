@@ -201,3 +201,77 @@ class TestRefine:
         cfg = RefineConfig(n_train=300, lr=1e-3, batch=0, max_steps=250,
                            stop_loss=0.0, timeout_s=None)
         refine(student, net, cfg, seed=15, audit_grad=True)
+
+
+# Fixed-seed refine runs, pinned value by value: full batch with the auto step
+# and with a fixed step, and mini-batch runs (600 samples, 10 batches of 64
+# per epoch) whose step budget ends on an epoch boundary and mid-epoch.
+# Each entry: teacher (D, m, seed), config, student seed s (refine runs with
+# seed s + 100), then steps, lr, record_steps tail, losses at (0, 1, middle,
+# last) and the last tau_path row.
+_PINNED_RUNS = {
+    "full_batch_lr_auto": (
+        (10, 12, 200),
+        dict(n_train=1200, batch=0, max_steps=200, lr_auto=True), 20,
+        200, 0.4130537806084651, [198, 199, 200],
+        [0.003455475036691763, 0.0030345012887770923, 2.3451554756444147e-05,
+         1.6130168644768537e-06],
+        [-0.05152384407535954, -0.04965726875322409, 0.4144423613016589,
+         -0.43872020233809494, 0.4016127323675392, 0.38307477137873575,
+         0.18577922978813685, -0.18617351885328925, -0.17685232953039354,
+         -0.4155377830986946, -0.08139294303082079, -0.025478545158703937],
+    ),
+    "full_batch_fixed_lr": (
+        (10, 12, 300),
+        dict(n_train=1200, lr=1e-3, batch=0, max_steps=200), 21,
+        200, 1e-3, [198, 199, 200],
+        [0.006421071583826734, 0.006409043227730209, 0.005582074432139266,
+         0.005176255467565228],
+        [0.29392992849006516, 0.0430742869055676, 0.09573372068412096,
+         0.16020392389684143, -0.0641480393487959, -0.10364045134164901,
+         -0.30315308213311104, -0.5703266847662571, -0.40553520232946744,
+         -0.37676000368330415, -0.05085793832283813, 0.19737224336246634],
+    ),
+    "minibatch_epoch_end": (
+        (8, 5, 304),
+        dict(n_train=600, lr=1e-2, batch=64, max_steps=300), 22,
+        300, 1e-2, [280, 290, 300],
+        [0.02468233152276599, 0.017251420407854965, 0.0009455578117303506,
+         0.0006817470137524677],
+        [-0.4168946225761345, -0.1470849278646313, -0.5343589141032771,
+         0.13273593225491526, 0.6418770704940275],
+    ),
+    "minibatch_mid_epoch": (
+        (8, 5, 304),
+        dict(n_train=600, lr=1e-2, batch=64, max_steps=297), 22,
+        297, 1e-2, [280, 290, 297],
+        [0.02468233152276599, 0.017251420407854965, 0.0009455578117303506,
+         0.0006851899319836266],
+        [-0.41714962214388773, -0.1472358873776147, -0.5343400896665003,
+         0.13268491103837768, 0.6420535654463925],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_pinned_trajectory(name):
+    teacher, kw, seed, steps, lr, rec_tail, losses, tau_last = _PINNED_RUNS[name]
+    net = random_teacher(*teacher)
+    student = perturbed_student(net, 0.1, seed=seed)
+    cfg = RefineConfig(stop_loss=0.0, timeout_s=None, **kw)
+    res = refine(student, net, cfg, seed=seed + 100)
+    assert res.steps == steps
+    assert res.stop_reason == "max_steps"
+    assert res.lr == pytest.approx(lr, rel=1e-9)
+    # one record before the first step, then one per full-batch step or
+    # per epoch, and a last one where the step budget runs out
+    per_pass = 1 if kw["batch"] == 0 else -(-kw["n_train"] // kw["batch"])
+    expected_steps = list(range(0, steps, per_pass)) + [steps]
+    assert res.record_steps.tolist() == expected_steps
+    assert res.record_steps[-3:].tolist() == rec_tail
+    n = len(res.losses)
+    assert n == len(expected_steps) == res.tau_path.shape[0]
+    got = res.losses[[0, 1, n // 2, n - 1]]
+    assert got == pytest.approx(losses, rel=1e-9)
+    assert res.tau_path[-1] == pytest.approx(tau_last, rel=1e-9)
+    assert np.array_equal(res.tau_path[-1], res.student.shifts)

@@ -176,9 +176,9 @@ class TestAnalyticDerivatives:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.standard_normal(6)
-            g = fd_gradient(net.eval, x, cfg, f_batch=net.eval_batch)
+            g = fd_gradient(net.eval_batch, x, cfg)
             assert np.max(np.abs(g - net.analytic_gradient(x))) < tol
-            h = fd_hessian(net.eval, x, cfg, f_batch=net.eval_batch)
+            h = fd_hessian(net.eval_batch, x, cfg)
             assert np.max(np.abs(h - net.analytic_hessian(x))) < tol
 
     def test_hessians_live_in_weight_span(self):
