@@ -14,6 +14,7 @@ from .diagnostics import (IncoherenceReport, Metrics, check_incoherence,
 from .exceptions import (ConfigError, DivergenceError, FDEvaluationError,
                          IllConditionedError, IncompleteRecoveryError,
                          RecoveryError, StageError, SubspaceDeficientError)
+from .fileio import load_teacher, save_teacher
 from .numdiff import FDConfig, fd_directional, fd_gradient, fd_hessian
 from .pipeline import (ExperimentResult, PipelineConfig, child_seed,
                        default_n_hessians, neuron_count, run_pipeline,
@@ -27,6 +28,6 @@ from .subspace import (SubspaceProjector, build_hessian_matrix, exact_projector,
                        top_m_projector, unhvec)
 from .teacher import (FixedShifts, GaussianShifts, StudentNetwork,
                       TeacherNetwork, UniformShifts, analytic_derivatives,
-                      load_teacher, sample_teacher, save_teacher)
+                      sample_teacher)
 
 __version__ = "0.1.0"

@@ -26,6 +26,9 @@ __all__ = ["run_baseline_sgd"]
 
 logger = logging.getLogger(__name__)
 
+_LR = 5e-3                  # joint-SGD step size
+_TRAIN_PER_M_D2 = 2.5       # training inputs per m D^2
+
 
 def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
     """Fit a fresh student to the pipeline's teacher by joint SGD and score it."""
@@ -47,12 +50,10 @@ def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
     weights /= np.linalg.norm(weights, axis=0)
     tau = np.zeros(m)
 
-    n_train = (cfg.baseline_n_train if cfg.baseline_n_train is not None
-               else math.ceil(2.5 * m * cfg.dim ** 2))
+    n_train = math.ceil(_TRAIN_PER_M_D2 * m * cfg.dim ** 2)
     batch = max(1, cfg.batch) if cfg.batch else 64
-    lr = cfg.baseline_lr
     logger.info("baseline: joint SGD, %d samples, batch %d, lr %g "
-                "(unit-column projection after each step)", n_train, batch, lr)
+                "(unit-column projection after each step)", n_train, batch, _LR)
 
     t0 = time.perf_counter()
     before = net.query_count
@@ -75,8 +76,8 @@ def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
             pre = xb @ weights + tau
             resid = np.sum(act.g(pre), axis=1) - ys[idx]
             gp = act.g1(pre) * resid[:, None]
-            weights -= (lr / idx.size) * (xb.T @ gp)
-            tau -= (lr / idx.size) * gp.sum(axis=0)
+            weights -= (_LR / idx.size) * (xb.T @ gp)
+            tau -= (_LR / idx.size) * gp.sum(axis=0)
             weights /= np.linalg.norm(weights, axis=0)
             steps += 1
         np.clip(tau, -act.tau_inf, act.tau_inf, out=tau)

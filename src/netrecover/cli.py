@@ -30,8 +30,7 @@ from .pipeline import (PipelineConfig, child_seed, hessian_stage, init_stage,
                        run_scaling_study, spm_stage, teacher_stage)
 from .refine import RefineConfig
 from .spm import SpmConfig
-from .teacher import (FixedShifts, GaussianShifts, StudentNetwork,
-                      UniformShifts, load_teacher)
+from .teacher import FixedShifts, GaussianShifts, StudentNetwork, UniformShifts
 
 logger = logging.getLogger("netrecover")
 
@@ -96,7 +95,7 @@ _ALIASES = {
     (None, "spm_restarts"): "spm.max_restarts",
 }
 # PipelineConfig fields that no flag or config key sets
-_UNEXPOSED = ("spm", "baseline_lr", "baseline_n_train", "baseline_max_epochs")
+_UNEXPOSED = ("spm", "baseline_max_epochs")
 
 
 def _option_table() -> dict:
@@ -177,8 +176,18 @@ def build_pipeline_config(args, **fixed) -> PipelineConfig:
 
 def _teacher_and_config(args):
     """The teacher file named by ``--net`` and a config of its D and m."""
-    net = load_teacher(args.net)
+    net = fileio.load_teacher(args.net)
     return net, build_pipeline_config(args, dim=net.dim, n_neurons=net.n_neurons)
+
+
+def _check_columns(args, net, w_hat, signs=None):
+    """The weights must have the teacher's D, and the init file one sign per column."""
+    if w_hat.shape[0] != net.dim:
+        raise ConfigError(f"{args.weights}: weights have D={w_hat.shape[0]}, "
+                          f"but the teacher {args.net} has D={net.dim}")
+    if signs is not None and signs.size != w_hat.shape[1]:
+        raise ConfigError(f"{args.init}: {signs.size} signs for "
+                          f"{w_hat.shape[1]} weight columns in {args.weights}")
 
 
 def _cmd_generate(args) -> int:
@@ -198,7 +207,9 @@ def _cmd_recover_weights(args) -> int:
 
 def _cmd_init_shifts(args) -> int:
     net, cfg = _teacher_and_config(args)
-    res = init_stage(cfg, net, fileio.load_weights(args.weights), args.out)
+    w_hat = fileio.load_weights(args.weights)
+    _check_columns(args, net, w_hat)
+    res = init_stage(cfg, net, w_hat, args.out)
     print(f"wrote signs/shifts (cond_g2={res.cond_g2:.3g}, cond_g3={res.cond_g3:.3g}) "
           f"-> {args.out}")
     return 0
@@ -208,11 +219,10 @@ def _cmd_refine(args) -> int:
     net, cfg = _teacher_and_config(args)
     w_hat = fileio.load_weights(args.weights)
     signs, tau0, _, _ = fileio.load_init_result(args.init)
+    _check_columns(args, net, w_hat, signs)
     student = StudentNetwork(w_hat * signs, tau0, net.act)
     res = refine_stage(cfg, student, net, path=args.out)
-    final = Path(args.out).with_suffix(".shifts.txt")
-    with open(final, "w") as fh:
-        fh.write(" ".join(repr(float(t)) for t in res.student.shifts) + "\n")
+    fileio.save_shifts(res.student.shifts, Path(args.out).with_suffix(".shifts.txt"))
     print(f"refined for {res.steps} steps ({res.stop_reason}); "
           f"final loss {res.losses[-1]:.3e} -> {args.out}")
     return 0
@@ -238,7 +248,7 @@ def _cmd_baseline(args) -> int:
     return 0
 
 def _cmd_diagnose(args) -> int:
-    net = load_teacher(args.net)
+    net = fileio.load_teacher(args.net)
     rep = check_incoherence(net.weights, rip_trials=args.rip_trials, seed=args.seed or 0)
     n_mc = args.n_mc or max(4 * net.n_neurons, 50)
     alpha = estimate_alpha(net, n_mc, seed=child_seed(args.seed or 0, "score"))

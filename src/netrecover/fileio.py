@@ -1,7 +1,20 @@
-"""Text formats for pipeline artifacts.
+"""Text formats for pipeline artifacts; no other module opens a file.
 
-All float output uses ``repr`` so files round-trip bit-exactly and result
-files are byte-identical across reruns with the same seed.
+Line formats, read skipping blank lines and lines starting with ``#``:
+
+- ``teacher.net``: ``# shallow network file``, then ``D m activation
+  tau_inf seed`` (seed -1 when unknown), then per neuron its weight column
+  and its shift on one line;
+- ``weights.txt`` (recovered weights): ``D m``, then one column per line;
+- ``init.txt``: ``signs ...``, ``shifts ...``, ``cond_g2 c``, ``cond_g3 c``;
+- ``*.shifts.txt`` (refined shifts): one line of m values;
+- ``report.txt``: the free-text lines of ``ExperimentResult.write_report``.
+
+Tables (result, trajectory, spectrum, study, diagnose) are CSV with a
+header row; run configurations are INI files with one section per module.
+All float output uses ``repr``, so files round-trip bit-exactly and are
+byte-identical across reruns with the same seed.  Malformed input raises
+:class:`ConfigError`, with the line number where there is one.
 """
 
 from __future__ import annotations
@@ -11,77 +24,124 @@ import csv
 
 import numpy as np
 
+from .activations import make_activation
 from .exceptions import ConfigError
+from .teacher import TeacherNetwork
 
 __all__ = [
+    "write_lines",
+    "save_teacher",
+    "load_teacher",
     "save_weights",
     "load_weights",
     "save_init_result",
     "load_init_result",
+    "save_shifts",
     "write_csv",
     "read_config_file",
 ]
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _join(values) -> str:
+    return " ".join(repr(float(v)) for v in values)
+
+
+def write_lines(path, lines):
+    """Write each of ``lines`` followed by a newline."""
+    with open(path, "w") as fh:
+        fh.write("".join(f"{line}\n" for line in lines))
+
+
+def _records(path, what: str) -> list:
+    """``(line number, fields)`` of every non-blank, non-comment line."""
+    with open(path) as fh:
+        records = [(lineno, line.split()) for lineno, line in enumerate(fh, 1)
+                   if line.strip() and not line.lstrip().startswith("#")]
+    if not records:
+        raise ConfigError(f"{path}: empty {what} file")
+    return records
+
+
+def _float_row(path, lineno: int, fields: list, n: int) -> list:
+    """The n floats of one line; a wrong count or a non-number is a ConfigError."""
+    if len(fields) != n:
+        raise ConfigError(f"{path}:{lineno}: expected {n} values, found {len(fields)}")
+    try:
+        return [float(v) for v in fields]
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{lineno}: {exc}") from None
+
+
+def save_teacher(net: TeacherNetwork, path):
+    """Network file: header, then one line per neuron (weight column, shift)."""
+    seed = -1 if net.seed is None else int(net.seed)
+    write_lines(path, [
+        "# shallow network file",
+        f"{net.dim} {net.n_neurons} {net.act.kind} {net.act.tau_inf!r} {seed}",
+        *(_join([*net.weights[:, k], net.shifts[k]]) for k in range(net.n_neurons)),
+    ])
+
+
+def load_teacher(path) -> TeacherNetwork:
+    """Parse a network file written by :func:`save_teacher`.
+
+    The unit-norm and shift-range invariants are re-validated.
+    """
+    records = _records(path, "network")
+    lineno, header = records[0]
+    if len(header) != 5:
+        raise ConfigError(f"{path}:{lineno}: malformed header {' '.join(header)!r}")
+    try:
+        dim, m, seed = int(header[0]), int(header[1]), int(header[4])
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{lineno}: malformed header: {exc}") from None
+    if len(records) - 1 != m:
+        raise ConfigError(
+            f"{path}: expected {m} neuron lines, found {len(records) - 1} (truncated?)"
+        )
+    act = make_activation(header[2])
+    cols = np.empty((dim + 1, m))
+    for k, (lineno, fields) in enumerate(records[1:]):
+        cols[:, k] = _float_row(path, lineno, fields, dim + 1)
+    return TeacherNetwork(cols[:-1], cols[-1], act, seed=None if seed == -1 else seed)
 
 
 def save_weights(weights: np.ndarray, path):
     """Recovered-weights file: ``D m`` header, then one column per line."""
     w = np.asarray(weights, dtype=float)
     d, m = w.shape
-    lines = [f"{d} {m}"]
-    for k in range(m):
-        lines.append(" ".join(_fmt(v) for v in w[:, k]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, [f"{d} {m}", *(_join(w[:, k]) for k in range(m))])
 
 
 def load_weights(path) -> np.ndarray:
-    with open(path) as fh:
-        rows = [(i + 1, ln.strip()) for i, ln in enumerate(fh)
-                if ln.strip() and not ln.strip().startswith("#")]
-    if not rows:
-        raise ConfigError(f"{path}: empty weights file")
-    lineno, header = rows[0]
+    records = _records(path, "weights")
+    lineno, header = records[0]
     try:
-        d, m = (int(v) for v in header.split())
+        d, m = (int(v) for v in header)
     except ValueError:
-        raise ConfigError(f"{path}:{lineno}: malformed header {header!r}") from None
-    if len(rows) - 1 != m:
-        raise ConfigError(f"{path}: expected {m} columns, found {len(rows) - 1}")
+        raise ConfigError(f"{path}:{lineno}: malformed header "
+                          f"{' '.join(header)!r}") from None
+    if len(records) - 1 != m:
+        raise ConfigError(f"{path}: expected {m} columns, found {len(records) - 1}")
     w = np.empty((d, m))
-    for k, (lineno, line) in enumerate(rows[1:]):
-        vals = line.split()
-        if len(vals) != d:
-            raise ConfigError(f"{path}:{lineno}: expected {d} values, found {len(vals)}")
-        w[:, k] = [float(v) for v in vals]
+    for k, (lineno, fields) in enumerate(records[1:]):
+        w[:, k] = _float_row(path, lineno, fields, d)
     return w
 
 
 def save_init_result(res, path):
     """Signs line, shifts line, then the two condition numbers."""
-    lines = [
+    write_lines(path, [
         "signs " + " ".join(str(int(s)) for s in res.signs),
-        "shifts " + " ".join(_fmt(t) for t in res.tau0),
-        f"cond_g2 {_fmt(res.cond_g2)}",
-        f"cond_g3 {_fmt(res.cond_g3)}",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        "shifts " + _join(res.tau0),
+        f"cond_g2 {float(res.cond_g2)!r}",
+        f"cond_g3 {float(res.cond_g3)!r}",
+    ])
 
 
 def load_init_result(path):
     """Returns ``(signs, tau0, cond_g2, cond_g3)``."""
-    fields = {}
-    with open(path) as fh:
-        for i, ln in enumerate(fh):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, *vals = ln.split()
-            fields[key] = vals
+    fields = {key: vals for _, (key, *vals) in _records(path, "init-result")}
     try:
         signs = np.array([int(v) for v in fields["signs"]])
         tau0 = np.array([float(v) for v in fields["shifts"]])
@@ -89,7 +149,15 @@ def load_init_result(path):
         cond3 = float(fields["cond_g3"][0])
     except (KeyError, ValueError, IndexError) as exc:
         raise ConfigError(f"{path}: malformed init-result file: {exc}") from None
+    if signs.size != tau0.size:
+        raise ConfigError(f"{path}: malformed init-result file: "
+                          f"{signs.size} signs but {tau0.size} shifts")
     return signs, tau0, cond2, cond3
+
+
+def save_shifts(shifts, path):
+    """Refined-shifts file: one line of m values."""
+    write_lines(path, [_join(shifts)])
 
 
 def write_csv(path, header: list[str], rows: list[list]):

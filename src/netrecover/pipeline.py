@@ -27,13 +27,13 @@ from .activations import make_activation
 from .diagnostics import (Metrics, init_shift_error_bound, match_and_score,
                           match_weights)
 from .exceptions import ConfigError, StageError
+from .fileio import save_teacher
 from .numdiff import FDConfig
 from .refine import RefineConfig, refine
 from .shift_init import init_signs_shifts
 from .spm import SpmConfig, collect_weights
 from .subspace import build_hessian_matrix, top_m_projector, unhvec
-from .teacher import (StudentNetwork, UniformShifts, sample_teacher,
-                      save_teacher)
+from .teacher import StudentNetwork, UniformShifts, sample_teacher
 
 __all__ = ["PipelineConfig", "ExperimentResult", "child_seed", "neuron_count",
            "default_n_hessians", "run_pipeline", "run_scaling_study",
@@ -95,8 +95,6 @@ class PipelineConfig:
     seed: int = 0
     out_dir: str | None = None
     dump_spectrum: bool = False
-    baseline_lr: float = 5e-3
-    baseline_n_train: int | None = None   # None -> ceil(2.5 m D^2)
     baseline_max_epochs: int = 500
 
     def resolved_m(self) -> int:
@@ -321,8 +319,7 @@ class ExperimentResult:
                          f"max_weight_err={self.metrics.max_weight_err:.3e} "
                          f"shift_rms={self.metrics.shift_rms:.3e} "
                          f"sign_accuracy={self.sign_accuracy:.3f}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        fileio.write_lines(path, lines)
 
 
 class _StageRunner:

@@ -56,9 +56,7 @@ class SpmStats:
     n_accepted: int = 0
     n_duplicate: int = 0
     n_rejected: int = 0
-    objectives: list = dataclasses.field(default_factory=list)
     steps: list = dataclasses.field(default_factory=list)
-    n_converged: int = 0
 
 
 def default_restarts(m: int) -> int:
@@ -175,7 +173,7 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
     stats = SpmStats()
     for lo in range(0, n_restarts, _CHUNK):
         hi = min(lo + _CHUNK, n_restarts)
-        u, obj, steps, conv = _ascend_batch(proj, starts[:, lo:hi], cfg)
+        u, obj, steps, _ = _ascend_batch(proj, starts[:, lo:hi], cfg)
         for j in range(hi - lo):
             idx = lo + j
             cand = canonical_sign(u[:, j])
@@ -188,9 +186,7 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
             else:
                 stats.n_rejected += 1
             stats.n_processed += 1
-            stats.objectives.append(float(obj[j]))
             stats.steps.append(int(steps[j]))
-            stats.n_converged += int(conv[j])
             logger.debug(
                 "restart %d: steps=%d objective=%.6f %s",
                 idx, int(steps[j]), float(obj[j]), status,

@@ -5,6 +5,7 @@ weight columns and bounded shifts.  All parameter access in the recovery
 pipeline goes through the counted evaluation oracle; the analytic derivative
 methods exist for tests and for the exact-derivative pipeline mode, and are
 tallied separately so the harness can verify the black-box budget.
+Network files are read and written by :mod:`netrecover.fileio`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import threading
 
 import numpy as np
 
-from .activations import Activation, make_activation
+from .activations import Activation
 from .exceptions import ConfigError
 
 __all__ = [
@@ -24,8 +25,6 @@ __all__ = [
     "GaussianShifts",
     "FixedShifts",
     "sample_teacher",
-    "save_teacher",
-    "load_teacher",
     "analytic_derivatives",
 ]
 
@@ -199,9 +198,6 @@ class StudentNetwork(_ShallowNet):
     leave ``[-tau_inf, tau_inf]``, which bounds the planted model only.
     """
 
-    def __init__(self, weights, shifts, act: Activation):
-        super().__init__(weights, shifts, act)
-
     def eval_batch(self, xs) -> np.ndarray:
         return self.eval_batch_raw(xs)
 
@@ -224,64 +220,3 @@ def sample_teacher(dim: int, n_neurons: int, shift_law, act: Activation, seed: i
     w /= np.linalg.norm(w, axis=0)
     tau, clamped = shift_law.sample(n_neurons, act.tau_inf, rng)
     return TeacherNetwork(w, tau, act, seed=seed, n_shifts_clamped=clamped)
-
-
-def save_teacher(net: TeacherNetwork, path):
-    """Write a network file: header then one line per neuron.
-
-    Format: ``D m activation tau_inf seed`` followed by m lines of D+1
-    decimals (weight column, then shift).  ``repr`` precision makes the
-    round trip bit-exact.  Lines starting with ``#`` are comments.
-    """
-    lines = ["# shallow network file"]
-    seed = -1 if net.seed is None else int(net.seed)
-    lines.append(f"{net.dim} {net.n_neurons} {net.act.kind} {net.act.tau_inf!r} {seed}")
-    for k in range(net.n_neurons):
-        vals = [repr(float(v)) for v in net.weights[:, k]] + [repr(float(net.shifts[k]))]
-        lines.append(" ".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_teacher(path) -> TeacherNetwork:
-    """Parse a network file written by :func:`save_teacher`.
-
-    Malformed content raises ``ConfigError`` with the offending line number;
-    the unit-norm and shift-range invariants are re-validated.
-    """
-    with open(path) as fh:
-        raw = fh.readlines()
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(raw)
-            if ln.strip() and not ln.strip().startswith("#")]
-    if not rows:
-        raise ConfigError(f"{path}: empty network file")
-    lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 5:
-        raise ConfigError(f"{path}:{lineno}: malformed header {header!r}")
-    try:
-        dim, m = int(parts[0]), int(parts[1])
-        kind = parts[2]
-        seed = int(parts[4])
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: malformed header: {exc}") from None
-    if len(rows) - 1 != m:
-        raise ConfigError(
-            f"{path}: expected {m} neuron lines, found {len(rows) - 1} (truncated?)"
-        )
-    act = make_activation(kind)
-    weights = np.empty((dim, m))
-    shifts = np.empty(m)
-    for k, (lineno, line) in enumerate(rows[1:]):
-        vals = line.split()
-        if len(vals) != dim + 1:
-            raise ConfigError(
-                f"{path}:{lineno}: expected {dim + 1} values, found {len(vals)}"
-            )
-        try:
-            nums = [float(v) for v in vals]
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        weights[:, k] = nums[:-1]
-        shifts[k] = nums[-1]
-    return TeacherNetwork(weights, shifts, act, seed=None if seed == -1 else seed)

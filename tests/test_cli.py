@@ -57,6 +57,33 @@ class TestStageChain:
         assert rows[1][0] == "max_sq_corr" and rows[-1][0] == "mean_slope_min_abs"
 
 
+class TestInputsAcrossFiles:
+    """Stage inputs that do not fit each other exit 2 with a message."""
+
+    @pytest.fixture
+    def teacher(self, tmp_path):
+        path = tmp_path / "teacher.net"
+        assert cli.main(["generate", "--d", "5", "--m", "3", "--seed", "1",
+                         "--out", str(path)]) == 0
+        return str(path)
+
+    def test_weights_dimension_differs_from_teacher(self, teacher, tmp_path, capsys):
+        w = tmp_path / "w.txt"
+        w.write_text("6 3\n" + "".join(" ".join("1" if i == k else "0" for i in range(6))
+                                        + "\n" for k in range(3)))
+        assert cli.main(["init-shifts", "--net", teacher, "--weights", str(w),
+                         "--out", str(tmp_path / "init.txt")]) == 2
+        assert "weights have D=6, but the teacher" in capsys.readouterr().err
+
+    def test_init_signs_differ_from_weight_columns(self, teacher, tmp_path, capsys):
+        w, init = tmp_path / "w.txt", tmp_path / "init.txt"
+        w.write_text("5 3\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n")
+        init.write_text("signs 1 -1\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n")
+        assert cli.main(["refine", "--net", teacher, "--weights", str(w), "--init",
+                         str(init), "--out", str(tmp_path / "traj.csv")]) == 2
+        assert "2 signs for 3 weight columns" in capsys.readouterr().err
+
+
 # every config key the command line accepts, with the flag that sets the same value
 CONFIG_TEXT = """\
 [pipeline]

@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from netrecover import ConfigError, InitResult
+from netrecover import (ConfigError, InitResult, TeacherNetwork, make_activation,
+                        save_teacher)
 from netrecover.fileio import (load_init_result, load_weights, read_config_file,
                                save_init_result, save_weights, write_csv)
 from conftest import random_unit_columns
@@ -15,6 +16,22 @@ def awkward_floats(n, seed):
     """Values whose shortest repr needs all 17 significant digits."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+def test_writer_bytes_pinned(tmp_path):
+    """Exact text of the teacher, weights and init-result writers."""
+    w = np.array([[0.6], [0.8]])
+    net = TeacherNetwork(w, np.array([0.1 + 0.2]), make_activation("tanh"), seed=5)
+    save_teacher(net, tmp_path / "t.net")
+    assert (tmp_path / "t.net").read_text() == (
+        "# shallow network file\n2 1 tanh 0.6 5\n0.6 0.8 0.30000000000000004\n")
+    save_weights(np.array([[0.6, 1e-300], [0.8, -1.0]]), tmp_path / "w.txt")
+    assert (tmp_path / "w.txt").read_text() == "2 2\n0.6 0.8\n1e-300 -1.0\n"
+    res = InitResult(signs=np.array([1, -1]), tau0=np.array([0.25, -1 / 3]),
+                     c2=np.zeros(2), c3=np.zeros(2), cond_g2=2.0, cond_g3=1e20)
+    save_init_result(res, tmp_path / "init.txt")
+    assert (tmp_path / "init.txt").read_text() == (
+        "signs 1 -1\nshifts 0.25 -0.3333333333333333\ncond_g2 2.0\ncond_g3 1e+20\n")
 
 
 class TestWeights:
@@ -41,6 +58,12 @@ class TestWeights:
         path = tmp_path / "w.txt"
         path.write_text("2 2\n0.6 0.8\n1.0\n")
         with pytest.raises(ConfigError, match=r"w\.txt:3: expected 2 values, found 1"):
+            load_weights(path)
+
+    def test_non_numeric_value_reports_line(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2 1\n0.6 O.8\n")
+        with pytest.raises(ConfigError, match=r"w\.txt:2: could not convert"):
             load_weights(path)
 
     def test_missing_columns(self, tmp_path):
@@ -72,6 +95,7 @@ class TestInitResult:
         "signs 1 -1\nshifts 0.1 0.2\ncond_g2 1.0\n",            # missing key
         "signs 1 x\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",  # bad sign
         "signs 1 -1\nshifts 0.1 0.2\ncond_g2\ncond_g3 1.0\n",     # empty value
+        "signs 1 -1 1\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",  # 3 signs, 2 shifts
     ])
     def test_malformed_raises(self, tmp_path, text):
         path = tmp_path / "init.txt"
