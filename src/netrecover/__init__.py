@@ -3,7 +3,8 @@
 Three-stage pipeline: weight directions from the principal subspace of
 finite-difference Hessians (collected by projected gradient ascent on the
 sphere), signs and initial shifts from low-order directional derivatives at
-the origin, and shift refinement by least-squares gradient descent.
+the origin, and least-squares shift refinement (Gauss-Newton by default, or
+the paper's gradient descent).
 """
 
 from .activations import Activation, invert_g2, make_activation, slope_sign_certificate

@@ -85,7 +85,8 @@ def save_teacher(net: TeacherNetwork, path):
 def load_teacher(path) -> TeacherNetwork:
     """Parse a network file written by :func:`save_teacher`.
 
-    The unit-norm and shift-range invariants are re-validated.
+    The header's ``tau_inf`` must equal the activation's; the unit-norm and
+    shift-range invariants are re-validated.
     """
     records = _records(path, "network")
     lineno, header = records[0]
@@ -93,13 +94,17 @@ def load_teacher(path) -> TeacherNetwork:
         raise ConfigError(f"{path}:{lineno}: malformed header {' '.join(header)!r}")
     try:
         dim, m, seed = int(header[0]), int(header[1]), int(header[4])
+        tau_inf = float(header[3])
     except ValueError as exc:
         raise ConfigError(f"{path}:{lineno}: malformed header: {exc}") from None
+    act = make_activation(header[2])
+    if tau_inf != act.tau_inf:
+        raise ConfigError(f"{path}:{lineno}: header declares tau_inf {tau_inf!r}, "
+                          f"but {act.kind} has tau_inf {act.tau_inf!r}")
     if len(records) - 1 != m:
         raise ConfigError(
             f"{path}: expected {m} neuron lines, found {len(records) - 1} (truncated?)"
         )
-    act = make_activation(header[2])
     cols = np.empty((dim + 1, m))
     for k, (lineno, fields) in enumerate(records[1:]):
         cols[:, k] = _float_row(path, lineno, fields, dim + 1)

@@ -1,10 +1,16 @@
-"""Shift refinement by least-squares gradient descent.
+"""Shift refinement: least-squares fit of the shifts to fresh teacher queries.
 
 Only the shifts are trained; the weight estimates stay frozen, so the
-per-sample preactivations ``<w_k, x_i>`` are computed once and every descent
-step reduces to elementwise activation work.  Supports full-batch descent
-and mini-batch descent with a seed-fixed permutation per epoch, which keeps
-trajectories reproducible.
+per-sample preactivations ``<w_k, x_i>`` are computed once and every step
+reduces to elementwise activation work.  Two methods:
+
+- ``"gn"``, Gauss-Newton: with the weights fixed the shifts solve a
+  noiseless nonlinear least-squares problem in m unknowns, so a few
+  ``(F^T F) delta = F^T r`` solves on a small sample reach its minimum.
+  The pipeline uses it by default.
+- ``"gd"``, gradient descent, the paper's empirical risk minimisation:
+  full-batch, or mini-batch with a seed-fixed permutation per epoch, which
+  keeps trajectories reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import logging
 import time
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import ConfigError, DivergenceError
 from .teacher import StudentNetwork
@@ -24,11 +31,22 @@ __all__ = ["RefineConfig", "RefineResult", "loss", "grad_loss", "power_iteration
 logger = logging.getLogger(__name__)
 
 _DIVERGENCE_PATIENCE = 50
+_METHODS = ("gd", "gn")
+# Gauss-Newton stops once an iteration lowers the loss by less than this share
+_GN_MIN_SHRINK = 1e-3
+# a Cholesky factor of F^T F whose diagonal spans more than this ratio means
+# cond(F^T F) > 1e12; such systems are solved by least squares on F instead
+_GN_PIVOT_RATIO = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
 class RefineConfig:
-    """Training-loop knobs for the shift refinement."""
+    """Training-loop knobs for the shift refinement.
+
+    ``method`` is ``"gd"`` (gradient descent) or ``"gn"`` (Gauss-Newton).
+    Gauss-Newton takes full steps and reads only ``n_train``, ``max_steps``,
+    ``stop_loss`` (as a label, never as a stop) and ``timeout_s``.
+    """
 
     n_train: int
     lr: float = 1e-3
@@ -41,8 +59,12 @@ class RefineConfig:
     # 0.5 * mean(r^2), so 1 / lambda_max is the 2/L edge of stability for
     # the Gauss-Newton curvature L; 0.9 keeps the step strictly inside it.
     lr_auto: bool = False
+    method: str = "gd"
 
     def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ConfigError(
+                f"unknown refine method {self.method!r}; expected 'gd' or 'gn'")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
         if self.n_train < 1:
@@ -129,12 +151,13 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     """Minimize the least-squares objective over the shifts.
 
     Draws ``n_train`` fresh Gaussian inputs, queries the teacher for targets
-    (counted against the query budget), and iterates plain gradient descent
-    from the student's current shifts.  The descent is unprojected: iterates
-    may leave ``[-tau_inf, tau_inf]``, which bounds the teacher's shifts, not
-    the student's.  Stops on the step budget, the loss threshold, or the wall
-    clock.  When the recorded loss fails to improve on its running best for
-    50 consecutive records, the run aborts with a step-size diagnostic.
+    (counted against the query budget), and iterates ``cfg.method`` from the
+    student's current shifts.  The iterates are unprojected: they may leave
+    ``[-tau_inf, tau_inf]``, which bounds the teacher's shifts, not the
+    student's.  Gradient descent stops on the step budget, the loss
+    threshold, or the wall clock.  When the recorded loss fails to improve on
+    its running best for 50 consecutive records, the run aborts with a
+    step-size diagnostic.  Gauss-Newton is described at :func:`_gauss_newton`.
 
     ``tau_truth``, when given, must already be aligned with the student's
     column order; the distance to it is recorded alongside the loss.
@@ -142,6 +165,7 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     shifts and after each pass over the data -- one step for full-batch
     runs, one epoch for mini-batch runs -- and a last one where the step
     budget runs out mid-epoch.  Stopping is decided at records only.
+    ``audit_grad`` applies to gradient descent only.
     """
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((cfg.n_train, student.dim))
@@ -150,6 +174,8 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     z = xs @ student.weights  # shifts enter additively; cache the linear part
     tau = np.array(student.shifts, dtype=float)
     truth = None if tau_truth is None else np.asarray(tau_truth, dtype=float)
+    if cfg.method == "gn":
+        return _gauss_newton(student, z, tau, ys, cfg, truth)
 
     lr = cfg.lr
     lmax = None
@@ -233,6 +259,74 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
         stop_reason=stop_reason,
         lr=lr,
         lmax=lmax,
+    )
+
+
+def _gn_step(f: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """The Gauss-Newton update ``(F^T F)^-1 F^T r``: Cholesky, else least squares."""
+    try:
+        chol = np.linalg.cholesky(f.T @ f)
+        pivots = np.diag(chol)
+        if pivots.min() > _GN_PIVOT_RATIO * pivots.max():
+            return scipy.linalg.cho_solve((chol, True), f.T @ resid)
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(f, resid, rcond=None)[0]
+
+
+def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
+                  truth) -> RefineResult:
+    """Gauss-Newton on the shifts, from ``tau``, with ``z = xs @ W`` cached.
+
+    Each iteration linearizes the residual as ``r + F delta``, F = g'(z + tau),
+    and takes the full step ``tau -= (F^T F)^-1 F^T r``.  A step that lowers
+    the loss is kept and recorded; the loop ends at the first step that does
+    not lower it by at least ``_GN_MIN_SHRINK`` of its value, at
+    ``max_steps`` kept steps, or at the wall clock.  The result holds the
+    best iterate, and ``steps`` counts the kept steps.  ``stop_loss`` never
+    ends the loop -- the starting shifts may already meet it -- but the stop
+    reason reads ``"stop_loss"`` whenever the final loss is at or below it;
+    otherwise it is ``"plateau"``, ``"max_steps"`` or ``"timeout"``.
+    """
+    act = student.act
+    deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
+    pre = z + tau
+    resid = _residual(act, pre, ys)
+    j = _half_mse(resid)
+    records, losses = [tau], [j]
+    stop_reason = "max_steps"
+    while len(records) <= cfg.max_steps:
+        if deadline is not None and time.monotonic() > deadline:
+            stop_reason = "timeout"
+            break
+        cand = tau - _gn_step(act.g1(pre), resid)
+        pre_c = z + cand
+        resid_c = _residual(act, pre_c, ys)
+        j_c = _half_mse(resid_c)
+        shrank = j_c < (1.0 - _GN_MIN_SHRINK) * j
+        if j_c < j:
+            tau, pre, resid, j = cand, pre_c, resid_c, j_c
+            records.append(tau)
+            losses.append(j)
+        if not shrank:
+            stop_reason = "plateau"
+            break
+    if j <= cfg.stop_loss:
+        stop_reason = "stop_loss"
+    steps = len(records) - 1
+    logger.info("refine (Gauss-Newton): %d steps, final loss %.3e (%s)",
+                steps, j, stop_reason)
+    return RefineResult(
+        student=student.with_shifts(tau),
+        tau_path=np.array(records),
+        record_steps=np.arange(steps + 1),
+        losses=np.array(losses),
+        shift_errors=(None if truth is None else
+                      np.array([float(np.linalg.norm(t - truth)) for t in records])),
+        steps=steps,
+        stop_reason=stop_reason,
+        lr=1.0,  # full Gauss-Newton steps
+        lmax=None,
     )
 
 

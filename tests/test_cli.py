@@ -109,6 +109,7 @@ max_restarts = 31
 conv_tol = 1e-10
 
 [refine]
+method = gd
 n_train = 1234
 lr = 0.002
 batch = 16
@@ -120,7 +121,8 @@ FLAGS = ["--d", "12", "--m", "5", "--beta", "1.25", "--activation", "sigmoid",
          "--shift-law", "gaussian:0.1", "--fd-step", "0.02", "--exact-derivatives",
          "--n-h", "40", "--n-eval", "500", "--seed", "9", "--out-dir", "somewhere",
          "--dump-spectrum", "--spm-gamma", "3.0", "--spm-steps", "77",
-         "--spm-beta", "0.25", "--spm-restarts", "31", "--n-train", "1234",
+         "--spm-beta", "0.25", "--spm-restarts", "31", "--refine-method", "gd",
+         "--n-train", "1234",
          "--lr", "0.002", "--batch", "16", "--max-steps", "99", "--timeout-s", "12.5"]
 EXPECTED = PipelineConfig(
     dim=12, n_neurons=5, beta_order=1.25, activation="sigmoid",
@@ -128,8 +130,8 @@ EXPECTED = PipelineConfig(
     n_hessians=40, n_eval=500, seed=9, out_dir="somewhere", dump_spectrum=True,
     spm=SpmConfig(gamma=3.0, max_steps=77, beta=0.25, dedup_cos=0.995,
                   max_restarts=31, conv_tol=1e-10),
-    n_train=1234, lr=0.002, batch=16, refine_max_steps=99, stop_loss=1e-9,
-    timeout_s=12.5,
+    refine_method="gd", n_train=1234, lr=0.002, batch=16, refine_max_steps=99,
+    stop_loss=1e-9, timeout_s=12.5,
 )
 
 
@@ -173,7 +175,10 @@ class TestConfig:
         ("d = 10\n", "File contains no section headers"),
         ("[pipeline]\nd = 10\nexact_derivatives = maybe\n",
          "[pipeline] exact_derivatives = 'maybe'"),
-    ], ids=["unparsable-value", "no-section-header", "not-a-boolean"])
+        ("[pipeline]\nd = 10\nbeta = 1.0\n[refine]\nmethod = newton\n",
+         "unknown refine method 'newton'"),
+    ], ids=["unparsable-value", "no-section-header", "not-a-boolean",
+            "unknown-refine-method"])
     def test_malformed_config_exits_2(self, tmp_path, text, message, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

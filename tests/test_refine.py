@@ -275,3 +275,70 @@ def test_pinned_trajectory(name):
     assert got == pytest.approx(losses, rel=1e-9)
     assert res.tau_path[-1] == pytest.approx(tau_last, rel=1e-9)
     assert np.array_equal(res.tau_path[-1], res.student.shifts)
+
+
+class TestGaussNewton:
+    def gn_config(self, **kw):
+        return RefineConfig(**{"n_train": 200, "method": "gn", "stop_loss": 0.0,
+                               "timeout_s": None, **kw})
+
+    def test_recovers_exact_shifts_in_a_few_steps(self):
+        for seed in range(5):
+            net = random_teacher(10, 12, seed=400 + seed)
+            student = perturbed_student(net, 0.1, seed=seed)
+            before = net.query_count
+            res = refine(student, net, self.gn_config(), seed=seed, tau_truth=net.shifts)
+            assert net.query_count - before == 200
+            assert res.steps <= 8
+            assert res.shift_errors[-1] <= 1e-10
+            assert np.all(np.diff(res.losses) < 0)
+            assert res.record_steps.tolist() == list(range(res.steps + 1))
+            assert np.array_equal(res.tau_path[-1], res.student.shifts)
+
+    def test_stop_loss_labels_but_never_stops(self):
+        # the starting shifts already meet stop_loss; Gauss-Newton still steps
+        net = random_teacher(10, 12, seed=410)
+        student = perturbed_student(net, 1e-5, seed=1)
+        res = refine(student, net, self.gn_config(stop_loss=1e-8), seed=2)
+        assert res.losses[0] <= 1e-8
+        assert res.steps >= 1 and res.stop_reason == "stop_loss"
+        assert res.losses[-1] < 1e-6 * res.losses[0]
+
+    def test_zero_stop_loss_is_not_reported_as_met(self):
+        # perturbed weights leave a positive loss floor
+        net = random_teacher(10, 12, seed=411)
+        rng = np.random.default_rng(3)
+        w = net.weights + 1e-3 * rng.standard_normal(net.weights.shape)
+        student = StudentNetwork(w / np.linalg.norm(w, axis=0), net.shifts, net.act)
+        res = refine(student, net, self.gn_config(), seed=4)
+        assert res.losses[-1] > 0
+        assert res.stop_reason == "plateau"
+
+    def test_step_budget(self):
+        net = random_teacher(10, 12, seed=412)
+        student = perturbed_student(net, 0.1, seed=5)
+        res = refine(student, net, self.gn_config(max_steps=1), seed=6)
+        assert res.steps == 1 and res.stop_reason == "max_steps"
+
+    def test_singular_gram_takes_least_squares(self, monkeypatch):
+        # two identical student columns: F^T F is singular, and its Cholesky
+        # factor (when one is found at all) has a pivot near round-off
+        net = random_teacher(8, 5, seed=500)
+        w = net.weights.copy()
+        w[:, 1] = w[:, 0]
+        tau = net.shifts.copy()
+        tau[1] = tau[0]
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        res = refine(StudentNetwork(w, tau, net.act), net, self.gn_config(n_train=300),
+                     seed=0)
+        # every solve, kept or not, went through least squares
+        assert res.steps >= 1 and res.steps <= len(calls) <= res.steps + 1
+        assert np.all(np.diff(res.losses) <= 0)
+        assert np.all(np.isfinite(res.student.shifts))
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ConfigError, match="unknown refine method 'newton'"):
+            RefineConfig(n_train=10, method="newton")

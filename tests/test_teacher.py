@@ -245,3 +245,12 @@ class TestSaveLoad:
         path.write_text("2 1 tanh 0.6 -1\n1.0 zero 0.0\n")
         with pytest.raises(ConfigError, match=":2:"):
             load_teacher(path)
+        # the header's tau_inf: not a number, or not the activation's; a file
+        # that declares 5.0 is rejected for the declaration, not its 0.9 shift
+        for text, message in [
+            ("2 1 tanh banana -1\n1.0 0.0 0.0\n", r":1: malformed header"),
+            ("2 1 tanh 5.0 -1\n1.0 0.0 0.9\n", r":1: header declares tau_inf 5\.0"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=message):
+                load_teacher(path)
