@@ -3,8 +3,8 @@
 Three-stage pipeline: weight directions from the principal subspace of
 finite-difference Hessians (collected by projected gradient ascent on the
 sphere), signs and initial shifts from low-order directional derivatives at
-the origin, and least-squares shift refinement (Gauss-Newton by default, or
-the paper's gradient descent).
+the origin, and least-squares shift refinement by Gauss-Newton (the paper's
+gradient descent stays available as ``RefineConfig(method="gd")``).
 """
 
 from .activations import Activation, invert_g2, make_activation, slope_sign_certificate

@@ -71,13 +71,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--spm-steps", type=int)
     p.add_argument("--spm-beta", type=float)
     p.add_argument("--spm-restarts", type=int)
-    _add_refine_flags(p)
-
-
-def _add_refine_flags(p: argparse.ArgumentParser):
-    p.add_argument("--refine-method", choices=["gn", "gd"], dest="refine_method",
-                   help="gn: Gauss-Newton (default); gd: the paper's gradient descent")
-    p.add_argument("--lr", type=float)
     p.add_argument("--batch", type=int)
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--max-steps", type=int, dest="refine_max_steps")
@@ -94,7 +87,6 @@ _ALIASES = {
     ("pipeline", "m"): "n_neurons",
     ("pipeline", "beta"): "beta_order",
     ("pipeline", "n_h"): "n_hessians",
-    ("refine", "method"): "refine_method",
     ("refine", "max_steps"): "refine_max_steps",
     (None, "spm_gamma"): "spm.gamma",
     (None, "spm_steps"): "spm.max_steps",
@@ -325,13 +317,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-derivatives", action="store_true", dest="exact_derivatives")
     p.set_defaults(func=_cmd_init_shifts)
 
-    p = sub.add_parser("refine", help="shift refinement: Gauss-Newton by default, "
-                                      "or the paper's gradient descent")
+    p = sub.add_parser("refine", help="Gauss-Newton shift refinement")
     p.add_argument("--net", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--init", required=True)
     p.add_argument("--out", required=True, help="trajectory CSV path")
-    _add_refine_flags(p)
+    p.add_argument("--n-train", type=int, dest="n_train")
+    p.add_argument("--max-steps", type=int, dest="refine_max_steps")
+    p.add_argument("--timeout-s", type=float, dest="timeout_s")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_refine)
 

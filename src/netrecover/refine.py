@@ -6,11 +6,11 @@ reduces to elementwise activation work.  Two methods:
 
 - ``"gn"``, Gauss-Newton: with the weights fixed the shifts solve a
   noiseless nonlinear least-squares problem in m unknowns, so a few
-  ``(F^T F) delta = F^T r`` solves on a small sample reach its minimum.
-  The pipeline uses it by default.
-- ``"gd"``, gradient descent, the paper's empirical risk minimisation:
-  full-batch, or mini-batch with a seed-fixed permutation per epoch, which
-  keeps trajectories reproducible.
+  linearized least-squares solves on a small sample reach its minimum.
+  The pipeline uses it.
+- ``"gd"``, gradient descent, the paper's empirical risk minimisation and
+  ``RefineConfig``'s default: full-batch, or mini-batch with a seed-fixed
+  permutation per epoch, which keeps trajectories reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import logging
 import time
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConfigError, DivergenceError
 from .teacher import StudentNetwork
@@ -34,9 +33,6 @@ _DIVERGENCE_PATIENCE = 50
 _METHODS = ("gd", "gn")
 # Gauss-Newton stops once an iteration lowers the loss by less than this share
 _GN_MIN_SHRINK = 1e-3
-# a Cholesky factor of F^T F whose diagonal spans more than this ratio means
-# cond(F^T F) > 1e12; such systems are solved by least squares on F instead
-_GN_PIVOT_RATIO = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,31 +258,21 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     )
 
 
-def _gn_step(f: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """The Gauss-Newton update ``(F^T F)^-1 F^T r``: Cholesky, else least squares."""
-    try:
-        chol = np.linalg.cholesky(f.T @ f)
-        pivots = np.diag(chol)
-        if pivots.min() > _GN_PIVOT_RATIO * pivots.max():
-            return scipy.linalg.cho_solve((chol, True), f.T @ resid)
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(f, resid, rcond=None)[0]
-
-
 def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
                   truth) -> RefineResult:
     """Gauss-Newton on the shifts, from ``tau``, with ``z = xs @ W`` cached.
 
     Each iteration linearizes the residual as ``r + F delta``, F = g'(z + tau),
-    and takes the full step ``tau -= (F^T F)^-1 F^T r``.  A step that lowers
-    the loss is kept and recorded; the loop ends at the first step that does
-    not lower it by at least ``_GN_MIN_SHRINK`` of its value, at
-    ``max_steps`` kept steps, or at the wall clock.  The result holds the
-    best iterate, and ``steps`` counts the kept steps.  ``stop_loss`` never
-    ends the loop -- the starting shifts may already meet it -- but the stop
-    reason reads ``"stop_loss"`` whenever the final loss is at or below it;
-    otherwise it is ``"plateau"``, ``"max_steps"`` or ``"timeout"``.
+    and takes the full step ``tau -= argmin_d ||F d - r||``, solved by least
+    squares on F (conditioned as cond(F), not cond(F^T F), and defined when
+    F^T F is singular).  A step that lowers the loss is kept and recorded;
+    the loop ends at the first step that does not lower it by at least
+    ``_GN_MIN_SHRINK`` of its value, at ``max_steps`` kept steps, or at the
+    wall clock.  The result holds the best iterate, and ``steps`` counts the
+    kept steps.  ``stop_loss`` never ends the loop -- the starting shifts may
+    already meet it -- but the stop reason reads ``"stop_loss"`` whenever the
+    final loss is at or below it; otherwise it is ``"plateau"``,
+    ``"max_steps"`` or ``"timeout"``.
     """
     act = student.act
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
@@ -299,7 +285,7 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
         if deadline is not None and time.monotonic() > deadline:
             stop_reason = "timeout"
             break
-        cand = tau - _gn_step(act.g1(pre), resid)
+        cand = tau - np.linalg.lstsq(act.g1(pre), resid, rcond=None)[0]
         pre_c = z + cand
         resid_c = _residual(act, pre_c, ys)
         j_c = _half_mse(resid_c)

@@ -109,9 +109,7 @@ max_restarts = 31
 conv_tol = 1e-10
 
 [refine]
-method = gd
 n_train = 1234
-lr = 0.002
 batch = 16
 max_steps = 99
 stop_loss = 1e-9
@@ -121,17 +119,15 @@ FLAGS = ["--d", "12", "--m", "5", "--beta", "1.25", "--activation", "sigmoid",
          "--shift-law", "gaussian:0.1", "--fd-step", "0.02", "--exact-derivatives",
          "--n-h", "40", "--n-eval", "500", "--seed", "9", "--out-dir", "somewhere",
          "--dump-spectrum", "--spm-gamma", "3.0", "--spm-steps", "77",
-         "--spm-beta", "0.25", "--spm-restarts", "31", "--refine-method", "gd",
-         "--n-train", "1234",
-         "--lr", "0.002", "--batch", "16", "--max-steps", "99", "--timeout-s", "12.5"]
+         "--spm-beta", "0.25", "--spm-restarts", "31", "--n-train", "1234",
+         "--batch", "16", "--max-steps", "99", "--timeout-s", "12.5"]
 EXPECTED = PipelineConfig(
     dim=12, n_neurons=5, beta_order=1.25, activation="sigmoid",
     shift_law=GaussianShifts(0.1), fd_step=0.02, exact_derivatives=True,
     n_hessians=40, n_eval=500, seed=9, out_dir="somewhere", dump_spectrum=True,
     spm=SpmConfig(gamma=3.0, max_steps=77, beta=0.25, dedup_cos=0.995,
                   max_restarts=31, conv_tol=1e-10),
-    refine_method="gd", n_train=1234, lr=0.002, batch=16, refine_max_steps=99,
-    stop_loss=1e-9, timeout_s=12.5,
+    n_train=1234, batch=16, refine_max_steps=99, stop_loss=1e-9, timeout_s=12.5,
 )
 
 
@@ -150,9 +146,9 @@ class TestConfig:
 
     def test_dim_key_and_flag_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("[pipeline]\ndim = 8\nbeta = 1.0\nseed = 4\n[refine]\nlr = 0.5\n")
+        path.write_text("[pipeline]\ndim = 8\nbeta = 1.0\nseed = 4\n[refine]\nn_train = 500\n")
         cfg = config_from(["pipeline", "--config", str(path), "--seed", "5"])
-        assert (cfg.dim, cfg.beta_order, cfg.seed, cfg.lr) == (8, 1.0, 5, 0.5)
+        assert (cfg.dim, cfg.beta_order, cfg.seed, cfg.n_train) == (8, 1.0, 5, 500)
 
     def test_defaults_without_config(self):
         assert config_from(["pipeline", "--d", "10"]) == PipelineConfig(dim=10)
@@ -161,6 +157,7 @@ class TestConfig:
         "[pipeline]\nd = 10\nbogus = 1\n",
         "[spm]\nlr = 0.1\n",
         "[refine]\ngamma = 2\n",
+        "[refine]\nmethod = newton\n",
         "[pipeline]\nd = 10\nn_hessians = 20\n",
         "[pipeline]\nd = 10\n[extra]\nx = 1\n",
     ])
@@ -175,10 +172,10 @@ class TestConfig:
         ("d = 10\n", "File contains no section headers"),
         ("[pipeline]\nd = 10\nexact_derivatives = maybe\n",
          "[pipeline] exact_derivatives = 'maybe'"),
-        ("[pipeline]\nd = 10\nbeta = 1.0\n[refine]\nmethod = newton\n",
-         "unknown refine method 'newton'"),
+        ("[pipeline]\nd = 10\nbeta = 1.0\n[refine]\nn_train = 0\n",
+         "n_train must be >= 1"),
     ], ids=["unparsable-value", "no-section-header", "not-a-boolean",
-            "unknown-refine-method"])
+            "bad-refine-setting"])
     def test_malformed_config_exits_2(self, tmp_path, text, message, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

@@ -9,21 +9,20 @@ import pytest
 from netrecover import ConfigError, PipelineConfig, run_pipeline, run_scaling_study
 from netrecover.pipeline import RESULT_COLUMNS
 
-# D=10, beta=1.5, seed=7 (m=13), refine_method="gd": the deterministic
-# columns of result.csv
+# D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv
 EXACT_COLUMNS = {
     "mode": "pipeline", "D": "10", "beta": "1.5", "m": "13", "seed": "7",
     "exact_mode": "0", "spm_processed": "51", "spm_accepted": "13",
-    "spm_duplicate": "38", "spm_rejected": "0", "refine_steps": "0",
+    "spm_duplicate": "38", "spm_rejected": "0", "refine_steps": "2",
     "refine_stop_reason": "stop_loss", "q_hessians": "6030", "q_init": "91",
-    "q_refine": "1300", "q_algorithm": "7421", "n_shifts_clamped": "0",
+    "q_refine": "512", "q_algorithm": "6633", "n_shifts_clamped": "0",
     "error": "",
 }
 FLOAT_COLUMNS = {
     "fd_step": 0.01,
-    "e_inf": 1.186871951300935e-05,
+    "e_inf": 3.5169094090975887e-06,
     "max_weight_err": 5.242582229052677e-06,
-    "shift_rms": 3.53006791545083e-05,
+    "shift_rms": 3.5800357544521444e-06,
     "sign_accuracy": 1.0,
     "init_shift_rms": 3.53006791545083e-05,
     "delta_w1": 0.00014851568712081424,
@@ -33,19 +32,8 @@ FLOAT_COLUMNS = {
     "eps_hat": 2.1420602459187865e-05,
     "cond_g2": 5.757363027326157,
     "cond_g3": 3.003715061708345,
-    "final_loss": 8.941921952557314e-10,
-    "query_ceiling_ratio": 0.06674490778765381,
-}
-# the same run with the default Gauss-Newton refinement (64 inputs): only the
-# refine stage's columns and what they feed move
-GN_EXACT_COLUMNS = {**EXACT_COLUMNS, "refine_steps": "2", "q_refine": "64",
-                    "q_algorithm": "6185"}
-GN_FLOAT_COLUMNS = {
-    **FLOAT_COLUMNS,
-    "e_inf": 4.104487963336905e-06,
-    "shift_rms": 6.363876938840917e-06,
-    "final_loss": 4.6161359737778856e-11,
-    "query_ceiling_ratio": 0.05562825153842323,
+    "final_loss": 4.7372978415196847e-11,
+    "query_ceiling_ratio": 0.05965758972584661,
 }
 REL_TOL = 1e-9
 
@@ -60,14 +48,6 @@ def read_csv(path):
 @pytest.fixture(scope="module")
 def d10_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("d10")
-    res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, out_dir=out,
-                                      dump_spectrum=True, refine_method="gd"))
-    return res, out
-
-
-@pytest.fixture(scope="module")
-def d10_gn_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("d10_gn")
     res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, out_dir=out,
                                       dump_spectrum=True))
     return res, out
@@ -106,6 +86,10 @@ class TestFixedSeedRun:
         assert rows[0] == ["step", "loss", "shift_error"]
         assert len(rows) == res.refine_steps + 2
         assert float(rows[-1][1]) == res.final_loss
+        # one record per kept Gauss-Newton step, each lowering the loss
+        assert [int(r[0]) for r in rows[1:]] == list(range(res.refine_steps + 1))
+        losses = [float(r[1]) for r in rows[1:]]
+        assert losses == sorted(losses, reverse=True)
 
     def test_spectrum_lists_every_singular_value(self, d10_run):
         # n_h = ceil(log(10) * 13) = 30 columns; the top m are the projector's
@@ -125,60 +109,25 @@ class TestFixedSeedRun:
             assert f"  {name} " in text
 
 
-class TestFixedSeedGaussNewton:
-    """The default method on the same cell: one pinned row, refine columns moved."""
-
-    @pytest.fixture
-    def row(self, d10_gn_run):
-        header, row = read_csv(d10_gn_run[1] / "result.csv")
-        return dict(zip(header, row))
-
-    def test_integer_and_string_columns_exact(self, row):
-        assert {k: row[k] for k in GN_EXACT_COLUMNS} == GN_EXACT_COLUMNS
-
-    def test_float_columns(self, row):
-        for name, expected in GN_FLOAT_COLUMNS.items():
-            assert float(row[name]) == pytest.approx(expected, rel=REL_TOL), name
-
-    def test_shift_error_below_gradient_descent(self, row):
-        assert float(row["shift_rms"]) < FLOAT_COLUMNS["shift_rms"] / 5
-
-    @pytest.mark.parametrize("name", ["teacher.net", "weights.txt", "init.txt",
-                                      "spectrum.csv"])
-    def test_stages_before_refine_unchanged(self, d10_run, d10_gn_run, name):
-        assert (d10_gn_run[1] / name).read_bytes() == (d10_run[1] / name).read_bytes()
-
-    def test_trajectory_has_one_record_per_step(self, d10_gn_run):
-        res, out = d10_gn_run
-        rows = read_csv(out / "trajectory.csv")
-        assert rows[0] == ["step", "loss", "shift_error"]
-        assert [int(r[0]) for r in rows[1:]] == list(range(res.refine_steps + 1))
-        losses = [float(r[1]) for r in rows[1:]]
-        assert losses == sorted(losses, reverse=True)
-        assert losses[-1] == res.final_loss
-
-
 class TestRefineConfig:
-    @pytest.mark.parametrize("dim, m, method, n_train", [
-        (40, 102, "gn", 377),     # ceil(102 log 40)
-        (10, 13, "gn", 64),       # ceil(13 log 10) = 30, raised to the floor
-        (2, 1, "gn", 4),          # the floor capped at m D^2
-        (40, 102, "gd", 163_200),
+    @pytest.mark.parametrize("dim, m, n_train", [
+        (30, 183, 623),     # ceil(183 log 30)
+        (10, 13, 512),      # ceil(13 log 10) = 30, raised to the floor
+        (2, 1, 512),
     ])
-    def test_default_sample_size(self, dim, m, method, n_train):
-        cfg = PipelineConfig(dim=dim, n_neurons=m, refine_method=method)
-        assert cfg.refine_config(m).n_train == n_train
-        assert cfg.refine_config(m).method == method
+    def test_default_sample_size(self, dim, m, n_train):
+        rc = PipelineConfig(dim=dim, n_neurons=m).refine_config(m)
+        assert (rc.n_train, rc.method) == (n_train, "gn")
 
     def test_explicit_sample_size_wins(self):
         cfg = PipelineConfig(dim=40, n_neurons=102, n_train=1000)
         assert cfg.refine_config(102).n_train == 1000
 
-    def test_unknown_method_rejected_before_any_stage(self):
-        cfg = PipelineConfig(dim=6, beta_order=1.0, refine_method="newton")
-        with pytest.raises(ConfigError, match="unknown refine method"):
+    def test_bad_setting_rejected_before_any_stage(self):
+        cfg = PipelineConfig(dim=6, beta_order=1.0, n_train=0)
+        with pytest.raises(ConfigError, match="n_train must be >= 1"):
             cfg.validate()
-        with pytest.raises(ConfigError, match="unknown refine method"):
+        with pytest.raises(ConfigError, match="n_train must be >= 1"):
             run_pipeline(cfg)
 
 
