@@ -267,12 +267,14 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
     squares on F (conditioned as cond(F), not cond(F^T F), and defined when
     F^T F is singular).  A step that lowers the loss is kept and recorded;
     the loop ends at the first step that does not lower it by at least
-    ``_GN_MIN_SHRINK`` of its value, at ``max_steps`` kept steps, or at the
-    wall clock.  The result holds the best iterate, and ``steps`` counts the
-    kept steps.  ``stop_loss`` never ends the loop -- the starting shifts may
-    already meet it -- but the stop reason reads ``"stop_loss"`` whenever the
-    final loss is at or below it; otherwise it is ``"plateau"``,
-    ``"max_steps"`` or ``"timeout"``.
+    ``_GN_MIN_SHRINK`` of its value, once the loss is at the rounding level
+    of the targets (half the mean of ``(eps y)^2``, below which steps only
+    churn round-off), at ``max_steps`` kept steps, or at the wall clock.
+    The result holds the best iterate, and ``steps`` counts the kept steps.
+    ``stop_loss`` never ends the loop -- the starting shifts may already
+    meet it -- but the stop reason reads ``"stop_loss"`` whenever the final
+    loss is at or below it; otherwise it is ``"plateau"`` (which includes
+    the rounding level), ``"max_steps"`` or ``"timeout"``.
     """
     act = student.act
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
@@ -280,8 +282,12 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
     resid = _residual(act, pre, ys)
     j = _half_mse(resid)
     records, losses = [tau], [j]
+    floor = _half_mse(np.finfo(float).eps * ys)
     stop_reason = "max_steps"
     while len(records) <= cfg.max_steps:
+        if j <= floor:
+            stop_reason = "plateau"
+            break
         if deadline is not None and time.monotonic() > deadline:
             stop_reason = "timeout"
             break

@@ -140,8 +140,9 @@ def build_hessian_matrix(net, n_hessians: int, cfg: FDConfig | None, seed: int,
 
     Returns ``(columns, anchors, n_queries)`` where ``columns`` is
     ``(half_dim(D), n_hessians)``.  In finite-difference mode each Hessian
-    costs 2 D^2 + 1 network queries; ``exact=True`` switches to the analytic
-    oracle (zero queries, tallied separately by the network).
+    costs 2 D^2 + 1 network queries, counted by ``net.eval_stencil``;
+    ``exact=True`` switches to the analytic oracle (zero queries, tallied
+    separately by the network).
     """
     if n_hessians < 1:
         raise ConfigError("n_hessians must be positive")
@@ -159,7 +160,7 @@ def build_hessian_matrix(net, n_hessians: int, cfg: FDConfig | None, seed: int,
         if exact:
             h = net.analytic_hessian(anchors[i])
         else:
-            h = fd_hessian(net.eval_batch, anchors[i], cfg)
+            h = fd_hessian(net.eval_stencil, anchors[i], cfg)
         cols[:, i] = hvec(h)
     n_queries = net.query_count - before
     logger.info("built %d Hessian columns (%d queries)", n_hessians, n_queries)

@@ -2,10 +2,12 @@
 
 A teacher network is ``f(x) = sum_k g(<w_k, x> + tau_k)`` with unit-norm
 weight columns and bounded shifts.  All parameter access in the recovery
-pipeline goes through the counted evaluation oracle; the analytic derivative
-methods exist for tests and for the exact-derivative pipeline mode, and are
-tallied separately so the harness can verify the black-box budget.
-Network files are read and written by :mod:`netrecover.fileio`.
+pipeline goes through the counted evaluation oracle: ``eval_batch`` for
+given inputs and ``eval_stencil`` for the finite-difference Hessian's
+stencil points, which it evaluates without forming them.  The analytic
+derivative methods exist for tests and for the exact-derivative pipeline
+mode, and are tallied separately so the harness can verify the black-box
+budget.  Network files are read and written by :mod:`netrecover.fileio`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .activations import Activation
 from .exceptions import ConfigError
+from .numdiff import hessian_stencil
 
 __all__ = [
     "TeacherNetwork",
@@ -29,6 +32,9 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
+# eval_stencil applies g to row blocks of about this size: they stay in
+# cache, and g's temporaries reuse freed heap memory instead of fresh pages
+_STENCIL_CHUNK_BYTES = 1 << 18
 
 
 class _Counter:
@@ -125,10 +131,10 @@ class _ShallowNet:
 class TeacherNetwork(_ShallowNet):
     """The planted model with a counted black-box query oracle.
 
-    ``query_count`` counts scalar f-evaluations served through ``eval`` /
-    ``eval_batch``.  The analytic derivative oracles are test-only helpers
-    and increment ``oracle_count`` instead.  The shifts must lie in the
-    activation's admissible interval ``[-tau_inf, tau_inf]``.
+    ``query_count`` counts scalar f-evaluations served through ``eval``,
+    ``eval_batch`` and ``eval_stencil``, one per point.  The analytic
+    derivative oracles increment ``oracle_count`` instead.  The shifts must
+    lie in the activation's admissible interval ``[-tau_inf, tau_inf]``.
     ``n_shifts_clamped`` counts the sampled shifts that were clamped into it.
     """
 
@@ -150,23 +156,38 @@ class TeacherNetwork(_ShallowNet):
     def oracle_count(self) -> int:
         return self._oracle.value
 
-    def eval(self, x) -> float:
+    def _input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ConfigError(f"input has shape {x.shape}, expected ({self.dim},)")
-        return float(self.eval_batch(x[None, :])[0])
+        return x
+
+    def eval(self, x) -> float:
+        return float(self.eval_batch(self._input(x)[None, :])[0])
 
     def eval_batch(self, xs) -> np.ndarray:
         vals = self.eval_batch_raw(xs)
         self._queries.add(vals.shape[0])
         return vals
 
-    # -- analytic oracles (do not touch the query budget) ------------------
+    def eval_stencil(self, x, h: float) -> np.ndarray:
+        """Values at the 2D^2 + 1 Hessian stencil points around x, one query each.
 
-    def analytic_gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        self._oracle.add(1)
-        return self.weights @ self.act.g1(self._preactivations(x))
+        The stencil function of :func:`netrecover.numdiff.fd_hessian`: the
+        preactivations of ``x +- h e_i +- h e_j`` are ``(x W + tau) +- h W_i
+        +- h W_j``, so :func:`~netrecover.numdiff.hessian_stencil` builds them
+        by additions, in its row order, without the (2D^2 + 1) x D x m
+        product of the stencil points with W.
+        """
+        pre = hessian_stencil(self._preactivations(self._input(x)), h * self.weights)
+        vals = np.empty(pre.shape[0])
+        rows = max(1, _STENCIL_CHUNK_BYTES // (8 * self.n_neurons))
+        for lo in range(0, pre.shape[0], rows):
+            vals[lo:lo + rows] = np.sum(self.act.g(pre[lo:lo + rows]), axis=1)
+        self._queries.add(vals.shape[0])
+        return vals
+
+    # -- analytic oracles (do not touch the query budget) ------------------
 
     def analytic_hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -183,12 +204,10 @@ class TeacherNetwork(_ShallowNet):
 
 
 def analytic_derivatives(net: TeacherNetwork, x, order: int):
-    """Exact gradient (order 1) or Hessian (order 2) of the teacher at x."""
-    if order == 1:
-        return net.analytic_gradient(x)
+    """Exact Hessian (order 2) of the teacher at x."""
     if order == 2:
         return net.analytic_hessian(x)
-    raise ConfigError(f"order must be 1 or 2, got {order}")
+    raise ConfigError(f"order must be 2, got {order}")
 
 
 class StudentNetwork(_ShallowNet):

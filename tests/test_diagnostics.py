@@ -1,9 +1,12 @@
 """Incoherence, learnability and kernel-floor diagnostics, pinned at fixed seeds."""
 
+import numpy as np
 import pytest
 
-from netrecover import (ConfigError, FDConfig, check_incoherence, estimate_alpha,
-                        kernel_floor_omega, make_activation)
+from netrecover import (ConfigError, FDConfig, StudentNetwork, check_incoherence,
+                        estimate_alpha, kernel_floor_omega, make_activation,
+                        match_and_score)
+from netrecover.diagnostics import _EVAL_CHUNK
 from conftest import random_teacher
 
 REL_TOL = 1e-9
@@ -68,3 +71,22 @@ class TestKernelFloor:
         assert res.tau_argmin == pytest.approx(tau_argmin, rel=REL_TOL)
         assert res.tail_bound == pytest.approx(tail, rel=REL_TOL)
         assert res.r_max == 20
+
+
+class TestScoring:
+    def test_chunked_e_inf_equals_one_batch(self):
+        net = random_teacher(6, 5, seed=21)
+        rng = np.random.default_rng(22)
+        student = StudentNetwork(net.weights, net.shifts + 1e-3 * rng.standard_normal(5),
+                                 net.act)
+        n_eval = 2 * _EVAL_CHUNK + 100  # two full blocks and a partial one
+        met = match_and_score(student, net, n_eval=n_eval, seed=4)
+        assert net.query_count == n_eval
+        xs = np.random.default_rng(4).standard_normal((n_eval, 6))
+        one_batch = np.max(np.abs(net.eval_batch_raw(xs) - student.eval_batch(xs))) / 5
+        assert met.e_inf == one_batch
+
+    def test_needs_an_input(self):
+        net = random_teacher(4, 3, seed=23)
+        with pytest.raises(ConfigError, match="n_eval"):
+            match_and_score(StudentNetwork(net.weights, net.shifts, net.act), net, n_eval=0)

@@ -1,10 +1,15 @@
 """Stencil exactness, query counts, linearity, and convergence order."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from netrecover import (ConfigError, FDConfig, FDEvaluationError, fd_directional,
-                        fd_gradient, fd_hessian)
+from netrecover import (ConfigError, FDConfig, FDEvaluationError, TeacherNetwork,
+                        UniformShifts, at_stencil_points, build_hessian_matrix,
+                        fd_directional, fd_hessian, make_activation, neuron_count,
+                        sample_teacher)
+from netrecover.numdiff import hessian_stencil
 from conftest import random_teacher
 
 
@@ -17,62 +22,20 @@ class TestConfig:
         assert FDConfig().step_h == 0.01
 
 
-class TestGradient:
-    def test_linear_function_exact(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal(6)
-        cfg = FDConfig(step_h=0.05)
-        x = rng.standard_normal(6)
-        g = fd_gradient(lambda p: p @ a, x, cfg)
-        assert np.allclose(g, a, atol=1e-12)
-
-    def test_quadratic_exact_to_roundoff(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 5))
-        x = rng.standard_normal(5)
-        cfg = FDConfig(step_h=0.05)
-        g = fd_gradient(lambda p: np.sum((p @ a) * p, axis=1), x, cfg)
-        ref = (a + a.T) @ x
-        assert np.max(np.abs(g - ref)) / np.max(np.abs(ref)) < 1e-10
-
-    def test_teacher_gradient_tolerance(self):
-        net = random_teacher(8, 10, seed=2)
-        cfg = FDConfig(step_h=0.01)
-        tol = net.act.kappa * net.n_neurons * cfg.step_h ** 2 * 10
-        x = np.random.default_rng(3).standard_normal(8)
-        g = fd_gradient(net.eval_batch, x, cfg)
-        assert np.max(np.abs(g - net.analytic_gradient(x))) < tol
-
-    def test_query_count(self):
-        net = random_teacher(7, 2, seed=4)
-        before = net.query_count
-        fd_gradient(net.eval_batch, np.zeros(7), FDConfig())
-        assert net.query_count - before == 2 * 7
-
-    def test_non_finite_propagates_with_point(self):
-        def f(p):
-            return np.where(p[:, 0] > 0.5, float("inf"), 0.0)
-
-        with pytest.raises(FDEvaluationError) as err:
-            fd_gradient(f, np.array([0.5, 0.0]), FDConfig(step_h=0.1))
-        assert err.value.point is not None
-        assert err.value.point[0] == pytest.approx(0.6)
-
-
 class TestHessian:
     def test_quadratic_exact(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6))
         x = rng.standard_normal(6)
-        h = fd_hessian(lambda p: np.sum((p @ a) * p, axis=1), x, FDConfig(step_h=0.02))
+        h = fd_hessian(at_stencil_points(lambda p: np.sum((p @ a) * p, axis=1)), x,
+                       FDConfig(step_h=0.02))
         assert np.max(np.abs(h - (a + a.T))) < 1e-8
 
     def test_centered_tanh_neuron_zero(self, tanh_act):
-        from netrecover import TeacherNetwork
         w = np.zeros((3, 1))
         w[0, 0] = 1.0
         net = TeacherNetwork(w, np.zeros(1), tanh_act)
-        h = fd_hessian(net.eval_batch, np.zeros(3), FDConfig(step_h=0.01))
+        h = fd_hessian(net.eval_stencil, np.zeros(3), FDConfig(step_h=0.01))
         assert np.max(np.abs(h)) < 1e-6
 
     def test_richardson_ratio(self):
@@ -82,21 +45,80 @@ class TestHessian:
         exact = net.analytic_hessian(x)
         errs = []
         for h in (0.02, 0.01):
-            fd = fd_hessian(net.eval_batch, x, FDConfig(step_h=h))
+            fd = fd_hessian(net.eval_stencil, x, FDConfig(step_h=h))
             errs.append(np.max(np.abs(fd - exact)))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_symmetry_by_construction(self):
         net = random_teacher(5, 4, seed=8)
-        h = fd_hessian(net.eval_batch, np.ones(5), FDConfig())
+        h = fd_hessian(net.eval_stencil, np.ones(5), FDConfig())
         assert np.array_equal(h, h.T)
 
     def test_query_count(self):
         net = random_teacher(6, 2, seed=9)
-        before = net.query_count
-        fd_hessian(net.eval_batch, np.zeros(6), FDConfig())
         d = 6
-        assert net.query_count - before == 2 * d * (d - 1) + 2 * d + 1
+        for f in (net.eval_stencil, at_stencil_points(net.eval_batch)):
+            before = net.query_count
+            fd_hessian(f, np.zeros(6), FDConfig())
+            assert net.query_count - before == 2 * d * (d - 1) + 2 * d + 1
+
+    def test_stencil_rows_are_the_points(self):
+        rng = np.random.default_rng(18)
+        x, h, d = rng.standard_normal(4), 0.1, 4
+        e = h * np.eye(d)
+        expected = [x] + [x + e[i] for i in range(d)] + [x - e[i] for i in range(d)]
+        for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            expected += [x + s * e[i] + t * e[j] for i in range(d) for j in range(i + 1, d)]
+        assert np.array_equal(hessian_stencil(x, e), np.array(expected))
+
+    def test_non_finite_propagates_with_point(self):
+        def f(p):
+            return np.where(p[:, 0] + p[:, 1] > 0.15, float("inf"), 0.0)
+
+        with pytest.raises(FDEvaluationError) as err:
+            fd_hessian(at_stencil_points(f), np.zeros(3), FDConfig(step_h=0.1))
+        assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
+
+
+class TestStructuredStencil:
+    """``TeacherNetwork.eval_stencil`` against the dense ``eval_batch`` route."""
+
+    @pytest.mark.parametrize("dim", [5, 40])
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+    def test_matches_dense_eval_batch(self, kind, dim):
+        act = make_activation(kind)
+        m = neuron_count(dim, 1.5)
+        net = sample_teacher(dim, m, UniformShifts(-0.5, 0.5), act, seed=dim)
+        cfg = FDConfig(step_h=0.01)
+        # the two routes round the preactivations and the m-term row sums
+        # differently; a stencil weighs its values by at most 4 / h^2, and
+        # |g| <= 1 for both activations
+        tol = 8 * m * np.finfo(float).eps / cfg.step_h ** 2
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            x = rng.standard_normal(dim)
+            dense = fd_hessian(at_stencil_points(net.eval_batch), x, cfg)
+            structured = fd_hessian(net.eval_stencil, x, cfg)
+            assert np.max(np.abs(structured - dense)) <= tol
+
+    def test_build_hessian_matrix_query_count(self):
+        net = random_teacher(7, 9, seed=20)
+        n_h, d = 11, 7
+        cols, anchors, n_queries = build_hessian_matrix(net, n_h, FDConfig(), seed=3)
+        assert n_queries == net.query_count == n_h * (2 * d * d + 1)
+        assert cols.shape == (d * (d + 1) // 2, n_h) and anchors.shape == (n_h, d)
+
+    def test_non_finite_value_raises_with_point(self, tanh_act):
+        # one neuron along (e_0 + e_1) / sqrt(2): only x + h e_0 + h e_1
+        # reaches the preactivation sqrt(2) h > 0.1 where g is not finite
+        act = dataclasses.replace(
+            tanh_act, g=lambda z: np.where(z > 0.1, np.nan, np.tanh(z)))
+        w = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
+        net = TeacherNetwork(w, np.zeros(1), act)
+        for f in (net.eval_stencil, at_stencil_points(net.eval_batch)):
+            with pytest.raises(FDEvaluationError) as err:
+                fd_hessian(f, np.zeros(3), FDConfig(step_h=0.1))
+            assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
 
 
 class TestDirectional:
@@ -154,25 +176,21 @@ class TestLinearity:
                 g_net.eval_batch_raw, x, u, n, cfg)
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
-    def test_gradient_and_hessian_linear_in_f(self):
+    def test_hessian_linear_in_f(self):
         f_net = random_teacher(4, 3, seed=14)
         g_net = random_teacher(4, 2, seed=15)
         x = np.random.default_rng(16).standard_normal(4)
         cfg = FDConfig(step_h=0.05)
         a = 1.7
         combo = lambda p: a * f_net.eval_batch_raw(p) + g_net.eval_batch_raw(p)
-        g_combo = fd_gradient(combo, x, cfg)
-        g_ref = (a * fd_gradient(f_net.eval_batch_raw, x, cfg)
-                 + fd_gradient(g_net.eval_batch_raw, x, cfg))
-        assert np.max(np.abs(g_combo - g_ref)) < 1e-11
-        h_combo = fd_hessian(combo, x, cfg)
-        h_ref = (a * fd_hessian(f_net.eval_batch_raw, x, cfg)
-                 + fd_hessian(g_net.eval_batch_raw, x, cfg))
+        h_combo = fd_hessian(at_stencil_points(combo), x, cfg)
+        h_ref = (a * fd_hessian(at_stencil_points(f_net.eval_batch_raw), x, cfg)
+                 + fd_hessian(at_stencil_points(g_net.eval_batch_raw), x, cfg))
         assert np.max(np.abs(h_combo - h_ref)) < 1e-9
 
 
 class TestConvergenceOrder:
-    @pytest.mark.parametrize("op", ["gradient", "hessian", "directional"])
+    @pytest.mark.parametrize("op", ["hessian", "directional"])
     def test_halving_ratio(self, op):
         # error(h) / error(h/2) should sit near the nominal 4 for smooth f
         rng = np.random.default_rng(17)
@@ -180,14 +198,10 @@ class TestConvergenceOrder:
         for trial in range(20):
             net = random_teacher(5, 6, seed=100 + trial)
             x = rng.standard_normal(5)
-            if op == "gradient":
-                exact = net.analytic_gradient(x)
-                err = lambda h: np.max(np.abs(
-                    fd_gradient(net.eval_batch, x, FDConfig(step_h=h)) - exact))
-            elif op == "hessian":
+            if op == "hessian":
                 exact = net.analytic_hessian(x)
                 err = lambda h: np.max(np.abs(
-                    fd_hessian(net.eval_batch, x, FDConfig(step_h=h)) - exact))
+                    fd_hessian(net.eval_stencil, x, FDConfig(step_h=h)) - exact))
             else:
                 u = rng.standard_normal(5)
                 u /= np.linalg.norm(u)

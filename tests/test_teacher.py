@@ -7,9 +7,8 @@ import pytest
 
 from netrecover import (ConfigError, FDConfig, FixedShifts, GaussianShifts,
                         StudentNetwork, TeacherNetwork, UniformShifts,
-                        analytic_derivatives, exact_projector, fd_gradient,
-                        fd_hessian, hvec, load_teacher, make_activation,
-                        sample_teacher, save_teacher)
+                        analytic_derivatives, exact_projector, fd_hessian, hvec,
+                        load_teacher, make_activation, sample_teacher, save_teacher)
 from conftest import random_teacher
 
 
@@ -176,9 +175,7 @@ class TestAnalyticDerivatives:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.standard_normal(6)
-            g = fd_gradient(net.eval_batch, x, cfg)
-            assert np.max(np.abs(g - net.analytic_gradient(x))) < tol
-            h = fd_hessian(net.eval_batch, x, cfg)
+            h = fd_hessian(net.eval_stencil, x, cfg)
             assert np.max(np.abs(h - net.analytic_hessian(x))) < tol
 
     def test_hessians_live_in_weight_span(self):
@@ -192,17 +189,18 @@ class TestAnalyticDerivatives:
 
     def test_oracle_counted_separately(self):
         net = random_teacher(5, 3, seed=1)
-        net.analytic_gradient(np.zeros(5))
         net.analytic_hessian(np.zeros(5))
+        net.directional_deriv_exact(np.eye(5)[0], 3)
         assert net.oracle_count == 2
         assert net.query_count == 0
 
     def test_dispatch_wrapper(self):
         net = random_teacher(5, 3, seed=1)
         x = np.zeros(5)
-        assert np.array_equal(analytic_derivatives(net, x, 1), net.analytic_gradient(x))
-        with pytest.raises(ConfigError):
-            analytic_derivatives(net, x, 3)
+        assert np.array_equal(analytic_derivatives(net, x, 2), net.analytic_hessian(x))
+        for order in (1, 3):
+            with pytest.raises(ConfigError):
+                analytic_derivatives(net, x, order)
 
 
 class TestSaveLoad:
