@@ -7,6 +7,7 @@ from netrecover import (ConfigError, IncompleteRecoveryError, SpmConfig,
                         build_hessian_matrix, collect_weights, default_restarts,
                         exact_projector, match_weights, spm_ascend, spm_objective,
                         top_m_projector)
+from netrecover import spm
 from netrecover.spm import _ascend_batch, _classify, canonical_sign
 from conftest import random_teacher, random_unit_columns
 
@@ -219,3 +220,73 @@ class TestExactModeIdentification:
             _, _, errs = match_weights(w_hat, net.weights)
             hits += np.max(errs) <= 1e-6
         assert hits >= 9
+
+
+def _reference_collect(proj, m, cfg, seed):
+    """Ascend each restart alone, in index order, then classify it."""
+    n_restarts = default_restarts(m)
+    starts = np.random.default_rng(seed).standard_normal((proj.dim, n_restarts))
+    starts /= np.linalg.norm(starts, axis=0)
+    accepted, statuses, steps = [], [], []
+    for j in range(n_restarts):
+        u, obj, k, _ = spm_ascend(proj, starts[:, j], cfg)
+        cand = canonical_sign(u)
+        statuses.append(_classify(cand, obj, accepted, cfg))
+        steps.append(k)
+        if statuses[-1] == "accepted":
+            accepted.append(cand)
+            if len(accepted) == m:
+                break
+    return np.array(accepted).T, statuses, steps
+
+
+def _exact_case():
+    return exact_projector(random_teacher(10, 12, seed=11).weights), 12, 12
+
+
+def _sampled_case():
+    net = random_teacher(15, 30, seed=700)
+    cols, _, _ = build_hessian_matrix(net, 60, None, seed=800, exact=True)
+    return top_m_projector(cols, 30), 30, 0
+
+
+def _counts(stats):
+    return (stats.n_processed, stats.n_accepted, stats.n_duplicate, stats.n_rejected)
+
+
+class TestPool:
+    @pytest.mark.parametrize("case", [_exact_case, _sampled_case])
+    def test_matches_restarts_ascended_alone(self, case):
+        proj, m, seed = case()
+        w_ref, statuses, steps_ref = _reference_collect(proj, m, SpmConfig(), seed)
+        w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        assert _counts(stats) == (len(statuses), statuses.count("accepted"),
+                                  statuses.count("duplicate"), statuses.count("rejected"))
+        assert np.max(np.abs(w_hat - w_ref)) <= 1e-12
+        assert all(k <= k_ref for k, k_ref in zip(stats.steps, steps_ref))
+
+    def test_stopped_restart_is_a_duplicate_with_fewer_steps(self, caplog):
+        proj, m, seed = _sampled_case()
+        _, statuses, steps_ref = _reference_collect(proj, m, SpmConfig(), seed)
+        with caplog.at_level("DEBUG", logger="netrecover.spm"):
+            _, stats = collect_weights(proj, m, SpmConfig(), seed)
+        stopped = [int(r.args[0]) for r in caplog.records if r.args and r.args[-1] == "stopped early"]
+        assert stopped
+        for idx in stopped:
+            assert statuses[idx] == "duplicate"
+            assert stats.steps[idx] < steps_ref[idx]
+        assert f"{len(stopped)} of them stopped early" in caplog.text
+
+    def test_pool_width_does_not_change_the_result(self, monkeypatch):
+        proj, m, seed = _sampled_case()
+        runs = []
+        for width in (1, 7, 64):
+            monkeypatch.setattr(spm, "_POOL", width)
+            runs.append(collect_weights(proj, m, SpmConfig(), seed))
+        for w_hat, stats in runs[1:]:
+            assert _counts(stats) == _counts(runs[0][1])
+            assert np.max(np.abs(w_hat - runs[0][0])) <= 1e-12
+
+    def test_max_steps_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            SpmConfig(max_steps=0)
