@@ -106,6 +106,17 @@ class Activation:
         """Return g^(n) for n in 0..3."""
         return (self.g, self.g1, self.g2, self.g3)[n]
 
+    def g_and_g1(self, x):
+        """``(g(x), g'(x))``, bit-equal to the two calls.  The built-in kinds share
+        one tanh or expit; a g or g1 swapped in by dataclasses.replace is called."""
+        if self.g is _tanh_g and self.g1 is _tanh_g1:
+            t = np.tanh(x)
+            return t, 1.0 - t * t
+        if self.g is _sigmoid_g and self.g1 is _sigmoid_g1:
+            s = expit(x)
+            return s, s * (1.0 - s)
+        return self.g(x), self.g1(x)
+
 
 def _grid_kappa(g1, g2, g3) -> float:
     x = np.linspace(-_KAPPA_GRID_HALFWIDTH, _KAPPA_GRID_HALFWIDTH, _KAPPA_GRID_POINTS)

@@ -74,8 +74,9 @@ def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
             idx = perm[lo:lo + batch]
             xb = xs[idx]
             pre = xb @ weights + tau
-            resid = np.sum(act.g(pre), axis=1) - ys[idx]
-            gp = act.g1(pre) * resid[:, None]
+            g, g1 = act.g_and_g1(pre)
+            resid = np.sum(g, axis=1) - ys[idx]
+            gp = g1 * resid[:, None]
             weights -= (_LR / idx.size) * (xb.T @ gp)
             tau -= (_LR / idx.size) * gp.sum(axis=0)
             weights /= np.linalg.norm(weights, axis=0)

@@ -37,8 +37,9 @@ __all__ = [
     "init_shift_error_bound",
 ]
 
-# held-out inputs drawn and evaluated per block by match_and_score
-_EVAL_CHUNK = 8192
+# held-out inputs drawn and evaluated per block by match_and_score; at
+# m ~ 100 a block's (rows, m) temporaries stay under a megabyte, near cache
+_EVAL_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------

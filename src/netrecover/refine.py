@@ -33,6 +33,9 @@ _DIVERGENCE_PATIENCE = 50
 _METHODS = ("gd", "gn")
 # Gauss-Newton stops once an iteration lowers the loss by less than this share
 _GN_MIN_SHRINK = 1e-3
+# a mini-batch run's per-epoch loss record evaluates g on row blocks of about
+# this size, as TeacherNetwork.eval_stencil does, instead of n_train x m arrays
+_RECORD_BLOCK_BYTES = 1 << 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +87,22 @@ class RefineResult:
 
 def _residual(act, pre, ys) -> np.ndarray:
     """Prediction minus target for preactivations ``pre`` (n, m)."""
-    return np.sum(act.g(pre), axis=1) - ys
+    return np.add.reduce(act.g(pre), axis=1) - ys
+
+
+def _residual_and_slope(act, pre, ys):
+    """:func:`_residual` and g'(pre), from one evaluation of the activation."""
+    g, g1 = act.g_and_g1(pre)
+    return np.add.reduce(g, axis=1) - ys, g1
+
+
+def _residual_in_blocks(act, z, tau, ys) -> np.ndarray:
+    """:func:`_residual` at ``z + tau``, row block by row block."""
+    resid = np.empty_like(ys)
+    rows = max(1, _RECORD_BLOCK_BYTES // (8 * z.shape[1]))
+    for lo in range(0, z.shape[0], rows):
+        resid[lo:lo + rows] = _residual(act, z[lo:lo + rows] + tau, ys[lo:lo + rows])
+    return resid
 
 
 def _half_mse(resid) -> float:
@@ -92,9 +110,9 @@ def _half_mse(resid) -> float:
     return 0.5 * float(np.sum(resid ** 2)) / resid.size
 
 
-def _grad(act, pre, resid) -> np.ndarray:
-    """Gradient of :func:`_half_mse` of the residual with respect to the shifts."""
-    return (act.g1(pre).T @ resid) / resid.size
+def _grad(slope, resid) -> np.ndarray:
+    """Gradient of :func:`_half_mse` of the residual in the shifts; slope = g'(pre)."""
+    return (slope.T @ resid) / resid.size
 
 
 def _sample_terms(student: StudentNetwork, xs, ys):
@@ -117,7 +135,7 @@ def loss(student: StudentNetwork, xs, ys) -> float:
 def grad_loss(student: StudentNetwork, xs, ys) -> np.ndarray:
     """Exact gradient of :func:`loss` with respect to the shifts."""
     pre, resid = _sample_terms(student, xs, ys)
-    return _grad(student.act, pre, resid)
+    return _grad(student.act.g1(pre), resid)
 
 
 def power_iteration_lmax(mat: np.ndarray, iters: int = 200, seed: int = 0) -> float:
@@ -162,12 +180,18 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     runs, one epoch for mini-batch runs -- and a last one where the step
     budget runs out mid-epoch.  Stopping is decided at records only.
     ``audit_grad`` applies to gradient descent only.
+
+    A mini-batch epoch copies the sample once in its permuted order and
+    slices each batch from that copy; its record evaluates the loss in row
+    blocks of about 256 KiB.  Both are bit-equal to per-batch gathers and a
+    full-sample pass.
     """
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((cfg.n_train, student.dim))
     ys = teacher.eval_batch(xs)
     act = student.act
     z = xs @ student.weights  # shifts enter additively; cache the linear part
+    del xs
     tau = np.array(student.shifts, dtype=float)
     truth = None if tau_truth is None else np.asarray(tau_truth, dtype=float)
     if cfg.method == "gn":
@@ -189,11 +213,13 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
     step = 0
     while True:
-        pre = z + tau
-        resid = _residual(act, pre, ys)
+        if full_batch:
+            resid, slope = _residual_and_slope(act, z + tau, ys)
+        else:
+            resid = _residual_in_blocks(act, z, tau, ys)
         j = _half_mse(resid)
         if audit_grad and len(records) % 100 == 99:
-            _audit_gradient(act, z, tau, ys, _grad(act, pre, resid))
+            _audit_gradient(act, z, tau, ys, _grad(act.g1(z + tau), resid))
         records.append(tau.copy())
         rec_steps.append(step)
         losses.append(j)
@@ -228,17 +254,18 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
 
         if full_batch:
             # one step, from the g and g' of the record just taken
-            tau -= lr * _grad(act, pre, resid)
+            tau -= lr * _grad(slope, resid)
             step += 1
         else:
+            # one permuted copy per epoch; each batch is a slice of it
             perm = rng.permutation(cfg.n_train)
+            z_perm, ys_perm = z[perm], ys[perm]
             for lo in range(0, cfg.n_train, cfg.batch):
-                idx = perm[lo:lo + cfg.batch]
-                pre = z[idx] + tau
-                resid = _residual(act, pre, ys[idx])
+                hi = lo + cfg.batch
+                resid, slope = _residual_and_slope(act, z_perm[lo:hi] + tau, ys_perm[lo:hi])
                 # (lr * sum) / size, not lr * mean: the two round
                 # differently, and the pinned trajectories use this order
-                tau -= lr * (act.g1(pre).T @ resid) / idx.size
+                tau -= lr * (slope.T @ resid) / resid.size
                 step += 1
                 if step >= cfg.max_steps:
                     break
@@ -278,8 +305,8 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
     """
     act = student.act
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
-    pre = z + tau
-    resid = _residual(act, pre, ys)
+    # g' of the current iterate comes with its residual, for the next solve
+    resid, slope = _residual_and_slope(act, z + tau, ys)
     j = _half_mse(resid)
     records, losses = [tau], [j]
     floor = _half_mse(np.finfo(float).eps * ys)
@@ -291,13 +318,12 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
         if deadline is not None and time.monotonic() > deadline:
             stop_reason = "timeout"
             break
-        cand = tau - np.linalg.lstsq(act.g1(pre), resid, rcond=None)[0]
-        pre_c = z + cand
-        resid_c = _residual(act, pre_c, ys)
+        cand = tau - np.linalg.lstsq(slope, resid, rcond=None)[0]
+        resid_c, slope_c = _residual_and_slope(act, z + cand, ys)
         j_c = _half_mse(resid_c)
         shrank = j_c < (1.0 - _GN_MIN_SHRINK) * j
         if j_c < j:
-            tau, pre, resid, j = cand, pre_c, resid_c, j_c
+            tau, slope, resid, j = cand, slope_c, resid_c, j_c
             records.append(tau)
             losses.append(j)
         if not shrank:

@@ -1,5 +1,6 @@
 """Activation derivatives, interval constants, and g'' inversion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +65,36 @@ class TestDerivativeConsistency:
         x = np.linspace(-10, 10, 5000)
         for n in (1, 2, 3):
             assert np.max(np.abs(act.derivative(n)(x))) <= act.kappa + 1e-12
+
+
+class TestGAndG1:
+    X = np.random.default_rng(1).uniform(-8, 8, size=(37, 5))
+
+    def custom_act(self):
+        return make_activation("custom", custom=dict(
+            g=np.arctan,
+            g1=lambda x: 1.0 / (1.0 + x * x),
+            g2=lambda x: -2.0 * x / (1.0 + x * x) ** 2,
+            g3=lambda x: (6.0 * x * x - 2.0) / (1.0 + x * x) ** 3,
+            tau_inf=0.5,
+        ))
+
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "custom"])
+    def test_bit_equal_to_separate_calls(self, kind):
+        act = self.custom_act() if kind == "custom" else make_activation(kind)
+        g, g1 = act.g_and_g1(self.X)
+        assert np.array_equal(g, act.g(self.X))
+        assert np.array_equal(g1, act.g1(self.X))
+
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+    def test_follows_replaced_callables(self, kind):
+        base = make_activation(kind)
+        for field in ("g", "g1"):
+            act = dataclasses.replace(base, **{field: lambda x: 2.0 * np.cos(x)})
+            g, g1 = act.g_and_g1(self.X)
+            assert np.array_equal(g, act.g(self.X))
+            assert np.array_equal(g1, act.g1(self.X))
+            assert np.array_equal(g if field == "g" else g1, 2.0 * np.cos(self.X))
 
 
 class TestInvertG2:

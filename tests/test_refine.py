@@ -277,6 +277,52 @@ def test_pinned_trajectory(name):
     assert np.array_equal(res.tau_path[-1], res.student.shifts)
 
 
+def per_batch_gather_reference(student, teacher, cfg, seed):
+    """Mini-batch GD as a gather of each batch from the unpermuted sample, with
+    a full-sample loss record: records and losses of refine with stop_loss 0."""
+    act = student.act
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((cfg.n_train, student.dim))
+    ys = teacher.eval_batch(xs)
+    z = xs @ student.weights
+    tau = np.array(student.shifts, dtype=float)
+    path, losses, step = [], [], 0
+    while True:
+        resid = np.sum(act.g(z + tau), axis=1) - ys
+        path.append(tau.copy())
+        losses.append(0.5 * float(np.sum(resid ** 2)) / resid.size)
+        if step >= cfg.max_steps:
+            return np.array(path), np.array(losses)
+        perm = rng.permutation(cfg.n_train)
+        for lo in range(0, cfg.n_train, cfg.batch):
+            idx = perm[lo:lo + cfg.batch]
+            pre = z[idx] + tau
+            resid = np.sum(act.g(pre), axis=1) - ys[idx]
+            tau -= cfg.lr * (act.g1(pre).T @ resid) / idx.size
+            step += 1
+            if step >= cfg.max_steps:
+                break
+
+
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("n_train, batch, max_steps", [
+    (600, 64, 300),    # 9 full batches and one of 24 per epoch; ends on an epoch
+    (600, 37, 340),    # 16 batches of 37 and one of 8
+    (600, 64, 297),    # the step budget ends mid-epoch
+    (7000, 64, 250),   # the loss record spans two row blocks
+])
+def test_minibatch_matches_per_batch_gather(kind, n_train, batch, max_steps):
+    net = random_teacher(8, 5, seed=304, act=make_activation(kind))
+    student = perturbed_student(net, 0.1, seed=22)
+    cfg = RefineConfig(n_train=n_train, lr=1e-2, batch=batch, max_steps=max_steps,
+                       stop_loss=0.0, timeout_s=None)
+    res = refine(student, net, cfg, seed=122)
+    path, losses = per_batch_gather_reference(student, net, cfg, seed=122)
+    assert res.steps == max_steps
+    assert np.array_equal(res.tau_path, path)
+    assert np.array_equal(res.losses, losses)
+
+
 class TestGaussNewton:
     def gn_config(self, **kw):
         return RefineConfig(**{"n_train": 200, "method": "gn", "stop_loss": 0.0,
