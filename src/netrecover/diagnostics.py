@@ -21,7 +21,7 @@ from .activations import Activation
 from .exceptions import ConfigError
 from .numdiff import FDConfig
 from .subspace import build_hessian_matrix
-from .teacher import StudentNetwork, TeacherNetwork
+from .teacher import StudentNetwork, TeacherNetwork, block_rows
 
 __all__ = [
     "IncoherenceReport",
@@ -36,10 +36,6 @@ __all__ = [
     "match_and_score",
     "init_shift_error_bound",
 ]
-
-# held-out inputs drawn and evaluated per block by match_and_score; at
-# m ~ 100 a block's (rows, m) temporaries stay under a megabyte, near cache
-_EVAL_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +237,8 @@ def match_and_score(recovered: StudentNetwork, truth: TeacherNetwork,
 
     The held-out uniform error is evaluated on ``n_eval`` fresh Gaussian
     inputs (these queries are evaluation cost, not algorithm cost), drawn
-    and evaluated in blocks of ``_EVAL_CHUNK`` rows from one generator, which
-    reproduces the inputs of a single draw.  The weight-error functionals
+    and evaluated in blocks of ``block_rows(m)`` rows from one generator,
+    which reproduces the inputs of a single draw.  The weight-error functionals
     are computed after sign/permutation alignment with unit constants.
     """
     if recovered.dim != truth.dim or recovered.n_neurons != truth.n_neurons:
@@ -256,8 +252,9 @@ def match_and_score(recovered: StudentNetwork, truth: TeacherNetwork,
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for lo in range(0, n_eval, _EVAL_CHUNK):
-        xs = rng.standard_normal((min(_EVAL_CHUNK, n_eval - lo), d))
+    rows = block_rows(m)
+    for lo in range(0, n_eval, rows):
+        xs = rng.standard_normal((min(rows, n_eval - lo), d))
         worst = max(worst, float(np.max(np.abs(truth.eval_batch(xs)
                                                - recovered.eval_batch(xs)))))
     e_inf = worst / m

@@ -10,11 +10,11 @@ The Hessian's stencil rows are laid out once, by :func:`hessian_stencil`,
 and :func:`fd_hessian` reads their values from a stencil function
 ``f(x, h)``.  :func:`at_stencil_points` makes one from any batch function
 ``f(points) -> values`` of the (2D^2 + 1, D) stencil points;
-``TeacherNetwork.eval_stencil`` is one that builds the preactivations of
-those points directly and never forms them.  Directional derivatives call
-a batch function once.  Query counts are exactly 2D^2 + 1 for the Hessian
-and 2/3/4 for directional derivatives of order 1/2/3; the function that
-serves the values counts them.
+``TeacherNetwork.stencil_function(h)`` returns one that builds the
+preactivations of those points directly and never forms them.  Directional
+derivatives call a batch function once.  Query counts are exactly 2D^2 + 1
+for the Hessian and 2/3/4 for directional derivatives of order 1/2/3; the
+function that serves the values counts them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,10 @@ def hessian_stencil(base, steps) -> np.ndarray:
     ``steps = h I`` the rows are the stencil points ``x +- h e_i +- h e_j``;
     with ``base = x W + tau`` and ``steps = h W`` they are the
     preactivations of those points in a shallow network, built by additions
-    of contiguous blocks, O(D^2 k) work.
+    of contiguous blocks, O(D^2 k) work.  It is also used with ``base = 0``:
+    the rows are then offsets, ``+- s steps[i] + t steps[j]``, that depend on
+    the steps only, and adding one base to every row gives the stencil at
+    that base, equal to the rows built from it up to round-off.
     """
     base = np.asarray(base, dtype=float)
     steps = np.asarray(steps, dtype=float)

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .exceptions import ConfigError, DivergenceError
-from .teacher import StudentNetwork
+from .teacher import StudentNetwork, block_rows
 
 __all__ = ["RefineConfig", "RefineResult", "loss", "grad_loss", "power_iteration_lmax",
            "refine"]
@@ -33,9 +33,6 @@ _DIVERGENCE_PATIENCE = 50
 _METHODS = ("gd", "gn")
 # Gauss-Newton stops once an iteration lowers the loss by less than this share
 _GN_MIN_SHRINK = 1e-3
-# a mini-batch run's per-epoch loss record evaluates g on row blocks of about
-# this size, as TeacherNetwork.eval_stencil does, instead of n_train x m arrays
-_RECORD_BLOCK_BYTES = 1 << 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,7 +96,7 @@ def _residual_and_slope(act, pre, ys):
 def _residual_in_blocks(act, z, tau, ys) -> np.ndarray:
     """:func:`_residual` at ``z + tau``, row block by row block."""
     resid = np.empty_like(ys)
-    rows = max(1, _RECORD_BLOCK_BYTES // (8 * z.shape[1]))
+    rows = block_rows(z.shape[1])
     for lo in range(0, z.shape[0], rows):
         resid[lo:lo + rows] = _residual(act, z[lo:lo + rows] + tau, ys[lo:lo + rows])
     return resid

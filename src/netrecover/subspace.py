@@ -139,10 +139,12 @@ def build_hessian_matrix(net, n_hessians: int, cfg: FDConfig | None, seed: int,
     """Half-vectorized Hessians of the network at Gaussian anchor points.
 
     Returns ``(columns, anchors, n_queries)`` where ``columns`` is
-    ``(half_dim(D), n_hessians)``.  In finite-difference mode each Hessian
-    costs 2 D^2 + 1 network queries, counted by ``net.eval_stencil``;
-    ``exact=True`` switches to the analytic oracle (zero queries, tallied
-    separately by the network).
+    ``(half_dim(D), n_hessians)``.  In finite-difference mode one stencil
+    function, ``net.stencil_function(cfg.step_h)``, serves every anchor's
+    :func:`fd_hessian` call, so the stencil's preactivation offsets are built
+    once per stage; each Hessian costs 2 D^2 + 1 network queries, counted by
+    that function.  ``exact=True`` switches to the analytic oracle (zero
+    queries, tallied separately by the network).
     """
     if n_hessians < 1:
         raise ConfigError("n_hessians must be positive")
@@ -156,11 +158,12 @@ def build_hessian_matrix(net, n_hessians: int, cfg: FDConfig | None, seed: int,
     anchors = rng.standard_normal((n_hessians, net.dim))
     cols = np.empty((half_dim(net.dim), n_hessians))
     before = net.query_count
+    stencil = None if exact else net.stencil_function(cfg.step_h)
     for i in range(n_hessians):
         if exact:
             h = net.analytic_hessian(anchors[i])
         else:
-            h = fd_hessian(net.eval_stencil, anchors[i], cfg)
+            h = fd_hessian(stencil, anchors[i], cfg)
         cols[:, i] = hvec(h)
     n_queries = net.query_count - before
     logger.info("built %d Hessian columns (%d queries)", n_hessians, n_queries)

@@ -3,11 +3,11 @@
 A teacher network is ``f(x) = sum_k g(<w_k, x> + tau_k)`` with unit-norm
 weight columns and bounded shifts.  All parameter access in the recovery
 pipeline goes through the counted evaluation oracle: ``eval_batch`` for
-given inputs and ``eval_stencil`` for the finite-difference Hessian's
-stencil points, which it evaluates without forming them.  The analytic
-derivative methods exist for tests and for the exact-derivative pipeline
-mode, and are tallied separately so the harness can verify the black-box
-budget.  Network files are read and written by :mod:`netrecover.fileio`.
+given inputs, and ``stencil_function(h)`` (or its one-shot form
+``eval_stencil``) for the finite-difference Hessian's stencil points, which
+it evaluates without forming them.  The analytic derivative methods exist
+for tests and for the exact-derivative pipeline mode, and are tallied
+separately so the harness can verify the black-box budget.  Network files are read and written by :mod:`netrecover.fileio`.
 """
 
 from __future__ import annotations
@@ -32,9 +32,15 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
-# eval_stencil applies g to row blocks of about this size: they stay in
-# cache, and g's temporaries reuse freed heap memory instead of fresh pages
-_STENCIL_CHUNK_BYTES = 1 << 18
+# g is applied to row blocks of about this many bytes (the stencil's rows,
+# refine's loss record, the scoring inputs): a block stays in cache, and g's
+# temporaries reuse freed heap memory instead of fresh pages
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` float64 entries that fit in ``BLOCK_BYTES``, at least one."""
+    return max(1, BLOCK_BYTES // (8 * width))
 
 
 class _Counter:
@@ -132,7 +138,7 @@ class TeacherNetwork(_ShallowNet):
     """The planted model with a counted black-box query oracle.
 
     ``query_count`` counts scalar f-evaluations served through ``eval``,
-    ``eval_batch`` and ``eval_stencil``, one per point.  The analytic
+    ``eval_batch`` and the stencil functions, one per point.  The analytic
     derivative oracles increment ``oracle_count`` instead.  The shifts must
     lie in the activation's admissible interval ``[-tau_inf, tau_inf]``.
     ``n_shifts_clamped`` counts the sampled shifts that were clamped into it.
@@ -170,22 +176,40 @@ class TeacherNetwork(_ShallowNet):
         self._queries.add(vals.shape[0])
         return vals
 
+    def stencil_function(self, h: float):
+        """The stencil function of :func:`netrecover.numdiff.fd_hessian` at step h.
+
+        The preactivations of the stencil points ``x +- h e_i +- h e_j`` are
+        ``(x W + tau) + O`` with the offsets ``O = hessian_stencil(0, h W)``,
+        which depend on W and h only.  O is built once, here; each call
+        ``f(x, h)`` adds ``x W + tau`` to one block of O rows at a time and
+        sums g over each row, for the 2D^2 + 1 values in the row order of
+        :func:`~netrecover.numdiff.hessian_stencil`, one query each.
+        """
+        offsets = hessian_stencil(np.zeros(self.n_neurons), h * self.weights)
+        n_rows = offsets.shape[0]
+        rows = block_rows(self.n_neurons)
+        ones = np.ones(self.n_neurons)
+
+        def f(x, step: float) -> np.ndarray:
+            if step != h:
+                raise ConfigError(f"stencil function built for step {h}, called with {step}")
+            base = self._preactivations(self._input(x))
+            vals = np.empty(n_rows)
+            for lo in range(0, n_rows, rows):
+                vals[lo:lo + rows] = self.act.g(offsets[lo:lo + rows] + base) @ ones
+            self._queries.add(n_rows)
+            return vals
+
+        return f
+
     def eval_stencil(self, x, h: float) -> np.ndarray:
         """Values at the 2D^2 + 1 Hessian stencil points around x, one query each.
 
-        The stencil function of :func:`netrecover.numdiff.fd_hessian`: the
-        preactivations of ``x +- h e_i +- h e_j`` are ``(x W + tau) +- h W_i
-        +- h W_j``, so :func:`~netrecover.numdiff.hessian_stencil` builds them
-        by additions, in its row order, without the (2D^2 + 1) x D x m
-        product of the stencil points with W.
+        A one-shot call of :meth:`stencil_function`; callers that take many
+        Hessians at one step build that function once instead.
         """
-        pre = hessian_stencil(self._preactivations(self._input(x)), h * self.weights)
-        vals = np.empty(pre.shape[0])
-        rows = max(1, _STENCIL_CHUNK_BYTES // (8 * self.n_neurons))
-        for lo in range(0, pre.shape[0], rows):
-            vals[lo:lo + rows] = np.sum(self.act.g(pre[lo:lo + rows]), axis=1)
-        self._queries.add(vals.shape[0])
-        return vals
+        return self.stencil_function(h)(x, h)
 
     # -- analytic oracles (do not touch the query budget) ------------------
 

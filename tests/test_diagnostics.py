@@ -6,7 +6,7 @@ import pytest
 from netrecover import (ConfigError, FDConfig, StudentNetwork, check_incoherence,
                         estimate_alpha, kernel_floor_omega, make_activation,
                         match_and_score)
-from netrecover.diagnostics import _EVAL_CHUNK
+from netrecover.teacher import block_rows
 from conftest import random_teacher
 
 REL_TOL = 1e-9
@@ -79,7 +79,7 @@ class TestScoring:
         rng = np.random.default_rng(22)
         student = StudentNetwork(net.weights, net.shifts + 1e-3 * rng.standard_normal(5),
                                  net.act)
-        n_eval = 2 * _EVAL_CHUNK + 100  # two full blocks and a partial one
+        n_eval = 2 * block_rows(5) + 100  # two full blocks and a partial one
         met = match_and_score(student, net, n_eval=n_eval, seed=4)
         assert net.query_count == n_eval
         xs = np.random.default_rng(4).standard_normal((n_eval, 6))

@@ -9,7 +9,9 @@ from netrecover import (ConfigError, FDConfig, FDEvaluationError, TeacherNetwork
                         UniformShifts, at_stencil_points, build_hessian_matrix,
                         fd_directional, fd_hessian, make_activation, neuron_count,
                         sample_teacher)
+from netrecover import teacher
 from netrecover.numdiff import hessian_stencil
+from netrecover.subspace import hvec
 from conftest import random_teacher
 
 
@@ -108,17 +110,57 @@ class TestStructuredStencil:
         assert n_queries == net.query_count == n_h * (2 * d * d + 1)
         assert cols.shape == (d * (d + 1) // 2, n_h) and anchors.shape == (n_h, d)
 
-    def test_non_finite_value_raises_with_point(self, tanh_act):
+    def test_build_hessian_matrix_builds_offsets_once(self, monkeypatch):
+        calls = []
+
+        def counted(base, steps):
+            calls.append(1)
+            return hessian_stencil(base, steps)
+
+        monkeypatch.setattr(teacher, "hessian_stencil", counted)
+        net = random_teacher(5, 4, seed=24)
+        cfg = FDConfig(step_h=0.02)
+        build_hessian_matrix(net, 4, cfg, seed=5, exact=True)
+        assert calls == []
+        cols, anchors, _ = build_hessian_matrix(net, 4, cfg, seed=5)
+        assert len(calls) == 1
+        for col, anchor in zip(cols.T, anchors):
+            assert np.array_equal(col, hvec(fd_hessian(net.eval_stencil, anchor, cfg)))
+
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+    def test_uneven_blocks_match_default_blocks(self, kind, monkeypatch):
+        # D = 6: the 2 D^2 + 1 = 73 rows leave one row in the last 3-row block
+        dim, m = 6, 8
+        net = random_teacher(dim, m, seed=25, act=make_activation(kind))
+        x = np.random.default_rng(26).standard_normal(dim)
+        default = net.eval_stencil(x, 0.01)
+        monkeypatch.setattr(teacher, "BLOCK_BYTES", 3 * 8 * m)
+        assert teacher.block_rows(m) == 3
+        blocked = net.eval_stencil(x, 0.01)
+        # |g| <= 1 for both activations
+        assert np.max(np.abs(blocked - default)) <= m * np.finfo(float).eps
+
+    def test_non_finite_value_raises_with_point(self, tanh_act, monkeypatch):
         # one neuron along (e_0 + e_1) / sqrt(2): only x + h e_0 + h e_1
         # reaches the preactivation sqrt(2) h > 0.1 where g is not finite
         act = dataclasses.replace(
             tanh_act, g=lambda z: np.where(z > 0.1, np.nan, np.tanh(z)))
         w = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
         net = TeacherNetwork(w, np.zeros(1), act)
-        for f in (net.eval_stencil, at_stencil_points(net.eval_batch)):
-            with pytest.raises(FDEvaluationError) as err:
-                fd_hessian(f, np.zeros(3), FDConfig(step_h=0.1))
-            assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
+        # default blocks, then 3-row blocks that put that row in the third
+        for block_bytes in (teacher.BLOCK_BYTES, 3 * 8):
+            monkeypatch.setattr(teacher, "BLOCK_BYTES", block_bytes)
+            for f in (net.eval_stencil, at_stencil_points(net.eval_batch)):
+                with pytest.raises(FDEvaluationError) as err:
+                    fd_hessian(f, np.zeros(3), FDConfig(step_h=0.1))
+                assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
+
+    def test_stencil_function_checks_its_step(self):
+        net = random_teacher(3, 2, seed=27)
+        f = net.stencil_function(0.01)
+        with pytest.raises(ConfigError, match="step"):
+            f(np.zeros(3), 0.02)
+        assert net.query_count == 0
 
 
 class TestDirectional:

@@ -20,19 +20,19 @@ EXACT_COLUMNS = {
 }
 FLOAT_COLUMNS = {
     "fd_step": 0.01,
-    "e_inf": 3.5169081705327824e-06,
-    "max_weight_err": 5.242585440974693e-06,
-    "shift_rms": 3.580035844234363e-06,
+    "e_inf": 3.516908889069124e-06,
+    "max_weight_err": 5.242584334600244e-06,
+    "shift_rms": 3.5800351995321704e-06,
     "sign_accuracy": 1.0,
-    "init_shift_rms": 3.530067741747146e-05,
-    "delta_w1": 0.00014851568339442587,
-    "delta_wo": 5.260943170328091e-10,
-    "delta_ws": 1.5604444989951058e-05,
-    "init_shift_bound": 0.00016579961799442652,
-    "eps_hat": 2.1420603846966646e-05,
-    "cond_g2": 5.757363027225491,
-    "cond_g3": 3.0037150616602424,
-    "final_loss": 4.7372971311236066e-11,
+    "init_shift_rms": 3.530067866946785e-05,
+    "delta_w1": 0.00014851564922162294,
+    "delta_wo": 5.260940546495993e-10,
+    "delta_ws": 1.5604442307865262e-05,
+    "init_shift_bound": 0.00016579959329944771,
+    "eps_hat": 2.142060218168762e-05,
+    "cond_g2": 5.75736302725681,
+    "cond_g3": 3.0037150616747037,
+    "final_loss": 4.737295108138665e-11,
     "query_ceiling_ratio": 0.05965758972584661,
 }
 REL_TOL = 1e-9
