@@ -6,6 +6,11 @@ back to unit columns after every update so the student stays inside the
 model class (a deviation from unconstrained SGD, logged as such).  The
 budget is wall-clock capped; epoch counts are reported as the
 hardware-neutral measure of training effort.
+
+The run goes through the pipeline's stage runner as three stages,
+``teacher``, ``refine`` (the joint SGD) and ``score``, so it writes
+``teacher.net``, ``result.csv`` and ``report.txt`` into ``cfg.out_dir``
+like the pipeline, and a failing stage raises :class:`StageError`.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ import time
 
 import numpy as np
 
-from .exceptions import StageError
-from .pipeline import (ExperimentResult, PipelineConfig, child_seed, score_stage,
-                       teacher_stage)
+from .pipeline import (ExperimentResult, PipelineConfig, _StageRunner, child_seed,
+                       score_stage)
 from .refine import loss
 from .teacher import StudentNetwork
 
@@ -27,36 +31,25 @@ __all__ = ["run_baseline_sgd"]
 logger = logging.getLogger(__name__)
 
 _LR = 5e-3                  # joint-SGD step size
+_BATCH = 64                 # joint-SGD mini-batch size
 _TRAIN_PER_M_D2 = 2.5       # training inputs per m D^2
 
 
-def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
-    """Fit a fresh student to the pipeline's teacher by joint SGD and score it."""
-    cfg.validate()
-    m = cfg.resolved_m()
-    result = ExperimentResult(
-        mode="baseline", dim=cfg.dim, beta_order=cfg.beta_order, m=m,
-        seed=cfg.seed, exact_mode=False, fd_step=cfg.fd_step,
-    )
-    try:
-        net = teacher_stage(cfg)
-    except Exception as exc:
-        raise StageError("teacher", exc) from exc
-    result.n_shifts_clamped = net.n_shifts_clamped
-    act = net.act
+def _joint_sgd(cfg: PipelineConfig, net):
+    """Train a fresh student on weights and shifts jointly.
 
+    Returns the student, the SGD step count, the stop reason and the loss
+    on the whole training sample after the last epoch.
+    """
+    m, act = net.n_neurons, net.act
     rng = np.random.default_rng(child_seed(cfg.seed, "baseline_student"))
     weights = rng.standard_normal((cfg.dim, m))
     weights /= np.linalg.norm(weights, axis=0)
     tau = np.zeros(m)
 
     n_train = math.ceil(_TRAIN_PER_M_D2 * m * cfg.dim ** 2)
-    batch = max(1, cfg.batch) if cfg.batch else 64
     logger.info("baseline: joint SGD, %d samples, batch %d, lr %g "
-                "(unit-column projection after each step)", n_train, batch, _LR)
-
-    t0 = time.perf_counter()
-    before = net.query_count
+                "(unit-column projection after each step)", n_train, _BATCH, _LR)
     xs = rng.standard_normal((n_train, cfg.dim))
     ys = net.eval_batch(xs)
     # a 2000-input draw that nothing reads; the epoch permutations below
@@ -70,8 +63,8 @@ def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
     full_loss = float("nan")
     for epoch in range(cfg.baseline_max_epochs):
         perm = rng.permutation(n_train)
-        for lo in range(0, n_train, batch):
-            idx = perm[lo:lo + batch]
+        for lo in range(0, n_train, _BATCH):
+            idx = perm[lo:lo + _BATCH]
             xb = xs[idx]
             pre = xb @ weights + tau
             g, g1 = act.g_and_g1(pre)
@@ -90,13 +83,17 @@ def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
         if deadline is not None and time.monotonic() > deadline:
             stop_reason = "timeout"
             break
-    result.stage_times["refine"] = time.perf_counter() - t0
-    result.stage_queries["refine"] = net.query_count - before
-    result.refine_steps = steps
-    result.refine_stop_reason = f"{stop_reason} ({epochs_done} epochs)"
-    result.final_loss = full_loss
-
     student = StudentNetwork(weights, tau, act)
-    result.metrics = score_stage(cfg, student, net)
+    return student, steps, f"{stop_reason} ({epochs_done} epochs)", full_loss
+
+
+def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
+    """Fit a fresh student to the pipeline's teacher by joint SGD and score it."""
+    stages = _StageRunner(cfg, "baseline")
+    result = stages.result
+    net = stages.teacher()
+    student, result.refine_steps, result.refine_stop_reason, result.final_loss = (
+        stages.run("refine", _joint_sgd, cfg, net))
+    result.metrics = stages.run("score", score_stage, cfg, student, net)
     result.sign_accuracy = float(np.mean(result.metrics.signs == 1))
-    return result
+    return stages.finish()

@@ -5,7 +5,9 @@ Subcommands mirror the pipeline stages (``generate``, ``recover-weights``,
 ``baseline``, ``study``) and ``diagnose``.  The stage subcommands call the
 pipeline's own stage functions, so for the same ``--seed`` they reproduce
 the artifacts of ``pipeline``: ``teacher.net``, ``weights.txt``,
-``init.txt`` and the loss column of ``trajectory.csv``.  Options can come
+``init.txt`` and the loss column of ``trajectory.csv``.  ``pipeline`` and
+``baseline`` both write ``result.csv`` and ``report.txt`` into
+``--out-dir``, also when a stage fails.  Options can come
 from a config file (one section per module, ``key = value``) with every key
 overridable by the flag of the same name.  Exit codes: 0 success, 2
 validation error, 3 stage failure.
@@ -71,7 +73,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--spm-steps", type=int)
     p.add_argument("--spm-beta", type=float)
     p.add_argument("--spm-restarts", type=int)
-    p.add_argument("--batch", type=int)
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--max-steps", type=int, dest="refine_max_steps")
     p.add_argument("--timeout-s", type=float, dest="timeout_s")
@@ -332,7 +333,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("baseline", help="joint-SGD teacher-student baseline")
+    p = sub.add_parser("baseline", help="joint-SGD teacher-student baseline; writes "
+                                        "result.csv and report.txt like pipeline")
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_baseline)
 

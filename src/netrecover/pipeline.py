@@ -4,11 +4,12 @@ Each stage is a module-level function of the run's :class:`PipelineConfig`
 that owns the stage's decisions (its seed, derived from the master seed with
 a counter scheme so concurrency or stage reordering can never change
 results; its finite-difference step; its budget defaults) and writes its
-artifact when given a path.  :func:`run_pipeline` chains them, tracks wall
-time and query counts per stage, and persists results after a failure so a
-run can be post-mortemed; the CLI stage subcommands call the same functions.
-The result CSV contains only deterministic fields; timings go to the
-human-readable report.
+artifact when given a path.  ``_StageRunner`` holds the wiring of a
+composed run, :func:`run_pipeline` or the SGD baseline: it times stages,
+counts their queries, and writes ``result.csv`` and ``report.txt`` at the
+end or after a failure, so a run can be post-mortemed.  The CLI stage
+subcommands call the same functions.  The result CSV contains only
+deterministic fields; timings go to the human-readable report.
 
 The shifts are refined by Gauss-Newton on a small fresh sample; the paper's
 gradient descent on m D^2 inputs stays available as
@@ -98,7 +99,6 @@ class PipelineConfig:
     n_hessians: int | None = None
     spm: SpmConfig = dataclasses.field(default_factory=SpmConfig)
     n_train: int | None = None      # None -> see refine_config
-    batch: int = 64                  # mini-batch size of the SGD baseline
     refine_max_steps: int = 200_000
     stop_loss: float = 1e-8
     timeout_s: float | None = 180.0
@@ -203,16 +203,20 @@ def init_stage(cfg: PipelineConfig, net, w_hat, path=None):
 
 
 def refine_stage(cfg: PipelineConfig, student, net, tau_truth=None, path=None):
-    """Shift refinement; the trajectory goes to ``path`` when given."""
+    """Shift refinement; the trajectory goes to ``path`` when given.
+
+    ``tau_truth``, the true shifts in the student's column order, adds a
+    ``shift_error`` column to it; refine itself never sees them.
+    """
     ref = refine(student, net, cfg.refine_config(cfg.resolved_m()),
-                 child_seed(cfg.seed, "refine"), tau_truth=tau_truth)
+                 child_seed(cfg.seed, "refine"))
     if path is not None:
         header = ["step", "loss"]
         rows = [[int(s), float(l)] for s, l in zip(ref.record_steps, ref.losses)]
-        if ref.shift_errors is not None:
+        if tau_truth is not None:
             header.append("shift_error")
-            for row, e in zip(rows, ref.shift_errors):
-                row.append(float(e))
+            for row, tau in zip(rows, ref.tau_path):
+                row.append(float(np.linalg.norm(tau - tau_truth)))
         fileio.write_csv(path, header, rows)
     return ref
 
@@ -340,31 +344,74 @@ class ExperimentResult:
         fileio.write_lines(path, lines)
 
 
-class _StageRunner:
-    """Times stages, snapshots query counts, and wraps failures."""
+def _new_result(cfg: PipelineConfig, mode: str, **fields) -> ExperimentResult:
+    """A result holding only the identity columns of a run of ``cfg``."""
+    return ExperimentResult(
+        mode=mode, dim=cfg.dim, beta_order=cfg.beta_order, m=cfg.resolved_m(),
+        seed=cfg.seed, fd_step=cfg.fd_step,
+        # the baseline takes no derivatives
+        exact_mode=cfg.exact_derivatives and mode == "pipeline", **fields,
+    )
 
-    def __init__(self, net_getter, result: ExperimentResult, on_fail):
-        self._net_getter = net_getter
-        self._result = result
-        self._on_fail = on_fail
+
+class _StageRunner:
+    """The wiring of one composed run, shared by every mode.
+
+    Validates the config, creates ``cfg.out_dir`` and starts the result
+    from the run's identity columns.  :meth:`run` times a stage, counts the
+    teacher's queries across it and wraps its failure in :class:`StageError`
+    after writing ``result.csv`` and ``report.txt``; :meth:`finish` writes
+    them at the end of the run.
+    """
+
+    def __init__(self, cfg: PipelineConfig, mode: str):
+        cfg.validate()
+        self.cfg = cfg
+        self.result = _new_result(cfg, mode)
+        self.net = None
+        self._out_dir = Path(cfg.out_dir) if cfg.out_dir else None
+        if self._out_dir:
+            self._out_dir.mkdir(parents=True, exist_ok=True)
+
+    def artifact(self, name):
+        """Path of artifact ``name`` in the output directory, if there is one."""
+        return self._out_dir / name if self._out_dir else None
+
+    def teacher(self):
+        """The teacher stage; the queries of later stages are counted on its network."""
+        self.net = self.run("teacher", teacher_stage, self.cfg, self.artifact("teacher.net"))
+        self.result.n_shifts_clamped = self.net.n_shifts_clamped
+        return self.net
 
     def run(self, name, fn, *args):
-        net = self._net_getter()
+        """Stage ``name``: returns ``fn(*args)``, or raises :class:`StageError`."""
+        net, result = self.net, self.result
         before = net.query_count if net is not None else 0
         t0 = time.perf_counter()
         try:
             out = fn(*args)
         except Exception as exc:
-            self._result.stage_times[name] = time.perf_counter() - t0
-            self._result.error = f"{name}: {exc}"
-            self._on_fail()
+            result.stage_times[name] = time.perf_counter() - t0
+            result.error = f"{name}: {exc}"
+            self._write()
             raise StageError(name, exc) from exc
-        self._result.stage_times[name] = time.perf_counter() - t0
-        after = net.query_count if net is not None else 0
-        self._result.stage_queries[name] = after - before
-        logger.info("stage %-10s %.3f s, %d queries", name,
-                    self._result.stage_times[name], after - before)
+        result.stage_times[name] = dt = time.perf_counter() - t0
+        result.stage_queries[name] = q = (net.query_count if net is not None else 0) - before
+        logger.info("stage %-10s %.3f s, %d queries", name, dt, q)
         return out
+
+    def finish(self) -> ExperimentResult:
+        result = self.result
+        result.oracle_count = self.net.oracle_count
+        if result.query_ceiling_ratio > 1.0:
+            logger.warning("query budget exceeded: ratio %.3f", result.query_ceiling_ratio)
+        self._write()
+        return result
+
+    def _write(self):
+        if self._out_dir:
+            self.result.write_result_csv(self._out_dir / "result.csv")
+            self.result.write_report(self._out_dir / "report.txt")
 
 
 def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
@@ -376,36 +423,14 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
     writes its artifact into ``cfg.out_dir`` as it finishes.  Raises
     :class:`StageError` on failure after writing the result and report.
     """
-    cfg.validate()
-    m = cfg.resolved_m()
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def artifact(name):
-        return out_dir / name if out_dir else None
-
-    result = ExperimentResult(
-        mode="pipeline", dim=cfg.dim, beta_order=cfg.beta_order, m=m,
-        seed=cfg.seed, exact_mode=cfg.exact_derivatives, fd_step=cfg.fd_step,
-    )
-
-    def write_result():
-        if out_dir:
-            result.write_result_csv(out_dir / "result.csv")
-            result.write_report(out_dir / "report.txt")
-
-    net = None
-    stages = _StageRunner(lambda: net, result, write_result)
-    net = stages.run("teacher", teacher_stage, cfg, artifact("teacher.net"))
-    result.n_shifts_clamped = net.n_shifts_clamped
+    stages = _StageRunner(cfg, "pipeline")
+    result, artifact, m = stages.result, stages.artifact, stages.result.m
+    net = stages.teacher()
     cols, result.eps_hat = stages.run("hessians", hessian_stage, cfg, net)
     proj = stages.run("projector", projector_stage, cfg, cols, artifact("spectrum.csv"))
     w_hat, stats = stages.run("spm", spm_stage, cfg, proj, artifact("weights.txt"))
-    result.spm_processed = stats.n_processed
-    result.spm_accepted = stats.n_accepted
-    result.spm_duplicate = stats.n_duplicate
-    result.spm_rejected = stats.n_rejected
+    result.spm_processed, result.spm_accepted = stats.n_processed, stats.n_accepted
+    result.spm_duplicate, result.spm_rejected = stats.n_duplicate, stats.n_rejected
     init_res = stages.run("init", init_stage, cfg, net, w_hat, artifact("init.txt"))
     result.cond_g2, result.cond_g3 = init_res.cond_g2, init_res.cond_g3
 
@@ -429,11 +454,7 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
     result.final_loss = float(ref.losses[-1])
 
     result.metrics = stages.run("score", score_stage, cfg, ref.student, net)
-    result.oracle_count = net.oracle_count
-    if result.query_ceiling_ratio > 1.0:
-        logger.warning("query budget exceeded: ratio %.3f", result.query_ceiling_ratio)
-    write_result()
-    return result
+    return stages.finish()
 
 
 def run_scaling_study(grid: list[PipelineConfig], repetitions: int,
@@ -457,12 +478,7 @@ def run_scaling_study(grid: list[PipelineConfig], repetitions: int,
             try:
                 res = run_pipeline(cfg)
             except StageError as exc:
-                res = ExperimentResult(
-                    mode="pipeline", dim=cfg.dim, beta_order=cfg.beta_order,
-                    m=cfg.resolved_m(), seed=cfg.seed,
-                    exact_mode=cfg.exact_derivatives, fd_step=cfg.fd_step,
-                    error=str(exc),
-                )
+                res = _new_result(cfg, "pipeline", error=str(exc))
                 logger.warning("study cell %d rep %d failed: %s", cell_idx, rep, exc)
             rows.append(res.csv_row() + [res.stage_times.get(n, float("nan"))
                                          for n in STAGES])

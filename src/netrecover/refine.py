@@ -75,11 +75,9 @@ class RefineResult:
     tau_path: np.ndarray        # recorded shift iterates, (n_records, m)
     record_steps: np.ndarray    # descent-step index of each record
     losses: np.ndarray          # full-sample loss at each record
-    shift_errors: np.ndarray | None  # ||tau_hat - tau||_2 at each record
     steps: int
     stop_reason: str
     lr: float
-    lmax: float | None
 
 
 def _residual(act, pre, ys) -> np.ndarray:
@@ -158,7 +156,7 @@ def _kernel_lmax(act, pre, seed: int) -> float:
 
 
 def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
-           tau_truth=None, audit_grad: bool = False) -> RefineResult:
+           audit_grad: bool = False) -> RefineResult:
     """Minimize the least-squares objective over the shifts.
 
     Draws ``n_train`` fresh Gaussian inputs, queries the teacher for targets
@@ -170,8 +168,6 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     its running best for 50 consecutive records, the run aborts with a
     step-size diagnostic.  Gauss-Newton is described at :func:`_gauss_newton`.
 
-    ``tau_truth``, when given, must already be aligned with the student's
-    column order; the distance to it is recorded alongside the loss.
     A record (shifts, full-sample loss, step index) is taken at the starting
     shifts and after each pass over the data -- one step for full-batch
     runs, one epoch for mini-batch runs -- and a last one where the step
@@ -190,12 +186,10 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     z = xs @ student.weights  # shifts enter additively; cache the linear part
     del xs
     tau = np.array(student.shifts, dtype=float)
-    truth = None if tau_truth is None else np.asarray(tau_truth, dtype=float)
     if cfg.method == "gn":
-        return _gauss_newton(student, z, tau, ys, cfg, truth)
+        return _gauss_newton(student, z, tau, ys, cfg)
 
     lr = cfg.lr
-    lmax = None
     if cfg.lr_auto:
         lmax = _kernel_lmax(act, z + tau, seed)
         if lmax > 0:
@@ -203,7 +197,7 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
         logger.info("auto step size: lambda_max ~ %.4g -> lr = %.4g", lmax, lr)
 
     full_batch = cfg.batch == 0 or cfg.batch >= cfg.n_train
-    records, rec_steps, losses, errs = [], [], [], []
+    records, rec_steps, losses = [], [], []
     best = np.inf
     stall = 0
     stop_reason = "max_steps"
@@ -220,8 +214,6 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
         records.append(tau.copy())
         rec_steps.append(step)
         losses.append(j)
-        if truth is not None:
-            errs.append(float(np.linalg.norm(tau - truth)))
         if j < best * (1.0 - 1e-12):
             best = j
             stall = 0
@@ -274,16 +266,13 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
         tau_path=np.array(records),
         record_steps=np.array(rec_steps, dtype=int),
         losses=np.array(losses),
-        shift_errors=np.array(errs) if truth is not None else None,
         steps=step,
         stop_reason=stop_reason,
         lr=lr,
-        lmax=lmax,
     )
 
 
-def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
-                  truth) -> RefineResult:
+def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig) -> RefineResult:
     """Gauss-Newton on the shifts, from ``tau``, with ``z = xs @ W`` cached.
 
     Each iteration linearizes the residual as ``r + F delta``, F = g'(z + tau),
@@ -336,12 +325,9 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig,
         tau_path=np.array(records),
         record_steps=np.arange(steps + 1),
         losses=np.array(losses),
-        shift_errors=(None if truth is None else
-                      np.array([float(np.linalg.norm(t - truth)) for t in records])),
         steps=steps,
         stop_reason=stop_reason,
         lr=1.0,  # full Gauss-Newton steps
-        lmax=None,
     )
 
 

@@ -1,8 +1,12 @@
-"""Joint-SGD teacher-student baseline, pinned at a fixed seed."""
+"""Joint-SGD teacher-student baseline, pinned at a fixed seed, and run in full."""
+
+import csv
+import math
 
 import pytest
 
-from netrecover import PipelineConfig, run_baseline_sgd
+from netrecover import PipelineConfig, StageError, baseline, cli, run_baseline_sgd
+from netrecover.pipeline import RESULT_COLUMNS
 
 REL_TOL = 1e-9
 
@@ -26,7 +30,8 @@ def test_steps_and_stop_reason(result):
 
 
 def test_queries_are_the_training_sample(result):
-    assert result.stage_queries == {"refine": 1000}
+    # scoring queries n_eval held-out inputs; they are not algorithm queries
+    assert result.stage_queries == {"teacher": 0, "refine": 1000, "score": 2000}
     assert result.query_algorithm == 1000
 
 
@@ -46,3 +51,41 @@ def test_final_loss_and_metrics(result):
     assert met.permutation.tolist() == [0, 1, 2, 3]
     assert met.signs.tolist() == [1, -1, 1, 1]
     assert result.sign_accuracy == 0.75
+
+
+# D=6, beta=1.0: m = 3, 270 training inputs, 500 epochs of 5 steps
+CLI_RUN = ["baseline", "--d", "6", "--beta", "1.0", "--seed", "3", "--n-eval", "2000"]
+
+
+def read_result(out):
+    with open(out / "result.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    return header, dict(zip(header, row))
+
+
+def test_cli_run_writes_result_and_report(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main([*CLI_RUN, "--out-dir", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert report.startswith("baseline run: D=6 m=3 seed=3\n")
+    for name in ("teacher", "refine", "score"):
+        assert f"  {name} " in report
+    header, cell = read_result(out)
+    assert header == RESULT_COLUMNS
+    assert (cell["mode"], cell["m"], cell["error"]) == ("baseline", "3", "")
+    assert cell["q_refine"] == str(math.ceil(2.5 * 3 * 6 ** 2))
+
+
+def test_failed_stage_is_a_stage_error_with_its_result(tmp_path, monkeypatch):
+    def broken_score(*args):
+        raise RuntimeError("scoring broke")
+
+    monkeypatch.setattr(baseline, "score_stage", broken_score)
+    cfg = PipelineConfig(dim=6, beta_order=1.0, seed=3, baseline_max_epochs=1)
+    with pytest.raises(StageError) as err:
+        run_baseline_sgd(cfg)
+    assert err.value.stage == "score"
+
+    out = tmp_path / "run"
+    assert cli.main([*CLI_RUN, "--out-dir", str(out)]) == 3
+    assert read_result(out)[1]["error"] == "score: scoring broke"

@@ -110,7 +110,6 @@ conv_tol = 1e-10
 
 [refine]
 n_train = 1234
-batch = 16
 max_steps = 99
 stop_loss = 1e-9
 timeout_s = 12.5
@@ -120,14 +119,14 @@ FLAGS = ["--d", "12", "--m", "5", "--beta", "1.25", "--activation", "sigmoid",
          "--n-h", "40", "--n-eval", "500", "--seed", "9", "--out-dir", "somewhere",
          "--dump-spectrum", "--spm-gamma", "3.0", "--spm-steps", "77",
          "--spm-beta", "0.25", "--spm-restarts", "31", "--n-train", "1234",
-         "--batch", "16", "--max-steps", "99", "--timeout-s", "12.5"]
+         "--max-steps", "99", "--timeout-s", "12.5"]
 EXPECTED = PipelineConfig(
     dim=12, n_neurons=5, beta_order=1.25, activation="sigmoid",
     shift_law=GaussianShifts(0.1), fd_step=0.02, exact_derivatives=True,
     n_hessians=40, n_eval=500, seed=9, out_dir="somewhere", dump_spectrum=True,
     spm=SpmConfig(gamma=3.0, max_steps=77, beta=0.25, dedup_cos=0.995,
                   max_restarts=31, conv_tol=1e-10),
-    n_train=1234, batch=16, refine_max_steps=99, stop_loss=1e-9, timeout_s=12.5,
+    n_train=1234, refine_max_steps=99, stop_loss=1e-9, timeout_s=12.5,
 )
 
 
@@ -158,6 +157,7 @@ class TestConfig:
         "[spm]\nlr = 0.1\n",
         "[refine]\ngamma = 2\n",
         "[refine]\nmethod = newton\n",
+        "[refine]\nbatch = 16\n",
         "[pipeline]\nd = 10\nn_hessians = 20\n",
         "[pipeline]\nd = 10\n[extra]\nx = 1\n",
     ])

@@ -17,6 +17,11 @@ def perturbed_student(net, scale, seed):
     return StudentNetwork(net.weights.copy(), tau, net.act)
 
 
+def shift_errors(res, tau_truth):
+    """Distance of each recorded iterate to the true shifts."""
+    return np.array([np.linalg.norm(t - tau_truth) for t in res.tau_path])
+
+
 class TestLoss:
     def test_zero_at_truth(self):
         net = random_teacher(6, 5, seed=0)
@@ -107,8 +112,7 @@ class TestRefine:
             student = StudentNetwork(net.weights.copy(), tau0, net.act)
             cfg = RefineConfig(n_train=1200, lr=1e-3, batch=0, max_steps=10_000,
                                stop_loss=0.0, timeout_s=None, lr_auto=True)
-            res = refine(student, net, cfg, seed=seed, tau_truth=net.shifts)
-            errs = res.shift_errors
+            errs = shift_errors(refine(student, net, cfg, seed=seed), net.shifts)
             hits += errs[-1] <= 1e-6
             # geometric decrease while above the numerical floor
             above = errs[errs > 1e-12]
@@ -122,9 +126,10 @@ class TestRefine:
         student = perturbed_student(net, 0.05, seed=1)
         cfg = RefineConfig(n_train=1200, lr=1e-3, batch=0, max_steps=2000,
                            stop_loss=0.0, timeout_s=None)
-        res = refine(student, net, cfg, seed=2, tau_truth=net.shifts)
+        res = refine(student, net, cfg, seed=2)
+        errs = shift_errors(res, net.shifts)
         assert np.all(np.diff(res.losses) <= 1e-15)
-        assert res.shift_errors[-1] < res.shift_errors[0]
+        assert errs[-1] < errs[0]
 
     def test_descent_when_step_below_kernel_bound(self):
         # loss non-increasing when lr is strictly below 1 / lambda_max of the
@@ -153,9 +158,10 @@ class TestRefine:
         student = StudentNetwork(w, tau0, net.act)
         cfg = RefineConfig(n_train=1200, lr=1e-3, batch=0, max_steps=5000,
                            stop_loss=0.0, timeout_s=None, lr_auto=True)
-        res = refine(student, net, cfg, seed=6, tau_truth=net.shifts)
+        res = refine(student, net, cfg, seed=6)
+        errs = shift_errors(res, net.shifts)
         assert res.losses[-1] > 1e-12
-        assert 0 < res.shift_errors[-1] <= res.shift_errors[0]
+        assert 0 < errs[-1] <= errs[0]
 
     def test_divergence_guard_triggers(self):
         net = random_teacher(10, 12, seed=303)
@@ -333,13 +339,14 @@ class TestGaussNewton:
             net = random_teacher(10, 12, seed=400 + seed)
             student = perturbed_student(net, 0.1, seed=seed)
             before = net.query_count
-            res = refine(student, net, self.gn_config(), seed=seed, tau_truth=net.shifts)
+            res = refine(student, net, self.gn_config(), seed=seed)
+            errs = shift_errors(res, net.shifts)
             assert net.query_count - before == 200
             # quadratic convergence: 1e-10 within 5 steps; the loop ends
             # once the loss reaches the targets' rounding level
             assert res.steps <= 4
-            assert res.shift_errors[min(res.steps, 5)] <= 1e-10
-            assert res.shift_errors[-1] <= 1e-10
+            assert errs[min(res.steps, 5)] <= 1e-10
+            assert errs[-1] <= 1e-10
             assert np.all(np.diff(res.losses) < 0)
             assert res.record_steps.tolist() == list(range(res.steps + 1))
             assert np.array_equal(res.tau_path[-1], res.student.shifts)
