@@ -52,9 +52,6 @@ def _joint_sgd(cfg: PipelineConfig, net):
                 "(unit-column projection after each step)", n_train, _BATCH, _LR)
     xs = rng.standard_normal((n_train, cfg.dim))
     ys = net.eval_batch(xs)
-    # a 2000-input draw that nothing reads; the epoch permutations below
-    # come from the same stream, so removing it would change every run
-    rng.standard_normal((2000, cfg.dim))
 
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
     epochs_done = 0

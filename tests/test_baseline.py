@@ -36,15 +36,15 @@ def test_queries_are_the_training_sample(result):
 
 
 def test_final_loss_and_metrics(result):
-    assert result.final_loss == pytest.approx(0.3095168079679537, rel=REL_TOL)
+    assert result.final_loss == pytest.approx(0.30926737076504834, rel=REL_TOL)
     met = result.metrics
     expected = {
-        "e_inf": 0.7252070593495025,
-        "max_weight_err": 1.3852306034762003,
-        "shift_rms": 0.2215218301771066,
-        "delta_w1": 6.774582277122544,
-        "delta_wo": 4.442895661686514,
-        "delta_ws": 1.7799225394369071,
+        "e_inf": 0.7253962884461107,
+        "max_weight_err": 1.3850164408771768,
+        "shift_rms": 0.2214877254385524,
+        "delta_w1": 6.773004562705489,
+        "delta_wo": 4.446422508220388,
+        "delta_ws": 1.7788722817667642,
     }
     for name, value in expected.items():
         assert getattr(met, name) == pytest.approx(value, rel=REL_TOL), name
