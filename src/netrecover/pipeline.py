@@ -402,13 +402,14 @@ class _StageRunner:
 
     def finish(self) -> ExperimentResult:
         result = self.result
-        result.oracle_count = self.net.oracle_count
         if result.query_ceiling_ratio > 1.0:
             logger.warning("query budget exceeded: ratio %.3f", result.query_ceiling_ratio)
         self._write()
         return result
 
     def _write(self):
+        if self.net is not None:
+            self.result.oracle_count = self.net.oracle_count
         if self._out_dir:
             self.result.write_result_csv(self._out_dir / "result.csv")
             self.result.write_report(self._out_dir / "report.txt")

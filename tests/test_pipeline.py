@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from netrecover import ConfigError, PipelineConfig, run_pipeline, run_scaling_study
+from netrecover import (ConfigError, PipelineConfig, StageError, run_pipeline,
+                        run_scaling_study)
 from netrecover.pipeline import RESULT_COLUMNS
 
 # D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv
@@ -107,6 +108,22 @@ class TestFixedSeedRun:
         assert text.startswith("pipeline run: D=10 m=13 seed=7\n")
         for name in STAGE_NAMES:
             assert f"  {name} " in text
+
+
+class TestFailedRun:
+    def test_result_and_report_written(self, tmp_path):
+        # fewer Hessians than neurons: the projector stage fails
+        cfg = PipelineConfig(dim=10, n_neurons=13, n_hessians=5, out_dir=tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(StageError):
+                run_pipeline(cfg)
+        header, row = read_csv(tmp_path / "result.csv")
+        assert dict(zip(header, row))["error"] == (
+            "projector: need at least m = 13 columns, got 5")
+        report = (tmp_path / "report.txt").read_text()
+        # the hessians stage probed eps_hat with three analytic Hessians
+        assert "oracle evaluations (test/eps-probe only): 3" in report
 
 
 class TestRefineConfig:
