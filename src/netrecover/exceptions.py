@@ -60,9 +60,10 @@ class DivergenceError(RecoveryError):
 
 
 class StageError(RecoveryError):
-    """Wraps a failure inside a named pipeline stage."""
+    """Wraps a failure inside a named stage; ``result`` is the run's result so far."""
 
-    def __init__(self, stage, cause):
+    def __init__(self, stage, cause, result):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+        self.result = result

@@ -1,18 +1,19 @@
 """Central finite-difference engine for black-box query functions.
 
 All stencils are second order in the step size: the Hessian uses the
-classic central schemes (4-point cross for mixed partials), and directional
-derivatives up to order three use the matching 1-D stencils.  Every
-operator is linear in the function it differentiates and reduces its
-stencil values in a fixed order, so results are deterministic.
+3-point central scheme on the diagonal and the 7-point mixed-partial scheme
+(Abramowitz & Stegun 25.3.27) off it, and directional derivatives up to
+order three use the matching 1-D stencils.  Every operator is linear in the
+function it differentiates and reduces its stencil values in a fixed order,
+so results are deterministic.
 
 The Hessian's stencil rows are laid out once, by :func:`hessian_stencil`,
 and :func:`fd_hessian` reads their values from a stencil function
 ``f(x, h)``.  :func:`at_stencil_points` makes one from any batch function
-``f(points) -> values`` of the (2D^2 + 1, D) stencil points;
+``f(points) -> values`` of the (D^2 + D + 1, D) stencil points;
 ``TeacherNetwork.stencil_function(h)`` returns one that builds the
 preactivations of those points directly and never forms them.  Directional
-derivatives call a batch function once.  Query counts are exactly 2D^2 + 1
+derivatives call a batch function once.  Query counts are exactly D^2 + D + 1
 for the Hessian and 2/3/4 for directional derivatives of order 1/2/3; the
 function that serves the values counts them.
 """
@@ -48,36 +49,33 @@ def _pairs(d: int):
 
 
 def hessian_stencil(base, steps) -> np.ndarray:
-    """The 2D^2 + 1 rows of the Hessian stencil, as images of a linear map.
+    """The D^2 + D + 1 rows of the Hessian stencil, as images of a linear map.
 
     ``steps`` is (D, k): row i is the image of the step ``h e_i``.  The rows
     are ``base``; ``base + steps[i]`` for each i; ``base - steps[i]``; then
-    four blocks over the pairs i < j, ``base + s steps[i] + t steps[j]`` for
-    (s, t) = (+, +), (+, -), (-, +), (-, -).  With ``base = x`` and
-    ``steps = h I`` the rows are the stencil points ``x +- h e_i +- h e_j``;
-    with ``base = x W + tau`` and ``steps = h W`` they are the
-    preactivations of those points in a shallow network, built by additions
-    of contiguous blocks, O(D^2 k) work.  It is also used with ``base = 0``:
-    the rows are then offsets, ``+- s steps[i] + t steps[j]``, that depend on
-    the steps only, and adding one base to every row gives the stencil at
-    that base, equal to the rows built from it up to round-off.
+    two blocks over the pairs i < j, ``base + steps[i] + steps[j]`` and
+    ``base - steps[i] - steps[j]``.  With ``base = x`` and ``steps = h I``
+    the rows are the stencil points ``x``, ``x +- h e_i`` and
+    ``x +- h (e_i + e_j)``; with ``base = x W + tau`` and ``steps = h W``
+    they are the preactivations of those points in a shallow network, built
+    by additions of contiguous blocks, O(D^2 k) work.  With ``base = 0`` the
+    rows are offsets that depend on the steps only, and adding one base to
+    every row gives the stencil at that base, equal to the rows built from
+    it up to round-off.
     """
     base = np.asarray(base, dtype=float)
     steps = np.asarray(steps, dtype=float)
     d, k = steps.shape
     iu, ju = _pairs(d)
     n = iu.size
-    rows = np.empty((1 + 2 * d + 4 * n, k))
+    rows = np.empty((1 + 2 * d + 2 * n, k))
     rows[0] = base
     plus, minus = rows[1:1 + d], rows[1 + d:1 + 2 * d]
     np.add(base, steps, out=plus)
     np.subtract(base, steps, out=minus)
-    step_j = steps[ju]
     lo = 1 + 2 * d
-    for first in (plus[iu], minus[iu]):
-        np.add(first, step_j, out=rows[lo:lo + n])
-        np.subtract(first, step_j, out=rows[lo + n:lo + 2 * n])
-        lo += 2 * n
+    np.add(plus[iu], steps[ju], out=rows[lo:lo + n])
+    np.subtract(minus[iu], steps[ju], out=rows[lo + n:])
     return rows
 
 
@@ -115,21 +113,22 @@ def fd_hessian(f, x, cfg: FDConfig) -> np.ndarray:
     ``f(x, h)`` returns the values at the rows of :func:`hessian_stencil`
     with ``base = x`` and ``steps = h I``, in that order.  Diagonal entries
     use the 3-point stencil sharing the center value; each off-diagonal pair
-    uses the 4-point cross, for 2D^2 + 1 values in total.
+    adds only ``f(x +- h (e_i + e_j))`` to those points (the 7-point
+    scheme), for D^2 + D + 1 values in total.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     h = cfg.step_h
     iu, ju = _pairs(d)
-    n = iu.size
     vals = _finite(f(x, h), lambda r: _stencil_points(x, h)[r])
 
     hess = np.zeros((d, d))
     idx = np.arange(d)
     f0, fp, fm = vals[0], vals[1:1 + d], vals[1 + d:1 + 2 * d]
     hess[idx, idx] = (fp - 2.0 * f0 + fm) / (h * h)
-    pp, pm, mp, mm = vals[1 + 2 * d:].reshape(4, n)
-    mixed = (pp - pm - mp + mm) / (4.0 * h * h)
+    a = fp + fm
+    pp, mm = vals[1 + 2 * d:].reshape(2, iu.size)
+    mixed = (pp + mm - a[iu] - a[ju] + 2.0 * f0) / (2.0 * h * h)
     hess[iu, ju] = mixed
     hess[ju, iu] = mixed
     return hess

@@ -344,16 +344,6 @@ class ExperimentResult:
         fileio.write_lines(path, lines)
 
 
-def _new_result(cfg: PipelineConfig, mode: str, **fields) -> ExperimentResult:
-    """A result holding only the identity columns of a run of ``cfg``."""
-    return ExperimentResult(
-        mode=mode, dim=cfg.dim, beta_order=cfg.beta_order, m=cfg.resolved_m(),
-        seed=cfg.seed, fd_step=cfg.fd_step,
-        # the baseline takes no derivatives
-        exact_mode=cfg.exact_derivatives and mode == "pipeline", **fields,
-    )
-
-
 class _StageRunner:
     """The wiring of one composed run, shared by every mode.
 
@@ -367,7 +357,12 @@ class _StageRunner:
     def __init__(self, cfg: PipelineConfig, mode: str):
         cfg.validate()
         self.cfg = cfg
-        self.result = _new_result(cfg, mode)
+        self.result = ExperimentResult(
+            mode=mode, dim=cfg.dim, beta_order=cfg.beta_order, m=cfg.resolved_m(),
+            seed=cfg.seed, fd_step=cfg.fd_step,
+            # the baseline takes no derivatives
+            exact_mode=cfg.exact_derivatives and mode == "pipeline",
+        )
         self.net = None
         self._out_dir = Path(cfg.out_dir) if cfg.out_dir else None
         if self._out_dir:
@@ -394,7 +389,7 @@ class _StageRunner:
             result.stage_times[name] = time.perf_counter() - t0
             result.error = f"{name}: {exc}"
             self._write()
-            raise StageError(name, exc) from exc
+            raise StageError(name, exc, result) from exc
         result.stage_times[name] = dt = time.perf_counter() - t0
         result.stage_queries[name] = q = (net.query_count if net is not None else 0) - before
         logger.info("stage %-10s %.3f s, %d queries", name, dt, q)
@@ -462,8 +457,9 @@ def run_scaling_study(grid: list[PipelineConfig], repetitions: int,
                       out_csv=None) -> list[list]:
     """Run every grid cell ``repetitions`` times and tabulate long-format rows.
 
-    Per-cell failures are recorded in the ``error`` column and the study
-    continues.  Returns the rows; also writes them when ``out_csv`` is given.
+    A failed cell's row is its run's result as far as it got, with the
+    error in the ``error`` column, and the study continues.  Returns the
+    rows; also writes them when ``out_csv`` is given.
     """
     if not grid:
         raise ConfigError("scaling study needs a nonempty grid")
@@ -479,7 +475,7 @@ def run_scaling_study(grid: list[PipelineConfig], repetitions: int,
             try:
                 res = run_pipeline(cfg)
             except StageError as exc:
-                res = _new_result(cfg, "pipeline", error=str(exc))
+                res = exc.result
                 logger.warning("study cell %d rep %d failed: %s", cell_idx, rep, exc)
             rows.append(res.csv_row() + [res.stage_times.get(n, float("nan"))
                                          for n in STAGES])

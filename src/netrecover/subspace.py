@@ -142,7 +142,7 @@ def build_hessian_matrix(net, n_hessians: int, cfg: FDConfig | None, seed: int,
     ``(half_dim(D), n_hessians)``.  In finite-difference mode one stencil
     function, ``net.stencil_function(cfg.step_h)``, serves every anchor's
     :func:`fd_hessian` call, so the stencil's preactivation offsets are built
-    once per stage; each Hessian costs 2 D^2 + 1 network queries, counted by
+    once per stage; each Hessian costs D^2 + D + 1 network queries, counted by
     that function.  ``exact=True`` switches to the analytic oracle (zero
     queries, tallied separately by the network).
     """

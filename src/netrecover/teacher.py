@@ -179,11 +179,11 @@ class TeacherNetwork(_ShallowNet):
     def stencil_function(self, h: float):
         """The stencil function of :func:`netrecover.numdiff.fd_hessian` at step h.
 
-        The preactivations of the stencil points ``x +- h e_i +- h e_j`` are
-        ``(x W + tau) + O`` with the offsets ``O = hessian_stencil(0, h W)``,
-        which depend on W and h only.  O is built once, here; each call
+        The preactivations of the stencil points ``x``, ``x +- h e_i`` and
+        ``x +- h (e_i + e_j)`` are ``(x W + tau) + O`` with the offsets
+        ``O = hessian_stencil(0, h W)``, which depend on W and h only.  O is built once, here; each call
         ``f(x, h)`` adds ``x W + tau`` to one block of O rows at a time and
-        sums g over each row, for the 2D^2 + 1 values in the row order of
+        sums g over each row, for the D^2 + D + 1 values in the row order of
         :func:`~netrecover.numdiff.hessian_stencil`, one query each.
         """
         offsets = hessian_stencil(np.zeros(self.n_neurons), h * self.weights)
@@ -204,7 +204,7 @@ class TeacherNetwork(_ShallowNet):
         return f
 
     def eval_stencil(self, x, h: float) -> np.ndarray:
-        """Values at the 2D^2 + 1 Hessian stencil points around x, one query each.
+        """Values at the D^2 + D + 1 Hessian stencil points around x, one query each.
 
         A one-shot call of :meth:`stencil_function`; callers that take many
         Hessians at one step build that function once instead.

@@ -85,6 +85,8 @@ def test_failed_stage_is_a_stage_error_with_its_result(tmp_path, monkeypatch):
     with pytest.raises(StageError) as err:
         run_baseline_sgd(cfg)
     assert err.value.stage == "score"
+    assert err.value.result.error == "score: scoring broke"
+    assert err.value.result.stage_queries["refine"] == math.ceil(2.5 * 3 * 6 ** 2)
 
     out = tmp_path / "run"
     assert cli.main([*CLI_RUN, "--out-dir", str(out)]) == 3

@@ -1,6 +1,7 @@
 """Stencil exactness, query counts, linearity, and convergence order."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -62,16 +63,51 @@ class TestHessian:
         for f in (net.eval_stencil, at_stencil_points(net.eval_batch)):
             before = net.query_count
             fd_hessian(f, np.zeros(6), FDConfig())
-            assert net.query_count - before == 2 * d * (d - 1) + 2 * d + 1
+            assert net.query_count - before == d * d + d + 1
 
     def test_stencil_rows_are_the_points(self):
         rng = np.random.default_rng(18)
         x, h, d = rng.standard_normal(4), 0.1, 4
         e = h * np.eye(d)
         expected = [x] + [x + e[i] for i in range(d)] + [x - e[i] for i in range(d)]
-        for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            expected += [x + s * e[i] + t * e[j] for i in range(d) for j in range(i + 1, d)]
+        expected += [x + e[i] + e[j] for i in range(d) for j in range(i + 1, d)]
+        expected += [x - e[i] - e[j] for i in range(d) for j in range(i + 1, d)]
+        assert len(expected) == d * d + d + 1
         assert np.array_equal(hessian_stencil(x, e), np.array(expected))
+
+    def test_cubic_exact(self):
+        # the 7-point scheme's truncation error is a fourth derivative, so a
+        # cubic with mixed terms x_i^2 x_j and x_i x_j x_k comes out exact
+        rng = np.random.default_rng(28)
+        d = 6
+        c = rng.standard_normal((d, d, d))
+        sym = sum(c.transpose(p) for p in itertools.permutations(range(3))) / 6
+
+        def f(p):
+            return np.einsum("ijk,ri,rj,rk->r", c, p, p, p)
+
+        for x in rng.standard_normal((3, d)):
+            h = fd_hessian(at_stencil_points(f), x, FDConfig(step_h=0.1))
+            assert np.max(np.abs(h - 6 * sym @ x)) < 1e-10
+
+    def test_mixed_entry_error_of_a_quartic(self):
+        # x_0^2 x_1^2 at 0: the 7-point scheme reads
+        # (f(h, h) + f(-h, -h)) / (2 h^2) = h^2, where the exact entry is 0
+        def f(p):
+            return p[:, 0] ** 2 * p[:, 1] ** 2
+
+        h = fd_hessian(at_stencil_points(f), np.zeros(3), FDConfig(step_h=0.1))
+        expected = np.zeros((3, 3))
+        expected[0, 1] = expected[1, 0] = 0.1 ** 2
+        assert h == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_d40_matches_analytic_hessian(self):
+        net = random_teacher(40, neuron_count(40, 1.5), seed=1)
+        cfg = FDConfig(step_h=0.01)
+        f = net.stencil_function(cfg.step_h)
+        for x in np.random.default_rng(101).standard_normal((3, 40)):
+            err = np.max(np.abs(fd_hessian(f, x, cfg) - net.analytic_hessian(x)))
+            assert err <= 2e-5
 
     def test_non_finite_propagates_with_point(self):
         def f(p):
@@ -93,8 +129,9 @@ class TestStructuredStencil:
         net = sample_teacher(dim, m, UniformShifts(-0.5, 0.5), act, seed=dim)
         cfg = FDConfig(step_h=0.01)
         # the two routes round the preactivations and the m-term row sums
-        # differently; a stencil weighs its values by at most 4 / h^2, and
-        # |g| <= 1 for both activations
+        # differently; the weights of every entry's stencil sum to 4 / h^2 in
+        # absolute value (1 + 2 + 1 on the diagonal, (1 + 1 + 4 + 2) / 2 off
+        # it), and |g| <= 1 for both activations
         tol = 8 * m * np.finfo(float).eps / cfg.step_h ** 2
         rng = np.random.default_rng(19)
         for _ in range(3):
@@ -107,7 +144,7 @@ class TestStructuredStencil:
         net = random_teacher(7, 9, seed=20)
         n_h, d = 11, 7
         cols, anchors, n_queries = build_hessian_matrix(net, n_h, FDConfig(), seed=3)
-        assert n_queries == net.query_count == n_h * (2 * d * d + 1)
+        assert n_queries == net.query_count == n_h * (d * d + d + 1)
         assert cols.shape == (d * (d + 1) // 2, n_h) and anchors.shape == (n_h, d)
 
     def test_build_hessian_matrix_builds_offsets_once(self, monkeypatch):
@@ -129,7 +166,8 @@ class TestStructuredStencil:
 
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_uneven_blocks_match_default_blocks(self, kind, monkeypatch):
-        # D = 6: the 2 D^2 + 1 = 73 rows leave one row in the last 3-row block
+        # D = 6: the D^2 + D + 1 = 43 = 14 * 3 + 1 rows leave one row in the
+        # last 3-row block
         dim, m = 6, 8
         net = random_teacher(dim, m, seed=25, act=make_activation(kind))
         x = np.random.default_rng(26).standard_normal(dim)

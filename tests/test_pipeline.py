@@ -15,26 +15,26 @@ EXACT_COLUMNS = {
     "mode": "pipeline", "D": "10", "beta": "1.5", "m": "13", "seed": "7",
     "exact_mode": "0", "spm_processed": "51", "spm_accepted": "13",
     "spm_duplicate": "38", "spm_rejected": "0", "refine_steps": "2",
-    "refine_stop_reason": "stop_loss", "q_hessians": "6030", "q_init": "91",
-    "q_refine": "512", "q_algorithm": "6633", "n_shifts_clamped": "0",
+    "refine_stop_reason": "stop_loss", "q_hessians": "3330", "q_init": "91",
+    "q_refine": "512", "q_algorithm": "3933", "n_shifts_clamped": "0",
     "error": "",
 }
 FLOAT_COLUMNS = {
     "fd_step": 0.01,
-    "e_inf": 3.516908889069124e-06,
-    "max_weight_err": 5.242584334600244e-06,
-    "shift_rms": 3.5800351995321704e-06,
+    "e_inf": 9.189884623745241e-06,
+    "max_weight_err": 1.4452988888719993e-05,
+    "shift_rms": 8.265125365921457e-06,
     "sign_accuracy": 1.0,
-    "init_shift_rms": 3.530067866946785e-05,
-    "delta_w1": 0.00014851564922162294,
-    "delta_wo": 5.260940546495993e-10,
-    "delta_ws": 1.5604442307865262e-05,
-    "init_shift_bound": 0.00016579959329944771,
-    "eps_hat": 2.142060218168762e-05,
-    "cond_g2": 5.75736302725681,
-    "cond_g3": 3.0037150616747037,
-    "final_loss": 4.737295108138665e-11,
-    "query_ceiling_ratio": 0.05965758972584661,
+    "init_shift_rms": 3.4878359602433775e-05,
+    "delta_w1": 0.0003465769712740299,
+    "delta_wo": 3.4878180778355138e-09,
+    "delta_ws": 3.5321266425128686e-05,
+    "init_shift_bound": 0.00032069768181340434,
+    "eps_hat": 2.1226598865130286e-05,
+    "cond_g2": 5.757395152525421,
+    "cond_g3": 3.0037260890198905,
+    "final_loss": 2.1204201274631603e-10,
+    "query_ceiling_ratio": 0.03537363189985749,
 }
 REL_TOL = 1e-9
 
@@ -164,10 +164,14 @@ class TestScalingStudy:
         ok, failed = (dict(zip(header, r)) for r in rows)
         assert ok["error"] == "" and ok["m"] == 3
         assert all(not math.isnan(ok[f"t_{n}"]) for n in STAGE_NAMES)
-        assert failed["error"] == ("stage 'projector' failed: "
-                                   "need at least m = 13 columns, got 5")
+        assert failed["error"] == "projector: need at least m = 13 columns, got 5"
         assert failed["m"] == 13
-        assert all(math.isnan(failed[f"t_{n}"]) for n in STAGE_NAMES)
+        # the stages up to the failed one keep their times and query counts
+        assert all(not math.isnan(failed[f"t_{n}"])
+                   for n in ("teacher", "hessians", "projector"))
+        assert all(math.isnan(failed[f"t_{n}"])
+                   for n in ("spm", "init", "refine", "score"))
+        assert failed["q_hessians"] == 5 * (10 * 10 + 10 + 1)
 
     def test_failed_cell_reads_back(self, tmp_path):
         # the error message holds a comma; the cell is quoted, so csv.reader
@@ -180,8 +184,7 @@ class TestScalingStudy:
         assert header == RESULT_COLUMNS + [f"t_{n}" for n in STAGE_NAMES]
         assert len(rows) == 1 and all(len(r) == len(header) for r in rows)
         failed = dict(zip(header, rows[0]))
-        assert failed["error"] == ("stage 'projector' failed: "
-                                   "need at least m = 13 columns, got 5")
+        assert failed["error"] == "projector: need at least m = 13 columns, got 5"
         assert failed["m"] == "13" and failed["t_score"] == "nan"
 
     def test_rejects_empty_grid_and_zero_repetitions(self):

@@ -97,7 +97,7 @@ class TestBuildHessianMatrix:
     def test_query_cost(self):
         net = random_teacher(7, 3, seed=14)
         _, _, n_queries = build_hessian_matrix(net, 5, FDConfig(), seed=15)
-        assert n_queries == 5 * (2 * 7 ** 2 + 1)
+        assert n_queries == 5 * (7 ** 2 + 7 + 1)
 
     def test_default_budget_formula(self):
         from netrecover import default_n_hessians
