@@ -14,7 +14,6 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .exceptions import ConfigError
 
@@ -51,21 +50,23 @@ def _tanh_g3(x):
 
 
 def _sigmoid_g(x):
-    return expit(x)
+    # exp(-x) overflows to inf below x = -709, where the result is then exactly 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _sigmoid_g1(x):
-    s = expit(x)
+    s = _sigmoid_g(x)
     return s * (1.0 - s)
 
 
 def _sigmoid_g2(x):
-    s = expit(x)
+    s = _sigmoid_g(x)
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 def _sigmoid_g3(x):
-    s = expit(x)
+    s = _sigmoid_g(x)
     return s * (1.0 - s) * (1.0 - 6.0 * s + 6.0 * s * s)
 
 
@@ -108,12 +109,12 @@ class Activation:
 
     def g_and_g1(self, x):
         """``(g(x), g'(x))``, bit-equal to the two calls.  The built-in kinds share
-        one tanh or expit; a g or g1 swapped in by dataclasses.replace is called."""
+        one tanh or one exp; a g or g1 swapped in by dataclasses.replace is called."""
         if self.g is _tanh_g and self.g1 is _tanh_g1:
             t = np.tanh(x)
             return t, 1.0 - t * t
         if self.g is _sigmoid_g and self.g1 is _sigmoid_g1:
-            s = expit(x)
+            s = _sigmoid_g(x)
             return s, s * (1.0 - s)
         return self.g(x), self.g1(x)
 

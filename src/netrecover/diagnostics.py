@@ -15,7 +15,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.optimize
 
 from .activations import Activation
 from .exceptions import ConfigError
@@ -210,21 +209,48 @@ class Metrics:
     signs: np.ndarray        # sign aligning each matched column
 
 
+def _row_argmax_permutation(score: np.ndarray):
+    """The column of each row's maximum, when every row attains its maximum in
+    exactly one column and those columns are distinct; else None."""
+    if score.size == 0:
+        return None
+    perm = score.argmax(axis=1)
+    n_at_max = np.count_nonzero(score == score.max(axis=1, keepdims=True), axis=1)
+    if np.all(n_at_max == 1) and np.unique(perm).size == perm.size:
+        return perm
+    return None
+
+
 def match_weights(w_hat: np.ndarray, w_true: np.ndarray):
     """Sign-aware assignment between estimated and true weight columns.
 
-    Maximizes the total absolute cosine by the Hungarian method and returns
-    ``(perm, signs, errors)`` with ``errors[k] = ||w_k - s_k what_{perm[k]}||``.
+    Maximizes the total absolute cosine ``sum_k |<w_k, what_{perm[k]}>|`` and
+    returns ``(perm, signs, errors)`` with ``errors[k] = ||w_k - s_k what_{perm[k]}||``.
+
+    When each true column's largest |cosine| is attained by exactly one
+    estimated column and those columns are all distinct, every row of the
+    assignment sits at its own maximum, so that permutation is the unique
+    maximizer and is returned directly.  A successful recovery, where each
+    estimate lies nearest its own true column, always takes this path.
+    Otherwise (a tied maximum, two estimates nearest the same true column)
+    the assignment problem is solved by the Hungarian method,
+    ``scipy.optimize.linear_sum_assignment``.
     """
     w_hat = np.asarray(w_hat, dtype=float)
     w_true = np.asarray(w_true, dtype=float)
     if w_hat.shape != w_true.shape:
         raise ConfigError("weight matrices must share shape for matching")
     cos = w_true.T @ w_hat
-    rows, cols = scipy.optimize.linear_sum_assignment(-np.abs(cos))
-    perm = np.empty(w_true.shape[1], dtype=int)
-    perm[rows] = cols
-    signs = np.sign(cos[rows, perm[rows]]).astype(int)
+    score = np.abs(cos)
+    perm = _row_argmax_permutation(score)
+    if perm is None:
+        # imported here, not at the top: scipy.optimize (with scipy.linalg and its
+        # own OpenBLAS) adds about 0.5 s and 48 MB to a process that imports it,
+        # and only a wrong or degenerate recovery reaches this line
+        import scipy.optimize
+
+        _, perm = scipy.optimize.linear_sum_assignment(-score)
+    signs = np.sign(cos[np.arange(perm.size), perm]).astype(int)
     signs[signs == 0] = 1
     aligned = w_hat[:, perm] * signs
     errors = np.linalg.norm(w_true - aligned, axis=0)

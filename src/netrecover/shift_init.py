@@ -13,7 +13,6 @@ import dataclasses
 import logging
 
 import numpy as np
-import scipy.linalg
 
 from .activations import Activation, invert_g2
 from .exceptions import ConfigError, IllConditionedError
@@ -71,7 +70,13 @@ def directional_derivs_at_zero(net, w_hat: np.ndarray, n: int, cfg: FDConfig | N
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray, label: str):
-    """SPD solve with one step of iterative refinement; surfaces conditioning."""
+    """Solve the SPD Gram system by ``np.linalg.solve`` plus one step of iterative
+    refinement; surfaces conditioning.
+
+    Positive definiteness and the condition number are checked from the
+    eigenvalues first, so the LU solve only sees SPD matrices with condition
+    number at most ``_COND_LIMIT``.
+    """
     evals = np.linalg.eigvalsh(gram)
     if evals[0] <= 0:
         raise IllConditionedError(
@@ -86,9 +91,8 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, label: str):
             "weight incoherence failed",
             cond=cond,
         )
-    factor = scipy.linalg.cho_factor(gram)
-    sol = scipy.linalg.cho_solve(factor, rhs)
-    sol += scipy.linalg.cho_solve(factor, rhs - gram @ sol)
+    sol = np.linalg.solve(gram, rhs)
+    sol += np.linalg.solve(gram, rhs - gram @ sol)
     return sol, cond
 
 

@@ -1,7 +1,9 @@
 """Activation derivatives, interval constants, and g'' inversion."""
 
 import dataclasses
+import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +97,41 @@ class TestGAndG1:
             assert np.array_equal(g, act.g(self.X))
             assert np.array_equal(g1, act.g1(self.X))
             assert np.array_equal(g if field == "g" else g1, 2.0 * np.cos(self.X))
+
+
+def ulps(a, b):
+    """Distance in units in the last place between same-signed finite doubles."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+class TestSigmoid:
+    def test_within_two_ulp_of_correctly_rounded(self, sigmoid_act):
+        x = np.linspace(-40, 40, 10_001)
+        ctx = decimal.Context(prec=40)
+        exact = np.array([float(ctx.divide(1, 1 + ctx.exp(-decimal.Decimal(float(v)))))
+                          for v in x])
+        assert ulps(sigmoid_act.g(x), exact).max() <= 2
+
+    def test_within_four_ulp_of_expit(self, sigmoid_act):
+        # both are within 2 ulp of the correctly rounded value, and they differ
+        # by 3-4 ulp on a few points near x = -37
+        from scipy.special import expit
+
+        x = np.linspace(-40, 40, 1_000_001)
+        assert ulps(sigmoid_act.g(x), expit(x)).max() <= 4
+
+    def test_saturates_without_warnings(self, sigmoid_act):
+        x = np.array([-800.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [sigmoid_act.derivative(n)(x) for n in range(4)]
+            pair = sigmoid_act.g_and_g1(x)
+            scalar = sigmoid_act.g(-800.0)
+        assert values[0].tolist() == [0.0, 1.0]
+        assert scalar == 0.0
+        for higher in values[1:]:
+            assert higher.tolist() == [0.0, 0.0]
+        assert np.array_equal(pair[0], values[0]) and np.array_equal(pair[1], values[1])
 
 
 class TestInvertG2:

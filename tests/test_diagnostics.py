@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import linear_sum_assignment
 
 from netrecover import (ConfigError, FDConfig, StudentNetwork, check_incoherence,
                         estimate_alpha, kernel_floor_omega, make_activation,
-                        match_and_score)
+                        match_and_score, match_weights)
 from netrecover.teacher import block_rows
-from conftest import random_teacher
+from conftest import random_teacher, random_unit_columns
 
 REL_TOL = 1e-9
 
@@ -90,3 +92,80 @@ class TestScoring:
         net = random_teacher(4, 3, seed=23)
         with pytest.raises(ConfigError, match="n_eval"):
             match_and_score(StudentNetwork(net.weights, net.shifts, net.act), net, n_eval=0)
+
+
+def hungarian_match(w_hat, w_true):
+    """Reference: the assignment by ``linear_sum_assignment`` on the whole matrix."""
+    cos = w_true.T @ w_hat
+    rows, cols = linear_sum_assignment(-np.abs(cos))
+    perm = np.empty(w_true.shape[1], dtype=int)
+    perm[rows] = cols
+    signs = np.sign(cos[rows, perm[rows]]).astype(int)
+    signs[signs == 0] = 1
+    errors = np.linalg.norm(w_true - w_hat[:, perm] * signs, axis=0)
+    return perm, signs, errors
+
+
+def scrambled(w_true, seed, noise=1e-3):
+    """The columns of ``w_true`` permuted, sign-flipped and perturbed."""
+    rng = np.random.default_rng(seed)
+    m = w_true.shape[1]
+    perm = rng.permutation(m)
+    signs = rng.choice([-1.0, 1.0], size=m)
+    w = w_true[:, perm] * signs + noise * rng.standard_normal(w_true.shape)
+    return w / np.linalg.norm(w, axis=0)
+
+
+class TestMatchWeights:
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        """Shapes of the cost matrices handed to the Hungarian fallback."""
+        calls = []
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+        return calls
+
+    def assert_matches_hungarian(self, w_hat, w_true):
+        got = match_weights(w_hat, w_true)
+        for a, b in zip(got, hungarian_match(w_hat, w_true)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d, m", [(3, 1), (5, 2), (10, 7), (40, 102)])
+    def test_shortcut_on_scrambled_sets(self, d, m, fallback_calls):
+        w_true = random_unit_columns(d, m, seed=m)
+        for seed in range(3):
+            self.assert_matches_hungarian(scrambled(w_true, seed), w_true)
+        assert fallback_calls == []
+
+    def test_tied_row_maximum_takes_fallback(self, fallback_calls):
+        # identity truth: cos equals w_hat exactly, so the tie below is exact
+        w_true = np.eye(7)
+        w_hat = scrambled(w_true, seed=1, noise=1e-2)
+        best = int(np.argmax(np.abs(w_hat[0])))
+        w_hat[0, (best + 1) % 7] = -w_hat[0, best]
+        self.assert_matches_hungarian(w_hat, w_true)
+        assert fallback_calls == [(7, 7)]
+
+    def test_identical_recovered_columns_take_fallback(self, fallback_calls):
+        w_true = random_unit_columns(10, 7, seed=2)
+        w_hat = scrambled(w_true, seed=3)
+        w_hat[:, 4] = w_hat[:, 1]
+        self.assert_matches_hungarian(w_hat, w_true)
+        assert fallback_calls == [(7, 7)]
+
+    def test_spurious_column_takes_fallback(self, fallback_calls):
+        # an overcomplete set like the D=20, beta=2.0 cell (m = 160), with one
+        # recovered column that matches no planted weight
+        w_true = random_unit_columns(20, 160, seed=4)
+        w_hat = scrambled(w_true, seed=5, noise=1e-6)
+        w_hat[:, 17] = random_unit_columns(20, 1, seed=6)[:, 0]
+        self.assert_matches_hungarian(w_hat, w_true)
+        assert fallback_calls == [(160, 160)]
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ConfigError, match="shape"):
+            match_weights(np.eye(3), np.eye(3)[:, :2])

@@ -8,6 +8,7 @@ import pytest
 from netrecover import (FDConfig, IllConditionedError, StudentNetwork,
                         TeacherNetwork, directional_derivs_at_zero, gram_power,
                         init_signs_shifts, make_activation)
+from netrecover.shift_init import _solve_spd
 from conftest import random_teacher, random_unit_columns
 
 
@@ -165,3 +166,24 @@ class TestInitSignsShifts:
         net = random_teacher(6, 4, seed=10)
         with pytest.raises(IllConditionedError):
             init_signs_shifts(net, w_dup, tanh_act, None, exact=True)
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_cholesky_solve(self, n):
+        from scipy.linalg import cho_factor, cho_solve
+
+        gram = gram_power(random_unit_columns(20, 30, seed=11), n)
+        rhs = np.random.default_rng(12).standard_normal(30)
+        sol, cond = _solve_spd(gram, rhs, f"order-{n}")
+        evals = np.linalg.eigvalsh(gram)
+        assert cond == evals[-1] / evals[0]
+        ref = cho_solve(cho_factor(gram), rhs)
+        assert np.linalg.norm(sol - ref) <= 1e-14 * cond * np.linalg.norm(ref)
+        assert np.linalg.norm(gram @ sol - rhs) <= 1e-14 * np.linalg.norm(rhs)
+
+    def test_condition_limit(self):
+        gram = np.diag([1.0, 1e-11])
+        with pytest.raises(IllConditionedError, match="condition number") as info:
+            _solve_spd(gram, np.ones(2), "order-2")
+        assert info.value.cond == pytest.approx(1e11)
