@@ -7,6 +7,10 @@ model class (a deviation from unconstrained SGD, logged as such).  The
 budget is wall-clock capped; epoch counts are reported as the
 hardware-neutral measure of training effort.
 
+The training inputs are the run's data and are held whole (n x D); the
+teacher's targets and each epoch's loss are evaluated in row blocks, so
+the run holds no n x m array.
+
 The run goes through the pipeline's stage runner as three stages,
 ``teacher``, ``refine`` (the joint SGD) and ``score``, so it writes
 ``teacher.net``, ``result.csv`` and ``report.txt`` into ``cfg.out_dir``

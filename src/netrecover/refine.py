@@ -110,27 +110,32 @@ def _grad(slope, resid) -> np.ndarray:
     return (slope.T @ resid) / resid.size
 
 
-def _sample_terms(student: StudentNetwork, xs, ys):
-    """Preactivations and residual of ``student`` on a sample set."""
-    xs = np.asarray(xs, dtype=float)
+def _targets(ys) -> np.ndarray:
+    """``ys`` as floats; an empty sample set is a configuration error."""
     ys = np.asarray(ys, dtype=float)
     if ys.size == 0:
         raise ConfigError("empty sample set")
-    if xs.ndim != 2 or xs.shape[1] != student.dim:
-        raise ConfigError(f"batch must have shape (n, {student.dim})")
-    pre = xs @ student.weights + student.shifts
-    return pre, _residual(student.act, pre, ys)
+    return ys
 
 
 def loss(student: StudentNetwork, xs, ys) -> float:
-    """Half mean squared prediction error over the sample set."""
-    return _half_mse(_sample_terms(student, xs, ys)[1])
+    """Half mean squared prediction error over the sample set.
+
+    The student is evaluated in row blocks (:meth:`StudentNetwork.eval_batch`),
+    so the sample's preactivations are never held whole.
+    """
+    ys = _targets(ys)
+    return _half_mse(student.eval_batch(xs) - ys)
 
 
 def grad_loss(student: StudentNetwork, xs, ys) -> np.ndarray:
     """Exact gradient of :func:`loss` with respect to the shifts."""
-    pre, resid = _sample_terms(student, xs, ys)
-    return _grad(student.act.g1(pre), resid)
+    ys = _targets(ys)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != student.dim:
+        raise ConfigError(f"batch must have shape (n, {student.dim})")
+    pre = xs @ student.weights + student.shifts
+    return _grad(student.act.g1(pre), _residual(student.act, pre, ys))
 
 
 def power_iteration_lmax(mat: np.ndarray, iters: int = 200, seed: int = 0) -> float:
@@ -174,17 +179,26 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     budget runs out mid-epoch.  Stopping is decided at records only.
     ``audit_grad`` applies to gradient descent only.
 
-    A mini-batch epoch copies the sample once in its permuted order and
-    slices each batch from that copy; its record evaluates the loss in row
-    blocks of about 256 KiB.  Both are bit-equal to per-batch gathers and a
-    full-sample pass.
+    The inputs are drawn, queried and projected one row block of about
+    256 KiB at a time, so the only whole arrays are the training data
+    ``z = xs @ W`` (n_train x m) and the targets; no n_train x D array
+    exists.  The blocks draw the inputs of one ``n_train``-row draw (a
+    block's product can round differently from one whole product at some
+    shapes).  A mini-batch step gathers its batch from ``z`` by index, and
+    an epoch's record evaluates the loss in row blocks; both are bit-equal
+    to per-batch gathers and a full-sample pass.  Full-batch steps and
+    ``lr_auto`` still form whole n_train x m arrays.
     """
     rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((cfg.n_train, student.dim))
-    ys = teacher.eval_batch(xs)
     act = student.act
-    z = xs @ student.weights  # shifts enter additively; cache the linear part
-    del xs
+    # shifts enter additively; cache the linear part
+    z = np.empty((cfg.n_train, student.n_neurons))
+    ys = np.empty(cfg.n_train)
+    rows = block_rows(max(student.dim, student.n_neurons))
+    for lo in range(0, cfg.n_train, rows):
+        xs = rng.standard_normal((min(rows, cfg.n_train - lo), student.dim))
+        ys[lo:lo + rows] = teacher.eval_batch(xs)
+        z[lo:lo + rows] = xs @ student.weights
     tau = np.array(student.shifts, dtype=float)
     if cfg.method == "gn":
         return _gauss_newton(student, z, tau, ys, cfg)
@@ -246,18 +260,20 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
             tau -= lr * _grad(slope, resid)
             step += 1
         else:
-            # one permuted copy per epoch; each batch is a slice of it
+            # one permutation per epoch; each batch is gathered from it
+            # (take: cheaper than fancy indexing for a 64-row batch)
             perm = rng.permutation(cfg.n_train)
-            z_perm, ys_perm = z[perm], ys[perm]
             for lo in range(0, cfg.n_train, cfg.batch):
-                hi = lo + cfg.batch
-                resid, slope = _residual_and_slope(act, z_perm[lo:hi] + tau, ys_perm[lo:hi])
+                idx = perm[lo:lo + cfg.batch]
+                resid, slope = _residual_and_slope(act, z.take(idx, axis=0) + tau,
+                                                   ys.take(idx))
                 # (lr * sum) / size, not lr * mean: the two round
                 # differently, and the pinned trajectories use this order
                 tau -= lr * (slope.T @ resid) / resid.size
                 step += 1
                 if step >= cfg.max_steps:
                     break
+            del perm, idx  # free the permutation before the record's row blocks
 
     final = student.with_shifts(tau)
     logger.info("refine: %d steps, final loss %.3e (%s)", step, losses[-1], stop_reason)

@@ -5,9 +5,12 @@ weight columns and bounded shifts.  All parameter access in the recovery
 pipeline goes through the counted evaluation oracle: ``eval_batch`` for
 given inputs, and ``stencil_function(h)`` (or its one-shot form
 ``eval_stencil``) for the finite-difference Hessian's stencil points, which
-it evaluates without forming them.  The analytic derivative methods exist
-for tests and for the exact-derivative pipeline mode, and are tallied
-separately so the harness can verify the black-box budget.  Network files are read and written by :mod:`netrecover.fileio`.
+it evaluates without forming them.  Both apply g to one row block of
+``BLOCK_BYTES`` at a time, so no query holds more preactivations than that.
+The analytic derivative methods exist for tests and for the
+exact-derivative pipeline mode, and are tallied separately so the harness
+can verify the black-box budget.  Network files are read and written by
+:mod:`netrecover.fileio`.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
-# g is applied to row blocks of about this many bytes (the stencil's rows,
-# refine's loss record, the scoring inputs): a block stays in cache, and g's
-# temporaries reuse freed heap memory instead of fresh pages
+# g is applied to row blocks of about this many bytes (every eval_batch, the
+# stencil's rows, refine's sample draw and loss record): a block stays in
+# cache, and g's temporaries reuse freed heap memory instead of fresh pages
 BLOCK_BYTES = 1 << 18
 
 
@@ -128,19 +131,30 @@ class _ShallowNet:
         return x @ self.weights + self.shifts
 
     def eval_batch_raw(self, xs):
+        """``sum_k g(<w_k, x_i> + tau_k)`` for each row x_i of ``xs``.
+
+        The rows are evaluated ``block_rows(m)`` at a time into one output
+        array, so a batch of any size holds one block of preactivations.
+        """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ConfigError(f"batch must have shape (n, {self.dim})")
-        return np.sum(self.act.g(self._preactivations(xs)), axis=1)
+        vals = np.empty(xs.shape[0])
+        rows = block_rows(self.n_neurons)
+        for lo in range(0, xs.shape[0], rows):
+            vals[lo:lo + rows] = np.sum(
+                self.act.g(self._preactivations(xs[lo:lo + rows])), axis=1)
+        return vals
 
 
 class TeacherNetwork(_ShallowNet):
     """The planted model with a counted black-box query oracle.
 
     ``query_count`` counts scalar f-evaluations served through ``eval``,
-    ``eval_batch`` and the stencil functions, one per point.  The analytic
-    derivative oracles increment ``oracle_count`` instead.  The shifts must
-    lie in the activation's admissible interval ``[-tau_inf, tau_inf]``.
+    ``eval_batch`` and the stencil functions, one per point, whatever the
+    row blocks they are evaluated in.  The analytic derivative oracles
+    increment ``oracle_count`` instead.  The shifts must lie in the
+    activation's admissible interval ``[-tau_inf, tau_inf]``.
     ``n_shifts_clamped`` counts the sampled shifts that were clamped into it.
     """
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,13 @@ def random_unit_columns(dim, m, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((dim, m))
     return w / np.linalg.norm(w, axis=0)
+
+
+def traced_peak(fn, *args, **kw):
+    """``fn(*args, **kw)`` and the peak bytes it held in new allocations."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kw)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

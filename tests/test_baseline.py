@@ -4,9 +4,14 @@ import csv
 import math
 
 import pytest
+# scoring an unconverged student imports scipy.optimize; import it here, so
+# that the traced baseline run below does not count its modules
+import scipy.optimize  # noqa: F401
 
 from netrecover import PipelineConfig, StageError, baseline, cli, run_baseline_sgd
 from netrecover.pipeline import RESULT_COLUMNS
+from netrecover.teacher import BLOCK_BYTES
+from conftest import traced_peak
 
 REL_TOL = 1e-9
 
@@ -91,3 +96,15 @@ def test_failed_stage_is_a_stage_error_with_its_result(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert cli.main([*CLI_RUN, "--out-dir", str(out)]) == 3
     assert read_result(out)[1]["error"] == "score: scoring broke"
+
+
+def test_epoch_holds_the_training_set_and_row_blocks():
+    # D=20, beta=1.5: m = 36, n_train = ceil(2.5 * 36 * 20^2) = 36,000
+    dim, n = 20, 36_000
+    cfg = PipelineConfig(dim=dim, beta_order=1.5, seed=1, baseline_max_epochs=1,
+                         n_eval=2000)
+    result, peak = traced_peak(run_baseline_sgd, cfg)
+    assert (result.m, result.stage_queries["refine"]) == (36, n)
+    # xs and ys, the epoch loss's n-vectors (prediction, residual, its square)
+    # and a few blocks; two n x m arrays (10.4 MB each) would break this
+    assert peak < n * (dim + 4) * 8 + 4 * BLOCK_BYTES

@@ -7,7 +7,8 @@ from netrecover import (ConfigError, DivergenceError, RefineConfig,
                         StudentNetwork, TeacherNetwork, grad_loss, loss,
                         make_activation, refine)
 from netrecover.refine import power_iteration_lmax
-from conftest import random_teacher
+from netrecover.teacher import BLOCK_BYTES
+from conftest import random_teacher, traced_peak
 
 
 def perturbed_student(net, scale, seed):
@@ -327,6 +328,37 @@ def test_minibatch_matches_per_batch_gather(kind, n_train, batch, max_steps):
     assert res.steps == max_steps
     assert np.array_equal(res.tau_path, path)
     assert np.array_equal(res.losses, losses)
+
+
+class TestMemory:
+    """The sample is drawn, queried and projected in row blocks: refine's only
+    whole arrays are z = xs W (n_train x m), the targets and, per method, the
+    arrays its steps form."""
+
+    def test_minibatch_epoch_holds_the_data_and_row_blocks(self):
+        # the refine-sgd shape, one epoch of 400 batches of 64
+        dim, m, n = 40, 16, 25_600
+        net = random_teacher(dim, m, seed=310)
+        student = perturbed_student(net, 0.1, seed=23)
+        cfg = RefineConfig(n_train=n, lr=1e-3, batch=64, max_steps=400,
+                           stop_loss=0.0, timeout_s=None)
+        res, peak = traced_peak(refine, student, net, cfg, seed=123)
+        assert res.steps == 400
+        # z and the targets plus a few blocks; the n x D draw (8.2 MB) and a
+        # permuted copy of z (3.3 MB) would each break this
+        assert peak < n * (m + 1) * 8 + 4 * BLOCK_BYTES
+
+    def test_gauss_newton_draw_holds_row_blocks(self):
+        # D >> m, so the n x D draw (6.1 MB) outweighs the iteration's own
+        # arrays: about six n x m (z, F, g, the candidate's F and g, lstsq's
+        # copy of F)
+        dim, m, n = 100, 8, 8000
+        net = random_teacher(dim, m, seed=311)
+        student = perturbed_student(net, 0.1, seed=24)
+        cfg = RefineConfig(n_train=n, method="gn", stop_loss=0.0, timeout_s=None)
+        res, peak = traced_peak(refine, student, net, cfg, seed=124)
+        assert res.steps >= 1
+        assert peak < 6 * n * (m + 1) * 8 + 4 * BLOCK_BYTES
 
 
 class TestGaussNewton:

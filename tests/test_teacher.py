@@ -9,7 +9,8 @@ from netrecover import (ConfigError, FDConfig, FixedShifts, GaussianShifts,
                         StudentNetwork, TeacherNetwork, UniformShifts,
                         analytic_derivatives, exact_projector, fd_hessian, hvec,
                         load_teacher, make_activation, sample_teacher, save_teacher)
-from conftest import random_teacher
+from netrecover.teacher import BLOCK_BYTES, block_rows
+from conftest import random_teacher, traced_peak
 
 
 class TestSampling:
@@ -129,6 +130,29 @@ class TestEval:
         assert net.query_count == 7
         net.eval_batch(np.zeros((11, 5)))
         assert net.query_count == 18
+
+    # a row block's GEMM rounds like the rows of the one product at these
+    # shapes; at some others (D=20, m=36) it can differ in the last bit
+    @pytest.mark.parametrize("dim, m", [(8, 5), (10, 4), (40, 16), (40, 102)])
+    def test_blocked_batch_equals_one_product(self, dim, m):
+        net = random_teacher(dim, m, seed=7)
+        n = 3 * block_rows(m) + 17
+        xs = np.random.default_rng(2).standard_normal((n, dim))
+        one_product = np.sum(net.act.g(xs @ net.weights + net.shifts), axis=1)
+        before = net.query_count
+        vals = net.eval_batch(xs)
+        assert net.query_count - before == n
+        assert np.array_equal(vals, one_product)
+
+    def test_batch_holds_one_block_of_preactivations(self):
+        net = random_teacher(10, 40, seed=8)
+        n = 50_000
+        xs = np.random.default_rng(3).standard_normal((n, 10))
+        vals, peak = traced_peak(net.eval_batch, xs)
+        assert vals.shape == (n,)
+        # the output, one block of preactivations and one of g; a one-product
+        # pass holds two n x m arrays (32 MB)
+        assert peak < n * 8 + 3 * BLOCK_BYTES
 
     def test_concurrent_counting(self):
         import threading
