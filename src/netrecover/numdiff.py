@@ -102,11 +102,6 @@ def _finite(vals, point_at) -> np.ndarray:
     return vals
 
 
-def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    """Evaluate the batch function f at the stencil points."""
-    return _finite(f(points), points.__getitem__)
-
-
 def fd_hessian(f, x, cfg: FDConfig) -> np.ndarray:
     """Central-difference Hessian from a stencil function, symmetric by construction.
 
@@ -134,29 +129,41 @@ def fd_hessian(f, x, cfg: FDConfig) -> np.ndarray:
     return hess
 
 
-def fd_directional(f, x, u, n: int, cfg: FDConfig) -> float:
+def fd_directional(f, x, u, n: int, cfg: FDConfig):
     """Order-n (n = 1, 2, 3) derivative of t -> f(x + t u) at t = 0.
 
-    f is a batch function of the stencil points.  Requires a unit
-    direction.  Query counts are 2, 3 and 4 respectively; the order-3
-    stencil is the 5-point antisymmetric scheme (center unused).
+    f is a batch function of the stencil points.  ``u`` is one unit direction
+    (D,), which gives a float, or a (D, k) batch of unit columns, which gives
+    the k derivatives from one call of f.  Query counts per direction are 2,
+    3 and 4 respectively; the order-3 stencil is the 5-point antisymmetric
+    scheme (center unused).
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ConfigError(f"direction must have unit norm, got ||u|| = {nrm!r}")
+    nrm = np.atleast_1d(np.linalg.norm(u, axis=0))
+    worst = float(nrm[np.argmax(np.abs(nrm - 1.0))])
+    if abs(worst - 1.0) > 1e-8:
+        raise ConfigError(f"direction must have unit norm, got ||u|| = {worst!r}")
     h = cfg.step_h
+    ut = np.atleast_2d(u.T)  # one direction per row
     if n == 1:
-        pts = np.stack([x + h * u, x - h * u])
-        v = _evaluate(f, pts)
-        return float((v[0] - v[1]) / (2.0 * h))
-    if n == 2:
-        pts = np.stack([x + h * u, x, x - h * u])
-        v = _evaluate(f, pts)
-        return float((v[0] - 2.0 * v[1] + v[2]) / (h * h))
-    if n == 3:
-        pts = np.stack([x + 2 * h * u, x + h * u, x - h * u, x - 2 * h * u])
-        v = _evaluate(f, pts)
-        return float((v[0] - 2.0 * v[1] + 2.0 * v[2] - v[3]) / (2.0 * h ** 3))
-    raise ConfigError(f"directional derivative order must be 1, 2 or 3, got {n}")
+        v = _evaluate(f, [x + h * ut, x - h * ut])
+        d = (v[0] - v[1]) / (2.0 * h)
+    elif n == 2:
+        v = _evaluate(f, [x + h * ut, np.broadcast_to(x, ut.shape), x - h * ut])
+        d = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
+    elif n == 3:
+        v = _evaluate(f, [x + 2 * h * ut, x + h * ut, x - h * ut, x - 2 * h * ut])
+        d = (v[0] - 2.0 * v[1] + 2.0 * v[2] - v[3]) / (2.0 * h ** 3)
+    else:
+        raise ConfigError(f"directional derivative order must be 1, 2 or 3, got {n}")
+    return float(d[0]) if u.ndim == 1 else d
+
+
+def _evaluate(f, blocks) -> np.ndarray:
+    """The batch function f at the stencil points, given as one (k, D) block per offset.
+
+    Returns the values as an (offsets, k) array.
+    """
+    points = np.concatenate(blocks)
+    return _finite(f(points), points.__getitem__).reshape(len(blocks), -1)

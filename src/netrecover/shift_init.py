@@ -52,21 +52,18 @@ def directional_derivs_at_zero(net, w_hat: np.ndarray, n: int, cfg: FDConfig | N
                                exact: bool = False) -> np.ndarray:
     """Order-n derivative of the network along each column, at the origin.
 
-    Finite differences cost 3 queries per column for n = 2 and 4 for n = 3;
-    ``exact=True`` uses the network's analytic oracle instead.
+    Finite differences cost 3 queries per column for n = 2 and 4 for n = 3,
+    all in one batch call of the network; ``exact=True`` uses the network's
+    analytic oracle instead.
     """
     w_hat = np.asarray(w_hat, dtype=float)
     norms = np.linalg.norm(w_hat, axis=0)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ConfigError("weight estimates must have unit columns")
-    m = w_hat.shape[1]
     if exact:
-        return np.array([net.directional_deriv_exact(w_hat[:, k], n) for k in range(m)])
-    origin = np.zeros(net.dim)
-    return np.array([
-        fd_directional(net.eval_batch, origin, w_hat[:, k], n, cfg)
-        for k in range(m)
-    ])
+        return np.array([net.directional_deriv_exact(w_hat[:, k], n)
+                         for k in range(w_hat.shape[1])])
+    return fd_directional(net.eval_batch, np.zeros(net.dim), w_hat, n, cfg)
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray, label: str):

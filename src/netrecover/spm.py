@@ -11,6 +11,19 @@ comes within ``dedup_cos`` of an already accepted direction.  Acceptance and
 deduplication run in restart-index order, so a column is only ever stopped
 against directions from lower-index restarts and the collected set is a
 deterministic function of the seed.
+
+With F(u) = ||P(u u^T)||^2, a column climbs by the fixed-step ascent
+``u + 2 gamma P(u u^T) u``, which converges only linearly (about 0.6 per
+step at D=40): polishing a column from a move of 1e-4 down to ``conv_tol``
+would take some 36 more steps.  Once its move falls below ``_NEWTON_MOVE``,
+a column finishes instead by Newton steps on the sphere (Absil, Mahony &
+Sepulchre, *Optimization Algorithms on Matrix Manifolds*, ch. 6), in two or
+three steps.  A Newton step is taken only where a Cholesky factor of the
+Newton matrix certifies that F is locally concave on the sphere, as near a
+nondegenerate local maximum, and where the step is no longer than twice the
+distance to the fixed point that the column's last moves predict.
+Otherwise the column takes the ascent step, so Newton does not pull a
+column to a saddle or into another basin (:func:`_step`).
 """
 
 from __future__ import annotations
@@ -22,16 +35,19 @@ import math
 import numpy as np
 
 from .exceptions import ConfigError, IncompleteRecoveryError
-from .subspace import SubspaceProjector, hvec_outer
+from .subspace import SubspaceProjector, basis_products, hvec_outer
 
 __all__ = ["SpmConfig", "SpmStats", "default_restarts", "spm_objective",
            "spm_ascend", "collect_weights"]
 
 logger = logging.getLogger(__name__)
 
-# ascent columns per step: wide enough to share each read of the basis, narrow
-# enough that action_batch's (D, D, R) temporaries stay in cache at D=40
+# ascent columns per step: wide enough to share each read of the basis stack,
+# narrow enough to bound action_batch's (R, m, D) products (2 MB at D=40)
 _POOL = 64
+
+# a column whose last move falls below this finishes its ascent by Newton steps
+_NEWTON_MOVE = 1e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,8 +77,9 @@ class SpmStats:
     """Per-restart bookkeeping from :func:`collect_weights`.
 
     ``n_duplicate`` includes the restarts stopped early as duplicates, and
-    ``steps`` holds, in restart-index order, the ascent steps each processed
-    restart took (for a stopped one, the steps before it was stopped).
+    ``steps`` holds, in restart-index order, the steps each processed restart
+    took, a Newton step counting as one like an ascent step (for a stopped
+    restart, the steps before it was stopped).
     """
 
     n_processed: int = 0
@@ -94,12 +111,83 @@ def spm_objective(proj: SubspaceProjector, u) -> float:
     return float(c @ c)
 
 
-def _step(proj: SubspaceProjector, u: np.ndarray, cfg: SpmConfig):
-    """One ascent step ``u + 2 gamma P(u u^T) u``, renormalized, on a (D, R) batch.
+def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Newton steps for F(u) = ||P(u u^T)||^2 on the sphere, at a (D, R) batch.
 
-    Returns the new iterates and how far each column moved.
+    ``mats`` is the basis as a stack of matrices B_j and ``g = M(u) u`` the
+    ascent direction, where M(u) = sum_j (u^T B_j u) B_j is the matrix of
+    P(u u^T).  With lambda = u^T g and H = M(u) + 2 sum_j (B_j u)(B_j u)^T (g
+    and H are the gradient and Hessian of F over 4), the step xi solves
+    N xi = g - lambda u with N = -P_u (H - lambda I) P_u + u u^T.  As Hu = 3g
+    for the quartic F, N = lambda I - H + 3 (u g^T + g u^T) + (1 - 4 lambda) u u^T,
+    rank-2 updates of H.  N is positive definite exactly where the Riemannian
+    Hessian of F is negative definite, as near a nondegenerate local maximum;
+    a column whose N has no Cholesky factor gets a NaN step.  Returns xi, (D, R).
     """
-    unew = u + (2.0 * cfg.gamma) * proj.action_batch(u)
+    m, d, _ = mats.shape
+    r = u.shape[1]
+    prods, coeffs = basis_products(mats, u)
+    lam = np.einsum("dr,dr->r", g, u)
+    n = prods.transpose(0, 2, 1) @ prods
+    n *= -2.0
+    n -= (coeffs @ mats.reshape(m, d * d)).reshape(r, d, d)  # -H
+    # + 3 (u g^T + g u^T) + (1 - 4 lambda) u u^T as one product of (D, 2) factors
+    left = np.stack([u, g], axis=1).T
+    right = np.stack([3.0 * g + (1.0 - 4.0 * lam) * u, 3.0 * u], axis=1).T
+    n += left.transpose(0, 2, 1) @ right
+    n.reshape(r, d * d)[:, ::d + 1] += lam[:, None]
+    ok = np.ones(r, dtype=bool)
+    try:
+        np.linalg.cholesky(n)
+    except np.linalg.LinAlgError:
+        # the batched factorisation fails as a whole; find the columns it failed on
+        for i in range(r):
+            try:
+                np.linalg.cholesky(n[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    xi = np.full((d, r), np.nan)
+    if ok.any():
+        rhs = (g - lam * u).T[ok]
+        xi[:, ok] = np.linalg.solve(n[ok], rhs[:, :, None])[:, :, 0].T
+    return xi
+
+
+def _new_track(n_cols: int) -> np.ndarray:
+    """The :func:`_step` track of fresh columns: no moves yet, the default Newton gate."""
+    return np.repeat([[np.inf], [np.inf], [_NEWTON_MOVE]], n_cols, axis=1)
+
+
+def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray,
+          cfg: SpmConfig):
+    """One step on a (D, R) batch of unit columns: Newton's where it is safe, else ascent.
+
+    ``track`` is (3, R): each column's last move, the distance to its fixed
+    point that its moves predict (inf when they predict none), and its Newton
+    gate.  A column whose last move is below its gate, with a predicted
+    distance, tries a Newton step (:func:`_newton`, ``mats`` from
+    ``proj.matrices()``) and takes it when N has a Cholesky factor and the
+    step is at most twice the predicted distance.  Every other column takes
+    the ascent step ``u + 2 gamma P(u u^T) u``; a refused column lowers its
+    gate to a tenth of its last move, so it tries Newton again only after its
+    moves have shrunk tenfold.  Both steps end renormalized.
+
+    After an ascent step the predicted distance is d rho / (1 - rho), from the
+    move d and the ratio rho of the last two moves (the remaining distance at
+    a linear rate rho).  After a Newton step it is d / 4, so the next Newton
+    step must at least halve the move; once d^2 is below ``conv_tol``, Newton's
+    error is too, and the column takes an ascent step, whose move confirms
+    convergence, instead of a third Newton step.  Returns the new iterates
+    and the new track, whose first row is how far each column moved.
+    """
+    move, dist, gate = track
+    newton = (move < gate) & (dist < np.inf)
+    g = proj.action_batch(u, mats)
+    xi = np.full_like(u, np.nan)
+    if newton.any():
+        xi[:, newton] = _newton(mats, u[:, newton], g[:, newton])
+    take = np.linalg.norm(xi, axis=0) <= 2.0 * dist  # False for NaN steps
+    unew = np.where(take, u + xi, u + (2.0 * cfg.gamma) * g)
     norms = np.linalg.norm(unew, axis=0)
     dead = norms <= 0.0
     if np.any(dead):
@@ -109,7 +197,14 @@ def _step(proj: SubspaceProjector, u: np.ndarray, cfg: SpmConfig):
         unew[:, dead] = rescue.standard_normal((u.shape[0], int(dead.sum())))
         norms[dead] = np.linalg.norm(unew[:, dead], axis=0)
     unew /= norms
-    return unew, np.linalg.norm(unew - u, axis=0)
+    moved = np.linalg.norm(unew - u, axis=0)
+    rho = moved / move
+    linear = (0.0 < rho) & (rho < 1.0)
+    after_ascent = np.where(linear, moved * rho / np.where(linear, 1.0 - rho, 1.0), np.inf)
+    after_newton = np.where(moved * moved > cfg.conv_tol, 0.25 * moved, np.inf)
+    dist = np.where(take, after_newton, after_ascent)
+    gate = np.where(newton & ~take, 0.1 * move, gate)
+    return unew, np.stack([moved, dist, gate])
 
 
 def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig,
@@ -122,6 +217,8 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig,
     """
     u = np.array(u0, dtype=float)
     n_cols = u.shape[1]
+    mats = proj.matrices()
+    track = _new_track(n_cols)
     steps = np.zeros(n_cols, dtype=int)
     converged = np.zeros(n_cols, dtype=bool)
     active = np.arange(n_cols)
@@ -129,10 +226,9 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig,
     if record_objectives:
         history.append(proj.objective_batch(u))
     for _ in range(cfg.max_steps):
-        unew, moved = _step(proj, u[:, active], cfg)
-        u[:, active] = unew
+        u[:, active], track[:, active] = _step(proj, mats, u[:, active], track[:, active], cfg)
         steps[active] += 1
-        done = moved <= cfg.conv_tol
+        done = track[0, active] <= cfg.conv_tol
         if np.any(done):
             converged[active[done]] = True
             active = active[~done]
@@ -195,6 +291,8 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((proj.dim, n_restarts))
     u /= np.linalg.norm(u, axis=0)
+    mats = proj.matrices()
+    track = _new_track(n_restarts)
 
     accepted = np.zeros((0, proj.dim))  # one accepted direction per row
     stats = SpmStats()
@@ -206,10 +304,10 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
         fresh = np.arange(n_started, min(n_started + _POOL - pool.size, n_restarts))
         pool = np.concatenate([pool, fresh])
         n_started += fresh.size
-        unew, moved = _step(proj, u[:, pool], cfg)
+        unew, track[:, pool] = _step(proj, mats, u[:, pool], track[:, pool], cfg)
         u[:, pool] = unew
         steps[pool] += 1
-        done = (moved <= cfg.conv_tol) | (steps[pool] >= cfg.max_steps)
+        done = (track[0, pool] <= cfg.conv_tol) | (steps[pool] >= cfg.max_steps)
         dup = ~done & (np.max(np.abs(accepted @ unew), axis=0, initial=0.0) > cfg.dedup_cos)
         finished.update(zip(pool[done].tolist(), proj.objective_batch(unew[:, done]).tolist()))
         finished.update(dict.fromkeys(pool[dup].tolist()))

@@ -27,6 +27,7 @@ __all__ = [
     "unhvec",
     "hvec_outer",
     "hvec_outer_batch",
+    "basis_products",
     "SubspaceProjector",
     "build_hessian_matrix",
     "top_m_projector",
@@ -89,6 +90,17 @@ def _unhvec_batch(vs: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def basis_products(mats: np.ndarray, us: np.ndarray):
+    """Every B_j u and u^T B_j u for a (D, R) batch, by one GEMM of the stack.
+
+    ``mats`` is a (m, D, D) stack of symmetric matrices.  Returns the (R, m, D)
+    products B_j u_r and the (R, m) quadratic forms u_r^T B_j u_r.
+    """
+    m, d, _ = mats.shape
+    prods = (us.T @ mats.reshape(m * d, d).T).reshape(us.shape[1], m, d)
+    return prods, (prods @ us.T[:, :, None])[:, :, 0]
+
+
 @dataclasses.dataclass
 class SubspaceProjector:
     """Orthogonal projector onto an m-dimensional space of symmetric matrices.
@@ -121,12 +133,24 @@ class SubspaceProjector:
             raise ConfigError(f"matrix has shape {x.shape}, expected ({self.dim}, {self.dim})")
         return unhvec(self.apply_hvec(hvec(x)), self.dim)
 
-    def action_batch(self, us: np.ndarray) -> np.ndarray:
-        """Columnwise P(u u^T) u for a (D, R) batch of unit vectors."""
-        h = hvec_outer_batch(us)
-        proj = self.basis @ (self.basis.T @ h)
-        mats = _unhvec_batch(proj, self.dim)
-        return np.einsum("ijr,jr->ir", mats, us)
+    def matrices(self) -> np.ndarray:
+        """The basis as a (rank, D, D) stack of symmetric matrices B_j, orthonormal in Frobenius.
+
+        It takes rank * D^2 doubles, about twice the basis, so a caller builds
+        it once for a run of :meth:`action_batch` calls rather than the
+        projector keeping it.
+        """
+        return np.ascontiguousarray(_unhvec_batch(self.basis, self.dim).transpose(2, 0, 1))
+
+    def action_batch(self, us: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        """Columnwise P(u u^T) u for a (D, R) batch of unit vectors.
+
+        ``mats`` is :meth:`matrices`.  P(u u^T) = sum_j (u^T B_j u) B_j, so the
+        action is sum_j (u^T B_j u) B_j u, from one GEMM of the stack against
+        the batch (:func:`basis_products`).
+        """
+        prods, coeffs = basis_products(mats, us)
+        return (coeffs[:, None, :] @ prods)[:, 0, :].T
 
     def objective_batch(self, us: np.ndarray) -> np.ndarray:
         """Columnwise ||P(u u^T)||_F^2; lands in [0, 1] for unit u."""

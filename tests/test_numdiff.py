@@ -13,7 +13,7 @@ from netrecover import (ConfigError, FDConfig, FDEvaluationError, TeacherNetwork
 from netrecover import teacher
 from netrecover.numdiff import hessian_stencil
 from netrecover.subspace import hvec
-from conftest import random_teacher
+from conftest import random_teacher, random_unit_columns
 
 
 class TestConfig:
@@ -230,6 +230,34 @@ class TestDirectional:
         with pytest.raises(ConfigError):
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
                            np.array([1.0, 1.0]), 1, FDConfig())
+        with pytest.raises(ConfigError):
+            fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
+                           np.array([[1.0, 1.0], [0.0, 1.0]]), 1, FDConfig())
+
+    @pytest.mark.parametrize("n,cost", [(1, 2), (2, 3), (3, 4)])
+    def test_batch_matches_single_directions(self, n, cost):
+        net = random_teacher(5, 3, seed=21)
+        u = random_unit_columns(5, 4, seed=22)
+        x = np.random.default_rng(23).standard_normal(5)
+        cfg = FDConfig()
+        rows = []
+        net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
+        batch = fd_directional(net.eval_batch, x, u, n, cfg)
+        assert rows == [4 * cost] and net.query_count == 4 * cost
+        single = [fd_directional(net.eval_batch, x, u[:, k], n, cfg) for k in range(4)]
+        # the rows may round differently in a larger GEMM: the stencil weights
+        # sum to at most 4 / h^n in absolute value, and |g| <= 1 for m = 3
+        tol = 4 * 8 * 3 * np.finfo(float).eps / cfg.step_h ** n
+        assert np.max(np.abs(batch - single)) <= tol
+
+    def test_batch_non_finite_names_the_point(self):
+        def f(p):
+            return np.where(p[:, 1] > 0.05, np.nan, 0.0)
+
+        u = np.eye(3)[:, :2]
+        with pytest.raises(FDEvaluationError) as err:
+            fd_directional(f, np.zeros(3), u, 2, FDConfig(step_h=0.1))
+        assert np.array_equal(err.value.point, [0.0, 0.1, 0.0])
 
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigError):

@@ -28,19 +28,19 @@ EXACT_COLUMNS = {
 }
 FLOAT_COLUMNS = {
     "fd_step": 0.01,
-    "e_inf": 9.189884623745241e-06,
-    "max_weight_err": 1.4452988888719993e-05,
-    "shift_rms": 8.265125365921457e-06,
+    "e_inf": 9.189886021464789e-06,
+    "max_weight_err": 1.4452989331247826e-05,
+    "shift_rms": 8.265127388222295e-06,
     "sign_accuracy": 1.0,
-    "init_shift_rms": 3.4878359602433775e-05,
-    "delta_w1": 0.0003465769712740299,
-    "delta_wo": 3.4878180778355138e-09,
-    "delta_ws": 3.5321266425128686e-05,
-    "init_shift_bound": 0.00032069768181340434,
+    "init_shift_rms": 3.4878359258251654e-05,
+    "delta_w1": 0.0003465769817536739,
+    "delta_wo": 3.4878176702863664e-09,
+    "delta_ws": 3.532127084867447e-05,
+    "init_shift_bound": 0.0003206976892893255,
     "eps_hat": 2.1226598865130286e-05,
-    "cond_g2": 5.757395152525421,
-    "cond_g3": 3.0037260890198905,
-    "final_loss": 2.1204201274631603e-10,
+    "cond_g2": 5.7573951525285745,
+    "cond_g3": 3.0037260890201414,
+    "final_loss": 2.120420515066351e-10,
     "query_ceiling_ratio": 0.03537363189985749,
 }
 REL_TOL = 1e-9

@@ -90,6 +90,14 @@ class TestDirectionalDerivs:
         directional_derivs_at_zero(net, net.weights, 3, cfg)
         assert net.query_count - before == 4 * 4
 
+    def test_one_network_call_per_order(self):
+        net = random_teacher(6, 4, seed=2)
+        rows = []
+        net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
+        for n in (2, 3):
+            directional_derivs_at_zero(net, net.weights, n, FDConfig())
+        assert rows == [4 * 3, 4 * 4]
+
 
 class TestInitSignsShifts:
     def test_exact_weights_exact_mode(self, tanh_act):

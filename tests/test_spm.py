@@ -104,6 +104,25 @@ class TestAscend:
                                                 record_objectives=True)
             assert np.all(np.diff(history[:, 0]) >= -1e-12)
 
+    def test_leaves_a_saddle_for_a_maximum(self):
+        # for orthonormal w1, w2, (w1 + w2) / sqrt(2) is a saddle of objective
+        # 0.5 (a minimum along the circle through w1 and w2); a Newton step
+        # taken there would converge to it, so only the ascent may move here
+        w = np.linalg.qr(np.random.default_rng(30).standard_normal((6, 2)))[0]
+        proj = exact_projector(w)
+        v = np.random.default_rng(31).standard_normal(6)
+        u0 = w[:, 0] + w[:, 1] + 1e-7 * v
+        u0 /= np.linalg.norm(u0)
+        assert spm_objective(proj, u0) == pytest.approx(0.5, abs=1e-12)
+        # N has a negative eigenvalue at the saddle: no Newton step there
+        saddle = ((w[:, 0] + w[:, 1]) / np.sqrt(2.0))[:, None]
+        mats = proj.matrices()
+        assert np.all(np.isnan(spm._newton(mats, saddle, proj.action_batch(saddle, mats))))
+        u, obj, _, converged = spm_ascend(proj, u0, SpmConfig())
+        assert converged
+        assert obj == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(w.T @ u)) == pytest.approx(1.0, abs=1e-12)
+
     def test_unit_norm_iterates(self):
         w = random_unit_columns(9, 4, seed=9)
         proj = exact_projector(w)
@@ -112,6 +131,48 @@ class TestAscend:
         u0 /= np.linalg.norm(u0)
         u, _, _, _ = spm_ascend(proj, u0, SpmConfig())
         assert abs(np.linalg.norm(u) - 1) < 1e-10
+
+
+class TestNewton:
+    def test_step_solves_the_dense_newton_system(self):
+        # oracle: H by central differences of the gradient g(u) = P(u u^T) u
+        # (F / 4 extended off the sphere), then the tangent Newton system
+        net = random_teacher(7, 5, seed=32)
+        proj = exact_projector(net.weights)
+        mats = proj.matrices()
+        rng = np.random.default_rng(33)
+        u = net.weights[:, :1] + 1e-2 * rng.standard_normal((7, 1))
+        u /= np.linalg.norm(u)
+        g = proj.action_batch(u, mats)
+        h = 1e-5
+        hess = np.column_stack([
+            (proj.action_batch(u + h * e[:, None], mats)
+             - proj.action_batch(u - h * e[:, None], mats))[:, 0] / (2 * h)
+            for e in np.eye(7)])
+        lam = float(u[:, 0] @ g[:, 0])
+        tangent = np.eye(7) - u @ u.T
+        n = -tangent @ (hess - lam * np.eye(7)) @ tangent + u @ u.T
+        ref = np.linalg.solve(n, g[:, 0] - lam * u[:, 0])
+        xi = spm._newton(mats, u, g)[:, 0]
+        assert np.max(np.abs(xi - ref)) <= 1e-8
+        assert abs(xi @ u[:, 0]) <= 1e-14
+
+    def test_newton_converges_quadratically(self):
+        net = random_teacher(8, 6, seed=34)
+        proj = exact_projector(net.weights)
+        mats = proj.matrices()
+        w = net.weights[:, 2]
+        rng = np.random.default_rng(35)
+        u = w + 1e-3 * rng.standard_normal(8)
+        u /= np.linalg.norm(u)
+        errs = [np.linalg.norm(u - w)]
+        for _ in range(3):
+            g = proj.action_batch(u[:, None], mats)
+            u = u + spm._newton(mats, u[:, None], g)[:, 0]
+            u /= np.linalg.norm(u)
+            errs.append(np.linalg.norm(u - w))
+        assert errs[1] <= 10 * errs[0] ** 2 and errs[2] <= 10 * errs[1] ** 2
+        assert errs[3] <= 1e-14
 
 
 class TestGateAndDedup:
@@ -276,6 +337,17 @@ class TestPool:
             assert statuses[idx] == "duplicate"
             assert stats.steps[idx] < steps_ref[idx]
         assert f"{len(stopped)} of them stopped early" in caplog.text
+
+    def test_newton_finish_cuts_the_steps(self, monkeypatch):
+        proj, m, seed = _sampled_case()
+        w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        monkeypatch.setattr(spm, "_NEWTON_MOVE", 0.0)  # ascent steps only
+        w_asc, stats_asc = collect_weights(proj, m, SpmConfig(), seed)
+        assert _counts(stats) == _counts(stats_asc) == (157, 30, 127, 0)
+        # the ascent stops within about conv_tol rho / (1 - rho) of the fixed point
+        assert np.max(np.abs(w_hat - w_asc)) <= 1e-10
+        assert sum(stats.steps) == 5318
+        assert sum(stats_asc.steps) == 11363
 
     def test_pool_width_does_not_change_the_result(self, monkeypatch):
         proj, m, seed = _sampled_case()

@@ -74,6 +74,22 @@ class TestProjectorInvariants:
         out = proj.apply(x)
         assert np.array_equal(out, out.T)
 
+    def test_matrices_are_the_basis(self, proj):
+        mats = proj.matrices()
+        assert mats.shape == (15, 10, 10)
+        assert np.array_equal(mats, mats.transpose(0, 2, 1))
+        for j in range(15):
+            assert np.allclose(hvec(mats[j]), proj.basis[:, j], atol=1e-15)
+
+    def test_action_matches_dense_projection(self, proj):
+        # oracle: P(u u^T) u through the explicit projector matrix
+        dense = dense_projector_matrix(proj)
+        us = random_unit_columns(10, 6, seed=10)
+        got = proj.action_batch(us, proj.matrices())
+        for r in range(6):
+            ref = unhvec(dense @ hvec_outer(us[:, r]), 10) @ us[:, r]
+            assert np.max(np.abs(got[:, r] - ref)) < 1e-14
+
 
 class TestBuildHessianMatrix:
     def test_exact_mode_full_rank(self):
