@@ -22,13 +22,10 @@ from .pipeline import (ExperimentResult, PipelineConfig, child_seed,
                        run_scaling_study)
 from .refine import RefineConfig, RefineResult, grad_loss, loss, refine
 from .shift_init import InitResult, directional_derivs_at_zero, gram_power, init_signs_shifts
-from .spm import (SpmConfig, SpmStats, collect_weights, default_restarts,
-                  spm_ascend, spm_objective)
+from .spm import SpmConfig, SpmStats, collect_weights, default_restarts, spm_ascend
 from .subspace import (SubspaceProjector, build_hessian_matrix, exact_projector,
-                       half_dim, hvec, hvec_outer, projector_distance,
-                       top_m_projector, unhvec)
+                       half_dim, hvec, projector_distance, top_m_projector, unhvec)
 from .teacher import (FixedShifts, GaussianShifts, StudentNetwork,
-                      TeacherNetwork, UniformShifts, analytic_derivatives,
-                      sample_teacher)
+                      TeacherNetwork, UniformShifts, sample_teacher)
 
 __version__ = "0.1.0"

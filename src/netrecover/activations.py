@@ -84,7 +84,7 @@ class Activation:
     tau_inf : float
         Admissible shift radius: shifts live in ``[-tau_inf, tau_inf]``.
     kappa : float
-        ``max_n<=3 sup |g^(n)|``, estimated on a wide grid.
+        ``max_n<=3 sup |g^(n)|``, estimated on a wide grid at each read.
     g2_monotone_sign : int
         +1 if g'' increases on the monotone core, -1 if it decreases.
     g2_monotone_radius : float
@@ -99,9 +99,12 @@ class Activation:
     g2: Callable[[np.ndarray], np.ndarray]
     g3: Callable[[np.ndarray], np.ndarray]
     tau_inf: float
-    kappa: float
     g2_monotone_sign: int
     g2_monotone_radius: float
+
+    @property
+    def kappa(self) -> float:
+        return _grid_kappa(self.g1, self.g2, self.g3)
 
     def derivative(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Return g^(n) for n in 0..3."""
@@ -195,7 +198,6 @@ def make_activation(kind: str, *, custom: dict | None = None) -> Activation:
         g2=g2,
         g3=g3,
         tau_inf=tau_inf,
-        kappa=_grid_kappa(g1, g2, g3),
         g2_monotone_sign=sign,
         g2_monotone_radius=radius,
     )

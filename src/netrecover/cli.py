@@ -69,9 +69,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--dump-spectrum", action="store_true", default=None,
                    dest="dump_spectrum")
+    # SPM's acceptance level has no flag: it is derived from the Hessian span's gap
     p.add_argument("--spm-gamma", type=float)
     p.add_argument("--spm-steps", type=int)
-    p.add_argument("--spm-beta", type=float)
     p.add_argument("--spm-restarts", type=int)
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--max-steps", type=int, dest="refine_max_steps")
@@ -91,7 +91,6 @@ _ALIASES = {
     ("refine", "max_steps"): "refine_max_steps",
     (None, "spm_gamma"): "spm.gamma",
     (None, "spm_steps"): "spm.max_steps",
-    (None, "spm_beta"): "spm.beta",
     (None, "spm_restarts"): "spm.max_restarts",
 }
 # PipelineConfig fields that no flag or config key sets
@@ -177,7 +176,9 @@ def build_pipeline_config(args, **fixed) -> PipelineConfig:
 def _teacher_and_config(args):
     """The teacher file named by ``--net`` and a config of its D and m."""
     net = fileio.load_teacher(args.net)
-    return net, build_pipeline_config(args, dim=net.dim, n_neurons=net.n_neurons)
+    cfg = build_pipeline_config(args, dim=net.dim, n_neurons=net.n_neurons)
+    cfg.validate()
+    return net, cfg
 
 
 def _check_columns(args, net, w_hat, signs=None):

@@ -37,7 +37,7 @@ from .numdiff import FDConfig
 from .refine import RefineConfig, refine
 from .shift_init import init_signs_shifts
 from .spm import SpmConfig, collect_weights
-from .subspace import build_hessian_matrix, top_m_projector, unhvec
+from .subspace import build_hessian_matrix, half_dim, top_m_projector, unhvec
 from .teacher import StudentNetwork, UniformShifts, sample_teacher
 
 __all__ = ["PipelineConfig", "ExperimentResult", "child_seed", "neuron_count",
@@ -81,8 +81,12 @@ def neuron_count(dim: int, beta_order: float) -> int:
 
 
 def default_n_hessians(dim: int, m: int) -> int:
-    """Default Hessian-anchor budget ceil(log(D) m)."""
-    return math.ceil(math.log(dim) * m)
+    """Default Hessian-anchor budget max(ceil(m log D), m + 1).
+
+    The m + 1 gives SPM the sigma_{m+1} its acceptance level is derived
+    from; it raises only D = 2, where ceil(m log 2) <= m.
+    """
+    return max(math.ceil(math.log(dim) * m), m + 1)
 
 
 @dataclasses.dataclass
@@ -120,8 +124,15 @@ class PipelineConfig:
     def validate(self):
         if self.dim < 2:
             raise ConfigError("dim must be >= 2")
+        m = self.resolved_m()
+        # past D(D+1)/2 - D the span holds a positive-dimensional family of rank-one matrices
+        bound = half_dim(self.dim) - self.dim
+        if m > bound:
+            raise ConfigError(f"m = {m} exceeds D(D+1)/2 - D = {bound}: not identifiable")
+        if self.n_hessians == m and not self.exact_derivatives:
+            raise ConfigError(f"n_hessians = m leaves SPM no sigma_{m + 1}; take m + 1 = {m + 1}")
         # a bad refine setting fails here, before the first stage runs
-        self.refine_config(self.resolved_m())
+        self.refine_config(m)
 
     def refine_config(self, m: int) -> RefineConfig:
         """The refine stage's settings: Gauss-Newton on ``n_train`` inputs.

@@ -1,9 +1,14 @@
 """Weight-direction recovery by projected gradient ascent on the sphere.
 
 Maximizes ``||P(u u^T)||_F^2`` over unit vectors, where P projects onto the
-estimated Hessian span.  Local maximizers above an acceptance level are the
-planted directions (up to sign); repeated random restarts collect all of
-them, with the restart budget sized by the coupon-collector growth rate.
+estimated Hessian span.  The planted directions (up to sign) are the local
+maxima near 1, the subspace power method's test of a near-rank-one maximum
+(Kileel & Pereira, *Subspace power method for symmetric tensor decomposition
+and generalized PCA*); in the wide regime D < m < D^2 the span also holds
+spurious maxima below 1.  A planted direction lies within an angle of about
+r = sigma_{m+1}/sigma_m of the estimated span, so :func:`_acceptance_level`
+reads the level from r.  Repeated random restarts collect the m directions,
+with the restart budget sized by the coupon-collector growth rate.
 Restarts are ascended together in a pool of ``_POOL`` columns that the next
 restarts by index refill as columns leave it.  A column leaves when it
 converges, when it reaches ``max_steps``, or early, as a duplicate, when it
@@ -35,10 +40,9 @@ import math
 import numpy as np
 
 from .exceptions import ConfigError, IncompleteRecoveryError
-from .subspace import SubspaceProjector, basis_products, hvec_outer
+from .subspace import SubspaceProjector, basis_products
 
-__all__ = ["SpmConfig", "SpmStats", "default_restarts", "spm_objective",
-           "spm_ascend", "collect_weights"]
+__all__ = ["SpmConfig", "SpmStats", "default_restarts", "spm_ascend", "collect_weights"]
 
 logger = logging.getLogger(__name__)
 
@@ -49,15 +53,19 @@ _POOL = 64
 # a column whose last move falls below this finishes its ascent by Newton steps
 _NEWTON_MOVE = 1e-4
 
+# the acceptance level 1 - max(_LEVEL_C r^2, _LEVEL_FLOOR), r = sigma_{m+1}/sigma_m:
+# planted directions measured at 1 - objective <= 0.54 r^2, spurious maxima >= 1.67e-5
+_LEVEL_C = 10.0
+_LEVEL_FLOOR = 1e-9
+
 
 @dataclasses.dataclass(frozen=True)
 class SpmConfig:
-    """Knobs for the sphere ascent and the collection loop."""
+    """Knobs for the sphere ascent and the collection loop (the acceptance level is derived)."""
 
     gamma: float = 2.0
     max_steps: int = 1000
     conv_tol: float = 1e-12
-    beta: float = 0.5
     dedup_cos: float = 0.99
     max_restarts: int | None = None  # None -> ceil(5 m log m)
 
@@ -66,8 +74,6 @@ class SpmConfig:
             raise ConfigError("gamma must be positive")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be positive")
-        if not (0.0 < self.beta < 1.0):
-            raise ConfigError("beta must lie in (0, 1)")
         if not (0.9 < self.dedup_cos < 1.0):
             raise ConfigError("dedup_cos must lie in (0.9, 1)")
 
@@ -94,21 +100,6 @@ def default_restarts(m: int) -> int:
     if m < 2:
         return 8
     return math.ceil(5.0 * m * math.log(m))
-
-
-def _check_unit(u):
-    u = np.asarray(u, dtype=float)
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ConfigError(f"expected a unit vector, got norm {nrm!r}")
-    return u
-
-
-def spm_objective(proj: SubspaceProjector, u) -> float:
-    """Projected Frobenius energy of u u^T; lies in [0, 1] for unit u."""
-    u = _check_unit(u)
-    c = proj.coeffs(hvec_outer(u))
-    return float(c @ c)
 
 
 def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -247,7 +238,10 @@ def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):
 
     Returns ``(u_star, objective, steps, converged)``.
     """
-    u0 = _check_unit(u0)
+    u0 = np.asarray(u0, dtype=float)
+    nrm = float(np.linalg.norm(u0))
+    if abs(nrm - 1.0) > 1e-8:
+        raise ConfigError(f"expected a unit vector, got norm {nrm!r}")
     u, obj, steps, conv = _ascend_batch(proj, u0[:, None], cfg)
     return u[:, 0], float(obj[0]), int(steps[0]), bool(conv[0])
 
@@ -259,9 +253,19 @@ def canonical_sign(u: np.ndarray) -> np.ndarray:
     return u if u[pivot] >= 0 else -u
 
 
-def _classify(candidate, objective, accepted, cfg: SpmConfig) -> str:
-    """Acceptance decision for one converged restart."""
-    if objective <= cfg.beta:
+def _acceptance_level(proj: SubspaceProjector):
+    """``(1 - max(_LEVEL_C r^2, _LEVEL_FLOOR), r)`` with r = sigma_{m+1}/sigma_m of the spectrum.
+
+    r is 0 for a projector built from exactly m columns, as by ``exact_projector``.
+    """
+    m, spectrum = proj.rank, proj.spectrum
+    ratio = float(spectrum[m] / spectrum[m - 1]) if spectrum.size > m else 0.0
+    return 1.0 - max(_LEVEL_C * ratio * ratio, _LEVEL_FLOOR), ratio
+
+
+def _classify(candidate, objective, accepted, level: float, cfg: SpmConfig) -> str:
+    """Acceptance decision for one converged restart: rejected at or below ``level``."""
+    if objective <= level:
         return "rejected"
     if len(accepted) and np.max(np.abs(np.asarray(accepted) @ candidate)) > cfg.dedup_cos:
         return "duplicate"
@@ -277,16 +281,19 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
     when it converges or reaches ``max_steps``, or is stopped early as a
     duplicate when its |cos| with an accepted vector exceeds ``dedup_cos``.
     Finished restarts are classified strictly in restart-index order: accept
-    when the objective clears ``beta``, fold the sign to canonical form, and
-    drop near-duplicates of already-accepted vectors.  Every accepted vector
+    when the objective clears the level that :func:`_acceptance_level` reads
+    from the projector's spectrum, fold the sign to canonical form, and drop
+    near-duplicates of already-accepted vectors.  Every accepted vector
     comes from a lower index than any column still in the pool, so a column
     is stopped only against vectors its own classification would check; the
     outcome differs from ascending each restart alone, in order, only if a
     column that came that close would later have left the accepted vector's
     basin.  Stops the moment m distinct vectors are accepted; raises
     :class:`IncompleteRecoveryError` (carrying the partial set and the
-    acceptance statistics) when the restart budget runs out first.
+    acceptance statistics) when the restart budget runs out first.  The
+    summary line and that error state the level and sigma_{m+1}/sigma_m.
     """
+    level, ratio = _acceptance_level(proj)
     n_restarts = cfg.max_restarts if cfg.max_restarts is not None else default_restarts(m)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((proj.dim, n_restarts))
@@ -316,7 +323,7 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
             idx = stats.n_processed
             obj = finished.pop(idx)
             cand = canonical_sign(u[:, idx])
-            status = "stopped early" if obj is None else _classify(cand, obj, accepted, cfg)
+            status = "stopped early" if obj is None else _classify(cand, obj, accepted, level, cfg)
             if status == "accepted":
                 accepted = np.vstack([accepted, cand])
                 stats.n_accepted += 1
@@ -332,13 +339,15 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
         raise IncompleteRecoveryError(
             f"found {len(accepted)} of {m} directions after {stats.n_processed} restarts "
             f"(accepted/duplicate/rejected = {stats.n_accepted}/{stats.n_duplicate}/"
-            f"{stats.n_rejected})",
+            f"{stats.n_rejected}; acceptance level 1 - {1.0 - level:.2e} from "
+            f"sigma_{m + 1}/sigma_{m} = {ratio:.2e})",
             partial=accepted.T,
             stats=stats,
         )
     logger.info(
         "collected %d directions from %d restarts (%d duplicates, %d of them stopped early; "
-        "%d rejected)",
+        "%d rejected at level 1 - %.2e, sigma_%d/sigma_%d = %.2e)",
         m, stats.n_processed, stats.n_duplicate, n_stopped, stats.n_rejected,
+        1.0 - level, m + 1, m, ratio,
     )
     return accepted.T, stats

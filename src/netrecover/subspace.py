@@ -25,7 +25,6 @@ __all__ = [
     "half_dim",
     "hvec",
     "unhvec",
-    "hvec_outer",
     "hvec_outer_batch",
     "basis_products",
     "SubspaceProjector",
@@ -66,11 +65,6 @@ def unhvec(v: np.ndarray, d: int) -> np.ndarray:
     a[rows, cols] = vals
     a[cols, rows] = vals
     return a
-
-
-def hvec_outer(u: np.ndarray) -> np.ndarray:
-    """hvec(u u^T) without forming the outer product separately."""
-    return hvec_outer_batch(np.asarray(u, dtype=float)[:, None])[:, 0]
 
 
 def hvec_outer_batch(us: np.ndarray) -> np.ndarray:
@@ -119,9 +113,6 @@ class SubspaceProjector:
     def singular_values(self) -> np.ndarray:
         """The top ``rank`` singular values."""
         return self.spectrum[: self.rank]
-
-    def coeffs(self, v: np.ndarray) -> np.ndarray:
-        return self.basis.T @ v
 
     def apply_hvec(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ v)

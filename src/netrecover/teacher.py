@@ -3,10 +3,10 @@
 A teacher network is ``f(x) = sum_k g(<w_k, x> + tau_k)`` with unit-norm
 weight columns and bounded shifts.  All parameter access in the recovery
 pipeline goes through the counted evaluation oracle: ``eval_batch`` for
-given inputs, and ``stencil_function(h)`` (or its one-shot form
-``eval_stencil``) for the finite-difference Hessian's stencil points, which
-it evaluates without forming them.  Both apply g to one row block of
-``BLOCK_BYTES`` at a time, so no query holds more preactivations than that.
+given inputs, and ``stencil_function(h)`` for the finite-difference
+Hessian's stencil points, which it evaluates without forming them.  Both
+apply g to one row block of ``BLOCK_BYTES`` at a time, so no query holds
+more preactivations than that.
 The analytic derivative methods exist for tests and for the
 exact-derivative pipeline mode, and are tallied separately so the harness
 can verify the black-box budget.  Network files are read and written by
@@ -31,7 +31,6 @@ __all__ = [
     "GaussianShifts",
     "FixedShifts",
     "sample_teacher",
-    "analytic_derivatives",
 ]
 
 _UNIT_TOL = 1e-12
@@ -217,14 +216,6 @@ class TeacherNetwork(_ShallowNet):
 
         return f
 
-    def eval_stencil(self, x, h: float) -> np.ndarray:
-        """Values at the D^2 + D + 1 Hessian stencil points around x, one query each.
-
-        A one-shot call of :meth:`stencil_function`; callers that take many
-        Hessians at one step build that function once instead.
-        """
-        return self.stencil_function(h)(x, h)
-
     # -- analytic oracles (do not touch the query budget) ------------------
 
     def analytic_hessian(self, x) -> np.ndarray:
@@ -239,13 +230,6 @@ class TeacherNetwork(_ShallowNet):
         self._oracle.add(1)
         dots = self.weights.T @ u
         return float(np.sum(self.act.derivative(n)(self.shifts) * dots ** n))
-
-
-def analytic_derivatives(net: TeacherNetwork, x, order: int):
-    """Exact Hessian (order 2) of the teacher at x."""
-    if order == 2:
-        return net.analytic_hessian(x)
-    raise ConfigError(f"order must be 2, got {order}")
 
 
 class StudentNetwork(_ShallowNet):

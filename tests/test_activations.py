@@ -68,6 +68,20 @@ class TestDerivativeConsistency:
         for n in (1, 2, 3):
             assert np.max(np.abs(act.derivative(n)(x))) <= act.kappa + 1e-12
 
+    def test_kappa_computed_on_access(self, tanh_act, monkeypatch):
+        # make_activation runs in every teacher stage and load; it leaves the grid alone
+        from netrecover import activations
+        calls = []
+        grid = activations._grid_kappa
+        monkeypatch.setattr(activations, "_grid_kappa", lambda *a: calls.append(1) or grid(*a))
+        act = make_activation("tanh")
+        assert calls == []
+        # a replaced derivative is what kappa then bounds
+        steeper = dataclasses.replace(act, g3=lambda x: 3.0 * tanh_act.g3(x))
+        assert steeper.kappa == pytest.approx(6.0, rel=1e-6)
+        assert act.kappa == pytest.approx(2.0, rel=1e-6)
+        assert len(calls) == 2
+
 
 class TestGAndG1:
     X = np.random.default_rng(1).uniform(-8, 8, size=(37, 5))

@@ -103,7 +103,6 @@ dump_spectrum = true
 [spm]
 gamma = 3.0
 max_steps = 77
-beta = 0.25
 dedup_cos = 0.995
 max_restarts = 31
 conv_tol = 1e-10
@@ -118,14 +117,14 @@ FLAGS = ["--d", "12", "--m", "5", "--beta", "1.25", "--activation", "sigmoid",
          "--shift-law", "gaussian:0.1", "--fd-step", "0.02", "--exact-derivatives",
          "--n-h", "40", "--n-eval", "500", "--seed", "9", "--out-dir", "somewhere",
          "--dump-spectrum", "--spm-gamma", "3.0", "--spm-steps", "77",
-         "--spm-beta", "0.25", "--spm-restarts", "31", "--n-train", "1234",
+         "--spm-restarts", "31", "--n-train", "1234",
          "--max-steps", "99", "--timeout-s", "12.5"]
 EXPECTED = PipelineConfig(
     dim=12, n_neurons=5, beta_order=1.25, activation="sigmoid",
     shift_law=GaussianShifts(0.1), fd_step=0.02, exact_derivatives=True,
     n_hessians=40, n_eval=500, seed=9, out_dir="somewhere", dump_spectrum=True,
-    spm=SpmConfig(gamma=3.0, max_steps=77, beta=0.25, dedup_cos=0.995,
-                  max_restarts=31, conv_tol=1e-10),
+    spm=SpmConfig(gamma=3.0, max_steps=77, dedup_cos=0.995, max_restarts=31,
+                  conv_tol=1e-10),
     n_train=1234, refine_max_steps=99, stop_loss=1e-9, timeout_s=12.5,
 )
 
@@ -155,6 +154,8 @@ class TestConfig:
     @pytest.mark.parametrize("text", [
         "[pipeline]\nd = 10\nbogus = 1\n",
         "[spm]\nlr = 0.1\n",
+        # SPM's acceptance level is derived from the Hessian span, not set
+        "[pipeline]\nd = 10\n[spm]\nbeta = 0.5\n",
         "[refine]\ngamma = 2\n",
         "[refine]\nmethod = newton\n",
         "[refine]\nbatch = 16\n",
@@ -185,6 +186,39 @@ class TestConfig:
     def test_missing_dimension_exits_2(self, capsys):
         assert cli.main(["pipeline", "--beta", "1.0"]) == 2
         assert "input dimension is required" in capsys.readouterr().err
+
+    def test_spm_beta_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pipeline", "--d", "10", "--spm-beta", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --spm-beta" in capsys.readouterr().err
+
+
+class TestRefusedCells:
+    """Cells with no right answer, or no gap to read the level from, exit 2 before any stage."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "8", "--beta", "2.2"], "m = 39 exceeds D(D+1)/2 - D = 28"),
+        (["--d", "10", "--beta", "2.1"], "m = 51 exceeds D(D+1)/2 - D = 45"),
+        (["--d", "10", "--m", "13", "--n-h", "13"], "take m + 1 = 14"),
+    ], ids=["D8-b2.2", "D10-b2.1", "n_h-equals-m"])
+    def test_pipeline(self, tmp_path, argv, message, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", *argv, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d, m, message", [
+        (8, 39, "m = 39 exceeds D(D+1)/2 - D = 28"),
+        (10, 51, "m = 51 exceeds D(D+1)/2 - D = 45"),
+    ])
+    def test_recover_weights(self, tmp_path, d, m, message, capsys):
+        net = str(tmp_path / "teacher.net")
+        assert cli.main(["generate", "--d", str(d), "--m", str(m), "--out", net]) == 0
+        out = tmp_path / "weights.txt"
+        assert cli.main(["recover-weights", "--net", net, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStudy:

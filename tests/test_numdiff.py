@@ -38,7 +38,7 @@ class TestHessian:
         w = np.zeros((3, 1))
         w[0, 0] = 1.0
         net = TeacherNetwork(w, np.zeros(1), tanh_act)
-        h = fd_hessian(net.eval_stencil, np.zeros(3), FDConfig(step_h=0.01))
+        h = fd_hessian(net.stencil_function(0.01), np.zeros(3), FDConfig(step_h=0.01))
         assert np.max(np.abs(h)) < 1e-6
 
     def test_richardson_ratio(self):
@@ -48,19 +48,19 @@ class TestHessian:
         exact = net.analytic_hessian(x)
         errs = []
         for h in (0.02, 0.01):
-            fd = fd_hessian(net.eval_stencil, x, FDConfig(step_h=h))
+            fd = fd_hessian(net.stencil_function(h), x, FDConfig(step_h=h))
             errs.append(np.max(np.abs(fd - exact)))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_symmetry_by_construction(self):
         net = random_teacher(5, 4, seed=8)
-        h = fd_hessian(net.eval_stencil, np.ones(5), FDConfig())
+        h = fd_hessian(net.stencil_function(FDConfig().step_h), np.ones(5), FDConfig())
         assert np.array_equal(h, h.T)
 
     def test_query_count(self):
         net = random_teacher(6, 2, seed=9)
         d = 6
-        for f in (net.eval_stencil, at_stencil_points(net.eval_batch)):
+        for f in (net.stencil_function(FDConfig().step_h), at_stencil_points(net.eval_batch)):
             before = net.query_count
             fd_hessian(f, np.zeros(6), FDConfig())
             assert net.query_count - before == d * d + d + 1
@@ -119,7 +119,7 @@ class TestHessian:
 
 
 class TestStructuredStencil:
-    """``TeacherNetwork.eval_stencil`` against the dense ``eval_batch`` route."""
+    """``TeacherNetwork.stencil_function`` against the dense ``eval_batch`` route."""
 
     @pytest.mark.parametrize("dim", [5, 40])
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
@@ -137,7 +137,7 @@ class TestStructuredStencil:
         for _ in range(3):
             x = rng.standard_normal(dim)
             dense = fd_hessian(at_stencil_points(net.eval_batch), x, cfg)
-            structured = fd_hessian(net.eval_stencil, x, cfg)
+            structured = fd_hessian(net.stencil_function(cfg.step_h), x, cfg)
             assert np.max(np.abs(structured - dense)) <= tol
 
     def test_build_hessian_matrix_query_count(self):
@@ -161,8 +161,9 @@ class TestStructuredStencil:
         assert calls == []
         cols, anchors, _ = build_hessian_matrix(net, 4, cfg, seed=5)
         assert len(calls) == 1
+        stencil = net.stencil_function(cfg.step_h)
         for col, anchor in zip(cols.T, anchors):
-            assert np.array_equal(col, hvec(fd_hessian(net.eval_stencil, anchor, cfg)))
+            assert np.array_equal(col, hvec(fd_hessian(stencil, anchor, cfg)))
 
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_uneven_blocks_match_default_blocks(self, kind, monkeypatch):
@@ -171,10 +172,10 @@ class TestStructuredStencil:
         dim, m = 6, 8
         net = random_teacher(dim, m, seed=25, act=make_activation(kind))
         x = np.random.default_rng(26).standard_normal(dim)
-        default = net.eval_stencil(x, 0.01)
+        default = net.stencil_function(0.01)(x, 0.01)
         monkeypatch.setattr(teacher, "BLOCK_BYTES", 3 * 8 * m)
         assert teacher.block_rows(m) == 3
-        blocked = net.eval_stencil(x, 0.01)
+        blocked = net.stencil_function(0.01)(x, 0.01)
         # |g| <= 1 for both activations
         assert np.max(np.abs(blocked - default)) <= m * np.finfo(float).eps
 
@@ -188,7 +189,7 @@ class TestStructuredStencil:
         # default blocks, then 3-row blocks that put that row in the third
         for block_bytes in (teacher.BLOCK_BYTES, 3 * 8):
             monkeypatch.setattr(teacher, "BLOCK_BYTES", block_bytes)
-            for f in (net.eval_stencil, at_stencil_points(net.eval_batch)):
+            for f in (net.stencil_function(0.1), at_stencil_points(net.eval_batch)):
                 with pytest.raises(FDEvaluationError) as err:
                     fd_hessian(f, np.zeros(3), FDConfig(step_h=0.1))
                 assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
@@ -309,7 +310,7 @@ class TestConvergenceOrder:
             if op == "hessian":
                 exact = net.analytic_hessian(x)
                 err = lambda h: np.max(np.abs(
-                    fd_hessian(net.eval_stencil, x, FDConfig(step_h=h)) - exact))
+                    fd_hessian(net.stencil_function(h), x, FDConfig(step_h=h)) - exact))
             else:
                 u = rng.standard_normal(5)
                 u /= np.linalg.norm(u)

@@ -133,6 +133,34 @@ class TestFailedRun:
         assert "oracle evaluations (test/eps-probe only): 3" in report
 
 
+class TestWideRegime:
+    @pytest.mark.parametrize("exact", [False, True], ids=["fd", "exact"])
+    def test_spurious_maxima_rejected(self, exact):
+        # D=10, beta=2.0 (m=40): at a fixed level of 0.5, SPM accepted spurious
+        # local maxima (1 - objective >= 3e-4 here) and the run ended with
+        # max_weight_err 1.06 in both modes
+        res = run_pipeline(PipelineConfig(dim=10, beta_order=2.0, seed=1, n_eval=2000,
+                                          exact_derivatives=exact))
+        assert res.spm_rejected == 9
+        assert res.metrics.max_weight_err < 1e-3
+
+
+class TestValidate:
+    def test_unidentifiable_neuron_count_refused(self):
+        # D(D+1)/2 - D = 45 at D=10
+        PipelineConfig(dim=10, n_neurons=45).validate()
+        with pytest.raises(ConfigError, match=r"m = 46 exceeds D\(D\+1\)/2 - D = 45"):
+            PipelineConfig(dim=10, n_neurons=46).validate()
+
+    def test_n_hessians_equal_to_m_refused_in_fd_mode(self):
+        with pytest.raises(ConfigError, match=r"take m \+ 1 = 14"):
+            PipelineConfig(dim=10, n_neurons=13, n_hessians=13).validate()
+        # exact Hessians span the planted space exactly, with no gap to read
+        PipelineConfig(dim=10, n_neurons=13, n_hessians=13, exact_derivatives=True).validate()
+        # fewer than m still fails in the projector stage (TestFailedRun)
+        PipelineConfig(dim=10, n_neurons=13, n_hessians=5).validate()
+
+
 class TestImportGraph:
     SCRIPT = textwrap.dedent("""
         import json, sys

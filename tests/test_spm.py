@@ -1,22 +1,31 @@
 """Sphere-ascent objective, convergence, gating, dedup, and collection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from netrecover import (ConfigError, IncompleteRecoveryError, SpmConfig,
-                        build_hessian_matrix, collect_weights, default_restarts,
-                        exact_projector, match_weights, spm_ascend, spm_objective,
-                        top_m_projector)
+                        SubspaceProjector, build_hessian_matrix, collect_weights,
+                        default_restarts, exact_projector, hvec, match_weights,
+                        spm_ascend, top_m_projector)
 from netrecover import spm
-from netrecover.spm import _ascend_batch, _classify, canonical_sign
+from netrecover.spm import _acceptance_level, _ascend_batch, _classify, canonical_sign
 from conftest import random_teacher, random_unit_columns
+
+
+def objective(proj, u):
+    return float(proj.objective_batch(np.asarray(u)[:, None])[0])
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = SpmConfig()
         assert cfg.gamma == 2.0 and cfg.max_steps == 1000
-        assert cfg.conv_tol == 1e-12 and cfg.beta == 0.5 and cfg.dedup_cos == 0.99
+        assert cfg.conv_tol == 1e-12 and cfg.dedup_cos == 0.99
+        # the acceptance level is derived from the spectrum, not configured
+        assert [f.name for f in dataclasses.fields(SpmConfig)] == [
+            "gamma", "max_steps", "conv_tol", "dedup_cos", "max_restarts"]
 
     def test_restart_budget_formula(self):
         assert default_restarts(36) == 646
@@ -25,8 +34,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SpmConfig(gamma=0.0)
-        with pytest.raises(ConfigError):
-            SpmConfig(beta=1.5)
+        with pytest.raises(TypeError):
+            SpmConfig(beta=0.5)
         with pytest.raises(ConfigError):
             SpmConfig(dedup_cos=0.5)
 
@@ -35,18 +44,17 @@ class TestObjective:
     def test_in_span_direction_scores_one(self):
         w = random_unit_columns(6, 1, seed=0)
         proj = exact_projector(w)
-        assert spm_objective(proj, w[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert objective(proj, w[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_direction_scores_zero(self):
         w = np.zeros((3, 1))
         w[0] = 1.0
         proj = exact_projector(w)
         u = np.array([0.0, 1.0, 0.0])
-        assert spm_objective(proj, u) == pytest.approx(0.0, abs=1e-12)
+        assert objective(proj, u) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_projector(self):
         # oracle: explicit projector matrix applied to hvec(u u^T) at D = 8
-        from netrecover import hvec_outer
         w = random_unit_columns(8, 4, seed=1)
         proj = exact_projector(w)
         dense = proj.basis @ proj.basis.T
@@ -54,8 +62,8 @@ class TestObjective:
         for _ in range(10):
             u = rng.standard_normal(8)
             u /= np.linalg.norm(u)
-            ref = float(np.linalg.norm(dense @ hvec_outer(u)) ** 2)
-            assert spm_objective(proj, u) == pytest.approx(ref, abs=1e-12)
+            ref = float(np.linalg.norm(dense @ hvec(np.outer(u, u))) ** 2)
+            assert objective(proj, u) == pytest.approx(ref, abs=1e-12)
 
     def test_range(self):
         w = random_unit_columns(7, 5, seed=3)
@@ -64,12 +72,12 @@ class TestObjective:
         for _ in range(50):
             u = rng.standard_normal(7)
             u /= np.linalg.norm(u)
-            assert 0.0 <= spm_objective(proj, u) <= 1.0 + 1e-12
+            assert 0.0 <= objective(proj, u) <= 1.0 + 1e-12
 
     def test_non_unit_rejected(self):
         proj = exact_projector(random_unit_columns(4, 2, seed=5))
         with pytest.raises(ConfigError):
-            spm_objective(proj, np.ones(4))
+            spm_ascend(proj, np.ones(4), SpmConfig())
 
 
 class TestAscend:
@@ -113,7 +121,7 @@ class TestAscend:
         v = np.random.default_rng(31).standard_normal(6)
         u0 = w[:, 0] + w[:, 1] + 1e-7 * v
         u0 /= np.linalg.norm(u0)
-        assert spm_objective(proj, u0) == pytest.approx(0.5, abs=1e-12)
+        assert objective(proj, u0) == pytest.approx(0.5, abs=1e-12)
         # N has a negative eigenvalue at the saddle: no Newton step there
         saddle = ((w[:, 0] + w[:, 1]) / np.sqrt(2.0))[:, None]
         mats = proj.matrices()
@@ -175,27 +183,55 @@ class TestNewton:
         assert errs[3] <= 1e-14
 
 
+def _projector(spectrum):
+    """A rank-2 projector at D = 3 with the given spectrum."""
+    basis = np.linalg.qr(np.random.default_rng(40).standard_normal((6, 2)))[0]
+    return SubspaceProjector(dim=3, rank=2, basis=basis, spectrum=np.asarray(spectrum))
+
+
+class TestLevel:
+    def test_read_from_sigma_m_plus_1(self):
+        # r = 2e-3 / 2 = 1e-3: the level is 1 - 10 r^2
+        level, ratio = _acceptance_level(_projector([4.0, 2.0, 2e-3, 1e-3]))
+        assert ratio == pytest.approx(1e-3, rel=1e-12)
+        assert 1.0 - level == pytest.approx(1e-5, rel=1e-9)
+
+    def test_floor_below_a_tiny_gap(self):
+        level, ratio = _acceptance_level(_projector([4.0, 2.0, 2e-8]))
+        assert ratio == pytest.approx(1e-8, rel=1e-12)
+        assert level == 1.0 - 1e-9
+
+    def test_exactly_m_columns_have_no_sigma_m_plus_1(self):
+        level, ratio = _acceptance_level(exact_projector(random_unit_columns(6, 4, seed=41)))
+        assert (level, ratio) == (1.0 - 1e-9, 0.0)
+        assert _acceptance_level(_projector([4.0, 2.0])) == (1.0 - 1e-9, 0.0)
+
+
 class TestGateAndDedup:
     def test_spurious_level_rejected(self):
-        # a direction with projected energy 0.3 < beta must be rejected
+        # a direction with projected energy 0.3 must be rejected
         w = np.zeros((4, 1))
         w[0] = 1.0
         proj = exact_projector(w)
         c = 0.3 ** 0.25
         u = np.array([c, np.sqrt(1 - c * c), 0.0, 0.0])
-        obj = spm_objective(proj, u)
+        obj = objective(proj, u)
         assert obj == pytest.approx(0.3, abs=1e-12)
-        assert _classify(u, obj, [], SpmConfig()) == "rejected"
+        level, _ = _acceptance_level(proj)
+        assert _classify(u, obj, [], level, SpmConfig()) == "rejected"
+        # so must a spurious maximum of the wide regime, at 1 - objective >= 1.7e-5
+        assert _classify(u, 1.0 - 1.7e-5, [], 1.0 - 1e-7, SpmConfig()) == "rejected"
+        assert _classify(u, 1.0 - 1e-8, [], 1.0 - 1e-7, SpmConfig()) == "accepted"
 
     def test_duplicate_detected(self):
         u = np.array([1.0, 0.0, 0.0])
-        assert _classify(u, 0.9, [u.copy()], SpmConfig()) == "duplicate"
-        assert _classify(-u, 0.9, [u.copy()], SpmConfig()) == "duplicate"
+        assert _classify(u, 1.0, [u.copy()], 0.5, SpmConfig()) == "duplicate"
+        assert _classify(-u, 1.0, [u.copy()], 0.5, SpmConfig()) == "duplicate"
 
     def test_fresh_direction_accepted(self):
         u = np.array([1.0, 0.0, 0.0])
         v = np.array([0.0, 1.0, 0.0])
-        assert _classify(v, 0.9, [u], SpmConfig()) == "accepted"
+        assert _classify(v, 1.0, [u], 0.5, SpmConfig()) == "accepted"
 
     def test_canonical_sign(self):
         u = np.array([-0.3, 0.5])
@@ -219,11 +255,12 @@ class TestCollect:
     def test_returned_vectors_unit_and_above_beta(self):
         net = random_teacher(9, 7, seed=13)
         proj = exact_projector(net.weights)
-        cfg = SpmConfig()
-        w_hat, _ = collect_weights(proj, 7, cfg, seed=14)
+        w_hat, _ = collect_weights(proj, 7, SpmConfig(), seed=14)
+        level, _ = _acceptance_level(proj)
+        assert level == 1.0 - 1e-9
         for k in range(7):
             assert abs(np.linalg.norm(w_hat[:, k]) - 1) < 1e-10
-            assert spm_objective(proj, w_hat[:, k]) > cfg.beta
+            assert objective(proj, w_hat[:, k]) > level
 
     def test_pairwise_cosines_below_dedup(self):
         net = random_teacher(9, 7, seed=15)
@@ -248,6 +285,8 @@ class TestCollect:
             collect_weights(proj, 12, SpmConfig(max_restarts=6), seed=20)
         assert err.value.partial.shape[1] < 12
         assert err.value.stats.n_processed == 6
+        # the message says at which level the restarts were judged, and why
+        assert "acceptance level 1 - 1.00e-09 from sigma_13/sigma_12 = 0.00e+00" in str(err.value)
 
     def test_default_budget_suffices(self):
         # coupon-collector sizing: ceil(5 m log m) restarts find all m
@@ -288,11 +327,12 @@ def _reference_collect(proj, m, cfg, seed):
     n_restarts = default_restarts(m)
     starts = np.random.default_rng(seed).standard_normal((proj.dim, n_restarts))
     starts /= np.linalg.norm(starts, axis=0)
+    level, _ = _acceptance_level(proj)
     accepted, statuses, steps = [], [], []
     for j in range(n_restarts):
         u, obj, k, _ = spm_ascend(proj, starts[:, j], cfg)
         cand = canonical_sign(u)
-        statuses.append(_classify(cand, obj, accepted, cfg))
+        statuses.append(_classify(cand, obj, accepted, level, cfg))
         steps.append(k)
         if statuses[-1] == "accepted":
             accepted.append(cand)
@@ -337,6 +377,7 @@ class TestPool:
             assert statuses[idx] == "duplicate"
             assert stats.steps[idx] < steps_ref[idx]
         assert f"{len(stopped)} of them stopped early" in caplog.text
+        assert "0 rejected at level 1 - 1.00e-09, sigma_31/sigma_30 = " in caplog.text
 
     def test_newton_finish_cuts_the_steps(self, monkeypatch):
         proj, m, seed = _sampled_case()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from netrecover import (FDConfig, SubspaceDeficientError, build_hessian_matrix,
-                        exact_projector, half_dim, hvec, hvec_outer,
-                        projector_distance, top_m_projector, unhvec)
+                        exact_projector, half_dim, hvec, projector_distance,
+                        top_m_projector, unhvec)
 from netrecover.subspace import hvec_outer_batch
 from conftest import random_teacher, random_unit_columns
 
@@ -34,13 +34,13 @@ class TestHalfVec:
 
     def test_hvec_outer_matches_explicit(self):
         u = np.random.default_rng(2).standard_normal(7)
-        assert np.allclose(hvec_outer(u), hvec(np.outer(u, u)), atol=1e-14)
+        assert np.allclose(hvec_outer_batch(u[:, None])[:, 0], hvec(np.outer(u, u)), atol=1e-14)
 
     def test_batch_matches_loop(self):
         us = np.random.default_rng(3).standard_normal((4, 9))
         batch = hvec_outer_batch(us)
         for r in range(9):
-            assert np.allclose(batch[:, r], hvec_outer(us[:, r]), atol=1e-14)
+            assert np.allclose(batch[:, r], hvec(np.outer(us[:, r], us[:, r])), atol=1e-14)
 
     def test_dimensions(self):
         assert half_dim(10) == 55
@@ -87,7 +87,7 @@ class TestProjectorInvariants:
         us = random_unit_columns(10, 6, seed=10)
         got = proj.action_batch(us, proj.matrices())
         for r in range(6):
-            ref = unhvec(dense @ hvec_outer(us[:, r]), 10) @ us[:, r]
+            ref = unhvec(dense @ hvec(np.outer(us[:, r], us[:, r])), 10) @ us[:, r]
             assert np.max(np.abs(got[:, r] - ref)) < 1e-14
 
 
@@ -104,7 +104,7 @@ class TestBuildHessianMatrix:
         net = random_teacher(6, 1, seed=12)
         cfg = FDConfig(step_h=0.01)
         cols, _, _ = build_hessian_matrix(net, 4, cfg, seed=13)
-        target = hvec_outer(net.weights[:, 0])
+        target = hvec_outer_batch(net.weights[:, :1])[:, 0]
         for i in range(4):
             col = cols[:, i]
             cos = abs(col @ target) / (np.linalg.norm(col) * np.linalg.norm(target))
@@ -118,6 +118,9 @@ class TestBuildHessianMatrix:
     def test_default_budget_formula(self):
         from netrecover import default_n_hessians
         assert default_n_hessians(20, 36) == 108
+        # at least m + 1, so that sigma_{m+1} exists; this raises only D = 2
+        assert default_n_hessians(2, 1) == 2
+        assert default_n_hessians(2, 5) == 6
 
     def test_warns_below_neuron_count(self):
         net = random_teacher(6, 5, seed=16)
@@ -198,7 +201,7 @@ class TestPerturbationBounds:
         p_true = exact_projector(net.weights)
         dist = projector_distance(p_true, p_hat)
         for k in range(8):
-            v = hvec_outer(net.weights[:, k])
+            v = hvec_outer_batch(net.weights[:, k:k + 1])[:, 0]
             resid = np.linalg.norm(v - p_hat.apply_hvec(v))
             assert resid <= 2 * dist + 1e-12
 

@@ -7,7 +7,7 @@ import pytest
 
 from netrecover import (ConfigError, FDConfig, FixedShifts, GaussianShifts,
                         StudentNetwork, TeacherNetwork, UniformShifts,
-                        analytic_derivatives, exact_projector, fd_hessian, hvec,
+                        exact_projector, fd_hessian, hvec,
                         load_teacher, make_activation, sample_teacher, save_teacher)
 from netrecover.teacher import BLOCK_BYTES, block_rows
 from conftest import random_teacher, traced_peak
@@ -199,7 +199,7 @@ class TestAnalyticDerivatives:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.standard_normal(6)
-            h = fd_hessian(net.eval_stencil, x, cfg)
+            h = fd_hessian(net.stencil_function(cfg.step_h), x, cfg)
             assert np.max(np.abs(h - net.analytic_hessian(x))) < tol
 
     def test_hessians_live_in_weight_span(self):
@@ -217,14 +217,6 @@ class TestAnalyticDerivatives:
         net.directional_deriv_exact(np.eye(5)[0], 3)
         assert net.oracle_count == 2
         assert net.query_count == 0
-
-    def test_dispatch_wrapper(self):
-        net = random_teacher(5, 3, seed=1)
-        x = np.zeros(5)
-        assert np.array_equal(analytic_derivatives(net, x, 2), net.analytic_hessian(x))
-        for order in (1, 3):
-            with pytest.raises(ConfigError):
-                analytic_derivatives(net, x, order)
 
 
 class TestSaveLoad:
