@@ -1,16 +1,18 @@
 """Activation functions with exact derivatives up to order three.
 
-Each activation carries the interval radius ``tau_inf`` on which shifts are
-admissible, the uniform derivative bound ``kappa``, and enough monotonicity
-information about the second derivative to invert it numerically (the
-inversion is what turns recovered coefficient values back into shifts).
+Each activation declares its shift radius ``tau_inf``: on ``[-tau_inf,
+tau_inf]`` g'' is strictly decreasing, g''' keeps the sign of g'''(0) and
+g' > 0.  So :func:`invert_g2` reads a shift back from s_k g''(tau_k), and the
+sign of s_k g'''(tau_k) against g'''(0) reads the sign s_k.  Both fail first
+where g''' vanishes; each radius is a literal just inside that point, checked
+on a grid by ``tests/test_activations.py``.  The uniform derivative bound
+``kappa`` is computed on a wide grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -26,7 +28,6 @@ __all__ = [
 
 _KAPPA_GRID_HALFWIDTH = 20.0
 _KAPPA_GRID_POINTS = 100_000
-_MONOTONE_GRID_POINTS = 1000
 _INVERT_TOL = 1e-12
 
 
@@ -80,17 +81,12 @@ class Activation:
     Attributes
     ----------
     kind : str
-        One of ``"tanh"``, ``"sigmoid"``, ``"custom"``.
+        ``"tanh"`` or ``"sigmoid"``.
     tau_inf : float
-        Admissible shift radius: shifts live in ``[-tau_inf, tau_inf]``.
+        Shift radius: shifts live in ``[-tau_inf, tau_inf]``, on which g'' is
+        strictly decreasing, g''' keeps the sign of g'''(0) and g' > 0.
     kappa : float
         ``max_n<=3 sup |g^(n)|``, estimated on a wide grid at each read.
-    g2_monotone_sign : int
-        +1 if g'' increases on the monotone core, -1 if it decreases.
-    g2_monotone_radius : float
-        Largest verified radius ``<= tau_inf`` on which g'' is strictly
-        monotone.  Equals ``tau_inf`` for tanh; smaller for the sigmoid,
-        whose g'' turns around at ``|x| ~ 1.317 < 1.5``.
     """
 
     kind: str
@@ -99,8 +95,6 @@ class Activation:
     g2: Callable[[np.ndarray], np.ndarray]
     g3: Callable[[np.ndarray], np.ndarray]
     tau_inf: float
-    g2_monotone_sign: int
-    g2_monotone_radius: float
 
     @property
     def kappa(self) -> float:
@@ -127,98 +121,32 @@ def _grid_kappa(g1, g2, g3) -> float:
     return float(max(np.max(np.abs(d(x))) for d in (g1, g2, g3)))
 
 
-def _monotone_scan(g2, tau_inf: float):
-    """Scan g'' on a grid over [-tau_inf, tau_inf].
-
-    Returns ``(sign, radius, violation_x)`` where ``sign`` is the direction of
-    monotonicity near 0, ``radius`` the largest symmetric radius on which the
-    scan saw no direction change, and ``violation_x`` the location of the
-    first violation (None if monotone throughout).
-    """
-    x = np.linspace(-tau_inf, tau_inf, _MONOTONE_GRID_POINTS)
-    d = np.diff(g2(x))
-    mid = len(d) // 2
-    sign = 1 if d[mid] > 0 else -1
-    bad = np.nonzero(sign * d <= 0)[0]
-    if bad.size == 0:
-        return sign, tau_inf, None
-    # first violation when walking outward from the center
-    lo = bad[bad < mid]
-    hi = bad[bad >= mid]
-    edges = []
-    if hi.size:
-        edges.append(x[hi[0]])
-    if lo.size:
-        edges.append(-x[lo[-1] + 1])
-    radius = float(min(abs(e) for e in edges))
-    worst = min(edges, key=abs)
-    return sign, radius, float(worst)
-
-
-def make_activation(kind: str, *, custom: dict | None = None) -> Activation:
-    """Build one of the supported activations.
-
-    ``kind`` is ``"tanh"``, ``"sigmoid"``, or ``"custom"``.  A custom bundle
-    is a dict with callables ``g, g1, g2, g3`` and a declared ``tau_inf``;
-    it is rejected (with the location of the violation) when g'' is not
-    strictly monotone on the declared interval or g' changes sign there.
-    """
+def make_activation(kind: str) -> Activation:
+    """Build the ``"tanh"`` or the ``"sigmoid"`` activation with its declared ``tau_inf``."""
     if kind == "tanh":
-        g, g1, g2, g3 = _tanh_g, _tanh_g1, _tanh_g2, _tanh_g3
-        tau_inf = 0.6
-    elif kind == "sigmoid":
-        g, g1, g2, g3 = _sigmoid_g, _sigmoid_g1, _sigmoid_g2, _sigmoid_g3
-        tau_inf = 1.5
-    elif kind == "custom":
-        if custom is None or not all(k in custom for k in ("g", "g1", "g2", "g3", "tau_inf")):
-            raise ConfigError("custom activation needs g, g1, g2, g3 and tau_inf")
-        g, g1, g2, g3 = custom["g"], custom["g1"], custom["g2"], custom["g3"]
-        tau_inf = float(custom["tau_inf"])
-        if tau_inf <= 0:
-            raise ConfigError("tau_inf must be positive")
-    else:
-        raise ConfigError(f"unknown activation kind {kind!r}")
-
-    sign, radius, violation = _monotone_scan(g2, tau_inf)
-    if kind == "custom" and violation is not None:
-        raise ConfigError(
-            f"custom activation: g'' is not strictly monotone on "
-            f"(-{tau_inf}, {tau_inf}); first violation near x = {violation:.6g}"
-        )
-    # g' must keep one sign on the shift interval
-    xs = np.linspace(-tau_inf, tau_inf, _MONOTONE_GRID_POINTS)
-    s1 = np.sign(g1(xs))
-    if np.any(s1 == 0) or np.any(s1 != s1[0]):
-        raise ConfigError(f"activation {kind!r}: g' changes sign on the shift interval")
-
-    return Activation(
-        kind=kind,
-        g=g,
-        g1=g1,
-        g2=g2,
-        g3=g3,
-        tau_inf=tau_inf,
-        g2_monotone_sign=sign,
-        g2_monotone_radius=radius,
-    )
+        # g''' = -2 (1 - t^2)(1 - 3 t^2) first vanishes at atanh(1/sqrt(3)) ~ 0.658
+        return Activation(kind, _tanh_g, _tanh_g1, _tanh_g2, _tanh_g3, tau_inf=0.6)
+    if kind == "sigmoid":
+        # g''' = s (1 - s)(1 - 6 s + 6 s^2) first vanishes at ln(2 + sqrt(3)) ~ 1.3170
+        return Activation(kind, _sigmoid_g, _sigmoid_g1, _sigmoid_g2, _sigmoid_g3,
+                          tau_inf=1.3)
+    raise ConfigError(f"unknown activation kind {kind!r}")
 
 
 def invert_g2(act: Activation, y: float) -> float:
-    """Solve ``g''(t) = y`` for t on the admissible shift interval.
+    """Solve ``g''(t) = y`` for t in ``[-tau_inf, tau_inf]``.
 
-    Uses bracketing bisection on the strictly monotone core of
-    ``[-tau_inf, tau_inf]``; when ``y`` lies in the image the residual
-    ``|g''(t) - y|`` is at most 1e-12.  Values outside the image clamp to
-    the boundary of the monotone core, which for a fully monotone g''
-    (tanh) is exactly ``+-tau_inf``.
+    Bisects on the interval, where g'' is strictly monotone, with the
+    bracket oriented by comparing g'' at its two ends.  When ``y`` lies in
+    the image the residual ``|g''(t) - y|`` is at most 1e-12.  A value below
+    the image returns the end where g'' is smallest, one above it the other.
     """
     if not math.isfinite(y):
         raise ConfigError(f"invert_g2: target value must be finite, got {y!r}")
-    r = act.g2_monotone_radius
-    lo, hi = -r, r
+    lo, hi = -act.tau_inf, act.tau_inf
     flo = float(act.g2(lo))
     fhi = float(act.g2(hi))
-    if act.g2_monotone_sign < 0:
+    if flo > fhi:
         lo, hi, flo, fhi = hi, lo, fhi, flo  # orient so values increase lo -> hi
     if y <= flo:
         return lo

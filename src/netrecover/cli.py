@@ -5,12 +5,14 @@ Subcommands mirror the pipeline stages (``generate``, ``recover-weights``,
 ``baseline``, ``study``) and ``diagnose``.  The stage subcommands call the
 pipeline's own stage functions, so for the same ``--seed`` they reproduce
 the artifacts of ``pipeline``: ``teacher.net``, ``weights.txt``,
-``init.txt`` and the loss column of ``trajectory.csv``.  ``pipeline`` and
-``baseline`` both write ``result.csv`` and ``report.txt`` into
-``--out-dir``, also when a stage fails.  Options can come
-from a config file (one section per module, ``key = value``) with every key
-overridable by the flag of the same name.  Exit codes: 0 success, 2
-validation error, 3 stage failure.
+``init.txt`` and the loss column of ``trajectory.csv``; beside their
+``--out`` file, ``recover-weights`` writes the span's ``.spectrum.csv`` and
+``refine`` the refined ``.shifts.txt``.  ``pipeline`` and ``baseline`` both
+write ``result.csv`` and ``report.txt`` into ``--out-dir``, also when a
+stage fails.  Options can come from a config file (one section per module,
+``key = value``) with every key overridable by the flag of the same name.
+Exit codes: 0 success, 2 validation error (checked before the first stage
+runs), 3 stage failure.
 """
 
 from __future__ import annotations
@@ -67,10 +69,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--n-eval", type=int, dest="n_eval")
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--dump-spectrum", action="store_true", default=None,
-                   dest="dump_spectrum")
-    # SPM's acceptance level has no flag: it is derived from the Hessian span's gap
-    p.add_argument("--spm-gamma", type=float)
+    # SPM takes only its two budgets; its step size, convergence tolerance and
+    # duplicate cosine are constants, and its acceptance level is derived from
+    # the Hessian span's gap
     p.add_argument("--spm-steps", type=int)
     p.add_argument("--spm-restarts", type=int)
     p.add_argument("--n-train", type=int, dest="n_train")
@@ -89,7 +90,6 @@ _ALIASES = {
     ("pipeline", "beta"): "beta_order",
     ("pipeline", "n_h"): "n_hessians",
     ("refine", "max_steps"): "refine_max_steps",
-    (None, "spm_gamma"): "spm.gamma",
     (None, "spm_steps"): "spm.max_steps",
     (None, "spm_restarts"): "spm.max_restarts",
 }

@@ -4,7 +4,9 @@ Line formats, read skipping blank lines and lines starting with ``#``:
 
 - ``teacher.net``: ``# shallow network file``, then ``D m activation
   tau_inf seed`` (seed -1 when unknown), then per neuron its weight column
-  and its shift on one line;
+  and its shift on one line.  The header's ``tau_inf`` must be the
+  activation's declared one, so a sigmoid file written when the sigmoid
+  declared 1.5 (beyond its identifiable 1.3) is refused;
 - ``weights.txt`` (recovered weights): ``D m``, then one column per line;
 - ``init.txt``: ``signs ...``, ``shifts ...``, ``cond_g2 c``, ``cond_g3 c``;
 - ``*.shifts.txt`` (refined shifts): one line of m values;

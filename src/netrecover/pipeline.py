@@ -109,7 +109,6 @@ class PipelineConfig:
     n_eval: int = 100_000
     seed: int = 0
     out_dir: str | None = None
-    dump_spectrum: bool = False
     baseline_max_epochs: int = 500
 
     def resolved_m(self) -> int:
@@ -131,7 +130,12 @@ class PipelineConfig:
             raise ConfigError(f"m = {m} exceeds D(D+1)/2 - D = {bound}: not identifiable")
         if self.n_hessians == m and not self.exact_derivatives:
             raise ConfigError(f"n_hessians = m leaves SPM no sigma_{m + 1}; take m + 1 = {m + 1}")
-        # a bad refine setting fails here, before the first stage runs
+        if self.n_eval < 1:
+            raise ConfigError(f"n_eval must be >= 1, got {self.n_eval}")
+        # a bad step, shift law or refine setting fails here, before the first stage runs
+        FDConfig(step_h=self.fd_step)
+        self.shift_law.sample(m, make_activation(self.activation).tau_inf,
+                              np.random.default_rng(0))
         self.refine_config(m)
 
     def refine_config(self, m: int) -> RefineConfig:
@@ -187,9 +191,9 @@ def hessian_stage(cfg: PipelineConfig, net):
 
 
 def projector_stage(cfg: PipelineConfig, cols, spectrum_path=None):
-    """Top-m projector; with ``cfg.dump_spectrum`` its spectrum goes to ``spectrum_path``."""
+    """Top-m projector; every singular value of ``cols`` goes to ``spectrum_path`` when given."""
     proj = top_m_projector(cols, cfg.resolved_m())
-    if spectrum_path is not None and cfg.dump_spectrum:
+    if spectrum_path is not None:
         fileio.write_csv(spectrum_path, ["index", "sigma"],
                          [[i, float(s)] for i, s in enumerate(proj.spectrum)])
     return proj
@@ -468,14 +472,17 @@ def run_scaling_study(grid: list[PipelineConfig], repetitions: int,
                       out_csv=None) -> list[list]:
     """Run every grid cell ``repetitions`` times and tabulate long-format rows.
 
-    A failed cell's row is its run's result as far as it got, with the
-    error in the ``error`` column, and the study continues.  Returns the
-    rows; also writes them when ``out_csv`` is given.
+    Every cell's config is checked before the first run.  A failed cell's
+    row is its run's result as far as it got, with the error in the
+    ``error`` column, and the study continues.  Returns the rows; also
+    writes them when ``out_csv`` is given.
     """
     if not grid:
         raise ConfigError("scaling study needs a nonempty grid")
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
+    for cfg in grid:
+        cfg.validate()
     rows = []
     for cell_idx, base in enumerate(grid):
         for rep in range(repetitions):

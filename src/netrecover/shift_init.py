@@ -3,8 +3,10 @@
 With weight directions in hand (each one correct up to a global sign), the
 second- and third-order directional derivatives of the network along those
 directions satisfy small Hadamard-power Gram systems whose solutions are
-``s_k^n g^(n)(tau_k)``.  Inverting the monotone g'' recovers initial shifts;
-the sign of the third-order coefficient against g'''(0) recovers the signs.
+``s_k^n g^(n)(tau_k)``.  On the shift interval g'' is strictly monotone and
+g''' keeps the sign of g'''(0) (:mod:`.activations`), so inverting g''
+recovers the shifts and the sign of each third-order coefficient against
+g'''(0) recovers the signs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = ["InitResult", "gram_power", "directional_derivs_at_zero", "init_signs
 logger = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e10
-_G3_ZERO_TOL = 1e-8
 
 
 @dataclasses.dataclass
@@ -36,7 +37,6 @@ class InitResult:
     c3: np.ndarray               # solved third-order coefficients
     cond_g2: float
     cond_g3: float
-    used_g3_fallback: bool = False
     n_undetermined: int = 0
 
 
@@ -97,10 +97,11 @@ def init_signs_shifts(net, w_hat: np.ndarray, act: Activation,
                       cfg: FDConfig | None, exact: bool = False) -> InitResult:
     """Run the full initialization: Gram solves, g'' inversion, sign rule.
 
-    Signs come from ``sign(c3_k * g'''(0))``; when g''' vanishes at the
-    origin (never for tanh or the sigmoid) the rule falls back to g''' at
-    the recovered shift, and coefficients that are exactly zero are marked
-    undetermined and default to +1.
+    Signs come from ``sign(c3_k * g'''(0))``.  As c3_k = s_k^3 g'''(tau_k),
+    and g'''(tau_k) has the sign of g'''(0) on the shift interval (which is
+    -2 for tanh and -1/8 for the sigmoid), this is s_k.  A coefficient that
+    is exactly zero leaves its sign undetermined: it is counted in
+    ``n_undetermined`` and defaults to +1.
     """
     t2 = directional_derivs_at_zero(net, w_hat, 2, cfg, exact=exact)
     t3 = directional_derivs_at_zero(net, w_hat, 3, cfg, exact=exact)
@@ -109,14 +110,7 @@ def init_signs_shifts(net, w_hat: np.ndarray, act: Activation,
 
     tau0 = np.array([invert_g2(act, float(v)) for v in c2])
 
-    g3_origin = float(act.g3(0.0))
-    used_fallback = abs(g3_origin) < _G3_ZERO_TOL
-    if used_fallback:
-        logger.warning("g'''(0) ~ 0; falling back to g''' at the recovered shifts")
-        products = c3 * act.g3(tau0)
-    else:
-        products = c3 * g3_origin
-    signs = np.sign(products).astype(int)
+    signs = np.sign(c3 * float(act.g3(0.0))).astype(int)
     n_undetermined = int(np.sum(signs == 0))
     if n_undetermined:
         logger.warning("%d sign(s) undetermined (zero coefficient); defaulting to +1",
@@ -129,6 +123,5 @@ def init_signs_shifts(net, w_hat: np.ndarray, act: Activation,
         c3=np.asarray(c3),
         cond_g2=cond_g2,
         cond_g3=cond_g3,
-        used_g3_fallback=used_fallback,
         n_undetermined=n_undetermined,
     )

@@ -12,14 +12,14 @@ with the restart budget sized by the coupon-collector growth rate.
 Restarts are ascended together in a pool of ``_POOL`` columns that the next
 restarts by index refill as columns leave it.  A column leaves when it
 converges, when it reaches ``max_steps``, or early, as a duplicate, when it
-comes within ``dedup_cos`` of an already accepted direction.  Acceptance and
-deduplication run in restart-index order, so a column is only ever stopped
-against directions from lower-index restarts and the collected set is a
-deterministic function of the seed.
+comes within ``_DEDUP_COS`` of an already accepted direction.  Acceptance
+and deduplication run in restart-index order, so a column is only ever
+stopped against directions from lower-index restarts and the collected set
+is a deterministic function of the seed.
 
 With F(u) = ||P(u u^T)||^2, a column climbs by the fixed-step ascent
-``u + 2 gamma P(u u^T) u``, which converges only linearly (about 0.6 per
-step at D=40): polishing a column from a move of 1e-4 down to ``conv_tol``
+``u + 2 _GAMMA P(u u^T) u``, which converges only linearly (about 0.6 per
+step at D=40): polishing a column from a move of 1e-4 down to ``_CONV_TOL``
 would take some 36 more steps.  Once its move falls below ``_NEWTON_MOVE``,
 a column finishes instead by Newton steps on the sphere (Absil, Mahony &
 Sepulchre, *Optimization Algorithms on Matrix Manifolds*, ch. 6), in two or
@@ -50,8 +50,14 @@ logger = logging.getLogger(__name__)
 # narrow enough to bound action_batch's (R, m, D) products (2 MB at D=40)
 _POOL = 64
 
+# the ascent step u + 2 _GAMMA P(u u^T) u
+_GAMMA = 2.0
 # a column whose last move falls below this finishes its ascent by Newton steps
 _NEWTON_MOVE = 1e-4
+# a column that moves at most this far in a step has converged
+_CONV_TOL = 1e-12
+# a restart within this |cos| of an accepted direction is a duplicate
+_DEDUP_COS = 0.99
 
 # the acceptance level 1 - max(_LEVEL_C r^2, _LEVEL_FLOOR), r = sigma_{m+1}/sigma_m:
 # planted directions measured at 1 - objective <= 0.54 r^2, spurious maxima >= 1.67e-5
@@ -61,21 +67,19 @@ _LEVEL_FLOOR = 1e-9
 
 @dataclasses.dataclass(frozen=True)
 class SpmConfig:
-    """Knobs for the sphere ascent and the collection loop (the acceptance level is derived)."""
+    """The two budgets: steps per restart and restarts per collection.
 
-    gamma: float = 2.0
+    The step size, the convergence tolerance and the duplicate cosine are
+    module constants, and the acceptance level is read from the projector's
+    spectrum (:func:`_acceptance_level`).
+    """
+
     max_steps: int = 1000
-    conv_tol: float = 1e-12
-    dedup_cos: float = 0.99
     max_restarts: int | None = None  # None -> ceil(5 m log m)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be positive")
-        if not (0.9 < self.dedup_cos < 1.0):
-            raise ConfigError("dedup_cos must lie in (0.9, 1)")
 
 
 @dataclasses.dataclass
@@ -149,8 +153,7 @@ def _new_track(n_cols: int) -> np.ndarray:
     return np.repeat([[np.inf], [np.inf], [_NEWTON_MOVE]], n_cols, axis=1)
 
 
-def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray,
-          cfg: SpmConfig):
+def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray):
     """One step on a (D, R) batch of unit columns: Newton's where it is safe, else ascent.
 
     ``track`` is (3, R): each column's last move, the distance to its fixed
@@ -159,14 +162,14 @@ def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.nd
     distance, tries a Newton step (:func:`_newton`, ``mats`` from
     ``proj.matrices()``) and takes it when N has a Cholesky factor and the
     step is at most twice the predicted distance.  Every other column takes
-    the ascent step ``u + 2 gamma P(u u^T) u``; a refused column lowers its
+    the ascent step ``u + 2 _GAMMA P(u u^T) u``; a refused column lowers its
     gate to a tenth of its last move, so it tries Newton again only after its
     moves have shrunk tenfold.  Both steps end renormalized.
 
     After an ascent step the predicted distance is d rho / (1 - rho), from the
     move d and the ratio rho of the last two moves (the remaining distance at
     a linear rate rho).  After a Newton step it is d / 4, so the next Newton
-    step must at least halve the move; once d^2 is below ``conv_tol``, Newton's
+    step must at least halve the move; once d^2 is below ``_CONV_TOL``, Newton's
     error is too, and the column takes an ascent step, whose move confirms
     convergence, instead of a third Newton step.  Returns the new iterates
     and the new track, whose first row is how far each column moved.
@@ -178,7 +181,7 @@ def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.nd
     if newton.any():
         xi[:, newton] = _newton(mats, u[:, newton], g[:, newton])
     take = np.linalg.norm(xi, axis=0) <= 2.0 * dist  # False for NaN steps
-    unew = np.where(take, u + xi, u + (2.0 * cfg.gamma) * g)
+    unew = np.where(take, u + xi, u + (2.0 * _GAMMA) * g)
     norms = np.linalg.norm(unew, axis=0)
     dead = norms <= 0.0
     if np.any(dead):
@@ -192,7 +195,7 @@ def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.nd
     rho = moved / move
     linear = (0.0 < rho) & (rho < 1.0)
     after_ascent = np.where(linear, moved * rho / np.where(linear, 1.0 - rho, 1.0), np.inf)
-    after_newton = np.where(moved * moved > cfg.conv_tol, 0.25 * moved, np.inf)
+    after_newton = np.where(moved * moved > _CONV_TOL, 0.25 * moved, np.inf)
     dist = np.where(take, after_newton, after_ascent)
     gate = np.where(newton & ~take, 0.1 * move, gate)
     return unew, np.stack([moved, dist, gate])
@@ -202,7 +205,7 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig,
                   record_objectives: bool = False):
     """Iterate the sphere ascent on a (D, R) batch of starting points.
 
-    Columns that stop moving (iterate difference below ``conv_tol``) are
+    Columns that stop moving (iterate difference below ``_CONV_TOL``) are
     frozen.  Returns ``(U, objectives, steps, converged)`` plus the per-step
     objective trajectory when requested.
     """
@@ -217,9 +220,9 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig,
     if record_objectives:
         history.append(proj.objective_batch(u))
     for _ in range(cfg.max_steps):
-        u[:, active], track[:, active] = _step(proj, mats, u[:, active], track[:, active], cfg)
+        u[:, active], track[:, active] = _step(proj, mats, u[:, active], track[:, active])
         steps[active] += 1
-        done = track[0, active] <= cfg.conv_tol
+        done = track[0, active] <= _CONV_TOL
         if np.any(done):
             converged[active[done]] = True
             active = active[~done]
@@ -263,11 +266,11 @@ def _acceptance_level(proj: SubspaceProjector):
     return 1.0 - max(_LEVEL_C * ratio * ratio, _LEVEL_FLOOR), ratio
 
 
-def _classify(candidate, objective, accepted, level: float, cfg: SpmConfig) -> str:
+def _classify(candidate, objective, accepted, level: float) -> str:
     """Acceptance decision for one converged restart: rejected at or below ``level``."""
     if objective <= level:
         return "rejected"
-    if len(accepted) and np.max(np.abs(np.asarray(accepted) @ candidate)) > cfg.dedup_cos:
+    if len(accepted) and np.max(np.abs(np.asarray(accepted) @ candidate)) > _DEDUP_COS:
         return "duplicate"
     return "accepted"
 
@@ -279,7 +282,7 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
     a pool of ``_POOL`` columns, one :func:`_step` per iteration; the next
     restarts by index refill the pool as columns leave it.  A column leaves
     when it converges or reaches ``max_steps``, or is stopped early as a
-    duplicate when its |cos| with an accepted vector exceeds ``dedup_cos``.
+    duplicate when its |cos| with an accepted vector exceeds ``_DEDUP_COS``.
     Finished restarts are classified strictly in restart-index order: accept
     when the objective clears the level that :func:`_acceptance_level` reads
     from the projector's spectrum, fold the sign to canonical form, and drop
@@ -311,11 +314,11 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
         fresh = np.arange(n_started, min(n_started + _POOL - pool.size, n_restarts))
         pool = np.concatenate([pool, fresh])
         n_started += fresh.size
-        unew, track[:, pool] = _step(proj, mats, u[:, pool], track[:, pool], cfg)
+        unew, track[:, pool] = _step(proj, mats, u[:, pool], track[:, pool])
         u[:, pool] = unew
         steps[pool] += 1
-        done = (track[0, pool] <= cfg.conv_tol) | (steps[pool] >= cfg.max_steps)
-        dup = ~done & (np.max(np.abs(accepted @ unew), axis=0, initial=0.0) > cfg.dedup_cos)
+        done = (track[0, pool] <= _CONV_TOL) | (steps[pool] >= cfg.max_steps)
+        dup = ~done & (np.max(np.abs(accepted @ unew), axis=0, initial=0.0) > _DEDUP_COS)
         finished.update(zip(pool[done].tolist(), proj.objective_batch(unew[:, done]).tolist()))
         finished.update(dict.fromkeys(pool[dup].tolist()))
         pool = pool[~(done | dup)]
@@ -323,7 +326,7 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
             idx = stats.n_processed
             obj = finished.pop(idx)
             cand = canonical_sign(u[:, idx])
-            status = "stopped early" if obj is None else _classify(cand, obj, accepted, level, cfg)
+            status = "stopped early" if obj is None else _classify(cand, obj, accepted, level)
             if status == "accepted":
                 accepted = np.vstack([accepted, cand])
                 stats.n_accepted += 1

@@ -114,16 +114,6 @@ class SubspaceProjector:
         """The top ``rank`` singular values."""
         return self.spectrum[: self.rank]
 
-    def apply_hvec(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ v)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Project a symmetric matrix onto the subspace."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim, self.dim):
-            raise ConfigError(f"matrix has shape {x.shape}, expected ({self.dim}, {self.dim})")
-        return unhvec(self.apply_hvec(hvec(x)), self.dim)
-
     def matrices(self) -> np.ndarray:
         """The basis as a (rank, D, D) stack of symmetric matrices B_j, orthonormal in Frobenius.
 

@@ -11,12 +11,30 @@ import pytest
 from netrecover import ConfigError, invert_g2, make_activation, slope_sign_certificate
 
 
+# where each activation's g''' first vanishes, and g'' turns around
+TURN = {"tanh": math.atanh(1 / math.sqrt(3)), "sigmoid": math.log(2 + math.sqrt(3))}
+
+
+def scan(act, radius=None, n=1000):
+    """The reference grid check of a shift interval, ``[-tau_inf, tau_inf]`` by default.
+
+    Returns whether each property that shift and sign recovery need holds on
+    the grid: g'' strictly decreasing, g''' nonzero with the sign it has at
+    0, and g' positive.
+    """
+    r = act.tau_inf if radius is None else radius
+    x = np.linspace(-r, r, n)
+    return (bool(np.all(np.diff(act.g2(x)) < 0)),
+            bool(np.all(np.sign(act.g3(x)) == np.sign(act.g3(0.0)))),
+            bool(np.all(act.g1(x) > 0)))
+
+
 class TestConstants:
     def test_tanh_interval(self, tanh_act):
-        assert tanh_act.tau_inf == 0.6
+        assert tanh_act.tau_inf == 0.6 < TURN["tanh"]
 
     def test_sigmoid_interval(self, sigmoid_act):
-        assert sigmoid_act.tau_inf == 1.5
+        assert sigmoid_act.tau_inf == 1.3 < TURN["sigmoid"]
 
     def test_tanh_third_derivative_at_zero(self, tanh_act):
         # -2 (1 - t^2)(1 - 3 t^2) evaluated at t = tanh(0) = 0
@@ -30,24 +48,19 @@ class TestConstants:
         assert tanh_act.kappa == pytest.approx(2.0, rel=1e-6)
 
     def test_monotone_direction(self, tanh_act, sigmoid_act):
-        assert tanh_act.g2_monotone_sign == -1
-        assert sigmoid_act.g2_monotone_sign == -1
+        # invert_g2 orients its bracket by g'' at the two ends: it falls across the interval
+        for act in (tanh_act, sigmoid_act):
+            assert act.g2(-act.tau_inf) > 0 > act.g2(act.tau_inf)
 
     def test_tanh_monotone_on_full_interval(self, tanh_act):
-        # the true monotonicity boundary atanh(1/sqrt(3)) ~ 0.658 lies outside
-        assert tanh_act.g2_monotone_radius == tanh_act.tau_inf
-        x = np.linspace(-0.6, 0.6, 1000)
-        diffs = np.diff(tanh_act.g2(x))
-        assert np.all(diffs * tanh_act.g2_monotone_sign > 0)
+        assert scan(tanh_act) == (True, True, True)
+        # past atanh(1/sqrt(3)) ~ 0.658 both properties fail
+        assert scan(tanh_act, 0.7)[:2] == (False, False)
 
     def test_sigmoid_monotone_core(self, sigmoid_act):
-        # sigmoid g'' turns around at |x| = log((3+sqrt(3))/(3-sqrt(3))) ~ 1.317,
-        # inside the declared 1.5 radius; the detected core must sit just below it
-        turn = math.log((3 + math.sqrt(3)) / (3 - math.sqrt(3)))
-        assert 1.25 < sigmoid_act.g2_monotone_radius < turn + 0.01
-        r = sigmoid_act.g2_monotone_radius
-        x = np.linspace(-r, r, 1000)
-        assert np.all(np.diff(sigmoid_act.g2(x)) < 0)
+        assert scan(sigmoid_act) == (True, True, True)
+        # past ln(2 + sqrt(3)) ~ 1.317 both properties fail
+        assert scan(sigmoid_act, 1.5)[:2] == (False, False)
 
 
 class TestDerivativeConsistency:
@@ -86,18 +99,9 @@ class TestDerivativeConsistency:
 class TestGAndG1:
     X = np.random.default_rng(1).uniform(-8, 8, size=(37, 5))
 
-    def custom_act(self):
-        return make_activation("custom", custom=dict(
-            g=np.arctan,
-            g1=lambda x: 1.0 / (1.0 + x * x),
-            g2=lambda x: -2.0 * x / (1.0 + x * x) ** 2,
-            g3=lambda x: (6.0 * x * x - 2.0) / (1.0 + x * x) ** 3,
-            tau_inf=0.5,
-        ))
-
-    @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "custom"])
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_bit_equal_to_separate_calls(self, kind):
-        act = self.custom_act() if kind == "custom" else make_activation(kind)
+        act = make_activation(kind)
         g, g1 = act.g_and_g1(self.X)
         assert np.array_equal(g, act.g(self.X))
         assert np.array_equal(g1, act.g1(self.X))
@@ -181,9 +185,8 @@ class TestInvertG2:
                 tau, abs=1e-9)
 
     def test_round_trip_sigmoid_core(self, sigmoid_act):
-        r = sigmoid_act.g2_monotone_radius
         rng = np.random.default_rng(43)
-        for tau in rng.uniform(-r + 0.01, r - 0.01, size=100):
+        for tau in rng.uniform(-1.29, 1.29, size=100):
             assert invert_g2(sigmoid_act, float(sigmoid_act.g2(tau))) == pytest.approx(
                 tau, abs=1e-9)
 
@@ -200,33 +203,12 @@ class TestInvertG2:
 
 
 class TestCustomBundle:
-    def test_valid_custom_accepted(self):
-        act = make_activation("custom", custom=dict(
-            g=np.tanh,
-            g1=lambda x: 1 - np.tanh(x) ** 2,
-            g2=lambda x: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2),
-            g3=lambda x: -2 * (1 - np.tanh(x) ** 2) * (1 - 3 * np.tanh(x) ** 2),
-            tau_inf=0.5,
-        ))
-        assert act.kind == "custom"
-        assert act.g2_monotone_radius == 0.5
-
-    def test_nonmonotone_custom_rejected_with_location(self):
-        # g = sin has g'' = -sin, which turns around at |x| = pi/2 ~ 1.571
-        with pytest.raises(ConfigError, match="violation near"):
-            make_activation("custom", custom=dict(
-                g=np.sin, g1=np.cos,
-                g2=lambda x: -np.sin(x), g3=lambda x: -np.cos(x),
-                tau_inf=2.5,
-            ))
-
-    def test_incomplete_bundle_rejected(self):
-        with pytest.raises(ConfigError):
-            make_activation("custom", custom=dict(g=np.tanh, tau_inf=0.5))
+    """Only the two declared kinds are built; there is no custom bundle."""
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            make_activation("relu")
+        for kind in ("relu", "custom"):
+            with pytest.raises(ConfigError, match="unknown activation kind"):
+                make_activation(kind)
 
 
 class TestSlopeSignCertificate:

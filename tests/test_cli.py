@@ -37,6 +37,10 @@ class TestStageChain:
     def test_artifacts_match_pipeline(self, chain, name):
         assert (chain / name).read_bytes() == (chain / "pipeline" / name).read_bytes()
 
+    def test_spectrum_matches_pipeline(self, chain):
+        assert ((chain / "weights.spectrum.csv").read_bytes()
+                == (chain / "pipeline" / "spectrum.csv").read_bytes())
+
     def test_trajectory_loss_matches_pipeline(self, chain):
         ours = read_csv(chain / "traj.csv")
         theirs = read_csv(chain / "pipeline" / "trajectory.csv")
@@ -98,14 +102,10 @@ n_h = 40
 n_eval = 500
 seed = 9
 out_dir = somewhere
-dump_spectrum = true
 
 [spm]
-gamma = 3.0
 max_steps = 77
-dedup_cos = 0.995
 max_restarts = 31
-conv_tol = 1e-10
 
 [refine]
 n_train = 1234
@@ -116,15 +116,13 @@ timeout_s = 12.5
 FLAGS = ["--d", "12", "--m", "5", "--beta", "1.25", "--activation", "sigmoid",
          "--shift-law", "gaussian:0.1", "--fd-step", "0.02", "--exact-derivatives",
          "--n-h", "40", "--n-eval", "500", "--seed", "9", "--out-dir", "somewhere",
-         "--dump-spectrum", "--spm-gamma", "3.0", "--spm-steps", "77",
-         "--spm-restarts", "31", "--n-train", "1234",
+         "--spm-steps", "77", "--spm-restarts", "31", "--n-train", "1234",
          "--max-steps", "99", "--timeout-s", "12.5"]
 EXPECTED = PipelineConfig(
     dim=12, n_neurons=5, beta_order=1.25, activation="sigmoid",
     shift_law=GaussianShifts(0.1), fd_step=0.02, exact_derivatives=True,
-    n_hessians=40, n_eval=500, seed=9, out_dir="somewhere", dump_spectrum=True,
-    spm=SpmConfig(gamma=3.0, max_steps=77, dedup_cos=0.995, max_restarts=31,
-                  conv_tol=1e-10),
+    n_hessians=40, n_eval=500, seed=9, out_dir="somewhere",
+    spm=SpmConfig(max_steps=77, max_restarts=31),
     n_train=1234, refine_max_steps=99, stop_loss=1e-9, timeout_s=12.5,
 )
 
@@ -136,10 +134,9 @@ class TestConfig:
         assert config_from(["pipeline", "--config", str(path)]) == EXPECTED
 
     def test_flags_build_the_same_config(self, tmp_path):
-        # dedup_cos, conv_tol and stop_loss have no flag
+        # stop_loss has no flag
         path = tmp_path / "rest.cfg"
-        path.write_text("[spm]\ndedup_cos = 0.995\nconv_tol = 1e-10\n"
-                        "[refine]\nstop_loss = 1e-9\n")
+        path.write_text("[refine]\nstop_loss = 1e-9\n")
         assert config_from(["pipeline", "--config", str(path), *FLAGS]) == EXPECTED
 
     def test_dim_key_and_flag_precedence(self, tmp_path):
@@ -156,6 +153,11 @@ class TestConfig:
         "[spm]\nlr = 0.1\n",
         # SPM's acceptance level is derived from the Hessian span, not set
         "[pipeline]\nd = 10\n[spm]\nbeta = 0.5\n",
+        # nor are SPM's step size, tolerance and duplicate cosine, or the spectrum switch
+        "[pipeline]\nd = 10\n[spm]\ngamma = 2.0\n",
+        "[pipeline]\nd = 10\n[spm]\nconv_tol = 1e-12\n",
+        "[pipeline]\nd = 10\n[spm]\ndedup_cos = 0.99\n",
+        "[pipeline]\nd = 10\ndump_spectrum = true\n",
         "[refine]\ngamma = 2\n",
         "[refine]\nmethod = newton\n",
         "[refine]\nbatch = 16\n",
@@ -188,20 +190,31 @@ class TestConfig:
         assert "input dimension is required" in capsys.readouterr().err
 
     def test_spm_beta_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["pipeline", "--d", "10", "--spm-beta", "0.5"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --spm-beta" in capsys.readouterr().err
+        for argv in (["--spm-beta", "0.5"], ["--spm-gamma", "2.0"], ["--dump-spectrum"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["pipeline", "--d", "10", *argv])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
 
 
 class TestRefusedCells:
-    """Cells with no right answer, or no gap to read the level from, exit 2 before any stage."""
+    """Cells with no right answer, no gap to read the level from, or a bad setting exit 2
+    before any stage."""
 
     @pytest.mark.parametrize("argv, message", [
         (["--d", "8", "--beta", "2.2"], "m = 39 exceeds D(D+1)/2 - D = 28"),
         (["--d", "10", "--beta", "2.1"], "m = 51 exceeds D(D+1)/2 - D = 45"),
         (["--d", "10", "--m", "13", "--n-h", "13"], "take m + 1 = 14"),
-    ], ids=["D8-b2.2", "D10-b2.1", "n_h-equals-m"])
+        (["--d", "10", "--beta", "1.5", "--fd-step", "2"], "step_h must lie in [1e-8, 1]"),
+        (["--d", "10", "--beta", "1.5", "--n-eval", "0"], "n_eval must be >= 1"),
+        (["--d", "10", "--beta", "1.5", "--shift-law", "uniform:-1,1"],
+         "uniform shift range [-1.0, 1.0] exceeds [-0.6, 0.6]"),
+        # past the sigmoid's ln(2 + sqrt(3)) ~ 1.317 the signs and shifts are not identifiable
+        (["--d", "10", "--beta", "1.5", "--activation", "sigmoid",
+          "--shift-law", "uniform:-1.5,1.5"],
+         "uniform shift range [-1.5, 1.5] exceeds [-1.3, 1.3]"),
+    ], ids=["D8-b2.2", "D10-b2.1", "n_h-equals-m", "fd-step", "n-eval", "shift-law",
+            "sigmoid-shift-law"])
     def test_pipeline(self, tmp_path, argv, message, capsys):
         out = tmp_path / "run"
         assert cli.main(["pipeline", *argv, "--out-dir", str(out)]) == 2
@@ -243,3 +256,17 @@ class TestStudy:
         cells = [dict(zip(header, r)) for r in rows]
         assert [(c["D"], c["m"], c["fd_step"]) for c in cells] == [
             ("6", "3", "0.05"), ("8", "4", "0.05")]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--d-list", "6", "--beta-list", "1.0", "--fd-step", "2"],
+         "step_h must lie in [1e-8, 1]"),
+        # the first cell (D=8, m=26) is valid; the second (D=4, m=7) is not
+        (["--d-list", "8,4", "--beta-list", "2.0"], "m = 7 exceeds D(D+1)/2 - D = 6"),
+    ], ids=["fd-step", "second-cell"])
+    def test_bad_cell_exits_2_before_any_run(self, tmp_path, argv, message, capsys, caplog):
+        out = tmp_path / "study.csv"
+        with caplog.at_level("INFO", logger="netrecover.pipeline"):
+            assert cli.main(["study", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert "stage teacher" not in caplog.text
+        assert not out.exists()

@@ -65,7 +65,7 @@ class TestEstimateAlpha:
 class TestKernelFloor:
     @pytest.mark.parametrize("kind, omega, tau_argmin, tail", [
         ("tanh", 0.0100566949535787, 0.6, 0.0024663912596353736),
-        ("sigmoid", 2.2111540945274945e-05, -1.35, 1.6273958831761132e-05),
+        ("sigmoid", 2.2422371881793897e-05, -1.3, 1.6273958831761132e-05),
     ])
     def test_pinned(self, kind, omega, tau_argmin, tail):
         res = kernel_floor_omega(make_activation(kind))

@@ -5,8 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from netrecover import (ConfigError, InitResult, TeacherNetwork, make_activation,
-                        save_teacher)
+from netrecover import (ConfigError, InitResult, TeacherNetwork, load_teacher,
+                        make_activation, save_teacher)
 from netrecover.fileio import (load_init_result, load_weights, read_config_file,
                                save_init_result, save_weights, write_csv)
 from conftest import random_unit_columns
@@ -32,6 +32,17 @@ def test_writer_bytes_pinned(tmp_path):
     save_init_result(res, tmp_path / "init.txt")
     assert (tmp_path / "init.txt").read_text() == (
         "signs 1 -1\nshifts 0.25 -0.3333333333333333\ncond_g2 2.0\ncond_g3 1e+20\n")
+
+
+def test_teacher_header_radius_must_be_the_activations(tmp_path):
+    """A header whose tau_inf is not the activation's declared one is refused."""
+    path = tmp_path / "t.net"
+    path.write_text("# shallow network file\n2 1 sigmoid 1.5 5\n0.6 0.8 0.1\n")
+    with pytest.raises(ConfigError, match="header declares tau_inf 1.5, but sigmoid has "
+                                          "tau_inf 1.3"):
+        load_teacher(path)
+    path.write_text("# shallow network file\n2 1 sigmoid 1.3 5\n0.6 0.8 0.1\n")
+    assert load_teacher(path).act.tau_inf == 1.3
 
 
 class TestWeights:

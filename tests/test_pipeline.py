@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import netrecover
-from netrecover import (ConfigError, PipelineConfig, StageError, run_pipeline,
-                        run_scaling_study)
+from netrecover import (ConfigError, PipelineConfig, StageError, UniformShifts,
+                        run_pipeline, run_scaling_study)
 from netrecover.pipeline import RESULT_COLUMNS
 
 # D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv
@@ -56,8 +56,7 @@ def read_csv(path):
 @pytest.fixture(scope="module")
 def d10_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("d10")
-    res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, out_dir=out,
-                                      dump_spectrum=True))
+    res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, out_dir=out))
     return res, out
 
 
@@ -143,6 +142,17 @@ class TestWideRegime:
                                           exact_derivatives=exact))
         assert res.spm_rejected == 9
         assert res.metrics.max_weight_err < 1e-3
+
+
+class TestSigmoid:
+    def test_shifts_across_the_declared_interval_recovered(self):
+        # shifts up to the declared 1.3, just inside the turn of g'' at ln(2 + sqrt(3)) ~ 1.317
+        # (a law past it is refused: tests/test_cli.py TestRefusedCells)
+        res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=1, n_eval=2000,
+                                          activation="sigmoid",
+                                          shift_law=UniformShifts(-1.3, 1.3)))
+        assert res.sign_accuracy == 1.0
+        assert res.metrics.max_weight_err < 1e-4 and res.metrics.shift_rms < 1e-4
 
 
 class TestValidate:

@@ -21,23 +21,20 @@ def objective(proj, u):
 class TestConfig:
     def test_defaults(self):
         cfg = SpmConfig()
-        assert cfg.gamma == 2.0 and cfg.max_steps == 1000
-        assert cfg.conv_tol == 1e-12 and cfg.dedup_cos == 0.99
-        # the acceptance level is derived from the spectrum, not configured
-        assert [f.name for f in dataclasses.fields(SpmConfig)] == [
-            "gamma", "max_steps", "conv_tol", "dedup_cos", "max_restarts"]
+        assert cfg.max_steps == 1000 and cfg.max_restarts is None
+        assert (spm._GAMMA, spm._CONV_TOL, spm._DEDUP_COS) == (2.0, 1e-12, 0.99)
+        # the acceptance level is derived from the spectrum; the rest are constants
+        assert [f.name for f in dataclasses.fields(SpmConfig)] == ["max_steps", "max_restarts"]
 
     def test_restart_budget_formula(self):
         assert default_restarts(36) == 646
         assert default_restarts(12) == 150
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            SpmConfig(gamma=0.0)
-        with pytest.raises(TypeError):
-            SpmConfig(beta=0.5)
-        with pytest.raises(ConfigError):
-            SpmConfig(dedup_cos=0.5)
+        # max_steps: TestPool; the level and the step, tolerance and cosine are not options
+        for removed in ("beta", "gamma", "conv_tol", "dedup_cos"):
+            with pytest.raises(TypeError):
+                SpmConfig(**{removed: 0.5})
 
 
 class TestObjective:
@@ -218,20 +215,20 @@ class TestGateAndDedup:
         obj = objective(proj, u)
         assert obj == pytest.approx(0.3, abs=1e-12)
         level, _ = _acceptance_level(proj)
-        assert _classify(u, obj, [], level, SpmConfig()) == "rejected"
+        assert _classify(u, obj, [], level) == "rejected"
         # so must a spurious maximum of the wide regime, at 1 - objective >= 1.7e-5
-        assert _classify(u, 1.0 - 1.7e-5, [], 1.0 - 1e-7, SpmConfig()) == "rejected"
-        assert _classify(u, 1.0 - 1e-8, [], 1.0 - 1e-7, SpmConfig()) == "accepted"
+        assert _classify(u, 1.0 - 1.7e-5, [], 1.0 - 1e-7) == "rejected"
+        assert _classify(u, 1.0 - 1e-8, [], 1.0 - 1e-7) == "accepted"
 
     def test_duplicate_detected(self):
         u = np.array([1.0, 0.0, 0.0])
-        assert _classify(u, 1.0, [u.copy()], 0.5, SpmConfig()) == "duplicate"
-        assert _classify(-u, 1.0, [u.copy()], 0.5, SpmConfig()) == "duplicate"
+        assert _classify(u, 1.0, [u.copy()], 0.5) == "duplicate"
+        assert _classify(-u, 1.0, [u.copy()], 0.5) == "duplicate"
 
     def test_fresh_direction_accepted(self):
         u = np.array([1.0, 0.0, 0.0])
         v = np.array([0.0, 1.0, 0.0])
-        assert _classify(v, 1.0, [u], 0.5, SpmConfig()) == "accepted"
+        assert _classify(v, 1.0, [u], 0.5) == "accepted"
 
     def test_canonical_sign(self):
         u = np.array([-0.3, 0.5])
@@ -265,11 +262,10 @@ class TestCollect:
     def test_pairwise_cosines_below_dedup(self):
         net = random_teacher(9, 7, seed=15)
         proj = exact_projector(net.weights)
-        cfg = SpmConfig()
-        w_hat, _ = collect_weights(proj, 7, cfg, seed=16)
+        w_hat, _ = collect_weights(proj, 7, SpmConfig(), seed=16)
         gram = np.abs(w_hat.T @ w_hat)
         np.fill_diagonal(gram, 0.0)
-        assert np.max(gram) <= cfg.dedup_cos
+        assert np.max(gram) <= spm._DEDUP_COS
 
     def test_deterministic_under_seed(self):
         net = random_teacher(8, 5, seed=17)
@@ -332,7 +328,7 @@ def _reference_collect(proj, m, cfg, seed):
     for j in range(n_restarts):
         u, obj, k, _ = spm_ascend(proj, starts[:, j], cfg)
         cand = canonical_sign(u)
-        statuses.append(_classify(cand, obj, accepted, level, cfg))
+        statuses.append(_classify(cand, obj, accepted, level))
         steps.append(k)
         if statuses[-1] == "accepted":
             accepted.append(cand)
@@ -385,7 +381,7 @@ class TestPool:
         monkeypatch.setattr(spm, "_NEWTON_MOVE", 0.0)  # ascent steps only
         w_asc, stats_asc = collect_weights(proj, m, SpmConfig(), seed)
         assert _counts(stats) == _counts(stats_asc) == (157, 30, 127, 0)
-        # the ascent stops within about conv_tol rho / (1 - rho) of the fixed point
+        # the ascent stops within about _CONV_TOL rho / (1 - rho) of the fixed point
         assert np.max(np.abs(w_hat - w_asc)) <= 1e-10
         assert sum(stats.steps) == 5318
         assert sum(stats_asc.steps) == 11363
