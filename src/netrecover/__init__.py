@@ -20,7 +20,7 @@ from .numdiff import FDConfig, at_stencil_points, fd_directional, fd_hessian
 from .pipeline import (ExperimentResult, PipelineConfig, child_seed,
                        default_n_hessians, neuron_count, run_pipeline,
                        run_scaling_study)
-from .refine import RefineConfig, RefineResult, grad_loss, loss, refine
+from .refine import RefineConfig, RefineResult, loss, refine
 from .shift_init import InitResult, directional_derivs_at_zero, gram_power, init_signs_shifts
 from .spm import SpmConfig, SpmStats, collect_weights, default_restarts, spm_ascend
 from .subspace import (SubspaceProjector, build_hessian_matrix, exact_projector,

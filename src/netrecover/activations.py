@@ -5,8 +5,7 @@ tau_inf]`` g'' is strictly decreasing, g''' keeps the sign of g'''(0) and
 g' > 0.  So :func:`invert_g2` reads a shift back from s_k g''(tau_k), and the
 sign of s_k g'''(tau_k) against g'''(0) reads the sign s_k.  Both fail first
 where g''' vanishes; each radius is a literal just inside that point, checked
-on a grid by ``tests/test_activations.py``.  The uniform derivative bound
-``kappa`` is computed on a wide grid.
+on a grid by ``tests/test_activations.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ __all__ = [
     "slope_sign_certificate",
 ]
 
-_KAPPA_GRID_HALFWIDTH = 20.0
-_KAPPA_GRID_POINTS = 100_000
 _INVERT_TOL = 1e-12
 
 
@@ -85,8 +82,6 @@ class Activation:
     tau_inf : float
         Shift radius: shifts live in ``[-tau_inf, tau_inf]``, on which g'' is
         strictly decreasing, g''' keeps the sign of g'''(0) and g' > 0.
-    kappa : float
-        ``max_n<=3 sup |g^(n)|``, estimated on a wide grid at each read.
     """
 
     kind: str
@@ -95,10 +90,6 @@ class Activation:
     g2: Callable[[np.ndarray], np.ndarray]
     g3: Callable[[np.ndarray], np.ndarray]
     tau_inf: float
-
-    @property
-    def kappa(self) -> float:
-        return _grid_kappa(self.g1, self.g2, self.g3)
 
     def derivative(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Return g^(n) for n in 0..3."""
@@ -114,11 +105,6 @@ class Activation:
             s = _sigmoid_g(x)
             return s, s * (1.0 - s)
         return self.g(x), self.g1(x)
-
-
-def _grid_kappa(g1, g2, g3) -> float:
-    x = np.linspace(-_KAPPA_GRID_HALFWIDTH, _KAPPA_GRID_HALFWIDTH, _KAPPA_GRID_POINTS)
-    return float(max(np.max(np.abs(d(x))) for d in (g1, g2, g3)))
 
 
 def make_activation(kind: str) -> Activation:

@@ -9,18 +9,25 @@ the artifacts of ``pipeline``: ``teacher.net``, ``weights.txt``,
 ``--out`` file, ``recover-weights`` writes the span's ``.spectrum.csv`` and
 ``refine`` the refined ``.shifts.txt``.  ``pipeline`` and ``baseline`` both
 write ``result.csv`` and ``report.txt`` into ``--out-dir``, also when a
-stage fails.  Options can come from a config file (one section per module,
-``key = value``) with every key overridable by the flag of the same name.
-Exit codes: 0 success, 2 validation error (checked before the first stage
-runs), 3 stage failure.
+stage fails.
+
+Each subcommand takes only the flags it reads: ``study`` sets D, m and
+beta per cell and keeps no run directory, ``baseline`` reads none of the
+Hessian, SPM or refine settings but ``--stop-loss`` and ``--timeout-s``, and
+``recover-weights`` reads D, m and the activation from its ``--net`` file.
+An argument ``@FILE`` is replaced by the flags in FILE: one or more per
+line, in shell quoting, with blank lines and ``#`` comments skipped; a flag
+written after ``@FILE`` overrides the file.  Abbreviated flags are refused.
+Exit codes: 0 success, 2 a bad flag, option file or setting (checked
+before the first stage runs), 3 stage failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import logging
+import shlex
 import sys
 from pathlib import Path
 
@@ -32,7 +39,6 @@ from .exceptions import ConfigError, RecoveryError, StageError
 from .pipeline import (PipelineConfig, child_seed, hessian_stage, init_stage,
                        projector_stage, refine_stage, run_pipeline,
                        run_scaling_study, spm_stage, teacher_stage)
-from .refine import RefineConfig
 from .spm import SpmConfig
 from .teacher import FixedShifts, GaussianShifts, StudentNetwork, UniformShifts
 
@@ -55,122 +61,60 @@ def parse_shift_law(text: str):
     raise ConfigError(f"unknown shift law {text!r}")
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key=value config file with [pipeline]/[spm]/[refine] sections")
-    p.add_argument("--d", type=int, dest="dim")
-    p.add_argument("--m", type=int, dest="n_neurons")
-    p.add_argument("--beta", type=float, dest="beta_order")
-    p.add_argument("--activation", choices=["tanh", "sigmoid"])
-    p.add_argument("--shift-law", dest="shift_law")
-    p.add_argument("--fd-step", type=float, dest="fd_step")
-    p.add_argument("--exact-derivatives", action="store_true", default=None,
-                   dest="exact_derivatives")
-    p.add_argument("--n-h", type=int, dest="n_hessians")
-    p.add_argument("--n-eval", type=int, dest="n_eval")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
+# every flag, declared once; a flag whose dest (given, or derived from the
+# flag) names a PipelineConfig field sets that field, and each subcommand
+# takes the flags it reads (_SUBCOMMANDS)
+_FLAGS = {
+    "--d": dict(type=int, dest="dim"),
+    "--m": dict(type=int, dest="n_neurons"),
+    "--beta": dict(type=float, dest="beta_order"),
+    "--activation": dict(choices=["tanh", "sigmoid"]),
+    "--shift-law": dict(help="uniform:a,b | gaussian:sigma | fixed:v1,v2,..."),
+    "--fd-step": dict(type=float),
+    "--exact-derivatives": dict(action="store_true"),
+    "--n-h": dict(type=int, dest="n_hessians"),
+    "--n-eval": dict(type=int),
+    "--seed": dict(type=int),
+    "--out-dir": dict(),
     # SPM takes only its two budgets; its step size, convergence tolerance and
     # duplicate cosine are constants, and its acceptance level is derived from
     # the Hessian span's gap
-    p.add_argument("--spm-steps", type=int)
-    p.add_argument("--spm-restarts", type=int)
-    p.add_argument("--n-train", type=int, dest="n_train")
-    p.add_argument("--max-steps", type=int, dest="refine_max_steps")
-    p.add_argument("--timeout-s", type=float, dest="timeout_s")
-
-
-# Names that differ from the field they set: config keys by section, and
-# flag destinations under section None ("spm." marks an SpmConfig field).
-# A PipelineConfig field named here is read from a config file under the
-# keys listed here only.
-_ALIASES = {
-    ("pipeline", "d"): "dim",
-    ("pipeline", "dim"): "dim",
-    ("pipeline", "m"): "n_neurons",
-    ("pipeline", "beta"): "beta_order",
-    ("pipeline", "n_h"): "n_hessians",
-    ("refine", "max_steps"): "refine_max_steps",
-    (None, "spm_steps"): "spm.max_steps",
-    (None, "spm_restarts"): "spm.max_restarts",
+    "--spm-steps": dict(type=int),
+    "--spm-restarts": dict(type=int),
+    "--n-train": dict(type=int),
+    "--max-steps": dict(type=int, dest="refine_max_steps"),
+    "--stop-loss": dict(type=float),
+    "--timeout-s": dict(type=float),
+    # files, and the settings of diagnose and study
+    "--net": dict(help="teacher network file"),
+    "--weights": dict(help="recovered weights file"),
+    "--init": dict(help="signs and shifts file"),
+    "--out": dict(help="output file (refine: the trajectory CSV)"),
+    "--d-list": dict(help="comma-separated input dimensions"),
+    "--beta-list": dict(help="comma-separated beta orders"),
+    "--reps": dict(type=int, default=1),
+    "--rip-trials": dict(type=int, default=20),
+    "--n-mc": dict(type=int),
 }
-# PipelineConfig fields that no flag or config key sets
-_UNEXPOSED = ("spm", "baseline_max_epochs")
-
-
-def _option_table() -> dict:
-    """(config section, key) or (None, flag destination) -> (target, field).
-
-    ``target`` names the dataclass the field belongs to, ``"pipeline"`` or
-    ``"spm"``.  PipelineConfig fields that configure the refinement live in
-    the ``[refine]`` section, every other one in ``[pipeline]``.
-    """
-    pipeline_fields = [f for f in dataclasses.fields(PipelineConfig)
-                       if f.name not in _UNEXPOSED]
-    spm_fields = dataclasses.fields(SpmConfig)
-    by_name = {f.name: ("pipeline", f) for f in pipeline_fields}
-    by_name.update({f"spm.{f.name}": ("spm", f) for f in spm_fields})
-    table = {key: by_name[name] for key, name in _ALIASES.items()}
-    refine_names = {f.name for f in dataclasses.fields(RefineConfig)}
-    aliased = set(_ALIASES.values())
-    for f in pipeline_fields:
-        table[None, f.name] = ("pipeline", f)
-        if f.name not in aliased:
-            section = "refine" if f.name in refine_names else "pipeline"
-            table[section, f.name] = ("pipeline", f)
-    for f in spm_fields:
-        table["spm", f.name] = ("spm", f)
-    return table
-
-
-_OPTIONS = _option_table()
-_SECTIONS = {section for section, _ in _OPTIONS if section is not None}
-
-
-def _parse_bool(raw: str) -> bool:
-    """configparser's spellings: 1/yes/true/on and 0/no/false/off."""
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
-
-
-# parser of a config-file value by the first type in the field's annotation
-# (a string: both dataclasses' modules postpone annotation evaluation)
-_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
+_SPM_FLAGS = {"spm_steps": "max_steps", "spm_restarts": "max_restarts"}
 
 
 def build_pipeline_config(args, **fixed) -> PipelineConfig:
-    """Merge defaults, config-file sections, and CLI flags (flags win).
+    """The defaults, overridden by the parsed flags, overridden by ``fixed``.
 
-    ``fixed`` values override all three, e.g. the dimension and the neuron
-    count of a teacher file.
+    ``fixed`` holds values a subcommand sets itself, e.g. the dimension and
+    the neuron count of a teacher file.
     """
-    values: dict = {"pipeline": {}, "spm": {}}
-    if getattr(args, "config", None):
-        for section, entries in fileio.read_config_file(args.config).items():
-            if section not in _SECTIONS:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in entries.items():
-                if (section, key) not in _OPTIONS:
-                    raise ConfigError(f"unknown [{section}] key {key!r}")
-                target, field = _OPTIONS[section, key]
-                parse = _PARSERS.get(field.type.split()[0], str)
-                try:
-                    values[target][field.name] = parse(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-    for (section, dest), (target, field) in _OPTIONS.items():
-        if section is None and getattr(args, dest, None) is not None:
-            values[target][field.name] = getattr(args, dest)
-
-    cfg_values = {**values["pipeline"], **fixed}
-    if isinstance(cfg_values.get("shift_law"), str):
-        cfg_values["shift_law"] = parse_shift_law(cfg_values["shift_law"])
-    if "dim" not in cfg_values:
-        raise ConfigError("input dimension is required (--d or config [pipeline] d)")
-    if values["spm"]:
-        cfg_values["spm"] = SpmConfig(**values["spm"])
-    return PipelineConfig(**cfg_values)
+    given = {key: v for key, v in vars(args).items() if v is not None}
+    values = {key: v for key, v in given.items() if key in _FIELDS}
+    spm = {field: given[dest] for dest, field in _SPM_FLAGS.items() if dest in given}
+    values.update(spm=SpmConfig(**spm), **fixed)
+    if "shift_law" in values:
+        values["shift_law"] = parse_shift_law(values["shift_law"])
+    if "dim" not in values:
+        raise ConfigError("input dimension is required (--d)")
+    return PipelineConfig(**values)
 
 
 def _teacher_and_config(args):
@@ -282,78 +226,63 @@ def _cmd_study(args) -> int:
     betas = [float(v) for v in args.beta_list.split(",")] if args.beta_list else []
     if not dims or not betas:
         raise ConfigError("study needs --d-list and --beta-list")
-    base = build_pipeline_config(args, dim=dims[0], n_neurons=None)
+    base = build_pipeline_config(args, dim=dims[0])
     grid = [dataclasses.replace(base, dim=d, beta_order=b) for d in dims for b in betas]
     rows = run_scaling_study(grid, args.reps, out_csv=args.out)
     print(f"study: {len(rows)} rows -> {args.out}")
     return 0
 
 
+# the pipeline flags that study passes to every cell: all but --d, --m,
+# --beta and --out-dir
+_CELL_FLAGS = ("--activation --shift-law --fd-step --exact-derivatives --n-h --n-eval "
+               "--seed --spm-steps --spm-restarts --n-train --max-steps --stop-loss "
+               "--timeout-s")
+# name, handler, help, required flags, optional flags
+_SUBCOMMANDS = [
+    ("generate", _cmd_generate, "sample and write a teacher network",
+     "--d --m --out", "--activation --shift-law --seed"),
+    ("recover-weights", _cmd_recover_weights, "Hessian PCA + sphere ascent",
+     "--net --out", "--seed --fd-step --exact-derivatives --n-h --spm-steps --spm-restarts"),
+    ("init-shifts", _cmd_init_shifts, "signs and initial shifts from a weight file",
+     "--net --weights --out", "--fd-step --exact-derivatives"),
+    ("refine", _cmd_refine, "Gauss-Newton shift refinement",
+     "--net --weights --init --out", "--n-train --max-steps --timeout-s --seed"),
+    ("pipeline", _cmd_pipeline, "full recovery run with scoring",
+     "", "--d --m --beta --out-dir " + _CELL_FLAGS),
+    ("baseline", _cmd_baseline, "joint-SGD teacher-student baseline; writes "
+                                "result.csv and report.txt like pipeline",
+     "", "--d --m --beta --activation --shift-law --seed --n-eval --out-dir "
+         "--stop-loss --timeout-s"),
+    ("diagnose", _cmd_diagnose, "incoherence / learnability report",
+     "--net", "--out --rip-trials --n-mc --seed"),
+    ("study", _cmd_study, "grid of pipeline runs, long-format CSV",
+     "--d-list --beta-list --out", "--reps " + _CELL_FLAGS),
+]
+
+
+def _split_option_line(line: str) -> list[str]:
+    """The flags on one line of an ``@FILE``: shell words up to a ``#``."""
+    try:
+        return shlex.split(line, comments=True)
+    except ValueError as exc:  # an unclosed quote; argparse exits 2 on this error
+        raise argparse.ArgumentError(None, f"option file line {line!r}: {exc}") from None
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="netrecover",
                                      description="Recover planted shallow networks "
-                                                 "from black-box queries.")
+                                                 "from black-box queries.",
+                                     fromfile_prefix_chars="@", allow_abbrev=False)
+    parser.convert_arg_line_to_args = _split_option_line
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="sample and write a teacher network")
-    p.add_argument("--d", type=int, required=True, dest="dim")
-    p.add_argument("--m", type=int, required=True, dest="n_neurons")
-    p.add_argument("--activation", choices=["tanh", "sigmoid"])
-    p.add_argument("--shift-law", dest="shift_law")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("recover-weights", help="Hessian PCA + sphere ascent")
-    p.add_argument("--net", required=True)
-    p.add_argument("--out", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_recover_weights)
-
-    p = sub.add_parser("init-shifts", help="signs and initial shifts from a weight file")
-    p.add_argument("--net", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--fd-step", type=float, dest="fd_step")
-    p.add_argument("--exact-derivatives", action="store_true", dest="exact_derivatives")
-    p.set_defaults(func=_cmd_init_shifts)
-
-    p = sub.add_parser("refine", help="Gauss-Newton shift refinement")
-    p.add_argument("--net", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--out", required=True, help="trajectory CSV path")
-    p.add_argument("--n-train", type=int, dest="n_train")
-    p.add_argument("--max-steps", type=int, dest="refine_max_steps")
-    p.add_argument("--timeout-s", type=float, dest="timeout_s")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_refine)
-
-    p = sub.add_parser("pipeline", help="full recovery run with scoring")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
-
-    p = sub.add_parser("baseline", help="joint-SGD teacher-student baseline; writes "
-                                        "result.csv and report.txt like pipeline")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_baseline)
-
-    p = sub.add_parser("diagnose", help="incoherence / learnability report")
-    p.add_argument("--net", required=True)
-    p.add_argument("--out")
-    p.add_argument("--rip-trials", type=int, default=20)
-    p.add_argument("--n-mc", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_diagnose)
-
-    p = sub.add_parser("study", help="grid of pipeline runs, long-format CSV")
-    p.add_argument("--d-list", required=True)
-    p.add_argument("--beta-list", required=True)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--out", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_study)
+    for name, func, help_text, required, optional in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flags, is_required in ((required, True), (optional, False)):
+            for flag in flags.split():
+                p.add_argument(flag, required=is_required, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -13,7 +13,7 @@ Line formats, read skipping blank lines and lines starting with ``#``:
 - ``report.txt``: the free-text lines of ``ExperimentResult.write_report``.
 
 Tables (result, trajectory, spectrum, study, diagnose) are CSV with a
-header row; run configurations are INI files with one section per module.
+header row.
 All float output uses ``repr``, so files round-trip bit-exactly and are
 byte-identical across reruns with the same seed.  Malformed input raises
 :class:`ConfigError`, with the line number where there is one.
@@ -21,7 +21,6 @@ byte-identical across reruns with the same seed.  Malformed input raises
 
 from __future__ import annotations
 
-import configparser
 import csv
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "load_init_result",
     "save_shifts",
     "write_csv",
-    "read_config_file",
 ]
 
 
@@ -182,19 +180,3 @@ def write_csv(path, header: list[str], rows: list[list]):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([cell(v) for v in row] for row in rows)
-
-
-def read_config_file(path) -> dict:
-    """Flat key=value config with one section per module.
-
-    Returns a ``{section: {key: value-string}}`` mapping; interpretation is
-    the caller's job so CLI flags can override individual keys.
-    """
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"config file {path}: {exc}") from None
-    if not read:
-        raise ConfigError(f"config file {path} not found or unreadable")
-    return {section: dict(parser.items(section)) for section in parser.sections()}

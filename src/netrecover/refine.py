@@ -24,8 +24,7 @@ import numpy as np
 from .exceptions import ConfigError, DivergenceError
 from .teacher import StudentNetwork, block_rows
 
-__all__ = ["RefineConfig", "RefineResult", "loss", "grad_loss", "power_iteration_lmax",
-           "refine"]
+__all__ = ["RefineConfig", "RefineResult", "loss", "refine"]
 
 logger = logging.getLogger(__name__)
 
@@ -128,36 +127,10 @@ def loss(student: StudentNetwork, xs, ys) -> float:
     return _half_mse(student.eval_batch(xs) - ys)
 
 
-def grad_loss(student: StudentNetwork, xs, ys) -> np.ndarray:
-    """Exact gradient of :func:`loss` with respect to the shifts."""
-    ys = _targets(ys)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != student.dim:
-        raise ConfigError(f"batch must have shape (n, {student.dim})")
-    pre = xs @ student.weights + student.shifts
-    return _grad(student.act.g1(pre), _residual(student.act, pre, ys))
-
-
-def power_iteration_lmax(mat: np.ndarray, iters: int = 200, seed: int = 0) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        lam = nrm
-    return float(lam)
-
-
-def _kernel_lmax(act, pre, seed: int) -> float:
+def _kernel_lmax(act, pre) -> float:
     """Largest eigenvalue of the empirical kernel F^T F / 2n, F = g'(pre)."""
     f = act.g1(pre)
-    return power_iteration_lmax((f.T @ f) / (2.0 * pre.shape[0]), seed=seed)
+    return float(np.linalg.eigvalsh((f.T @ f) / (2.0 * pre.shape[0]))[-1])
 
 
 def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
@@ -205,7 +178,7 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
 
     lr = cfg.lr
     if cfg.lr_auto:
-        lmax = _kernel_lmax(act, z + tau, seed)
+        lmax = _kernel_lmax(act, z + tau)
         if lmax > 0:
             lr = 0.9 / lmax
         logger.info("auto step size: lambda_max ~ %.4g -> lr = %.4g", lmax, lr)
@@ -236,7 +209,7 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
             if stall >= _DIVERGENCE_PATIENCE and j > 2.0 * best + 1e-300:
                 # diagnose the kernel at the starting shifts; the diverged
                 # iterate sits in activation saturation where it vanishes
-                lam = _kernel_lmax(act, z + records[0], seed)
+                lam = _kernel_lmax(act, z + records[0])
                 suggestion = 0.9 / lam if lam > 0 else None
                 raise DivergenceError(
                     f"loss failed to improve for {_DIVERGENCE_PATIENCE} consecutive "

@@ -64,6 +64,11 @@ class UniformShifts:
     low: float = -0.5
     high: float = 0.5
 
+    def __post_init__(self):
+        if not -np.inf < self.low <= self.high < np.inf:
+            raise ConfigError(f"uniform shift range [{self.low}, {self.high}] "
+                              "must be finite with low <= high")
+
     def sample(self, m, tau_inf, rng):
         if self.low < -tau_inf or self.high > tau_inf:
             raise ConfigError(
@@ -82,6 +87,10 @@ class GaussianShifts:
 
     sigma: float = 0.05
 
+    def __post_init__(self):
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigError(f"gaussian shift sigma {self.sigma} must be finite and >= 0")
+
     def sample(self, m, tau_inf, rng):
         tau = rng.normal(0.0, self.sigma, size=m)
         clamped = int(np.sum(np.abs(tau) > tau_inf))
@@ -91,6 +100,10 @@ class GaussianShifts:
 @dataclasses.dataclass(frozen=True)
 class FixedShifts:
     values: tuple
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigError(f"fixed shifts {self.values} must be finite")
 
     def sample(self, m, tau_inf, rng):
         tau = np.asarray(self.values, dtype=float)
@@ -110,10 +123,11 @@ def _check_network_params(weights, shifts):
     if shifts.shape != (m,):
         raise ConfigError(f"shift vector has shape {shifts.shape}, expected ({m},)")
     norms = np.linalg.norm(weights, axis=0)
-    bad = np.nonzero(np.abs(norms - 1.0) > _UNIT_TOL)[0]
+    # written so that a NaN norm fails the test
+    bad = np.nonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))[0]
     if bad.size:
         raise ConfigError(
-            f"weight column {bad[0]} has norm {norms[bad[0]]!r}, expected unit"
+            f"weight column {bad[0]} has norm {float(norms[bad[0]])!r}, expected unit"
         )
     return weights, shifts
 
@@ -149,19 +163,21 @@ class _ShallowNet:
 class TeacherNetwork(_ShallowNet):
     """The planted model with a counted black-box query oracle.
 
-    ``query_count`` counts scalar f-evaluations served through ``eval``,
-    ``eval_batch`` and the stencil functions, one per point, whatever the
-    row blocks they are evaluated in.  The analytic derivative oracles
-    increment ``oracle_count`` instead.  The shifts must lie in the
-    activation's admissible interval ``[-tau_inf, tau_inf]``.
+    ``query_count`` counts scalar f-evaluations served through ``eval_batch``
+    and the stencil functions, one per point, whatever the row blocks they
+    are evaluated in.  The analytic derivative oracles increment
+    ``oracle_count`` instead.  The shifts must lie in the activation's
+    admissible interval ``[-tau_inf, tau_inf]``.
     ``n_shifts_clamped`` counts the sampled shifts that were clamped into it.
     """
 
     def __init__(self, weights, shifts, act: Activation, seed: int | None = None,
                  n_shifts_clamped: int = 0):
         super().__init__(weights, shifts, act)
-        if np.max(np.abs(self.shifts), initial=0.0) > act.tau_inf + 1e-15:
-            raise ConfigError("shifts exceed the admissible interval of the activation")
+        # written so that NaN shifts fail it
+        if not np.max(np.abs(self.shifts), initial=0.0) <= act.tau_inf + 1e-15:
+            raise ConfigError("shifts are not finite or exceed the admissible interval "
+                              "of the activation")
         self.seed = seed
         self.n_shifts_clamped = n_shifts_clamped
         self._queries = _Counter()
@@ -180,9 +196,6 @@ class TeacherNetwork(_ShallowNet):
         if x.shape != (self.dim,):
             raise ConfigError(f"input has shape {x.shape}, expected ({self.dim},)")
         return x
-
-    def eval(self, x) -> float:
-        return float(self.eval_batch(self._input(x)[None, :])[0])
 
     def eval_batch(self, xs) -> np.ndarray:
         vals = self.eval_batch_raw(xs)

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from netrecover import GaussianShifts, PipelineConfig, SpmConfig, cli
+from netrecover import GaussianShifts, PipelineConfig, SpmConfig, UniformShifts, cli
 
 
 def read_csv(path):
@@ -88,36 +88,24 @@ class TestInputsAcrossFiles:
         assert "2 signs for 3 weight columns" in capsys.readouterr().err
 
 
-# every config key the command line accepts, with the flag that sets the same value
-CONFIG_TEXT = """\
-[pipeline]
-d = 12
-m = 5
-beta = 1.25
-activation = sigmoid
-shift_law = gaussian:0.1
-fd_step = 0.02
-exact_derivatives = yes
-n_h = 40
-n_eval = 500
-seed = 9
-out_dir = somewhere
+# every value the command line sets, one flag each, as an option file
+ARGS_TEXT = """\
+# the planted network
+--d 12 --m 5 --beta 1.25
+--activation sigmoid --shift-law gaussian:0.1
 
-[spm]
-max_steps = 77
-max_restarts = 31
-
-[refine]
-n_train = 1234
-max_steps = 99
-stop_loss = 1e-9
-timeout_s = 12.5
+# Hessians and SPM
+--fd-step 0.02 --exact-derivatives --n-h 40
+--spm-steps 77 --spm-restarts 31
+# refine and scoring
+--n-train 1234 --max-steps 99 --stop-loss 1e-9 --timeout-s 12.5
+--n-eval 500 --seed 9 --out-dir somewhere
 """
 FLAGS = ["--d", "12", "--m", "5", "--beta", "1.25", "--activation", "sigmoid",
          "--shift-law", "gaussian:0.1", "--fd-step", "0.02", "--exact-derivatives",
          "--n-h", "40", "--n-eval", "500", "--seed", "9", "--out-dir", "somewhere",
          "--spm-steps", "77", "--spm-restarts", "31", "--n-train", "1234",
-         "--max-steps", "99", "--timeout-s", "12.5"]
+         "--max-steps", "99", "--stop-loss", "1e-9", "--timeout-s", "12.5"]
 EXPECTED = PipelineConfig(
     dim=12, n_neurons=5, beta_order=1.25, activation="sigmoid",
     shift_law=GaussianShifts(0.1), fd_step=0.02, exact_derivatives=True,
@@ -127,63 +115,90 @@ EXPECTED = PipelineConfig(
 )
 
 
+def exit_code(argv):
+    """What ``cli.main`` returns, or the status argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def subcommand_flags(name):
+    """The flags of one subcommand's parser, ``-h`` aside."""
+    sub = cli.make_parser()._subparsers._group_actions[0].choices[name]
+    return {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+
+
+def write(path, text):
+    path.write_text(text)
+    return f"@{path}"
+
+
 class TestConfig:
     def test_every_config_key(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(CONFIG_TEXT)
-        assert config_from(["pipeline", "--config", str(path)]) == EXPECTED
+        assert config_from(["pipeline", write(tmp_path / "run.args", ARGS_TEXT)]) == EXPECTED
 
-    def test_flags_build_the_same_config(self, tmp_path):
-        # stop_loss has no flag
-        path = tmp_path / "rest.cfg"
-        path.write_text("[refine]\nstop_loss = 1e-9\n")
-        assert config_from(["pipeline", "--config", str(path), *FLAGS]) == EXPECTED
+    def test_flags_build_the_same_config(self):
+        assert config_from(["pipeline", *FLAGS]) == EXPECTED
+
+    def test_one_flag_per_value(self):
+        # pipeline takes exactly these flags (TestSubcommandFlags::test_kept)
+        flags = [f for f in FLAGS if f.startswith("--")]
+        assert len(flags) == len(set(flags)) == 17
 
     def test_dim_key_and_flag_precedence(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("[pipeline]\ndim = 8\nbeta = 1.0\nseed = 4\n[refine]\nn_train = 500\n")
-        cfg = config_from(["pipeline", "--config", str(path), "--seed", "5"])
+        # a later flag wins, whether it follows the file or the file follows it
+        args = write(tmp_path / "run.args", "--d 8 --beta 1.0 --seed 4\n--n-train 500\n")
+        cfg = config_from(["pipeline", "--n-train", "300", args, "--seed", "5"])
         assert (cfg.dim, cfg.beta_order, cfg.seed, cfg.n_train) == (8, 1.0, 5, 500)
+
+    def test_comments_blank_lines_and_quotes(self, tmp_path):
+        args = write(tmp_path / "run.args", (
+            "# a run directory with a space\n"
+            "\n"
+            "  --out-dir 'my runs/a b'   # trailing comment\n"
+            '--d 10 --shift-law "uniform:-0.25,0.25"\n'
+            "   \n"
+            "#--seed 3\n"))
+        cfg = config_from(["pipeline", args])
+        assert (cfg.out_dir, cfg.dim, cfg.shift_law, cfg.seed) == (
+            "my runs/a b", 10, UniformShifts(-0.25, 0.25), 0)
 
     def test_defaults_without_config(self):
         assert config_from(["pipeline", "--d", "10"]) == PipelineConfig(dim=10)
 
-    @pytest.mark.parametrize("text", [
-        "[pipeline]\nd = 10\nbogus = 1\n",
-        "[spm]\nlr = 0.1\n",
-        # SPM's acceptance level is derived from the Hessian span, not set
-        "[pipeline]\nd = 10\n[spm]\nbeta = 0.5\n",
-        # nor are SPM's step size, tolerance and duplicate cosine, or the spectrum switch
-        "[pipeline]\nd = 10\n[spm]\ngamma = 2.0\n",
-        "[pipeline]\nd = 10\n[spm]\nconv_tol = 1e-12\n",
-        "[pipeline]\nd = 10\n[spm]\ndedup_cos = 0.99\n",
-        "[pipeline]\nd = 10\ndump_spectrum = true\n",
-        "[refine]\ngamma = 2\n",
-        "[refine]\nmethod = newton\n",
-        "[refine]\nbatch = 16\n",
-        "[pipeline]\nd = 10\nn_hessians = 20\n",
-        "[pipeline]\nd = 10\n[extra]\nx = 1\n",
+    @pytest.mark.parametrize("line", [
+        "--bogus 1",
+        # lines of an INI file
+        "[pipeline]",
+        "d = 10",
+        "--n-hessians 20",
+        "--spm-gamma 2.0",
+        "--dump-spectrum",
+        "--batch 16",
+        "--method newton",
     ])
-    def test_unknown_key_or_section_exits_2(self, tmp_path, text, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text(text)
-        assert cli.main(["pipeline", "--config", str(path)]) == 2
-        assert "unknown" in capsys.readouterr().err
+    def test_unknown_flag_in_file_exits_2(self, tmp_path, line, capsys):
+        args = write(tmp_path / "bad.args", f"--d 10 --beta 1.0\n{line}\n")
+        assert exit_code(["pipeline", args]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        assert exit_code(["pipeline", f"@{tmp_path / 'absent.args'}"]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
-        ("[pipeline]\nd = ten\n", "[pipeline] d = 'ten'"),
-        ("d = 10\n", "File contains no section headers"),
-        ("[pipeline]\nd = 10\nexact_derivatives = maybe\n",
-         "[pipeline] exact_derivatives = 'maybe'"),
-        ("[pipeline]\nd = 10\nbeta = 1.0\n[refine]\nn_train = 0\n",
-         "n_train must be >= 1"),
-    ], ids=["unparsable-value", "no-section-header", "not-a-boolean",
-            "bad-refine-setting"])
+        ("--d ten\n", "argument --d: invalid int value: 'ten'"),
+        ("--d 10 --exact-derivatives maybe\n", "unrecognized arguments: maybe"),
+        ("--d 10 --beta 1.0\n--n-train 0\n", "n_train must be >= 1"),
+        ("--d 10 --out-dir 'a b\n", "No closing quotation"),
+    ], ids=["unparsable-value", "not-a-boolean", "bad-refine-setting", "unclosed-quote"])
     def test_malformed_config_exits_2(self, tmp_path, text, message, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text(text)
-        assert cli.main(["pipeline", "--config", str(path)]) == 2
+        out = tmp_path / "run"
+        assert exit_code(["pipeline", write(tmp_path / "bad.args", text),
+                          "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dimension_exits_2(self, capsys):
         assert cli.main(["pipeline", "--beta", "1.0"]) == 2
@@ -195,6 +210,63 @@ class TestConfig:
                 cli.main(["pipeline", "--d", "10", *argv])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, abbreviation", [
+        (["pipeline", "--d", "10", "--max", "5"], "--max"),
+        (["pipeline", "--d", "10", "--exact"], "--exact"),
+        (["study", "--d-list", "6", "--beta-list", "1.0", "--out", "x", "--m", "3"], "--m"),
+        (["study", "--d-list", "6", "--beta-list", "1.0", "--out", "x", "--rep", "2"],
+         "--rep"),
+        (["--verb", "pipeline", "--d", "10"], "--verb"),
+    ], ids=["pipeline--max", "pipeline--exact", "study--m", "study--rep", "--verb"])
+    def test_abbreviation_exits_2(self, tmp_path, monkeypatch, argv, abbreviation, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(argv) == 2
+        assert f"unrecognized arguments: {abbreviation}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+# the flags each composed subcommand takes, and those it refuses because it
+# would override them or never read them; test_kept pins each set whole
+KEPT = {
+    "pipeline": {f for f in FLAGS if f.startswith("--")},
+    "baseline": {"--d", "--m", "--beta", "--activation", "--shift-law", "--seed",
+                 "--n-eval", "--out-dir", "--stop-loss", "--timeout-s"},
+    "study": {f for f in FLAGS if f.startswith("--")} - {"--d", "--m", "--beta", "--out-dir"}
+    | {"--d-list", "--beta-list", "--reps", "--out"},
+    "recover-weights": {"--net", "--out", "--seed", "--fd-step", "--exact-derivatives",
+                        "--n-h", "--spm-steps", "--spm-restarts"},
+}
+REFUSED = {
+    "baseline": ["--fd-step 0.02", "--exact-derivatives", "--n-h 40", "--spm-steps 7",
+                 "--spm-restarts 7", "--n-train 100", "--max-steps 5"],
+    "study": ["--d 50", "--m 3", "--beta 1.9", "--out-dir x"],
+    "recover-weights": ["--d 30", "--m 99", "--beta 1.9", "--activation sigmoid",
+                        "--shift-law gaussian:0.1", "--n-eval 5", "--out-dir x",
+                        "--n-train 5", "--max-steps 5", "--timeout-s 5"],
+}
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("name", list(KEPT))
+    def test_kept(self, name):
+        assert subcommand_flags(name) == KEPT[name]
+
+    @pytest.mark.parametrize("name, flag", [(n, f) for n, fs in REFUSED.items() for f in fs],
+                             ids=[f"{n}{f.split()[0]}" for n, fs in REFUSED.items() for f in fs])
+    def test_refused(self, tmp_path, name, flag, capsys, caplog):
+        out = tmp_path / "out"
+        base = {
+            "pipeline": ["--d", "10", "--beta", "1.5", "--out-dir", str(out)],
+            "baseline": ["--d", "6", "--m", "3", "--out-dir", str(out)],
+            "study": ["--d-list", "6", "--beta-list", "1.0", "--out", str(out)],
+            "recover-weights": ["--net", str(tmp_path / "teacher.net"), "--out", str(out)],
+        }[name]
+        with caplog.at_level("INFO", logger="netrecover"):
+            assert exit_code([name, *base, *flag.split()]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert "stage" not in caplog.text
+        assert not out.exists()
 
 
 class TestRefusedCells:
@@ -213,8 +285,20 @@ class TestRefusedCells:
         (["--d", "10", "--beta", "1.5", "--activation", "sigmoid",
           "--shift-law", "uniform:-1.5,1.5"],
          "uniform shift range [-1.5, 1.5] exceeds [-1.3, 1.3]"),
+        # a malformed shift law is a bad setting, not a traceback or a NaN teacher
+        (["--d", "10", "--beta", "1.5", "--shift-law", "gaussian:-0.1"],
+         "gaussian shift sigma -0.1 must be finite and >= 0"),
+        (["--d", "10", "--beta", "1.5", "--shift-law", "gaussian:nan"],
+         "gaussian shift sigma nan must be finite"),
+        (["--d", "10", "--beta", "1.5", "--shift-law", "uniform:0.5,-0.5"],
+         "uniform shift range [0.5, -0.5] must be finite with low <= high"),
+        (["--d", "10", "--beta", "1.5", "--shift-law", "uniform:nan,0.5"],
+         "uniform shift range [nan, 0.5] must be finite"),
+        (["--d", "10", "--m", "2", "--shift-law", "fixed:0.1,inf"],
+         "fixed shifts (0.1, inf) must be finite"),
     ], ids=["D8-b2.2", "D10-b2.1", "n_h-equals-m", "fd-step", "n-eval", "shift-law",
-            "sigmoid-shift-law"])
+            "sigmoid-shift-law", "gaussian-negative", "gaussian-nan", "uniform-reversed",
+            "uniform-nan", "fixed-inf"])
     def test_pipeline(self, tmp_path, argv, message, capsys):
         out = tmp_path / "run"
         assert cli.main(["pipeline", *argv, "--out-dir", str(out)]) == 2
@@ -246,12 +330,10 @@ class TestStudy:
         assert int(cell["refine_steps"]) <= 500
 
     def test_config_without_dimension(self, tmp_path):
-        path = tmp_path / "study.cfg"
-        path.write_text("[pipeline]\nfd_step = 0.05\nn_eval = 500\n"
-                        "[refine]\nmax_steps = 500\n")
+        args = write(tmp_path / "study.args", "--fd-step 0.05 --n-eval 500\n--max-steps 500\n")
         out = tmp_path / "study.csv"
-        assert cli.main(["study", "--d-list", "6,8", "--beta-list", "1.0",
-                         "--config", str(path), "--out", str(out)]) == 0
+        assert cli.main(["study", "--d-list", "6,8", "--beta-list", "1.0", args,
+                         "--out", str(out)]) == 0
         header, *rows = read_csv(out)
         cells = [dict(zip(header, r)) for r in rows]
         assert [(c["D"], c["m"], c["fd_step"]) for c in cells] == [

@@ -7,8 +7,8 @@ import pytest
 
 from netrecover import (ConfigError, InitResult, TeacherNetwork, load_teacher,
                         make_activation, save_teacher)
-from netrecover.fileio import (load_init_result, load_weights, read_config_file,
-                               save_init_result, save_weights, write_csv)
+from netrecover.fileio import (load_init_result, load_weights, save_init_result,
+                               save_weights, write_csv)
 from conftest import random_unit_columns
 
 
@@ -43,6 +43,18 @@ def test_teacher_header_radius_must_be_the_activations(tmp_path):
         load_teacher(path)
     path.write_text("# shallow network file\n2 1 sigmoid 1.3 5\n0.6 0.8 0.1\n")
     assert load_teacher(path).act.tau_inf == 1.3
+
+
+@pytest.mark.parametrize("neuron, message", [
+    ("0.6 nan 0.1", "weight column 0 has norm nan"),
+    ("0.6 0.8 nan", "shifts are not finite"),
+    ("nan nan nan", "weight column 0 has norm nan"),
+], ids=["nan-weight", "nan-shift", "nan-both"])
+def test_teacher_with_nan_is_refused(tmp_path, neuron, message):
+    path = tmp_path / "t.net"
+    path.write_text(f"# shallow network file\n2 1 tanh 0.6 5\n{neuron}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_teacher(path)
 
 
 class TestWeights:
@@ -144,14 +156,3 @@ class TestCsv:
             back = list(csv.reader(fh))
         assert back == [["i", "s", "t"], ["1", "a, b", 'say "hi"'], ["2", "plain", "None"]]
 
-
-class TestConfigFile:
-    def test_sections_and_raw_values(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("[pipeline]\nd = 10\nbeta = 1.5\n\n[spm]\ngamma = 3\n")
-        assert read_config_file(path) == {"pipeline": {"d": "10", "beta": "1.5"},
-                                          "spm": {"gamma": "3"}}
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found or unreadable"):
-            read_config_file(tmp_path / "absent.cfg")

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from netrecover import (ConfigError, DivergenceError, RefineConfig,
-                        StudentNetwork, TeacherNetwork, grad_loss, loss,
-                        make_activation, refine)
-from netrecover.refine import power_iteration_lmax
+                        StudentNetwork, TeacherNetwork, loss, make_activation, refine)
+from netrecover.refine import _grad, _residual
 from netrecover.teacher import BLOCK_BYTES
 from conftest import random_teacher, traced_peak
 
@@ -16,6 +15,12 @@ def perturbed_student(net, scale, seed):
     tau = np.clip(net.shifts + scale * rng.standard_normal(net.n_neurons),
                   -net.act.tau_inf, net.act.tau_inf)
     return StudentNetwork(net.weights.copy(), tau, net.act)
+
+
+def grad_loss(student, xs, ys):
+    """Gradient of :func:`loss` in the shifts, by the descent's own formula."""
+    pre = xs @ student.weights + student.shifts
+    return _grad(student.act.g1(pre), _residual(student.act, pre, ys))
 
 
 def shift_errors(res, tau_truth):
@@ -142,7 +147,7 @@ class TestRefine:
         student = perturbed_student(net, 0.1, seed=3)
         xs = np.random.default_rng(4).standard_normal((800, 8))
         f = net.act.g1(xs @ student.weights + student.shifts)
-        lmax = power_iteration_lmax((f.T @ f) / (2 * 800))
+        lmax = np.linalg.eigvalsh((f.T @ f) / (2 * 800))[-1]
         cfg = RefineConfig(n_train=800, lr=0.9 / lmax, batch=0, max_steps=500,
                            stop_loss=0.0, timeout_s=None)
         res = refine(student, net, cfg, seed=4)
