@@ -14,8 +14,9 @@ and :func:`fd_hessian` reads their values from a stencil function
 ``TeacherNetwork.stencil_function(h)`` returns one that builds the
 preactivations of those points directly and never forms them.  Directional
 derivatives call a batch function once.  Query counts are exactly D^2 + D + 1
-for the Hessian and 2/3/4 for directional derivatives of order 1/2/3; the
-function that serves the values counts them.
+for the Hessian and 2/3/4 for a directional derivative of order 1/2/3,
+2k/2k+1/4k for a batch of k directions; the function that serves the values
+counts them.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def fd_directional(f, x, u, n: int, cfg: FDConfig):
 
     f is a batch function of the stencil points.  ``u`` is one unit direction
     (D,), which gives a float, or a (D, k) batch of unit columns, which gives
-    the k derivatives from one call of f.  Query counts per direction are 2,
-    3 and 4 respectively; the order-3 stencil is the 5-point antisymmetric
+    the k derivatives from one call of f.  Query counts for k directions are
+    2k, 2k + 1 and 4k respectively: the order-2 stencil evaluates the shared
+    center x once, and the order-3 stencil is the 5-point antisymmetric
     scheme (center unused).
     """
     x = np.asarray(x, dtype=float)
@@ -150,7 +152,7 @@ def fd_directional(f, x, u, n: int, cfg: FDConfig):
         v = _evaluate(f, [x + h * ut, x - h * ut])
         d = (v[0] - v[1]) / (2.0 * h)
     elif n == 2:
-        v = _evaluate(f, [x + h * ut, np.broadcast_to(x, ut.shape), x - h * ut])
+        v = _evaluate(f, [x + h * ut, x[None], x - h * ut])
         d = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
     elif n == 3:
         v = _evaluate(f, [x + 2 * h * ut, x + h * ut, x - h * ut, x - 2 * h * ut])
@@ -160,10 +162,11 @@ def fd_directional(f, x, u, n: int, cfg: FDConfig):
     return float(d[0]) if u.ndim == 1 else d
 
 
-def _evaluate(f, blocks) -> np.ndarray:
-    """The batch function f at the stencil points, given as one (k, D) block per offset.
+def _evaluate(f, blocks) -> list:
+    """The batch function f at the stencil points, given as one (k, D) or (1, D) block per offset.
 
-    Returns the values as an (offsets, k) array.
+    Returns the values of each block, a (1,) block's broadcasting against the (k,) ones.
     """
     points = np.concatenate(blocks)
-    return _finite(f(points), points.__getitem__).reshape(len(blocks), -1)
+    vals = _finite(f(points), points.__getitem__)
+    return np.split(vals, np.cumsum([len(b) for b in blocks[:-1]]))

@@ -52,9 +52,9 @@ def directional_derivs_at_zero(net, w_hat: np.ndarray, n: int, cfg: FDConfig | N
                                exact: bool = False) -> np.ndarray:
     """Order-n derivative of the network along each column, at the origin.
 
-    Finite differences cost 3 queries per column for n = 2 and 4 for n = 3,
-    all in one batch call of the network; ``exact=True`` uses the network's
-    analytic oracle instead.
+    Finite differences cost 2 queries per column plus one at the origin for
+    n = 2 and 4 per column for n = 3, all in one batch call of the network;
+    ``exact=True`` uses the network's analytic oracle instead.
     """
     w_hat = np.asarray(w_hat, dtype=float)
     norms = np.linalg.norm(w_hat, axis=0)

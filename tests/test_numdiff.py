@@ -244,7 +244,9 @@ class TestDirectional:
         rows = []
         net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
         batch = fd_directional(net.eval_batch, x, u, n, cfg)
-        assert rows == [4 * cost] and net.query_count == 4 * cost
+        # cost is per single direction; a batch queries the order-2 center x once
+        batch_cost = 2 * 4 + 1 if n == 2 else 4 * cost
+        assert rows == [batch_cost] and net.query_count == batch_cost
         single = [fd_directional(net.eval_batch, x, u[:, k], n, cfg) for k in range(4)]
         # the rows may round differently in a larger GEMM: the stencil weights
         # sum to at most 4 / h^n in absolute value, and |g| <= 1 for m = 3

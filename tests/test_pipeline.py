@@ -20,28 +20,28 @@ from netrecover.pipeline import RESULT_COLUMNS
 # D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv
 EXACT_COLUMNS = {
     "mode": "pipeline", "D": "10", "beta": "1.5", "m": "13", "seed": "7",
-    "exact_mode": "0", "spm_processed": "51", "spm_accepted": "13",
-    "spm_duplicate": "38", "spm_rejected": "0", "refine_steps": "2",
-    "refine_stop_reason": "stop_loss", "q_hessians": "3330", "q_init": "91",
-    "q_refine": "512", "q_algorithm": "3933", "n_shifts_clamped": "0",
+    "exact_mode": "0", "spm_processed": "22", "spm_accepted": "13",
+    "spm_duplicate": "9", "spm_rejected": "0", "refine_steps": "2",
+    "refine_stop_reason": "stop_loss", "q_hessians": "3330", "q_init": "79",
+    "q_refine": "512", "q_algorithm": "3921", "n_shifts_clamped": "0",
     "error": "",
 }
 FLOAT_COLUMNS = {
     "fd_step": 0.01,
     "e_inf": 9.189886021464789e-06,
-    "max_weight_err": 1.4452989331247826e-05,
-    "shift_rms": 8.265127388222295e-06,
+    "max_weight_err": 1.4452989331150079e-05,
+    "shift_rms": 8.26512738818976e-06,
     "sign_accuracy": 1.0,
     "init_shift_rms": 3.4878359258251654e-05,
-    "delta_w1": 0.0003465769817536739,
-    "delta_wo": 3.4878176702863664e-09,
-    "delta_ws": 3.532127084867447e-05,
-    "init_shift_bound": 0.0003206976892893255,
+    "delta_w1": 0.0003465769817530694,
+    "delta_wo": 3.4878176702542416e-09,
+    "delta_ws": 3.532127084872154e-05,
+    "init_shift_bound": 0.00032069768928767413,
     "eps_hat": 2.1226598865130286e-05,
-    "cond_g2": 5.7573951525285745,
-    "cond_g3": 3.0037260890201414,
-    "final_loss": 2.120420515066351e-10,
-    "query_ceiling_ratio": 0.03537363189985749,
+    "cond_g2": 5.757395152528569,
+    "cond_g3": 3.0037260890201343,
+    "final_loss": 2.1204205150775226e-10,
+    "query_ceiling_ratio": 0.035265703198408646,
 }
 REL_TOL = 1e-9
 

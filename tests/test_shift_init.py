@@ -85,7 +85,7 @@ class TestDirectionalDerivs:
         cfg = FDConfig()
         before = net.query_count
         directional_derivs_at_zero(net, net.weights, 2, cfg)
-        assert net.query_count - before == 4 * 3
+        assert net.query_count - before == 2 * 4 + 1
         before = net.query_count
         directional_derivs_at_zero(net, net.weights, 3, cfg)
         assert net.query_count - before == 4 * 4
@@ -96,7 +96,7 @@ class TestDirectionalDerivs:
         net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
         for n in (2, 3):
             directional_derivs_at_zero(net, net.weights, n, FDConfig())
-        assert rows == [4 * 3, 4 * 4]
+        assert rows == [2 * 4 + 1, 4 * 4]
 
 
 class TestInitSignsShifts:

@@ -10,7 +10,8 @@ from netrecover import (ConfigError, IncompleteRecoveryError, SpmConfig,
                         default_restarts, exact_projector, hvec, match_weights,
                         spm_ascend, top_m_projector)
 from netrecover import spm
-from netrecover.spm import _acceptance_level, _ascend_batch, _classify, canonical_sign
+from netrecover.spm import (SpmStats, _acceptance_level, _ascend_batch, _classify,
+                            canonical_sign)
 from conftest import random_teacher, random_unit_columns
 
 
@@ -105,7 +106,7 @@ class TestAscend:
             rng = np.random.default_rng(trial)
             u0 = rng.standard_normal((8, 1))
             u0 /= np.linalg.norm(u0)
-            _, _, _, _, history = _ascend_batch(proj, u0, SpmConfig(),
+            _, _, _, _, history = _ascend_batch(proj, u0, SpmConfig(), proj.matrices(),
                                                 record_objectives=True)
             assert np.all(np.diff(history[:, 0]) >= -1e-12)
 
@@ -318,14 +319,18 @@ class TestExactModeIdentification:
         assert hits >= 9
 
 
+def _starts(proj, m, seed):
+    """The start stream of :func:`collect_weights` at the default budget."""
+    starts = np.random.default_rng(seed).standard_normal((proj.dim, default_restarts(m)))
+    return starts / np.linalg.norm(starts, axis=0)
+
+
 def _reference_collect(proj, m, cfg, seed):
     """Ascend each restart alone, in index order, then classify it."""
-    n_restarts = default_restarts(m)
-    starts = np.random.default_rng(seed).standard_normal((proj.dim, n_restarts))
-    starts /= np.linalg.norm(starts, axis=0)
+    starts = _starts(proj, m, seed)
     level, _ = _acceptance_level(proj)
     accepted, statuses, steps = [], [], []
-    for j in range(n_restarts):
+    for j in range(starts.shape[1]):
         u, obj, k, _ = spm_ascend(proj, starts[:, j], cfg)
         cand = canonical_sign(u)
         statuses.append(_classify(cand, obj, accepted, level))
@@ -335,6 +340,18 @@ def _reference_collect(proj, m, cfg, seed):
             if len(accepted) == m:
                 break
     return np.array(accepted).T, statuses, steps
+
+
+def _pooled(proj, m, cfg, seed):
+    """The refilling pool alone, from the first start with nothing accepted.
+
+    Returns the accepted set, the statistics and the number stopped early.
+    """
+    stats = SpmStats()
+    level, _ = _acceptance_level(proj)
+    accepted, n_stopped = spm._pool(proj, proj.matrices(), _starts(proj, m, seed), m, cfg,
+                                    level, np.zeros((0, proj.dim)), stats)
+    return accepted.T, stats, n_stopped
 
 
 def _exact_case():
@@ -347,8 +364,21 @@ def _sampled_case():
     return top_m_projector(cols, 30), 30, 0
 
 
+def _wide_case():
+    # m = 40 at D = 10 (the identifiability bound is 45), exact Hessians
+    net = random_teacher(10, 40, seed=700)
+    cols, _, _ = build_hessian_matrix(net, 80, None, seed=800, exact=True)
+    return top_m_projector(cols, 40), net.weights, 0
+
+
 def _counts(stats):
     return (stats.n_processed, stats.n_accepted, stats.n_duplicate, stats.n_rejected)
+
+
+def _same_set(a, b):
+    """The largest distance from a column of either set to the nearest column of the other."""
+    dist = np.max(np.abs(a[:, :, None] - b[:, None, :]), axis=0)
+    return max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=0)))
 
 
 class TestPool:
@@ -356,7 +386,7 @@ class TestPool:
     def test_matches_restarts_ascended_alone(self, case):
         proj, m, seed = case()
         w_ref, statuses, steps_ref = _reference_collect(proj, m, SpmConfig(), seed)
-        w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        w_hat, stats, _ = _pooled(proj, m, SpmConfig(), seed)
         assert _counts(stats) == (len(statuses), statuses.count("accepted"),
                                   statuses.count("duplicate"), statuses.count("rejected"))
         assert np.max(np.abs(w_hat - w_ref)) <= 1e-12
@@ -366,20 +396,19 @@ class TestPool:
         proj, m, seed = _sampled_case()
         _, statuses, steps_ref = _reference_collect(proj, m, SpmConfig(), seed)
         with caplog.at_level("DEBUG", logger="netrecover.spm"):
-            _, stats = collect_weights(proj, m, SpmConfig(), seed)
-        stopped = [int(r.args[0]) for r in caplog.records if r.args and r.args[-1] == "stopped early"]
-        assert stopped
+            _, stats, n_stopped = _pooled(proj, m, SpmConfig(), seed)
+        stopped = [int(r.args[0]) for r in caplog.records
+                   if r.args and r.args[-1] == "stopped early"]
+        assert stopped and len(stopped) == n_stopped
         for idx in stopped:
             assert statuses[idx] == "duplicate"
             assert stats.steps[idx] < steps_ref[idx]
-        assert f"{len(stopped)} of them stopped early" in caplog.text
-        assert "0 rejected at level 1 - 1.00e-09, sigma_31/sigma_30 = " in caplog.text
 
     def test_newton_finish_cuts_the_steps(self, monkeypatch):
         proj, m, seed = _sampled_case()
-        w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        w_hat, stats, _ = _pooled(proj, m, SpmConfig(), seed)
         monkeypatch.setattr(spm, "_NEWTON_MOVE", 0.0)  # ascent steps only
-        w_asc, stats_asc = collect_weights(proj, m, SpmConfig(), seed)
+        w_asc, stats_asc, _ = _pooled(proj, m, SpmConfig(), seed)
         assert _counts(stats) == _counts(stats_asc) == (157, 30, 127, 0)
         # the ascent stops within about _CONV_TOL rho / (1 - rho) of the fixed point
         assert np.max(np.abs(w_hat - w_asc)) <= 1e-10
@@ -391,11 +420,88 @@ class TestPool:
         runs = []
         for width in (1, 7, 64):
             monkeypatch.setattr(spm, "_POOL", width)
-            runs.append(collect_weights(proj, m, SpmConfig(), seed))
-        for w_hat, stats in runs[1:]:
+            runs.append(_pooled(proj, m, SpmConfig(), seed))
+        for w_hat, stats, _ in runs[1:]:
             assert _counts(stats) == _counts(runs[0][1])
             assert np.max(np.abs(w_hat - runs[0][0])) <= 1e-12
 
     def test_max_steps_must_be_positive(self):
         with pytest.raises(ConfigError):
             SpmConfig(max_steps=0)
+
+
+class TestPlace:
+    def test_two_restarts_per_direction_give_the_pool_set(self, caplog):
+        # the pool alone needs 157 restarts here (TestPool)
+        proj, m, seed = _sampled_case()
+        w_pool, _, _ = _pooled(proj, m, SpmConfig(), seed)
+        with caplog.at_level("INFO", logger="netrecover.spm"):
+            w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        assert stats.n_processed <= 2 * m
+        assert stats.n_accepted == m and stats.n_unconverged == 0
+        assert _same_set(w_hat, w_pool) <= 1e-10
+        assert (f"from {stats.n_processed} restarts, {stats.n_processed} of them placed"
+                in caplog.text)
+        assert "0 rejected at level 1 - 1.00e-09, sigma_31/sigma_30 = " in caplog.text
+        assert "; 0 accepted unconverged)" in caplog.text
+
+    def test_deflated_stack_is_orthonormal_and_misses_the_accepted(self):
+        proj, _, _ = _sampled_case()
+        mats = proj.matrices()
+        accepted = random_unit_columns(15, 4, seed=42).T
+        stack = spm._deflate(proj, mats, accepted, np.empty_like(mats))
+        flat = stack.reshape(26, -1)
+        assert np.max(np.abs(flat @ flat.T - np.eye(26))) <= 1e-12
+        # no accepted w w^T has a component in the deflated span
+        outer = np.einsum("ka,kb->kab", accepted, accepted).reshape(4, -1)
+        assert np.max(np.abs(flat @ outer.T)) <= 1e-12
+
+    def test_unconverged_placed_column_hands_over_to_the_pool(self, monkeypatch, caplog):
+        proj, weights, seed = _wide_case()
+        polished = []
+        ascend = spm._ascend_batch
+
+        def spy(proj, u0, cfg, mats, tol=spm._CONV_TOL):
+            out = ascend(proj, u0, cfg, mats, tol)
+            if tol == spm._CONV_TOL:
+                polished.append(out[3])
+            return out
+
+        monkeypatch.setattr(spm, "_ascend_batch", spy)
+        with caplog.at_level("DEBUG", logger="netrecover.spm"):
+            w_hat, stats = collect_weights(proj, 40, SpmConfig(), seed)
+        assert not polished[-1].all()
+        # classification stops at the first unconverged column of a batch
+        n_placed = sum(int(np.argmin(c)) if not c.all() else c.size for c in polished)
+        assert n_placed < stats.n_processed
+        n_stopped = sum(r.args[-1] == "stopped early" for r in caplog.records if r.args)
+        assert n_stopped > 0
+        assert (f"{stats.n_processed} restarts, {n_placed} of them placed "
+                f"({stats.n_duplicate} duplicates, {n_stopped} of them stopped early;"
+                in caplog.text)
+        _, _, errs = match_weights(w_hat, weights)
+        assert np.max(errs) <= 1e-5
+
+    def test_deterministic_through_the_hand_over(self):
+        proj, _, seed = _wide_case()
+        a, stats_a = collect_weights(proj, 40, SpmConfig(), seed)
+        b, stats_b = collect_weights(proj, 40, SpmConfig(), seed)
+        assert np.array_equal(a, b)
+        assert stats_a == stats_b
+
+
+class TestUnconverged:
+    def test_counted_when_max_steps_cuts_the_ascent(self):
+        # 20 steps end most restarts before they converge; the pool accepts the
+        # ones already above the level, and the error says how many
+        proj, m, seed = _exact_case()
+        with pytest.raises(IncompleteRecoveryError) as err:
+            collect_weights(proj, m, SpmConfig(max_steps=20), seed)
+        n = err.value.stats.n_unconverged
+        assert 0 < n <= err.value.stats.n_accepted
+        assert f", {n} accepted unconverged; acceptance level" in str(err.value)
+
+    def test_zero_when_every_restart_converges(self):
+        proj, m, seed = _exact_case()
+        _, stats = collect_weights(proj, m, SpmConfig(), seed)
+        assert stats.n_unconverged == 0
