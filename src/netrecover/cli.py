@@ -72,7 +72,8 @@ _FLAGS = {
     "--shift-law": dict(help="uniform:a,b | gaussian:sigma | fixed:v1,v2,..."),
     "--fd-step": dict(type=float),
     "--exact-derivatives": dict(action="store_true"),
-    "--n-h": dict(type=int, dest="n_hessians"),
+    "--n-h": dict(type=int, dest="n_hessians",
+                  help="Hessian anchors; default ceil(1.5 m), the paper's is ceil(m log D)"),
     "--n-eval": dict(type=int),
     "--seed": dict(type=int),
     "--out-dir": dict(),

@@ -17,7 +17,8 @@ from netrecover import (ConfigError, PipelineConfig, StageError, UniformShifts,
                         run_pipeline, run_scaling_study)
 from netrecover.pipeline import RESULT_COLUMNS
 
-# D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv
+# D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv at
+# the paper's Hessian budget, ceil(13 log 10) = 30 anchors (--n-h 30)
 EXACT_COLUMNS = {
     "mode": "pipeline", "D": "10", "beta": "1.5", "m": "13", "seed": "7",
     "exact_mode": "0", "spm_processed": "22", "spm_accepted": "13",
@@ -43,6 +44,24 @@ FLOAT_COLUMNS = {
     "final_loss": 2.1204205150775226e-10,
     "query_ceiling_ratio": 0.035265703198408646,
 }
+# the same run at the default budget, ceil(1.5 * 13) = 20 anchors: the columns
+# that the budget moves
+DEFAULT_EXACT_COLUMNS = {**EXACT_COLUMNS, "q_hessians": "2220", "q_algorithm": "2811"}
+DEFAULT_FLOAT_COLUMNS = {
+    **FLOAT_COLUMNS,
+    "e_inf": 8.77591582045726e-06,
+    "max_weight_err": 1.505904129386483e-05,
+    "shift_rms": 8.386369213555573e-06,
+    "init_shift_rms": 3.595827355030386e-05,
+    "delta_w1": 0.00038295850898520243,
+    "delta_wo": 3.943053659740213e-09,
+    "delta_ws": 3.7077655371179666e-05,
+    "init_shift_bound": 0.0003309361339330309,
+    "cond_g2": 5.7573563735052975,
+    "cond_g3": 3.003705258964769,
+    "final_loss": 2.420469250766957e-10,
+    "query_ceiling_ratio": 0.025282298314390897,
+}
 REL_TOL = 1e-9
 
 STAGE_NAMES = ("teacher", "hessians", "projector", "spm", "init", "refine", "score")
@@ -53,14 +72,22 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-@pytest.fixture(scope="module")
-def d10_run(tmp_path_factory):
+@pytest.fixture(scope="class")
+def d10_run(request, tmp_path_factory):
     out = tmp_path_factory.mktemp("d10")
-    res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, out_dir=out))
+    res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7,
+                                      n_hessians=request.cls.n_hessians, out_dir=out))
     return res, out
 
 
 class TestFixedSeedRun:
+    """The pinned run at the default Hessian budget."""
+
+    n_hessians = None
+    n_columns = 20
+    exact_columns = DEFAULT_EXACT_COLUMNS
+    float_columns = DEFAULT_FLOAT_COLUMNS
+
     def test_result_csv_header(self, d10_run):
         _, out = d10_run
         assert read_csv(out / "result.csv")[0] == RESULT_COLUMNS
@@ -69,17 +96,17 @@ class TestFixedSeedRun:
         _, out = d10_run
         header, row = read_csv(out / "result.csv")
         got = dict(zip(header, row))
-        assert {k: got[k] for k in EXACT_COLUMNS} == EXACT_COLUMNS
+        assert {k: got[k] for k in self.exact_columns} == self.exact_columns
 
     def test_float_columns(self, d10_run):
         _, out = d10_run
         header, row = read_csv(out / "result.csv")
         got = dict(zip(header, row))
-        for name, expected in FLOAT_COLUMNS.items():
+        for name, expected in self.float_columns.items():
             assert float(got[name]) == pytest.approx(expected, rel=REL_TOL), name
 
     def test_every_column_pinned(self):
-        assert set(EXACT_COLUMNS) | set(FLOAT_COLUMNS) == set(RESULT_COLUMNS)
+        assert set(self.exact_columns) | set(self.float_columns) == set(RESULT_COLUMNS)
 
     def test_artifacts_written(self, d10_run):
         _, out = d10_run
@@ -99,12 +126,12 @@ class TestFixedSeedRun:
         assert losses == sorted(losses, reverse=True)
 
     def test_spectrum_lists_every_singular_value(self, d10_run):
-        # n_h = ceil(log(10) * 13) = 30 columns; the top m are the projector's
+        # one singular value per Hessian column; the top m are the projector's
         res, out = d10_run
         rows = read_csv(out / "spectrum.csv")
         assert rows[0] == ["index", "sigma"]
         sigmas = [float(s) for _, s in rows[1:]]
-        assert len(sigmas) == 30
+        assert len(sigmas) == self.n_columns
         assert sigmas == sorted(sigmas, reverse=True)
         assert sigmas[12] / sigmas[13] > 1e4
 
@@ -114,6 +141,16 @@ class TestFixedSeedRun:
         assert text.startswith("pipeline run: D=10 m=13 seed=7\n")
         for name in STAGE_NAMES:
             assert f"  {name} " in text
+
+
+class TestPaperBudgetRun(TestFixedSeedRun):
+    """The same run at the paper's budget reproduces the pins from before the
+    default moved, so the default budget is the only thing that changed."""
+
+    n_hessians = 30
+    n_columns = 30
+    exact_columns = EXACT_COLUMNS
+    float_columns = FLOAT_COLUMNS
 
 
 class TestFailedRun:
@@ -202,6 +239,9 @@ class TestRefineConfig:
         (30, 183, 623),     # ceil(183 log 30)
         (10, 13, 512),      # ceil(13 log 10) = 30, raised to the floor
         (2, 1, 512),
+        # ceil(m log D), not the Hessian budget ceil(1.5 m) (153 and 431)
+        (40, 102, 512),
+        (80, 287, 1258),
     ])
     def test_default_sample_size(self, dim, m, n_train):
         rc = PipelineConfig(dim=dim, n_neurons=m).refine_config(m)

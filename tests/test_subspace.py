@@ -122,10 +122,11 @@ class TestBuildHessianMatrix:
 
     def test_default_budget_formula(self):
         from netrecover import default_n_hessians
-        assert default_n_hessians(20, 36) == 108
-        # at least m + 1, so that sigma_{m+1} exists; this raises only D = 2
-        assert default_n_hessians(2, 1) == 2
-        assert default_n_hessians(2, 5) == 6
+        assert default_n_hessians(36) == 54
+        assert default_n_hessians(1) == 2
+        assert default_n_hessians(5) == 8
+        # at least m + 1, so that sigma_{m+1} exists
+        assert all(default_n_hessians(m) >= m + 1 for m in range(1, 2001))
 
     def test_warns_below_neuron_count(self):
         net = random_teacher(6, 5, seed=16)
