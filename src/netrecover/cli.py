@@ -80,8 +80,9 @@ _FLAGS = {
     # SPM takes only its two budgets; its step size, convergence tolerance and
     # duplicate cosine are constants, and its acceptance level is derived from
     # the Hessian span's gap
-    "--spm-steps": dict(type=int),
-    "--spm-restarts": dict(type=int),
+    "--spm-steps": dict(type=int, help="SPM steps per restart, on the deflated span and "
+                        "again in its polish; default 1000"),
+    "--spm-restarts": dict(type=int, help="SPM restart budget; default ceil(5 m log m)"),
     "--n-train": dict(type=int),
     "--max-steps": dict(type=int, dest="refine_max_steps"),
     "--stop-loss": dict(type=float),

@@ -9,40 +9,33 @@ spurious maxima below 1.  A planted direction lies within an angle of about
 r = sigma_{m+1}/sigma_m of the estimated span, so :func:`_acceptance_level`
 reads the level from r.  Random restarts, drawn up front from the seed,
 collect the m directions, with the restart budget sized by the
-coupon-collector growth rate.  They run in two phases, both classifying in
-restart-index order, so the collected set is a deterministic function of
-the seed.
+coupon-collector growth rate.  They are classified in restart-index order,
+so the collected set is a deterministic function of the seed.
 
 Placement (:func:`_place`).  A random start on the full span mostly climbs
 back to a direction already found.  So, following the same paper, a batch
 of starts first climbs on the span with the accepted hvec(w w^T) deflated
 out (:func:`_deflate`), whose maxima lie near the directions not yet found,
-until its moves fall to ``_PLACE_MOVE``.  It is then polished on the
-full span, so an accepted vector is a maximum of the same objective as
-without placement, and only a converged one is accepted.  At D=40 this cuts
-the restarts per direction from about 5 to 1.5.
+until its moves fall to ``_PLACE_MOVE``.  It is then polished on the full
+span, so an accepted vector is a maximum of the same objective as without
+placement.  A restart that its polish leaves unconverged at ``max_steps``
+is rejected, like one below the level, and the next batch is placed until
+m directions are accepted or the restarts run out.  At D=40 this takes
+about 1.5 restarts per direction, against 5 from starts on the full span.
 
-Hand-over (:func:`_pool`).  When a placed batch accepts no new direction,
-or leaves a column unconverged, as on the flat ridges of the wide regime
-(D=10, m=40), the remaining starts are ascended together in a pool of
-``_POOL`` columns that the next starts by index refill as columns leave it.
-A column leaves when it converges, when it reaches ``max_steps``, or early,
-as a duplicate, when it comes within ``_DEDUP_COS`` of an already accepted
-direction; as classification runs in index order, a column is only ever
-stopped against directions from lower-index restarts.
-
-With F(u) = ||P(u u^T)||^2, a column climbs by the fixed-step ascent
-``u + 2 _GAMMA P(u u^T) u``, which converges only linearly (about 0.6 per
-step at D=40): polishing a column from a move of 1e-4 down to ``_CONV_TOL``
-would take some 36 more steps.  Once its move falls below ``_NEWTON_MOVE``,
-a column finishes instead by Newton steps on the sphere (Absil, Mahony &
-Sepulchre, *Optimization Algorithms on Matrix Manifolds*, ch. 6), in two or
-three steps.  A Newton step is taken only where a Cholesky factor of the
-Newton matrix certifies that F is locally concave on the sphere, as near a
-nondegenerate local maximum, and where the step is no longer than twice the
-distance to the fixed point that the column's last moves predict.
-Otherwise the column takes the ascent step, so Newton does not pull a
-column to a saddle or into another basin (:func:`_step`).
+Steps (:func:`_step`).  With F(u) = ||P(u u^T)||^2, a column climbs by the
+fixed-step ascent ``u + 2 _GAMMA P(u u^T) u``, which converges only
+linearly: about 0.6 per step at D=40, and far slower on the flat ridges of
+the wide regime (D=10, m=40).  Once its move falls below its Newton gate, a
+column tries a Newton step on the sphere instead (Absil, Mahony &
+Sepulchre, *Optimization Algorithms on Matrix Manifolds*, ch. 6), which
+finishes it in about four steps at D=40.  The step is taken only where a
+Cholesky factor of the Newton matrix certifies that F is locally concave on
+the sphere, as near a nondegenerate local maximum, and where it does not
+lower F.  Otherwise the column takes the ascent step and halves its gate,
+so Newton neither pulls a column to a saddle nor lets it fall into another
+basin.  Placement stops at the move where the gate starts (``_PLACE_MOVE``
+is ``_NEWTON_MOVE``), so only the polish takes Newton steps.
 """
 
 from __future__ import annotations
@@ -60,14 +53,16 @@ __all__ = ["SpmConfig", "SpmStats", "default_restarts", "spm_ascend", "collect_w
 
 logger = logging.getLogger(__name__)
 
-# ascent columns per step: wide enough to share each read of the basis stack,
+# columns per placed batch: wide enough to share each read of the basis stack,
 # narrow enough to bound action_batch's (R, m, D) products (2 MB at D=40)
-_POOL = 64
+_BATCH = 64
 
 # the ascent step u + 2 _GAMMA P(u u^T) u
 _GAMMA = 2.0
-# a column whose last move falls below this finishes its ascent by Newton steps
-_NEWTON_MOVE = 1e-4
+# a column whose last move falls below this tries Newton steps; a refusal halves it
+_NEWTON_MOVE = 1e-2
+# a Newton step may lower F by this much, the rounding of F near a maximum
+_F_SLACK = 1e-15
 # a column that moves at most this far in a step has converged
 _CONV_TOL = 1e-12
 # a placed restart leaves the deflated span once its move falls to this
@@ -85,9 +80,10 @@ _LEVEL_FLOOR = 1e-9
 class SpmConfig:
     """The two budgets: steps per restart and restarts per collection.
 
-    A placed restart has ``max_steps`` on the deflated span and again in its
-    polish.  The step size, the tolerances, the duplicate cosine and the
-    pool width are module constants, and the acceptance level is read from
+    A restart has ``max_steps`` on the deflated span and again in its
+    polish, and one still unconverged after its polish is rejected.  The
+    step size, the tolerances, the Newton gate, the duplicate cosine and the
+    batch width are module constants, and the acceptance level is read from
     the projector's spectrum (:func:`_acceptance_level`).
     """
 
@@ -103,20 +99,17 @@ class SpmConfig:
 class SpmStats:
     """Per-restart bookkeeping from :func:`collect_weights`.
 
-    ``n_duplicate`` includes the restarts stopped early as duplicates;
-    ``n_unconverged`` counts the accepted restarts that reached ``max_steps``
-    before they converged, which only the pool accepts.  ``steps`` holds, in
-    restart-index order, the steps each processed restart took, a Newton step
-    counting as one like an ascent step (for a placed restart, its steps on
-    the deflated span and in its polish; for a stopped restart, the steps
-    before it was stopped).
+    ``n_rejected`` counts the restarts that converged at or below the
+    acceptance level and those that their polish left unconverged at
+    ``max_steps``.  ``steps`` holds, in restart-index order, the steps each
+    classified restart took on the deflated span and in its polish, a Newton
+    step counting as one like an ascent step.
     """
 
     n_processed: int = 0
     n_accepted: int = 0
     n_duplicate: int = 0
     n_rejected: int = 0
-    n_unconverged: int = 0
     steps: list = dataclasses.field(default_factory=list)
 
 
@@ -169,57 +162,39 @@ def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _new_track(n_cols: int) -> np.ndarray:
-    """The :func:`_step` track of fresh columns: no moves yet, the default Newton gate."""
-    return np.repeat([[np.inf], [np.inf], [_NEWTON_MOVE]], n_cols, axis=1)
-
-
 def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray):
-    """One step on a (D, R) batch of unit columns: Newton's where it is safe, else ascent.
+    """One step on a (D, R) batch of unit columns: Newton's where it climbs, else ascent.
 
-    ``track`` is (3, R): each column's last move, the distance to its fixed
-    point that its moves predict (inf when they predict none), and its Newton
-    gate.  A column whose last move is below its gate, with a predicted
-    distance, tries a Newton step (:func:`_newton`, ``mats`` from
-    ``proj.matrices()``) and takes it when N has a Cholesky factor and the
-    step is at most twice the predicted distance.  Every other column takes
-    the ascent step ``u + 2 _GAMMA P(u u^T) u``; a refused column lowers its
-    gate to a tenth of its last move, so it tries Newton again only after its
-    moves have shrunk tenfold.  Both steps end renormalized.
-
-    After an ascent step the predicted distance is d rho / (1 - rho), from the
-    move d and the ratio rho of the last two moves (the remaining distance at
-    a linear rate rho).  After a Newton step it is d / 4, so the next Newton
-    step must at least halve the move; once d^2 is below ``_CONV_TOL``, Newton's
-    error is too, and the column takes an ascent step, whose move confirms
-    convergence, instead of a third Newton step.  Returns the new iterates
-    and the new track, whose first row is how far each column moved.
+    F is the objective on the stack ``mats`` (``proj.matrices()`` or a
+    deflated stack), and ``track`` is (2, R): each column's last move and its
+    Newton gate.  A column whose last move is below its gate tries a Newton
+    step xi (:func:`_newton`) and takes it when N has a Cholesky factor and
+    F(normalize(u + xi)) >= F(u) - ``_F_SLACK``, where F(u) = u^T g comes with
+    the ascent direction g = P(u u^T) u.  Every other column takes the ascent
+    step ``u + 2 _GAMMA g``, and a column whose Newton step is refused halves
+    its gate.  Both steps end renormalized; neither nears the
+    origin, as u^T(u + 2 _GAMMA g) = 1 + 2 _GAMMA F(u) and xi is tangent.
+    Returns the new iterates and the new track, whose first row is how far
+    each column moved.
     """
-    move, dist, gate = track
-    newton = (move < gate) & (dist < np.inf)
+    move, gate = track
+    tried = move < gate
     g = proj.action_batch(u, mats)
-    xi = np.full_like(u, np.nan)
-    if newton.any():
-        xi[:, newton] = _newton(mats, u[:, newton], g[:, newton])
-    take = np.linalg.norm(xi, axis=0) <= 2.0 * dist  # False for NaN steps
-    unew = np.where(take, u + xi, u + (2.0 * _GAMMA) * g)
-    norms = np.linalg.norm(unew, axis=0)
-    dead = norms <= 0.0
-    if np.any(dead):
-        # measure-zero event: restart the offending columns in place
-        logger.warning("sphere ascent hit the origin on %d column(s); reseeding", int(dead.sum()))
-        rescue = np.random.default_rng(0x5B3)
-        unew[:, dead] = rescue.standard_normal((u.shape[0], int(dead.sum())))
-        norms[dead] = np.linalg.norm(unew[:, dead], axis=0)
-    unew /= norms
+    unew = u + (2.0 * _GAMMA) * g
+    unew /= np.linalg.norm(unew, axis=0)
+    taken = np.zeros_like(tried)
+    if tried.any():
+        ut, gt = u[:, tried], g[:, tried]
+        cand = ut + _newton(mats, ut, gt)  # NaN where N has no Cholesky factor
+        cand /= np.linalg.norm(cand, axis=0)
+        coeffs = basis_products(mats, cand)[1]
+        # a NaN objective compares False, so a NaN step is refused
+        climbs = np.einsum("rj,rj->r", coeffs, coeffs) >= np.einsum("dr,dr->r", gt, ut) - _F_SLACK
+        taken[tried] = climbs
+        unew[:, taken] = cand[:, climbs]
     moved = np.linalg.norm(unew - u, axis=0)
-    rho = moved / move
-    linear = (0.0 < rho) & (rho < 1.0)
-    after_ascent = np.where(linear, moved * rho / np.where(linear, 1.0 - rho, 1.0), np.inf)
-    after_newton = np.where(moved * moved > _CONV_TOL, 0.25 * moved, np.inf)
-    dist = np.where(take, after_newton, after_ascent)
-    gate = np.where(newton & ~take, 0.1 * move, gate)
-    return unew, np.stack([moved, dist, gate])
+    gate = np.where(tried & ~taken, 0.5 * gate, gate)
+    return unew, np.stack([moved, gate])
 
 
 def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats: np.ndarray,
@@ -234,7 +209,7 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
     """
     u = np.array(u0, dtype=float)
     n_cols = u.shape[1]
-    track = _new_track(n_cols)
+    track = np.repeat([[np.inf], [_NEWTON_MOVE]], n_cols, axis=1)  # no move yet, the first gate
     steps = np.zeros(n_cols, dtype=int)
     converged = np.zeros(n_cols, dtype=bool)
     active = np.arange(n_cols)
@@ -315,18 +290,14 @@ def _deflate(proj: SubspaceProjector, mats: np.ndarray, accepted: np.ndarray,
     return stack
 
 
-def _tally(stats: SpmStats, accepted: np.ndarray, idx: int, u: np.ndarray, objective,
-           steps: int, level: float, converged: bool) -> np.ndarray:
-    """Classify restart ``idx`` and count it; returns the accepted rows.
-
-    ``objective`` is None for a restart stopped early as a duplicate.
-    """
+def _tally(stats: SpmStats, accepted: np.ndarray, idx: int, u: np.ndarray, objective: float,
+           steps: int, level: float) -> np.ndarray:
+    """Classify restart ``idx`` and count it; returns the accepted rows."""
     cand = canonical_sign(u)
-    status = "stopped early" if objective is None else _classify(cand, objective, accepted, level)
+    status = _classify(cand, objective, accepted, level)
     if status == "accepted":
         accepted = np.vstack([accepted, cand])
         stats.n_accepted += 1
-        stats.n_unconverged += not converged
     elif status == "rejected":
         stats.n_rejected += 1
     else:
@@ -339,120 +310,68 @@ def _tally(stats: SpmStats, accepted: np.ndarray, idx: int, u: np.ndarray, objec
 
 def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, m: int,
            cfg: SpmConfig, level: float, stats: SpmStats) -> np.ndarray:
-    """Placed restarts, a batch at a time, until a batch stops paying; returns the accepted rows.
+    """Placed restarts, a batch at a time, until m are accepted; returns the accepted rows.
 
-    With k directions accepted, the next min(``_POOL``, m, max(8, 2 (m - k)))
+    With k directions accepted, the next min(``_BATCH``, m, max(8, 2 (m - k)))
     starts by index climb on the span with the accepted ones deflated out
     (:func:`_deflate`) until their moves fall to ``_PLACE_MOVE``, then are
     polished on the full span by :func:`_ascend_batch` and classified in
     index order.  A batch is never wider than m, which binds on the first,
     undeflated one: 2m starts there find only about 1 - e^-2 of the m
-    directions.  Classification stops at the first column that the polish
-    left unconverged, and placement ends after a batch that leaves one, or
-    that accepts no new direction; ``stats.n_processed`` is then the first
-    start left for :func:`_pool`.
+    directions.  A restart that the polish leaves unconverged is rejected.
+    Placement ends when m directions are accepted, the rest of that batch
+    unclassified, or when the starts run out.
     """
     accepted = np.zeros((0, proj.dim))
     buf = np.empty_like(mats)
     n_restarts = starts.shape[1]
     while len(accepted) < m and stats.n_processed < n_restarts:
         k, first = len(accepted), stats.n_processed
-        width = min(_POOL, m, max(8, 2 * (m - k)), n_restarts - first)
+        width = min(_BATCH, m, max(8, 2 * (m - k)), n_restarts - first)
         stack = mats if k == 0 else _deflate(proj, mats, accepted, buf)
         u, _, placing, _ = _ascend_batch(proj, starts[:, first:first + width], cfg, stack,
                                          _PLACE_MOVE)
         u, objectives, polishing, converged = _ascend_batch(proj, u, cfg, mats)
+        objectives[~converged] = -np.inf  # below every level: rejected
         for j in range(width):
-            if not converged[j] or len(accepted) == m:
+            if len(accepted) == m:
                 break
             accepted = _tally(stats, accepted, first + j, u[:, j], objectives[j],
-                              placing[j] + polishing[j], level, True)
-        if len(accepted) == k or not converged.all():
-            break
+                              placing[j] + polishing[j], level)
     return accepted
-
-
-def _pool(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, m: int,
-          cfg: SpmConfig, level: float, accepted: np.ndarray, stats: SpmStats):
-    """Ascend the starts ``u`` from index ``stats.n_processed`` on in a refilling pool.
-
-    The pool holds ``_POOL`` columns, one :func:`_step` per iteration, and the
-    next starts by index refill it as columns leave.  A column leaves when it
-    converges or reaches ``max_steps``, or is stopped early as a duplicate
-    when its |cos| with an accepted vector exceeds ``_DEDUP_COS``.  Finished
-    restarts are classified strictly in index order (:func:`_tally`), so every
-    accepted vector comes from a lower index than any column still in the
-    pool, and a column is stopped only against vectors its own classification
-    would check; the outcome differs from ascending each restart alone, in
-    order, only if a column that came that close would later have left the
-    accepted vector's basin.  Ascends ``u`` in place.  Returns the accepted
-    rows and the number of restarts stopped early.
-    """
-    n_restarts = u.shape[1]
-    track = _new_track(n_restarts)
-    steps = np.zeros(n_restarts, dtype=int)
-    finished: dict[int, float | None] = {}  # objective; None when stopped early
-    pool = np.zeros(0, dtype=int)
-    n_started, n_stopped = stats.n_processed, 0
-    while len(accepted) < m and stats.n_processed < n_restarts:
-        fresh = np.arange(n_started, min(n_started + _POOL - pool.size, n_restarts))
-        pool = np.concatenate([pool, fresh])
-        n_started += fresh.size
-        unew, track[:, pool] = _step(proj, mats, u[:, pool], track[:, pool])
-        u[:, pool] = unew
-        steps[pool] += 1
-        done = (track[0, pool] <= _CONV_TOL) | (steps[pool] >= cfg.max_steps)
-        dup = ~done & (np.max(np.abs(accepted @ unew), axis=0, initial=0.0) > _DEDUP_COS)
-        finished.update(zip(pool[done].tolist(), proj.objective_batch(unew[:, done]).tolist()))
-        finished.update(dict.fromkeys(pool[dup].tolist()))
-        pool = pool[~(done | dup)]
-        while stats.n_processed in finished and len(accepted) < m:
-            idx = stats.n_processed
-            obj = finished.pop(idx)
-            n_stopped += obj is None
-            accepted = _tally(stats, accepted, idx, u[:, idx], obj, steps[idx], level,
-                              track[0, idx] <= _CONV_TOL)
-    return accepted, n_stopped
 
 
 def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
     """Collect the m planted directions from restarts drawn up front from the seed.
 
-    The restarts go first to :func:`_place`, then, from the first start that
-    placement leaves, to :func:`_pool`; both classify in restart-index order
+    :func:`_place` ascends the restarts and classifies them in index order
     against the level that :func:`_acceptance_level` reads from the
-    projector's spectrum, fold the sign to canonical form, and drop
-    near-duplicates of already-accepted vectors.  Stops the moment m distinct
-    vectors are accepted; raises :class:`IncompleteRecoveryError` (carrying
-    the partial set and the acceptance statistics) when the restart budget
-    runs out first.  The summary line and that error state the level,
-    sigma_{m+1}/sigma_m and the number of restarts accepted at ``max_steps``
-    before they converged.
+    projector's spectrum: it rejects the ones that converge at or below the
+    level and the ones cut unconverged at ``max_steps``, folds the sign to
+    canonical form, and drops near-duplicates of already-accepted vectors.
+    Stops the moment m distinct vectors are accepted; raises
+    :class:`IncompleteRecoveryError` (carrying the partial set and the
+    acceptance statistics) when the restart budget runs out first.  The
+    summary line and that error state the level and sigma_{m+1}/sigma_m.
     """
     level, ratio = _acceptance_level(proj)
     n_restarts = cfg.max_restarts if cfg.max_restarts is not None else default_restarts(m)
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((proj.dim, n_restarts))
     starts /= np.linalg.norm(starts, axis=0)
-    mats = proj.matrices()
     stats = SpmStats()
-    accepted = _place(proj, mats, starts, m, cfg, level, stats)
-    n_placed = stats.n_processed
-    accepted, n_stopped = _pool(proj, mats, starts, m, cfg, level, accepted, stats)
+    accepted = _place(proj, proj.matrices(), starts, m, cfg, level, stats)
+    why_rejected = (f"at or below the acceptance level 1 - {1.0 - level:.2e} from "
+                    f"sigma_{m + 1}/sigma_{m} = {ratio:.2e}, or cut unconverged at "
+                    f"max_steps = {cfg.max_steps}")
     if len(accepted) < m:
         raise IncompleteRecoveryError(
             f"found {len(accepted)} of {m} directions after {stats.n_processed} restarts "
             f"(accepted/duplicate/rejected = {stats.n_accepted}/{stats.n_duplicate}/"
-            f"{stats.n_rejected}, {stats.n_unconverged} accepted unconverged; acceptance "
-            f"level 1 - {1.0 - level:.2e} from sigma_{m + 1}/sigma_{m} = {ratio:.2e})",
+            f"{stats.n_rejected}; rejected {why_rejected})",
             partial=accepted.T,
             stats=stats,
         )
-    logger.info(
-        "collected %d directions from %d restarts, %d of them placed (%d duplicates, "
-        "%d of them stopped early; %d rejected at level 1 - %.2e, sigma_%d/sigma_%d = %.2e; "
-        "%d accepted unconverged)",
-        m, stats.n_processed, n_placed, stats.n_duplicate, n_stopped, stats.n_rejected,
-        1.0 - level, m + 1, m, ratio, stats.n_unconverged,
-    )
+    logger.info("collected %d directions from %d restarts (%d duplicates; %d rejected %s)",
+                m, stats.n_processed, stats.n_duplicate, stats.n_rejected, why_rejected)
     return accepted.T, stats

@@ -174,10 +174,11 @@ class TestWideRegime:
     def test_spurious_maxima_rejected(self, exact):
         # D=10, beta=2.0 (m=40): at a fixed level of 0.5, SPM accepted spurious
         # local maxima (1 - objective >= 3e-4 here) and the run ended with
-        # max_weight_err 1.06 in both modes
+        # max_weight_err 1.06 in both modes; the 11 rejected restarts are 10
+        # that converged below the level and 1 that max_steps cut unconverged
         res = run_pipeline(PipelineConfig(dim=10, beta_order=2.0, seed=1, n_eval=2000,
                                           exact_derivatives=exact))
-        assert res.spm_rejected == 9
+        assert res.spm_rejected == 11
         assert res.metrics.max_weight_err < 1e-3
 
 

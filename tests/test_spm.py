@@ -10,8 +10,7 @@ from netrecover import (ConfigError, IncompleteRecoveryError, SpmConfig,
                         default_restarts, exact_projector, hvec, match_weights,
                         spm_ascend, top_m_projector)
 from netrecover import spm
-from netrecover.spm import (SpmStats, _acceptance_level, _ascend_batch, _classify,
-                            canonical_sign)
+from netrecover.spm import _acceptance_level, _ascend_batch, _classify, canonical_sign
 from conftest import random_teacher, random_unit_columns
 
 
@@ -32,10 +31,15 @@ class TestConfig:
         assert default_restarts(12) == 150
 
     def test_validation(self):
-        # max_steps: TestPool; the level and the step, tolerance and cosine are not options
+        # max_steps: test_max_steps_must_be_positive; the level and the step,
+        # tolerance and cosine are not options
         for removed in ("beta", "gamma", "conv_tol", "dedup_cos"):
             with pytest.raises(TypeError):
                 SpmConfig(**{removed: 0.5})
+
+    def test_max_steps_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            SpmConfig(max_steps=0)
 
 
 class TestObjective:
@@ -326,32 +330,22 @@ def _starts(proj, m, seed):
 
 
 def _reference_collect(proj, m, cfg, seed):
-    """Ascend each restart alone, in index order, then classify it."""
+    """Ascend each restart alone on the full span, in index order, then classify it.
+
+    Returns the accepted set and every restart's status.
+    """
     starts = _starts(proj, m, seed)
     level, _ = _acceptance_level(proj)
-    accepted, statuses, steps = [], [], []
+    accepted, statuses = [], []
     for j in range(starts.shape[1]):
-        u, obj, k, _ = spm_ascend(proj, starts[:, j], cfg)
+        u, obj, _, converged = spm_ascend(proj, starts[:, j], cfg)
         cand = canonical_sign(u)
-        statuses.append(_classify(cand, obj, accepted, level))
-        steps.append(k)
+        statuses.append(_classify(cand, obj, accepted, level) if converged else "rejected")
         if statuses[-1] == "accepted":
             accepted.append(cand)
             if len(accepted) == m:
                 break
-    return np.array(accepted).T, statuses, steps
-
-
-def _pooled(proj, m, cfg, seed):
-    """The refilling pool alone, from the first start with nothing accepted.
-
-    Returns the accepted set, the statistics and the number stopped early.
-    """
-    stats = SpmStats()
-    level, _ = _acceptance_level(proj)
-    accepted, n_stopped = spm._pool(proj, proj.matrices(), _starts(proj, m, seed), m, cfg,
-                                    level, np.zeros((0, proj.dim)), stats)
-    return accepted.T, stats, n_stopped
+    return np.array(accepted).T, statuses
 
 
 def _exact_case():
@@ -381,69 +375,63 @@ def _same_set(a, b):
     return max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=0)))
 
 
-class TestPool:
-    @pytest.mark.parametrize("case", [_exact_case, _sampled_case])
-    def test_matches_restarts_ascended_alone(self, case):
-        proj, m, seed = case()
-        w_ref, statuses, steps_ref = _reference_collect(proj, m, SpmConfig(), seed)
-        w_hat, stats, _ = _pooled(proj, m, SpmConfig(), seed)
-        assert _counts(stats) == (len(statuses), statuses.count("accepted"),
-                                  statuses.count("duplicate"), statuses.count("rejected"))
-        assert np.max(np.abs(w_hat - w_ref)) <= 1e-12
-        assert all(k <= k_ref for k, k_ref in zip(stats.steps, steps_ref))
-
-    def test_stopped_restart_is_a_duplicate_with_fewer_steps(self, caplog):
-        proj, m, seed = _sampled_case()
-        _, statuses, steps_ref = _reference_collect(proj, m, SpmConfig(), seed)
-        with caplog.at_level("DEBUG", logger="netrecover.spm"):
-            _, stats, n_stopped = _pooled(proj, m, SpmConfig(), seed)
-        stopped = [int(r.args[0]) for r in caplog.records
-                   if r.args and r.args[-1] == "stopped early"]
-        assert stopped and len(stopped) == n_stopped
-        for idx in stopped:
-            assert statuses[idx] == "duplicate"
-            assert stats.steps[idx] < steps_ref[idx]
-
-    def test_newton_finish_cuts_the_steps(self, monkeypatch):
-        proj, m, seed = _sampled_case()
-        w_hat, stats, _ = _pooled(proj, m, SpmConfig(), seed)
-        monkeypatch.setattr(spm, "_NEWTON_MOVE", 0.0)  # ascent steps only
-        w_asc, stats_asc, _ = _pooled(proj, m, SpmConfig(), seed)
-        assert _counts(stats) == _counts(stats_asc) == (157, 30, 127, 0)
-        # the ascent stops within about _CONV_TOL rho / (1 - rho) of the fixed point
-        assert np.max(np.abs(w_hat - w_asc)) <= 1e-10
-        assert sum(stats.steps) == 5318
-        assert sum(stats_asc.steps) == 11363
-
-    def test_pool_width_does_not_change_the_result(self, monkeypatch):
-        proj, m, seed = _sampled_case()
-        runs = []
-        for width in (1, 7, 64):
-            monkeypatch.setattr(spm, "_POOL", width)
-            runs.append(_pooled(proj, m, SpmConfig(), seed))
-        for w_hat, stats, _ in runs[1:]:
-            assert _counts(stats) == _counts(runs[0][1])
-            assert np.max(np.abs(w_hat - runs[0][0])) <= 1e-12
-
-    def test_max_steps_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            SpmConfig(max_steps=0)
+class TestStep:
+    def test_newton_step_that_lowers_the_objective_is_refused(self, monkeypatch):
+        # two columns near planted directions, both under the gate: the first
+        # keeps its Newton step, the second gets one turned around, which lowers F
+        net = random_teacher(8, 6, seed=34)
+        proj = exact_projector(net.weights)
+        mats = proj.matrices()
+        u = net.weights[:, :2] + 1e-3 * np.random.default_rng(35).standard_normal((8, 2))
+        u /= np.linalg.norm(u, axis=0)
+        g = proj.action_batch(u, mats)
+        xi = spm._newton(mats, u, g)
+        newton = spm._newton
+        monkeypatch.setattr(spm, "_newton", lambda *args: newton(*args) * np.array([1.0, -1.0]))
+        lowered = (u[:, 1] - xi[:, 1]) / np.linalg.norm(u[:, 1] - xi[:, 1])
+        assert objective(proj, lowered) < objective(proj, u[:, 1])
+        track = np.array([[1e-3, 1e-3], [spm._NEWTON_MOVE, spm._NEWTON_MOVE]])
+        unew, new_track = spm._step(proj, mats, u, track)
+        taken = (u[:, 0] + xi[:, 0]) / np.linalg.norm(u[:, 0] + xi[:, 0])
+        ascent = u[:, 1] + 2.0 * spm._GAMMA * g[:, 1]
+        assert np.max(np.abs(unew[:, 0] - taken)) <= 1e-15
+        assert np.max(np.abs(unew[:, 1] - ascent / np.linalg.norm(ascent))) <= 1e-15
+        assert np.array_equal(new_track[1], [spm._NEWTON_MOVE, 0.5 * spm._NEWTON_MOVE])
+        assert np.array_equal(new_track[0], np.linalg.norm(unew - u, axis=0))
 
 
 class TestPlace:
-    def test_two_restarts_per_direction_give_the_pool_set(self, caplog):
-        # the pool alone needs 157 restarts here (TestPool)
+    @pytest.mark.parametrize("case", [_exact_case, _sampled_case])
+    def test_matches_restarts_ascended_alone(self, case):
+        proj, m, seed = case()
+        w_ref, _ = _reference_collect(proj, m, SpmConfig(), seed)
+        w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        assert stats.n_accepted == m
+        assert _same_set(w_hat, w_ref) <= 1e-12
+
+    def test_two_restarts_per_direction_suffice(self, caplog):
+        # restarts ascended alone on the full span need 157 here
         proj, m, seed = _sampled_case()
-        w_pool, _, _ = _pooled(proj, m, SpmConfig(), seed)
+        _, statuses = _reference_collect(proj, m, SpmConfig(), seed)
+        assert len(statuses) == 157
         with caplog.at_level("INFO", logger="netrecover.spm"):
-            w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+            _, stats = collect_weights(proj, m, SpmConfig(), seed)
         assert stats.n_processed <= 2 * m
-        assert stats.n_accepted == m and stats.n_unconverged == 0
-        assert _same_set(w_hat, w_pool) <= 1e-10
-        assert (f"from {stats.n_processed} restarts, {stats.n_processed} of them placed"
-                in caplog.text)
-        assert "0 rejected at level 1 - 1.00e-09, sigma_31/sigma_30 = " in caplog.text
-        assert "; 0 accepted unconverged)" in caplog.text
+        assert (f"collected 30 directions from {stats.n_processed} restarts "
+                f"({stats.n_duplicate} duplicates; 0 rejected at or below the acceptance "
+                "level 1 - 1.00e-09 from sigma_31/sigma_30 = " in caplog.text)
+        assert ", or cut unconverged at max_steps = 1000)" in caplog.text
+
+    def test_newton_finish_cuts_the_steps(self, monkeypatch):
+        proj, m, seed = _sampled_case()
+        w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        monkeypatch.setattr(spm, "_NEWTON_MOVE", 0.0)  # ascent steps only
+        w_asc, stats_asc = collect_weights(proj, m, SpmConfig(), seed)
+        assert _counts(stats) == _counts(stats_asc) == (51, 30, 21, 0)
+        # the ascent stops within about _CONV_TOL rho / (1 - rho) of the fixed point
+        assert np.max(np.abs(w_hat - w_asc)) <= 1e-10
+        assert sum(stats.steps) == 1138
+        assert sum(stats_asc.steps) == 5290
 
     def test_deflated_stack_is_orthonormal_and_misses_the_accepted(self):
         proj, _, _ = _sampled_case()
@@ -456,52 +444,37 @@ class TestPlace:
         outer = np.einsum("ka,kb->kab", accepted, accepted).reshape(4, -1)
         assert np.max(np.abs(flat @ outer.T)) <= 1e-12
 
-    def test_unconverged_placed_column_hands_over_to_the_pool(self, monkeypatch, caplog):
+    def test_wide_case_recovers_all_deterministically(self):
         proj, weights, seed = _wide_case()
-        polished = []
-        ascend = spm._ascend_batch
-
-        def spy(proj, u0, cfg, mats, tol=spm._CONV_TOL):
-            out = ascend(proj, u0, cfg, mats, tol)
-            if tol == spm._CONV_TOL:
-                polished.append(out[3])
-            return out
-
-        monkeypatch.setattr(spm, "_ascend_batch", spy)
-        with caplog.at_level("DEBUG", logger="netrecover.spm"):
-            w_hat, stats = collect_weights(proj, 40, SpmConfig(), seed)
-        assert not polished[-1].all()
-        # classification stops at the first unconverged column of a batch
-        n_placed = sum(int(np.argmin(c)) if not c.all() else c.size for c in polished)
-        assert n_placed < stats.n_processed
-        n_stopped = sum(r.args[-1] == "stopped early" for r in caplog.records if r.args)
-        assert n_stopped > 0
-        assert (f"{stats.n_processed} restarts, {n_placed} of them placed "
-                f"({stats.n_duplicate} duplicates, {n_stopped} of them stopped early;"
-                in caplog.text)
-        _, _, errs = match_weights(w_hat, weights)
-        assert np.max(errs) <= 1e-5
-
-    def test_deterministic_through_the_hand_over(self):
-        proj, _, seed = _wide_case()
         a, stats_a = collect_weights(proj, 40, SpmConfig(), seed)
         b, stats_b = collect_weights(proj, 40, SpmConfig(), seed)
         assert np.array_equal(a, b)
         assert stats_a == stats_b
+        _, _, errs = match_weights(a, weights)
+        assert np.max(errs) <= 1e-5
 
 
 class TestUnconverged:
-    def test_counted_when_max_steps_cuts_the_ascent(self):
-        # 20 steps end most restarts before they converge; the pool accepts the
-        # ones already above the level, and the error says how many
+    def test_counted_when_max_steps_cuts_the_ascent(self, caplog):
+        # 8 steps end most restarts before they converge; each is rejected,
+        # whatever its objective, and the error says so
         proj, m, seed = _exact_case()
-        with pytest.raises(IncompleteRecoveryError) as err:
-            collect_weights(proj, m, SpmConfig(max_steps=20), seed)
-        n = err.value.stats.n_unconverged
-        assert 0 < n <= err.value.stats.n_accepted
-        assert f", {n} accepted unconverged; acceptance level" in str(err.value)
+        level, _ = _acceptance_level(proj)
+        with caplog.at_level("DEBUG", logger="netrecover.spm"):
+            with pytest.raises(IncompleteRecoveryError) as err:
+                collect_weights(proj, m, SpmConfig(max_steps=8), seed)
+        stats = err.value.stats
+        assert _counts(stats) == (150, 7, 6, 137)
+        for k in range(err.value.partial.shape[1]):
+            assert objective(proj, err.value.partial[:, k]) > level
+        cut = [r for r in caplog.records if r.args and r.args[2] == -np.inf]
+        assert len(cut) == stats.n_rejected
+        assert all(r.args[-1] == "rejected" for r in cut)
+        assert "; rejected at or below the acceptance level" in str(err.value)
+        assert "or cut unconverged at max_steps = 8)" in str(err.value)
 
     def test_zero_when_every_restart_converges(self):
+        # at the default budget every restart converges above the level here
         proj, m, seed = _exact_case()
         _, stats = collect_weights(proj, m, SpmConfig(), seed)
-        assert stats.n_unconverged == 0
+        assert _counts(stats) == (23, 12, 11, 0)
