@@ -438,6 +438,7 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
     net = stages.teacher()
     cols, result.eps_hat = stages.run("hessians", hessian_stage, cfg, net)
     proj = stages.run("projector", projector_stage, cfg, cols, artifact("spectrum.csv"))
+    del cols  # the projector holds all that later stages read of the Hessians
     w_hat, stats = stages.run("spm", spm_stage, cfg, proj, artifact("weights.txt"))
     result.spm_processed, result.spm_accepted = stats.n_processed, stats.n_accepted
     result.spm_duplicate, result.spm_rejected = stats.n_duplicate, stats.n_rejected

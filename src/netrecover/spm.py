@@ -35,7 +35,15 @@ the sphere, as near a nondegenerate local maximum, and where it does not
 lower F.  Otherwise the column takes the ascent step and halves its gate,
 so Newton neither pulls a column to a saddle nor lets it fall into another
 basin.  Placement stops at the move where the gate starts (``_PLACE_MOVE``
-is ``_NEWTON_MOVE``), so only the polish takes Newton steps.
+is ``_NEWTON_MOVE``), so only the polish takes Newton steps, and the Newton
+test reads F from the hvec basis of the full span.
+
+Memory.  A step runs its columns ``_CHUNK`` at a time.  Each chunk forms
+its (R, m, D) products B_j u once, in
+:meth:`~netrecover.subspace.SubspaceProjector.action_batch`, and the Newton
+step reuses them, so SPM holds the (m, D, D) stack, one chunk's products
+and the deflation buffer, which is sized for the m - k_1 matrices left at
+the first deflation.
 """
 
 from __future__ import annotations
@@ -47,15 +55,18 @@ import math
 import numpy as np
 
 from .exceptions import ConfigError, IncompleteRecoveryError
-from .subspace import SubspaceProjector, basis_products, hvec_outer_batch
+from .subspace import SubspaceProjector, hvec_outer_batch
 
 __all__ = ["SpmConfig", "SpmStats", "default_restarts", "spm_ascend", "collect_weights"]
 
 logger = logging.getLogger(__name__)
 
-# columns per placed batch: wide enough to share each read of the basis stack,
-# narrow enough to bound action_batch's (R, m, D) products (2 MB at D=40)
+# starts per placed batch, stepped together
 _BATCH = 64
+# columns per product stack: a step forms action_batch's (R, m, D) products for
+# at most this many columns at a time (1 MB at D=40, 10 MB at D=100), enough
+# to share each read of the basis stack
+_CHUNK = 32
 
 # the ascent step u + 2 _GAMMA P(u u^T) u
 _GAMMA = 2.0
@@ -65,8 +76,10 @@ _NEWTON_MOVE = 1e-2
 _F_SLACK = 1e-15
 # a column that moves at most this far in a step has converged
 _CONV_TOL = 1e-12
-# a placed restart leaves the deflated span once its move falls to this
-_PLACE_MOVE = 1e-2
+# a placed restart leaves the deflated span once its move falls to this: the
+# first Newton gate, so Newton steps, whose test reads F from the hvec basis
+# of the full span, run only on the full span
+_PLACE_MOVE = _NEWTON_MOVE
 # a restart within this |cos| of an accepted direction is a duplicate
 _DEDUP_COS = 0.99
 
@@ -120,22 +133,25 @@ def default_restarts(m: int) -> int:
     return math.ceil(5.0 * m * math.log(m))
 
 
-def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray, prods: np.ndarray,
+            coeffs: np.ndarray) -> np.ndarray:
     """Newton steps for F(u) = ||P(u u^T)||^2 on the sphere, at a (D, R) batch.
 
-    ``mats`` is the basis as a stack of matrices B_j and ``g = M(u) u`` the
-    ascent direction, where M(u) = sum_j (u^T B_j u) B_j is the matrix of
-    P(u u^T).  With lambda = u^T g and H = M(u) + 2 sum_j (B_j u)(B_j u)^T (g
-    and H are the gradient and Hessian of F over 4), the step xi solves
-    N xi = g - lambda u with N = -P_u (H - lambda I) P_u + u u^T.  As Hu = 3g
-    for the quartic F, N = lambda I - H + 3 (u g^T + g u^T) + (1 - 4 lambda) u u^T,
-    rank-2 updates of H.  N is positive definite exactly where the Riemannian
+    ``mats`` is the basis as a stack of matrices B_j.  ``g``, ``prods`` and
+    ``coeffs`` are what :meth:`SubspaceProjector.action_batch` returns at u:
+    the ascent direction g = M(u) u, the (R, m, D) products B_j u and the
+    (R, m) forms u^T B_j u, so no product stack is formed here.  M(u) =
+    sum_j (u^T B_j u) B_j is the matrix of P(u u^T).  With lambda = u^T g and
+    H = M(u) + 2 sum_j (B_j u)(B_j u)^T (g and H are the gradient and Hessian
+    of F over 4), the step xi solves N xi = g - lambda u with
+    N = -P_u (H - lambda I) P_u + u u^T.  As Hu = 3g for the quartic F,
+    N = lambda I - H + 3 (u g^T + g u^T) + (1 - 4 lambda) u u^T, rank-2
+    updates of H.  N is positive definite exactly where the Riemannian
     Hessian of F is negative definite, as near a nondegenerate local maximum;
     a column whose N has no Cholesky factor gets a NaN step.  Returns xi, (D, R).
     """
     m, d, _ = mats.shape
     r = u.shape[1]
-    prods, coeffs = basis_products(mats, u)
     lam = np.einsum("dr,dr->r", g, u)
     n = prods.transpose(0, 2, 1) @ prods
     n *= -2.0
@@ -155,41 +171,65 @@ def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
                 np.linalg.cholesky(n[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
+    rhs = (g - lam * u).T[:, :, None]
+    if ok.all():
+        return np.linalg.solve(n, rhs)[:, :, 0].T
     xi = np.full((d, r), np.nan)
     if ok.any():
-        rhs = (g - lam * u).T[ok]
-        xi[:, ok] = np.linalg.solve(n[ok], rhs[:, :, None])[:, :, 0].T
+        xi[:, ok] = np.linalg.solve(n[ok], rhs[ok])[:, :, 0].T
     return xi
 
 
 def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray):
-    """One step on a (D, R) batch of unit columns: Newton's where it climbs, else ascent.
+    """One step on a (D, R) batch of unit columns, ``_CHUNK`` columns at a time.
 
     F is the objective on the stack ``mats`` (``proj.matrices()`` or a
     deflated stack), and ``track`` is (2, R): each column's last move and its
-    Newton gate.  A column whose last move is below its gate tries a Newton
-    step xi (:func:`_newton`) and takes it when N has a Cholesky factor and
-    F(normalize(u + xi)) >= F(u) - ``_F_SLACK``, where F(u) = u^T g comes with
-    the ascent direction g = P(u u^T) u.  Every other column takes the ascent
-    step ``u + 2 _GAMMA g``, and a column whose Newton step is refused halves
-    its gate.  Both steps end renormalized; neither nears the
-    origin, as u^T(u + 2 _GAMMA g) = 1 + 2 _GAMMA F(u) and xi is tangent.
-    Returns the new iterates and the new track, whose first row is how far
-    each column moved.
+    Newton gate.  Each chunk is stepped by :func:`_step_chunk`, which forms
+    the chunk's (R, m, D) product stack once, so a step holds one chunk's
+    products at a time.  Returns the new iterates and the new track, whose
+    first row is how far each column moved.
+    """
+    if u.shape[1] <= _CHUNK:
+        return _step_chunk(proj, mats, u, track)
+    unew, new_track = np.empty_like(u), np.empty_like(track)
+    for lo in range(0, u.shape[1], _CHUNK):
+        cols = slice(lo, lo + _CHUNK)
+        unew[:, cols], new_track[:, cols] = _step_chunk(proj, mats, u[:, cols], track[:, cols])
+    return unew, new_track
+
+
+def _step_chunk(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray):
+    """:func:`_step` on at most ``_CHUNK`` columns: Newton's where it climbs, else ascent.
+
+    :meth:`~SubspaceProjector.action_batch` forms the products B_j u once,
+    for the ascent direction g = P(u u^T) u and for the Newton step.  A
+    column whose last move is below its gate tries a Newton step xi
+    (:func:`_newton`) and takes it when N has a Cholesky factor and
+    F(normalize(u + xi)) >= F(u) - ``_F_SLACK``.  F(u) = u^T g comes with the
+    ascent direction, and the candidate's F is read from the hvec basis
+    (:meth:`~SubspaceProjector.objective_batch`), which is F on the full
+    span.  That is the only stack a column tries Newton on: placement on a
+    deflated stack stops at ``_PLACE_MOVE``, the first gate.  Every other
+    column takes the ascent step ``u + 2 _GAMMA g``, and a column whose
+    Newton step is refused halves its gate.  Both steps end renormalized;
+    neither nears the origin, as u^T(u + 2 _GAMMA g) = 1 + 2 _GAMMA F(u)
+    and xi is tangent.
     """
     move, gate = track
     tried = move < gate
-    g = proj.action_batch(u, mats)
+    g, prods, coeffs = proj.action_batch(u, mats)
     unew = u + (2.0 * _GAMMA) * g
     unew /= np.linalg.norm(unew, axis=0)
     taken = np.zeros_like(tried)
     if tried.any():
         ut, gt = u[:, tried], g[:, tried]
-        cand = ut + _newton(mats, ut, gt)  # NaN where N has no Cholesky factor
+        if not tried.all():
+            prods, coeffs = prods[tried], coeffs[tried]
+        cand = ut + _newton(mats, ut, gt, prods, coeffs)  # NaN where N has no Cholesky factor
         cand /= np.linalg.norm(cand, axis=0)
-        coeffs = basis_products(mats, cand)[1]
         # a NaN objective compares False, so a NaN step is refused
-        climbs = np.einsum("rj,rj->r", coeffs, coeffs) >= np.einsum("dr,dr->r", gt, ut) - _F_SLACK
+        climbs = proj.objective_batch(cand) >= np.einsum("dr,dr->r", gt, ut) - _F_SLACK
         taken[tried] = climbs
         unew[:, taken] = cand[:, climbs]
     moved = np.linalg.norm(unew - u, axis=0)
@@ -279,13 +319,14 @@ def _deflate(proj: SubspaceProjector, mats: np.ndarray, accepted: np.ndarray,
     C = basis^T hvec(w_a w_a^T) holds the k accepted directions' coordinates
     in the span (m, k); the last m - k columns Q of a complete QR of C are an
     orthonormal basis of its complement, and ``Q^T mats`` is the (m - k, D, D)
-    stack of that deflated span, orthonormal in Frobenius like ``mats``.
-    ``out`` has the shape of ``mats``, so no deflation allocates a stack.
+    stack of that deflated span, orthonormal in Frobenius like ``mats``.  It
+    is written into the last m - k matrices of ``out``, a buffer of at least
+    that many, so no deflation allocates a stack.
     """
     m, k = mats.shape[0], accepted.shape[0]
     coords = proj.basis.T @ hvec_outer_batch(accepted.T)
     q = np.linalg.qr(coords, mode="complete")[0][:, k:]
-    stack = out[:m - k]
+    stack = out[out.shape[0] - (m - k):]
     np.matmul(q.T, mats.reshape(m, -1), out=stack.reshape(m - k, -1))
     return stack
 
@@ -320,14 +361,19 @@ def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, m: int
     undeflated one: 2m starts there find only about 1 - e^-2 of the m
     directions.  A restart that the polish leaves unconverged is rejected.
     Placement ends when m directions are accepted, the rest of that batch
-    unclassified, or when the starts run out.
+    unclassified, or when the starts run out.  The deflation buffer is
+    allocated at the first deflation, for the m - k_1 matrices of the span
+    left by the k_1 directions accepted then; every later deflated stack is
+    smaller and fills its tail.
     """
     accepted = np.zeros((0, proj.dim))
-    buf = np.empty_like(mats)
+    buf = None
     n_restarts = starts.shape[1]
     while len(accepted) < m and stats.n_processed < n_restarts:
         k, first = len(accepted), stats.n_processed
         width = min(_BATCH, m, max(8, 2 * (m - k)), n_restarts - first)
+        if k and buf is None:
+            buf = np.empty((m - k,) + mats.shape[1:])
         stack = mats if k == 0 else _deflate(proj, mats, accepted, buf)
         u, _, placing, _ = _ascend_batch(proj, starts[:, first:first + width], cfg, stack,
                                          _PLACE_MOVE)

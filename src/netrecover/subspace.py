@@ -74,16 +74,6 @@ def hvec_outer_batch(us: np.ndarray) -> np.ndarray:
     return us[rows, :] * us[cols, :] * scale[:, None]
 
 
-def _unhvec_batch(vs: np.ndarray, d: int) -> np.ndarray:
-    """(half, R) -> (d, d, R) symmetric matrices."""
-    rows, cols, scale = _hvec_index(d)
-    out = np.zeros((d, d, vs.shape[1]))
-    vals = vs / scale[:, None]
-    out[rows, cols, :] = vals
-    out[cols, rows, :] = vals
-    return out
-
-
 def basis_products(mats: np.ndarray, us: np.ndarray):
     """Every B_j u and u^T B_j u for a (D, R) batch, by one GEMM of the stack.
 
@@ -119,19 +109,30 @@ class SubspaceProjector:
 
         It takes rank * D^2 doubles, about twice the basis, so a caller builds
         it once for a run of :meth:`action_batch` calls rather than the
-        projector keeping it.
+        projector keeping it.  The stack is written in place, so building it
+        holds no second stack.
         """
-        return np.ascontiguousarray(_unhvec_batch(self.basis, self.dim).transpose(2, 0, 1))
+        d = self.dim
+        rows, cols, _ = _hvec_index(d)
+        out = np.zeros((self.rank, d, d))
+        out[:, rows, cols] = self.basis.T
+        out[:, cols, rows] = self.basis.T
+        # the off-diagonal entries were stored times sqrt(2)
+        out /= np.where(np.eye(d, dtype=bool), 1.0, _SQRT2)
+        return out
 
-    def action_batch(self, us: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        """Columnwise P(u u^T) u for a (D, R) batch of unit vectors.
+    def action_batch(self, us: np.ndarray, mats: np.ndarray):
+        """Columnwise P(u u^T) u for a (D, R) batch of unit vectors, with its products.
 
-        ``mats`` is :meth:`matrices`.  P(u u^T) = sum_j (u^T B_j u) B_j, so the
-        action is sum_j (u^T B_j u) B_j u, from one GEMM of the stack against
-        the batch (:func:`basis_products`).
+        ``mats`` is :meth:`matrices`, or any stack orthonormal in Frobenius.
+        P(u u^T) = sum_j (u^T B_j u) B_j, so the action is sum_j (u^T B_j u)
+        B_j u, from one GEMM of the stack against the batch
+        (:func:`basis_products`).  Returns ``(action, prods, coeffs)``: the
+        (D, R) action and the (R, m, D) products B_j u_r and (R, m) forms
+        u_r^T B_j u_r it was read from, which a Newton step reuses.
         """
         prods, coeffs = basis_products(mats, us)
-        return (coeffs[:, None, :] @ prods)[:, 0, :].T
+        return (coeffs[:, None, :] @ prods)[:, 0, :].T, prods, coeffs
 
     def objective_batch(self, us: np.ndarray) -> np.ndarray:
         """Columnwise ||P(u u^T)||_F^2; lands in [0, 1] for unit u."""

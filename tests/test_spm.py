@@ -9,9 +9,9 @@ from netrecover import (ConfigError, IncompleteRecoveryError, SpmConfig,
                         SubspaceProjector, build_hessian_matrix, collect_weights,
                         default_restarts, exact_projector, hvec, match_weights,
                         spm_ascend, top_m_projector)
-from netrecover import spm
+from netrecover import spm, subspace
 from netrecover.spm import _acceptance_level, _ascend_batch, _classify, canonical_sign
-from conftest import random_teacher, random_unit_columns
+from conftest import random_teacher, random_unit_columns, traced_peak
 
 
 def objective(proj, u):
@@ -127,7 +127,7 @@ class TestAscend:
         # N has a negative eigenvalue at the saddle: no Newton step there
         saddle = ((w[:, 0] + w[:, 1]) / np.sqrt(2.0))[:, None]
         mats = proj.matrices()
-        assert np.all(np.isnan(spm._newton(mats, saddle, proj.action_batch(saddle, mats))))
+        assert np.all(np.isnan(spm._newton(mats, saddle, *proj.action_batch(saddle, mats))))
         u, obj, _, converged = spm_ascend(proj, u0, SpmConfig())
         assert converged
         assert obj == pytest.approx(1.0, abs=1e-12)
@@ -153,17 +153,17 @@ class TestNewton:
         rng = np.random.default_rng(33)
         u = net.weights[:, :1] + 1e-2 * rng.standard_normal((7, 1))
         u /= np.linalg.norm(u)
-        g = proj.action_batch(u, mats)
+        g, prods, coeffs = proj.action_batch(u, mats)
         h = 1e-5
         hess = np.column_stack([
-            (proj.action_batch(u + h * e[:, None], mats)
-             - proj.action_batch(u - h * e[:, None], mats))[:, 0] / (2 * h)
+            (proj.action_batch(u + h * e[:, None], mats)[0]
+             - proj.action_batch(u - h * e[:, None], mats)[0])[:, 0] / (2 * h)
             for e in np.eye(7)])
         lam = float(u[:, 0] @ g[:, 0])
         tangent = np.eye(7) - u @ u.T
         n = -tangent @ (hess - lam * np.eye(7)) @ tangent + u @ u.T
         ref = np.linalg.solve(n, g[:, 0] - lam * u[:, 0])
-        xi = spm._newton(mats, u, g)[:, 0]
+        xi = spm._newton(mats, u, g, prods, coeffs)[:, 0]
         assert np.max(np.abs(xi - ref)) <= 1e-8
         assert abs(xi @ u[:, 0]) <= 1e-14
 
@@ -177,8 +177,7 @@ class TestNewton:
         u /= np.linalg.norm(u)
         errs = [np.linalg.norm(u - w)]
         for _ in range(3):
-            g = proj.action_batch(u[:, None], mats)
-            u = u + spm._newton(mats, u[:, None], g)[:, 0]
+            u = u + spm._newton(mats, u[:, None], *proj.action_batch(u[:, None], mats))[:, 0]
             u /= np.linalg.norm(u)
             errs.append(np.linalg.norm(u - w))
         assert errs[1] <= 10 * errs[0] ** 2 and errs[2] <= 10 * errs[1] ** 2
@@ -365,6 +364,13 @@ def _wide_case():
     return top_m_projector(cols, 40), net.weights, 0
 
 
+def _two_chunk_case(dim=20, m=60):
+    # the first placed batch is min(_BATCH, m) wide, so m > _CHUNK steps it in two chunks
+    net = random_teacher(dim, m, seed=700)
+    cols, _, _ = build_hessian_matrix(net, 2 * m, None, seed=800, exact=True)
+    return top_m_projector(cols, m), m, 0
+
+
 def _counts(stats):
     return (stats.n_processed, stats.n_accepted, stats.n_duplicate, stats.n_rejected)
 
@@ -384,8 +390,8 @@ class TestStep:
         mats = proj.matrices()
         u = net.weights[:, :2] + 1e-3 * np.random.default_rng(35).standard_normal((8, 2))
         u /= np.linalg.norm(u, axis=0)
-        g = proj.action_batch(u, mats)
-        xi = spm._newton(mats, u, g)
+        g, prods, coeffs = proj.action_batch(u, mats)
+        xi = spm._newton(mats, u, g, prods, coeffs)
         newton = spm._newton
         monkeypatch.setattr(spm, "_newton", lambda *args: newton(*args) * np.array([1.0, -1.0]))
         lowered = (u[:, 1] - xi[:, 1]) / np.linalg.norm(u[:, 1] - xi[:, 1])
@@ -398,6 +404,80 @@ class TestStep:
         assert np.max(np.abs(unew[:, 1] - ascent / np.linalg.norm(ascent))) <= 1e-15
         assert np.array_equal(new_track[1], [spm._NEWTON_MOVE, 0.5 * spm._NEWTON_MOVE])
         assert np.array_equal(new_track[0], np.linalg.norm(unew - u, axis=0))
+
+    @staticmethod
+    def _batch(proj):
+        """64 columns: near recovered directions under the gate, and random ones above it."""
+        rng = np.random.default_rng(36)
+        u = rng.standard_normal((proj.dim, 64))
+        u /= np.linalg.norm(u, axis=0)
+        w, _ = collect_weights(proj, proj.rank, SpmConfig(), seed=0)
+        u[:, ::2] = w[:, :32] + 1e-3 * rng.standard_normal((proj.dim, 32))
+        u /= np.linalg.norm(u, axis=0)
+        track = np.array([np.where(np.arange(64) % 2 == 0, 1e-3, 1.0),
+                          np.full(64, spm._NEWTON_MOVE)])
+        return u, track
+
+    def test_chunked_step_equals_its_halves(self):
+        proj, _, _ = _two_chunk_case()
+        mats = proj.matrices()
+        u, track = self._batch(proj)
+        unew, new_track = spm._step(proj, mats, u, track)
+        halves = [spm._step(proj, mats, u[:, cols], track[:, cols])
+                  for cols in (slice(0, 32), slice(32, 64))]
+        assert spm._CHUNK == 32
+        assert np.array_equal(unew, np.hstack([h[0] for h in halves]))
+        assert np.array_equal(new_track, np.hstack([h[1] for h in halves]))
+        # the even columns, under their gate, took Newton steps (none was
+        # refused, or its gate would have halved); the odd ones the ascent
+        assert np.array_equal(new_track[1], track[1])
+        assert np.all(1.0 - proj.objective_batch(unew[:, ::2]) <= 1e-9)
+
+    def test_one_product_stack_per_chunk(self, monkeypatch):
+        proj, _, _ = _two_chunk_case()
+        mats = proj.matrices()
+        u, track = self._batch(proj)
+        formed = []
+        products = subspace.basis_products
+        monkeypatch.setattr(subspace, "basis_products",
+                            lambda ms, us: formed.append(us.shape[1]) or products(ms, us))
+        newton = spm._newton
+        newton_formed = []
+
+        def counted_newton(*args):
+            before = len(formed)
+            xi = newton(*args)
+            newton_formed.append(len(formed) - before)
+            return xi
+
+        monkeypatch.setattr(spm, "_newton", counted_newton)
+        spm._step(proj, mats, u, track)
+        assert formed == [32, 32] and newton_formed == [0, 0]
+        # so does every step of a collection, chunk by chunk
+        chunks = []
+        step_chunk = spm._step_chunk
+        monkeypatch.setattr(spm, "_step_chunk",
+                            lambda p, ms, us, tr: chunks.append(us.shape[1]) or step_chunk(p, ms, us, tr))
+        formed.clear()
+        newton_formed.clear()
+        collect_weights(proj, proj.rank, SpmConfig(), seed=0)
+        assert formed == chunks and max(chunks) == 32
+        assert sum(newton_formed) == 0 and len(newton_formed) > 0
+
+    def test_newton_runs_only_on_the_full_span(self, monkeypatch):
+        # the Newton step reads the candidate's objective from the hvec basis of
+        # the full span, so placement on a deflated stack must stop before the gate
+        assert spm._PLACE_MOVE == spm._NEWTON_MOVE
+        proj, m, seed = _two_chunk_case()
+        newton, deflate = spm._newton, spm._deflate
+        stacks, deflated = [], []
+        monkeypatch.setattr(spm, "_newton",
+                            lambda ms, *args: stacks.append(ms.shape[0]) or newton(ms, *args))
+        monkeypatch.setattr(spm, "_deflate",
+                            lambda p, ms, acc, out: deflated.append(len(acc)) or deflate(p, ms, acc, out))
+        _, stats = collect_weights(proj, m, SpmConfig(), seed)
+        assert stats.n_accepted == m and len(deflated) >= 1 and len(stacks) > 0
+        assert set(stacks) == {m}
 
 
 class TestPlace:
@@ -443,6 +523,26 @@ class TestPlace:
         # no accepted w w^T has a component in the deflated span
         outer = np.einsum("ka,kb->kab", accepted, accepted).reshape(4, -1)
         assert np.max(np.abs(flat @ outer.T)) <= 1e-12
+
+    def test_memory_is_bounded_by_one_chunk(self, monkeypatch):
+        # the stack, the deflation buffer sized at the first deflation and one
+        # chunk's (R, m, D) products; the slack covers the restarts drawn up
+        # front and the Newton step's (R, D, D) matrix, its Cholesky factor and
+        # one temporary
+        proj, m, seed = _two_chunk_case(dim=40, m=102)
+        d, cfg = proj.dim, SpmConfig(max_restarts=3 * 102)
+        deflate, deflations = spm._deflate, []
+        monkeypatch.setattr(spm, "_deflate", lambda p, ms, acc, out: deflations.append(
+            (len(acc), out.shape[0])) or deflate(p, ms, acc, out))
+        (_, stats), peak = traced_peak(collect_weights, proj, m, cfg, seed)
+        assert stats.n_accepted == m and len(deflations) >= 1
+        k1 = deflations[0][0]
+        assert {size for _, size in deflations} == {m - k1}
+        double = np.dtype(float).itemsize
+        stack, buffer = m * d * d * double, (m - k1) * d * d * double
+        products = spm._CHUNK * m * d * double
+        slack = (d * cfg.max_restarts + 3 * spm._CHUNK * d * d) * double + 2**17
+        assert peak <= stack + buffer + products + slack
 
     def test_wide_case_recovers_all_deterministically(self):
         proj, weights, seed = _wide_case()

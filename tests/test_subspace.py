@@ -86,11 +86,17 @@ class TestProjectorInvariants:
         for j in range(15):
             assert np.allclose(hvec(mats[j]), proj.basis[:, j], atol=1e-15)
 
+    def test_matrices_are_unhvec_of_each_column_exactly(self, proj):
+        mats = proj.matrices()
+        assert mats.flags.c_contiguous
+        for j in range(15):
+            assert np.array_equal(mats[j], unhvec(proj.basis[:, j], 10))
+
     def test_action_matches_dense_projection(self, proj):
         # oracle: P(u u^T) u through the explicit projector matrix
         dense = dense_projector_matrix(proj)
         us = random_unit_columns(10, 6, seed=10)
-        got = proj.action_batch(us, proj.matrices())
+        got = proj.action_batch(us, proj.matrices())[0]
         for r in range(6):
             ref = unhvec(dense @ hvec(np.outer(us[:, r], us[:, r])), 10) @ us[:, r]
             assert np.max(np.abs(got[:, r] - ref)) < 1e-14
