@@ -38,12 +38,12 @@ basin.  Placement stops at the move where the gate starts (``_PLACE_MOVE``
 is ``_NEWTON_MOVE``), so only the polish takes Newton steps, and the Newton
 test reads F from the hvec basis of the full span.
 
-Memory.  A step runs its columns ``_CHUNK`` at a time.  Each chunk forms
-its (R, m, D) products B_j u once, in
+Memory.  :func:`_ascend_batch` steps its columns ``_CHUNK`` at a time.  A
+step forms the chunk's (R, m, D) products B_j u once, in
 :meth:`~netrecover.subspace.SubspaceProjector.action_batch`, and the Newton
-step reuses them, so SPM holds the (m, D, D) stack, one chunk's products
-and the deflation buffer, which is sized for the m - k_1 matrices left at
-the first deflation.
+step reads them in place, without a copy, so SPM holds the (m, D, D)
+stack, one chunk's products and the deflation buffer, which is sized for
+the m - k_1 matrices left at the first deflation.
 """
 
 from __future__ import annotations
@@ -63,17 +63,19 @@ logger = logging.getLogger(__name__)
 
 # starts per placed batch, stepped together
 _BATCH = 64
-# columns per product stack: a step forms action_batch's (R, m, D) products for
-# at most this many columns at a time (1 MB at D=40, 10 MB at D=100), enough
-# to share each read of the basis stack
+# columns per step: _ascend_batch steps its columns this many at a time, so
+# action_batch's (R, m, D) products are 1 MB at D=40 and 10 MB at D=100, and
+# still enough columns to share each read of the basis stack
 _CHUNK = 32
 
 # the ascent step u + 2 _GAMMA P(u u^T) u
 _GAMMA = 2.0
 # a column whose last move falls below this tries Newton steps; a refusal halves it
 _NEWTON_MOVE = 1e-2
-# a Newton step may lower F by this much, the rounding of F near a maximum
-_F_SLACK = 1e-15
+# a Newton step may lower F by this much: at the maxima of runs up to D=150, F(u)
+# read as u^T g and F read from the hvec basis differ by rounding alone by up
+# to 2.2e-15 (at D=150 s1, 1e-15 refused 82 of 3,285 Newton tries, 4e-15 none)
+_F_SLACK = 4e-15
 # a column that moves at most this far in a step has converged
 _CONV_TOL = 1e-12
 # a placed restart leaves the deflated span once its move falls to this: the
@@ -134,26 +136,32 @@ def default_restarts(m: int) -> int:
 
 
 def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray, prods: np.ndarray,
-            coeffs: np.ndarray) -> np.ndarray:
-    """Newton steps for F(u) = ||P(u u^T)||^2 on the sphere, at a (D, R) batch.
+            coeffs: np.ndarray, tried: np.ndarray) -> np.ndarray:
+    """Newton steps for F(u) = ||P(u u^T)||^2 on the sphere, at the ``tried`` columns of u.
 
     ``mats`` is the basis as a stack of matrices B_j.  ``g``, ``prods`` and
-    ``coeffs`` are what :meth:`SubspaceProjector.action_batch` returns at u:
-    the ascent direction g = M(u) u, the (R, m, D) products B_j u and the
-    (R, m) forms u^T B_j u, so no product stack is formed here.  M(u) =
-    sum_j (u^T B_j u) B_j is the matrix of P(u u^T).  With lambda = u^T g and
-    H = M(u) + 2 sum_j (B_j u)(B_j u)^T (g and H are the gradient and Hessian
-    of F over 4), the step xi solves N xi = g - lambda u with
-    N = -P_u (H - lambda I) P_u + u u^T.  As Hu = 3g for the quartic F,
+    ``coeffs`` are what :meth:`SubspaceProjector.action_batch` returns at the
+    (D, R) batch u: the ascent direction g = M(u) u, the (R, m, D) products
+    B_j u and the (R, m) forms u^T B_j u, so no product stack is formed here,
+    and N is built from one column's products at a time, so none is copied
+    either.  M(u) = sum_j (u^T B_j u) B_j is the matrix of P(u u^T).  With
+    lambda = u^T g and H = M(u) + 2 sum_j (B_j u)(B_j u)^T (g and H are the
+    gradient and Hessian of F over 4), the step xi solves N xi = g - lambda u
+    with N = -P_u (H - lambda I) P_u + u u^T.  As Hu = 3g for the quartic F,
     N = lambda I - H + 3 (u g^T + g u^T) + (1 - 4 lambda) u u^T, rank-2
     updates of H.  N is positive definite exactly where the Riemannian
     Hessian of F is negative definite, as near a nondegenerate local maximum;
-    a column whose N has no Cholesky factor gets a NaN step.  Returns xi, (D, R).
+    a column whose N has no Cholesky factor gets a NaN step.  Returns xi,
+    (D, T) for the T tried columns.
     """
     m, d, _ = mats.shape
-    r = u.shape[1]
+    cols = np.flatnonzero(tried)
+    u, g, coeffs = u[:, cols], g[:, cols], coeffs[cols]
+    r = cols.size
     lam = np.einsum("dr,dr->r", g, u)
-    n = prods.transpose(0, 2, 1) @ prods
+    n = np.empty((r, d, d))
+    for i, col in enumerate(cols):
+        np.matmul(prods[col].T, prods[col], out=n[i])
     n *= -2.0
     n -= (coeffs @ mats.reshape(m, d * d)).reshape(r, d, d)  # -H
     # + 3 (u g^T + g u^T) + (1 - 4 lambda) u u^T as one product of (D, 2) factors
@@ -171,50 +179,33 @@ def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray, prods: np.ndarray,
                 np.linalg.cholesky(n[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
-    rhs = (g - lam * u).T[:, :, None]
-    if ok.all():
-        return np.linalg.solve(n, rhs)[:, :, 0].T
-    xi = np.full((d, r), np.nan)
-    if ok.any():
-        xi[:, ok] = np.linalg.solve(n[ok], rhs[ok])[:, :, 0].T
+    n[~ok] = np.eye(d)  # solvable; its step is discarded
+    xi = np.linalg.solve(n, (g - lam * u).T[:, :, None])[:, :, 0].T
+    xi[:, ~ok] = np.nan
     return xi
 
 
 def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray):
-    """One step on a (D, R) batch of unit columns, ``_CHUNK`` columns at a time.
+    """One step on a (D, R) batch of unit columns: Newton's where it climbs, else ascent.
 
     F is the objective on the stack ``mats`` (``proj.matrices()`` or a
     deflated stack), and ``track`` is (2, R): each column's last move and its
-    Newton gate.  Each chunk is stepped by :func:`_step_chunk`, which forms
-    the chunk's (R, m, D) product stack once, so a step holds one chunk's
-    products at a time.  Returns the new iterates and the new track, whose
-    first row is how far each column moved.
-    """
-    if u.shape[1] <= _CHUNK:
-        return _step_chunk(proj, mats, u, track)
-    unew, new_track = np.empty_like(u), np.empty_like(track)
-    for lo in range(0, u.shape[1], _CHUNK):
-        cols = slice(lo, lo + _CHUNK)
-        unew[:, cols], new_track[:, cols] = _step_chunk(proj, mats, u[:, cols], track[:, cols])
-    return unew, new_track
-
-
-def _step_chunk(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray):
-    """:func:`_step` on at most ``_CHUNK`` columns: Newton's where it climbs, else ascent.
-
-    :meth:`~SubspaceProjector.action_batch` forms the products B_j u once,
-    for the ascent direction g = P(u u^T) u and for the Newton step.  A
-    column whose last move is below its gate tries a Newton step xi
-    (:func:`_newton`) and takes it when N has a Cholesky factor and
-    F(normalize(u + xi)) >= F(u) - ``_F_SLACK``.  F(u) = u^T g comes with the
-    ascent direction, and the candidate's F is read from the hvec basis
+    Newton gate.  :meth:`~SubspaceProjector.action_batch` forms the (R, m, D)
+    products B_j u once, for the ascent direction g = P(u u^T) u and for the
+    Newton step; :func:`_ascend_batch` steps at most ``_CHUNK`` columns at a
+    time, so SPM holds one chunk's products.  A column whose last move is
+    below its gate tries a Newton step xi (:func:`_newton`) and takes it
+    when N has a Cholesky factor and F(normalize(u + xi)) >= F(u) -
+    ``_F_SLACK``.  F(u) = u^T g comes with the ascent direction, and the
+    candidate's F is read from the hvec basis
     (:meth:`~SubspaceProjector.objective_batch`), which is F on the full
     span.  That is the only stack a column tries Newton on: placement on a
     deflated stack stops at ``_PLACE_MOVE``, the first gate.  Every other
     column takes the ascent step ``u + 2 _GAMMA g``, and a column whose
     Newton step is refused halves its gate.  Both steps end renormalized;
     neither nears the origin, as u^T(u + 2 _GAMMA g) = 1 + 2 _GAMMA F(u)
-    and xi is tangent.
+    and xi is tangent.  Returns the new iterates and the new track, whose
+    first row is how far each column moved.
     """
     move, gate = track
     tried = move < gate
@@ -223,13 +214,11 @@ def _step_chunk(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track:
     unew /= np.linalg.norm(unew, axis=0)
     taken = np.zeros_like(tried)
     if tried.any():
-        ut, gt = u[:, tried], g[:, tried]
-        if not tried.all():
-            prods, coeffs = prods[tried], coeffs[tried]
-        cand = ut + _newton(mats, ut, gt, prods, coeffs)  # NaN where N has no Cholesky factor
+        ut = u[:, tried]
+        cand = ut + _newton(mats, u, g, prods, coeffs, tried)  # NaN where N has no Cholesky factor
         cand /= np.linalg.norm(cand, axis=0)
         # a NaN objective compares False, so a NaN step is refused
-        climbs = proj.objective_batch(cand) >= np.einsum("dr,dr->r", gt, ut) - _F_SLACK
+        climbs = proj.objective_batch(cand) >= np.einsum("dr,dr->r", g[:, tried], ut) - _F_SLACK
         taken[tried] = climbs
         unew[:, taken] = cand[:, climbs]
     moved = np.linalg.norm(unew - u, axis=0)
@@ -242,8 +231,9 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
     """Iterate :func:`_step` on a (D, R) batch of starting points, for at most ``max_steps``.
 
     ``mats`` is the stack that :func:`_step` ascends on: ``proj.matrices()``,
-    or a deflated stack (:func:`_deflate`).  A column whose move falls to
-    ``tol`` has converged and is frozen.  Returns ``(U, objectives, steps,
+    or a deflated stack (:func:`_deflate`).  Each step runs the active
+    columns ``_CHUNK`` at a time.  A column whose move falls to ``tol`` has
+    converged and is frozen.  Returns ``(U, objectives, steps,
     converged)``, the objectives on the full span, plus the per-step objective
     trajectory when requested.
     """
@@ -257,7 +247,9 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
     if record_objectives:
         history.append(proj.objective_batch(u))
     for _ in range(cfg.max_steps):
-        u[:, active], track[:, active] = _step(proj, mats, u[:, active], track[:, active])
+        for lo in range(0, active.size, _CHUNK):
+            cols = active[lo:lo + _CHUNK]
+            u[:, cols], track[:, cols] = _step(proj, mats, u[:, cols], track[:, cols])
         steps[active] += 1
         done = track[0, active] <= tol
         if np.any(done):
@@ -319,14 +311,13 @@ def _deflate(proj: SubspaceProjector, mats: np.ndarray, accepted: np.ndarray,
     C = basis^T hvec(w_a w_a^T) holds the k accepted directions' coordinates
     in the span (m, k); the last m - k columns Q of a complete QR of C are an
     orthonormal basis of its complement, and ``Q^T mats`` is the (m - k, D, D)
-    stack of that deflated span, orthonormal in Frobenius like ``mats``.  It
-    is written into the last m - k matrices of ``out``, a buffer of at least
-    that many, so no deflation allocates a stack.
+    stack of that deflated span, orthonormal in Frobenius like ``mats``.
+    ``out`` has at least m - k matrices, so no deflation allocates a stack.
     """
     m, k = mats.shape[0], accepted.shape[0]
     coords = proj.basis.T @ hvec_outer_batch(accepted.T)
     q = np.linalg.qr(coords, mode="complete")[0][:, k:]
-    stack = out[out.shape[0] - (m - k):]
+    stack = out[:m - k]
     np.matmul(q.T, mats.reshape(m, -1), out=stack.reshape(m - k, -1))
     return stack
 
@@ -364,7 +355,7 @@ def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, m: int
     unclassified, or when the starts run out.  The deflation buffer is
     allocated at the first deflation, for the m - k_1 matrices of the span
     left by the k_1 directions accepted then; every later deflated stack is
-    smaller and fills its tail.
+    smaller and fills its head.
     """
     accepted = np.zeros((0, proj.dim))
     buf = None

@@ -127,7 +127,7 @@ class TestAscend:
         # N has a negative eigenvalue at the saddle: no Newton step there
         saddle = ((w[:, 0] + w[:, 1]) / np.sqrt(2.0))[:, None]
         mats = proj.matrices()
-        assert np.all(np.isnan(spm._newton(mats, saddle, *proj.action_batch(saddle, mats))))
+        assert np.all(np.isnan(spm._newton(mats, saddle, *proj.action_batch(saddle, mats), [True])))
         u, obj, _, converged = spm_ascend(proj, u0, SpmConfig())
         assert converged
         assert obj == pytest.approx(1.0, abs=1e-12)
@@ -163,7 +163,7 @@ class TestNewton:
         tangent = np.eye(7) - u @ u.T
         n = -tangent @ (hess - lam * np.eye(7)) @ tangent + u @ u.T
         ref = np.linalg.solve(n, g[:, 0] - lam * u[:, 0])
-        xi = spm._newton(mats, u, g, prods, coeffs)[:, 0]
+        xi = spm._newton(mats, u, g, prods, coeffs, [True])[:, 0]
         assert np.max(np.abs(xi - ref)) <= 1e-8
         assert abs(xi @ u[:, 0]) <= 1e-14
 
@@ -177,7 +177,7 @@ class TestNewton:
         u /= np.linalg.norm(u)
         errs = [np.linalg.norm(u - w)]
         for _ in range(3):
-            u = u + spm._newton(mats, u[:, None], *proj.action_batch(u[:, None], mats))[:, 0]
+            u = u + spm._newton(mats, u[:, None], *proj.action_batch(u[:, None], mats), [True])[:, 0]
             u /= np.linalg.norm(u)
             errs.append(np.linalg.norm(u - w))
         assert errs[1] <= 10 * errs[0] ** 2 and errs[2] <= 10 * errs[1] ** 2
@@ -391,7 +391,7 @@ class TestStep:
         u = net.weights[:, :2] + 1e-3 * np.random.default_rng(35).standard_normal((8, 2))
         u /= np.linalg.norm(u, axis=0)
         g, prods, coeffs = proj.action_batch(u, mats)
-        xi = spm._newton(mats, u, g, prods, coeffs)
+        xi = spm._newton(mats, u, g, prods, coeffs, [True, True])
         newton = spm._newton
         monkeypatch.setattr(spm, "_newton", lambda *args: newton(*args) * np.array([1.0, -1.0]))
         lowered = (u[:, 1] - xi[:, 1]) / np.linalg.norm(u[:, 1] - xi[:, 1])
@@ -407,36 +407,32 @@ class TestStep:
 
     @staticmethod
     def _batch(proj):
-        """64 columns: near recovered directions under the gate, and random ones above it."""
+        """64 columns: 32 near recovered directions, which try Newton on their
+        second step, between 32 random ones, which take ascent steps."""
         rng = np.random.default_rng(36)
         u = rng.standard_normal((proj.dim, 64))
-        u /= np.linalg.norm(u, axis=0)
         w, _ = collect_weights(proj, proj.rank, SpmConfig(), seed=0)
         u[:, ::2] = w[:, :32] + 1e-3 * rng.standard_normal((proj.dim, 32))
-        u /= np.linalg.norm(u, axis=0)
-        track = np.array([np.where(np.arange(64) % 2 == 0, 1e-3, 1.0),
-                          np.full(64, spm._NEWTON_MOVE)])
-        return u, track
+        return u / np.linalg.norm(u, axis=0)
 
-    def test_chunked_step_equals_its_halves(self):
+    def test_chunked_ascent_equals_its_halves(self):
         proj, _, _ = _two_chunk_case()
         mats = proj.matrices()
-        u, track = self._batch(proj)
-        unew, new_track = spm._step(proj, mats, u, track)
-        halves = [spm._step(proj, mats, u[:, cols], track[:, cols])
+        u, cfg = self._batch(proj), SpmConfig(max_steps=2)
+        whole = _ascend_batch(proj, u, cfg, mats)
+        halves = [_ascend_batch(proj, u[:, cols], cfg, mats)
                   for cols in (slice(0, 32), slice(32, 64))]
         assert spm._CHUNK == 32
-        assert np.array_equal(unew, np.hstack([h[0] for h in halves]))
-        assert np.array_equal(new_track, np.hstack([h[1] for h in halves]))
-        # the even columns, under their gate, took Newton steps (none was
-        # refused, or its gate would have halved); the odd ones the ascent
-        assert np.array_equal(new_track[1], track[1])
-        assert np.all(1.0 - proj.objective_batch(unew[:, ::2]) <= 1e-9)
+        for part, joined in zip(whole, zip(*halves)):
+            assert np.array_equal(part, np.concatenate(joined, axis=-1))
+        # the even columns took a Newton step, which ends within 1e-9 of the
+        # maximum; an ascent step from a 1e-3 start would not
+        assert np.all(1.0 - whole[1][::2] <= 1e-9)
 
     def test_one_product_stack_per_chunk(self, monkeypatch):
         proj, _, _ = _two_chunk_case()
         mats = proj.matrices()
-        u, track = self._batch(proj)
+        u = self._batch(proj)
         formed = []
         products = subspace.basis_products
         monkeypatch.setattr(subspace, "basis_products",
@@ -451,13 +447,13 @@ class TestStep:
             return xi
 
         monkeypatch.setattr(spm, "_newton", counted_newton)
-        spm._step(proj, mats, u, track)
-        assert formed == [32, 32] and newton_formed == [0, 0]
+        _ascend_batch(proj, u, SpmConfig(max_steps=2), mats)
+        assert formed == [32, 32, 32, 32] and newton_formed == [0, 0]
         # so does every step of a collection, chunk by chunk
         chunks = []
-        step_chunk = spm._step_chunk
-        monkeypatch.setattr(spm, "_step_chunk",
-                            lambda p, ms, us, tr: chunks.append(us.shape[1]) or step_chunk(p, ms, us, tr))
+        step = spm._step
+        monkeypatch.setattr(spm, "_step",
+                            lambda p, ms, us, tr: chunks.append(us.shape[1]) or step(p, ms, us, tr))
         formed.clear()
         newton_formed.clear()
         collect_weights(proj, proj.rank, SpmConfig(), seed=0)
@@ -528,9 +524,10 @@ class TestPlace:
         # the stack, the deflation buffer sized at the first deflation and one
         # chunk's (R, m, D) products; the slack covers the restarts drawn up
         # front and the Newton step's (R, D, D) matrix, its Cholesky factor and
-        # one temporary
-        proj, m, seed = _two_chunk_case(dim=40, m=102)
-        d, cfg = proj.dim, SpmConfig(max_restarts=3 * 102)
+        # one temporary.  With m about 7 D a chunk's products (1.5 MB) outweigh
+        # the slack, so a second copy of them fails here
+        proj, m, seed = _two_chunk_case(dim=30, m=200)
+        d, cfg = proj.dim, SpmConfig(max_restarts=3 * m)
         deflate, deflations = spm._deflate, []
         monkeypatch.setattr(spm, "_deflate", lambda p, ms, acc, out: deflations.append(
             (len(acc), out.shape[0])) or deflate(p, ms, acc, out))
