@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
 from .activations import Activation
 from .exceptions import ConfigError
-from .numdiff import FDConfig
 from .subspace import build_hessian_matrix
 from .teacher import StudentNetwork, TeacherNetwork, block_rows
 
@@ -47,18 +45,16 @@ class IncoherenceReport:
     c2_hat: float                      # max_sq_corr * D / log m
     gram_inv_norms: dict               # n -> ||G_n^{-1}||_2 for n = 2..4
     rip_samples: list                  # (p, delta_hat) per sampled submatrix
-    rip_target_delta: float
-    rip_ok: bool
 
 
-def check_incoherence(weights: np.ndarray, delta: float = 0.5,
-                      rip_trials: int = 20, seed: int = 0) -> IncoherenceReport:
+def check_incoherence(weights: np.ndarray, rip_trials: int = 20,
+                      seed: int = 0) -> IncoherenceReport:
     """Measure the incoherence properties of a unit-column weight matrix.
 
     Pairwise correlations and inverse Hadamard-power Gram norms are exact;
     the restricted isometry constant is probed on ``rip_trials`` random
-    column subsets of size ``ceil(D / (4 log m))`` -- a sampled certificate,
-    not a proof.
+    column subsets of size ``ceil(D / (4 log m))``, each reported with its
+    deviation ``||G_S - I||_2`` -- a sample, not a proof.
     """
     w = np.asarray(weights, dtype=float)
     d, m = w.shape
@@ -82,14 +78,11 @@ def check_incoherence(weights: np.ndarray, delta: float = 0.5,
             sub = gram[np.ix_(idx, idx)]
             dev = float(np.linalg.norm(sub - np.eye(p), 2))
             rip_samples.append((p, dev))
-    worst = max((dev for _, dev in rip_samples), default=0.0)
     return IncoherenceReport(
         max_sq_corr=max_sq_corr,
         c2_hat=c2_hat,
         gram_inv_norms=inv_norms,
         rip_samples=rip_samples,
-        rip_target_delta=delta,
-        rip_ok=worst <= delta,
     )
 
 
@@ -97,31 +90,34 @@ def check_incoherence(weights: np.ndarray, delta: float = 0.5,
 # learnability
 # ---------------------------------------------------------------------------
 
-def estimate_alpha(net: TeacherNetwork, n_mc: int, cfg: FDConfig | None = None,
-                   seed: int = 0, exact: bool = True) -> float:
+def estimate_alpha(net: TeacherNetwork, n_mc: int, seed: int = 0) -> float:
     """m-th eigenvalue of the empirical second moment of vectorized Hessians.
 
     Positive values back the claim that Hessians at Gaussian inputs span the
-    full weight space.  Exact derivatives by default, so the number measures
-    the model, not finite-difference noise; pass ``exact=False`` with an
-    ``FDConfig`` for the end-to-end variant.
+    full weight space.  The ``n_mc`` Hessians are exact (analytic oracle, no
+    queries), so the number measures the model, not finite-difference noise.
+    The eigenvalue is the m-th squared singular value of the Hessian columns
+    over ``n_mc``, or 0 when the columns have fewer than m singular values.
     """
     if n_mc < net.n_neurons:
         raise ConfigError(f"need n_mc >= m = {net.n_neurons}, got {n_mc}")
-    cols, _, _ = build_hessian_matrix(net, n_mc, cfg, seed, exact=exact)
-    if n_mc <= cols.shape[0]:
-        evals = np.linalg.eigvalsh(cols.T @ cols)
-    else:
-        evals = np.linalg.eigvalsh(cols @ cols.T)
-    evals = np.sort(np.clip(evals, 0.0, None))[::-1] / n_mc
-    if evals.shape[0] < net.n_neurons:
+    cols, _ = build_hessian_matrix(net, n_mc, None, seed, exact=True)
+    svals = np.linalg.svd(cols, compute_uv=False)
+    if svals.size < net.n_neurons:
         return 0.0
-    return float(evals[net.n_neurons - 1])
+    return float(svals[net.n_neurons - 1] ** 2) / n_mc
 
 
 # ---------------------------------------------------------------------------
 # Hermite machinery
 # ---------------------------------------------------------------------------
+
+# Gauss-Hermite nodes (numpy's hermgauss(400) overflows to NaN weights), and
+# the kernel floor's shift grid and highest Hermite order
+_QUAD_NODES = 200
+_OMEGA_TAU_GRID = 41
+_OMEGA_R_MAX = 20
+
 
 def hermite_basis(r_max: int, y: np.ndarray) -> np.ndarray:
     """Orthonormal Hermite values h_0..h_r at y, stacked as (r_max+1, len(y)).
@@ -139,20 +135,14 @@ def hermite_basis(r_max: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite_coeffs(fn, r_max: int, quad_nodes: int = 200) -> np.ndarray:
+def hermite_coeffs(fn, r_max: int) -> np.ndarray:
     """Coefficients of fn in the orthonormal Hermite basis.
 
     ``mu_r = E[fn(Y) h_r(Y)]`` for standard Gaussian Y, computed by
-    Gauss-Hermite quadrature after the change of variables that absorbs the
-    ``exp(-y^2/2)`` weight.
+    ``_QUAD_NODES``-point Gauss-Hermite quadrature after the change of
+    variables that absorbs the ``exp(-y^2/2)`` weight.
     """
-    if r_max > quad_nodes / 2:
-        warnings.warn(
-            f"r_max = {r_max} is large for {quad_nodes} quadrature nodes; "
-            "high-order coefficients may be inaccurate",
-            stacklevel=2,
-        )
-    nodes, wts = np.polynomial.hermite.hermgauss(quad_nodes)
+    nodes, wts = np.polynomial.hermite.hermgauss(_QUAD_NODES)
     y = math.sqrt(2.0) * nodes
     basis = hermite_basis(r_max, y)
     vals = np.asarray(fn(y), dtype=float)
@@ -163,34 +153,33 @@ def hermite_coeffs(fn, r_max: int, quad_nodes: int = 200) -> np.ndarray:
 class OmegaResult:
     omega: float
     tau_argmin: float
-    tail_bound: float   # bound on the discarded sum_{r > r_max} mu_r^2
-    r_max: int
+    tail_bound: float   # bound on the discarded sum_{r > _OMEGA_R_MAX} mu_r^2
 
 
-def kernel_floor_omega(act: Activation, tau_grid: int = 41, r_max: int = 20,
-                       quad_nodes: int = 200) -> OmegaResult:
+def kernel_floor_omega(act: Activation) -> OmegaResult:
     """Half the worst-case high-order Hermite energy of the slope function.
 
-    Computes ``0.5 * min_tau sum_{r=4}^{r_max} mu_r(g'(. + tau))^2`` over a
-    shift grid.  The truncation tail is bounded through the derivative
-    ladder: ``mu_r(g') = mu_{r-2}(g''') / sqrt(r (r-1))``, so the tail is at
-    most ``E[g'''^2] / (r_max (r_max + 1))``.
+    Computes ``0.5 * min_tau sum_{r=4}^{R} mu_r(g'(. + tau))^2``, R =
+    ``_OMEGA_R_MAX``, over ``_OMEGA_TAU_GRID`` evenly spaced shifts in
+    ``[-tau_inf, tau_inf]``.  The truncation tail is bounded through the
+    derivative ladder: ``mu_r(g') = mu_{r-2}(g''') / sqrt(r (r-1))``, so the
+    tail is at most ``E[g'''^2] / (R (R + 1))``.
     """
-    taus = np.linspace(-act.tau_inf, act.tau_inf, tau_grid)
+    taus = np.linspace(-act.tau_inf, act.tau_inf, _OMEGA_TAU_GRID)
     best, best_tau = np.inf, 0.0
     for tau in taus:
-        mu = hermite_coeffs(lambda y: act.g1(y + tau), r_max, quad_nodes)
+        mu = hermite_coeffs(lambda y: act.g1(y + tau), _OMEGA_R_MAX)
         energy = float(mu[4:] @ mu[4:])
         if energy < best:
             best, best_tau = energy, float(tau)
-    nodes, wts = np.polynomial.hermite.hermgauss(quad_nodes)
+    nodes, wts = np.polynomial.hermite.hermgauss(_QUAD_NODES)
     y = math.sqrt(2.0) * nodes
     e_g3_sq = max(
         float((np.asarray(act.g3(y + tau), dtype=float) ** 2) @ wts / math.sqrt(math.pi))
         for tau in (-act.tau_inf, 0.0, act.tau_inf)
     )
-    tail = e_g3_sq / (r_max * (r_max + 1))
-    return OmegaResult(omega=0.5 * best, tau_argmin=best_tau, tail_bound=tail, r_max=r_max)
+    tail = e_g3_sq / (_OMEGA_R_MAX * (_OMEGA_R_MAX + 1))
+    return OmegaResult(omega=0.5 * best, tau_argmin=best_tau, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------

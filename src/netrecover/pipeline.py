@@ -128,6 +128,8 @@ class PipelineConfig:
         bound = half_dim(self.dim) - self.dim
         if m > bound:
             raise ConfigError(f"m = {m} exceeds D(D+1)/2 - D = {bound}: not identifiable")
+        if self.n_hessians is not None and self.n_hessians < 1:
+            raise ConfigError(f"n_hessians must be >= 1, got {self.n_hessians}")
         if self.n_hessians == m and not self.exact_derivatives:
             raise ConfigError(f"n_hessians = m leaves SPM no sigma_{m + 1}; take m + 1 = {m + 1}")
         if self.n_eval < 1:
@@ -177,7 +179,7 @@ def hessian_stage(cfg: PipelineConfig, net):
     over the first few anchors (0 in exact mode).
     """
     n_h = default_n_hessians(cfg.resolved_m()) if cfg.n_hessians is None else cfg.n_hessians
-    cols, anchors, _ = build_hessian_matrix(
+    cols, anchors = build_hessian_matrix(
         net, n_h, FDConfig(step_h=cfg.fd_step), child_seed(cfg.seed, "hessians"),
         exact=cfg.exact_derivatives,
     )

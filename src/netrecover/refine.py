@@ -8,15 +8,16 @@ reduces to elementwise activation work.  Two methods:
   noiseless nonlinear least-squares problem in m unknowns, so a few
   linearized least-squares solves on a small sample reach its minimum.
   The pipeline uses it.
-- ``"gd"``, gradient descent, the paper's empirical risk minimisation and
-  ``RefineConfig``'s default: full-batch, or mini-batch with a seed-fixed
-  permutation per epoch, which keeps trajectories reproducible.
+- ``"gd"``, gradient descent at the fixed step ``lr``, the paper's empirical
+  risk minimisation and ``RefineConfig``'s default: full-batch, or mini-batch
+  with a seed-fixed permutation per epoch, which keeps trajectories reproducible.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 
 import numpy as np
@@ -49,11 +50,6 @@ class RefineConfig:
     max_steps: int = 10_000  # descent steps (mini-batch updates count individually)
     stop_loss: float = 1e-8
     timeout_s: float | None = 180.0
-    # override lr with 0.9 / lambda_max of the empirical kernel F^T F / 2n,
-    # F = g'(<w_k, x_i> + tau_k) at the starting shifts.  The loss is
-    # 0.5 * mean(r^2), so 1 / lambda_max is the 2/L edge of stability for
-    # the Gauss-Newton curvature L; 0.9 keeps the step strictly inside it.
-    lr_auto: bool = False
     method: str = "gd"
 
     def __post_init__(self):
@@ -66,6 +62,10 @@ class RefineConfig:
             raise ConfigError("n_train must be >= 1")
         if self.batch < 0:
             raise ConfigError("batch must be 0 (full) or positive")
+        if not (math.isfinite(self.stop_loss) and self.stop_loss >= 0):
+            raise ConfigError(f"stop_loss must be finite and >= 0, got {self.stop_loss}")
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ConfigError(f"timeout_s must be positive, got {self.timeout_s}")
 
 
 @dataclasses.dataclass
@@ -159,8 +159,8 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     block's product can round differently from one whole product at some
     shapes).  A mini-batch step gathers its batch from ``z`` by index, and
     an epoch's record evaluates the loss in row blocks; both are bit-equal
-    to per-batch gathers and a full-sample pass.  Full-batch steps and
-    ``lr_auto`` still form whole n_train x m arrays.
+    to per-batch gathers and a full-sample pass.  Full-batch steps and the
+    divergence diagnostic still form whole n_train x m arrays.
     """
     rng = np.random.default_rng(seed)
     act = student.act
@@ -177,12 +177,6 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
         return _gauss_newton(student, z, tau, ys, cfg)
 
     lr = cfg.lr
-    if cfg.lr_auto:
-        lmax = _kernel_lmax(act, z + tau)
-        if lmax > 0:
-            lr = 0.9 / lmax
-        logger.info("auto step size: lambda_max ~ %.4g -> lr = %.4g", lmax, lr)
-
     full_batch = cfg.batch == 0 or cfg.batch >= cfg.n_train
     records, rec_steps, losses = [], [], []
     best = np.inf
@@ -207,8 +201,9 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
         else:
             stall += 1
             if stall >= _DIVERGENCE_PATIENCE and j > 2.0 * best + 1e-300:
-                # diagnose the kernel at the starting shifts; the diverged
-                # iterate sits in activation saturation where it vanishes
+                # suggest 0.9 / lambda_max of the kernel at the starting shifts,
+                # inside GD's 2/L edge of stability; the diverged iterate sits
+                # in activation saturation where the kernel vanishes
                 lam = _kernel_lmax(act, z + records[0])
                 suggestion = 0.9 / lam if lam > 0 else None
                 raise DivergenceError(

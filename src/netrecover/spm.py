@@ -108,6 +108,8 @@ class SpmConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ConfigError("max_steps must be positive")
+        if self.max_restarts is not None and self.max_restarts < 1:
+            raise ConfigError(f"max_restarts must be >= 1, got {self.max_restarts}")
 
 
 @dataclasses.dataclass
@@ -227,15 +229,14 @@ def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.nd
 
 
 def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats: np.ndarray,
-                  tol: float = _CONV_TOL, record_objectives: bool = False):
+                  tol: float = _CONV_TOL):
     """Iterate :func:`_step` on a (D, R) batch of starting points, for at most ``max_steps``.
 
     ``mats`` is the stack that :func:`_step` ascends on: ``proj.matrices()``,
     or a deflated stack (:func:`_deflate`).  Each step runs the active
     columns ``_CHUNK`` at a time.  A column whose move falls to ``tol`` has
     converged and is frozen.  Returns ``(U, objectives, steps,
-    converged)``, the objectives on the full span, plus the per-step objective
-    trajectory when requested.
+    converged)``, the objectives on the full span.
     """
     u = np.array(u0, dtype=float)
     n_cols = u.shape[1]
@@ -243,9 +244,6 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
     steps = np.zeros(n_cols, dtype=int)
     converged = np.zeros(n_cols, dtype=bool)
     active = np.arange(n_cols)
-    history = [] if record_objectives else None
-    if record_objectives:
-        history.append(proj.objective_batch(u))
     for _ in range(cfg.max_steps):
         for lo in range(0, active.size, _CHUNK):
             cols = active[lo:lo + _CHUNK]
@@ -255,14 +253,9 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
         if np.any(done):
             converged[active[done]] = True
             active = active[~done]
-        if record_objectives:
-            history.append(proj.objective_batch(u))
         if active.size == 0:
             break
-    objectives = proj.objective_batch(u)
-    if record_objectives:
-        return u, objectives, steps, converged, np.asarray(history)
-    return u, objectives, steps, converged
+    return u, proj.objective_batch(u), steps, converged
 
 
 def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):

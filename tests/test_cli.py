@@ -296,9 +296,20 @@ class TestRefusedCells:
          "uniform shift range [nan, 0.5] must be finite"),
         (["--d", "10", "--m", "2", "--shift-law", "fixed:0.1,inf"],
          "fixed shifts (0.1, inf) must be finite"),
+        # budgets and stops that no stage can run with
+        (["--d", "10", "--beta", "1.5", "--n-h", "0"], "n_hessians must be >= 1, got 0"),
+        (["--d", "10", "--beta", "1.5", "--spm-restarts", "0"],
+         "max_restarts must be >= 1, got 0"),
+        (["--d", "10", "--beta", "1.5", "--timeout-s", "-1"],
+         "timeout_s must be positive, got -1.0"),
+        (["--d", "10", "--beta", "1.5", "--stop-loss", "nan"],
+         "stop_loss must be finite and >= 0, got nan"),
+        (["--d", "10", "--beta", "1.5", "--stop-loss", "-1"],
+         "stop_loss must be finite and >= 0, got -1.0"),
     ], ids=["D8-b2.2", "D10-b2.1", "n_h-equals-m", "fd-step", "n-eval", "shift-law",
             "sigmoid-shift-law", "gaussian-negative", "gaussian-nan", "uniform-reversed",
-            "uniform-nan", "fixed-inf"])
+            "uniform-nan", "fixed-inf", "n-h-zero", "spm-restarts-zero", "timeout-negative",
+            "stop-loss-nan", "stop-loss-negative"])
     def test_pipeline(self, tmp_path, argv, message, capsys):
         out = tmp_path / "run"
         assert cli.main(["pipeline", *argv, "--out-dir", str(out)]) == 2

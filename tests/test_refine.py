@@ -23,6 +23,19 @@ def grad_loss(student, xs, ys):
     return _grad(student.act.g1(pre), _residual(student.act, pre, ys))
 
 
+def kernel_step(student, n_train, seed):
+    """0.9 / lambda_max of the kernel F^T F / 2n at the student's shifts.
+
+    F = g'(<w_k, x_i> + tau_k) on the inputs refine(..., seed) draws, which
+    are those of default_rng(seed) when the sample fits in one row block.
+    The loss is 0.5 * mean(r^2), so 1 / lambda_max is the 2/L edge of
+    stability for the Gauss-Newton curvature L; 0.9 keeps the step inside it.
+    """
+    xs = np.random.default_rng(seed).standard_normal((n_train, student.dim))
+    f = student.act.g1(xs @ student.weights + student.shifts)
+    return 0.9 / np.linalg.eigvalsh((f.T @ f) / (2 * n_train))[-1]
+
+
 def shift_errors(res, tau_truth):
     """Distance of each recorded iterate to the true shifts."""
     return np.array([np.linalg.norm(t - tau_truth) for t in res.tau_path])
@@ -106,7 +119,7 @@ class TestGradLoss:
 class TestRefine:
     def test_geometric_convergence_with_auto_step(self):
         # exact weights, perturbed shifts: the idealized quadratic regime;
-        # the auto step size (0.9 / lambda_max) reaches 1e-6 well inside
+        # the kernel step size (0.9 / lambda_max) reaches 1e-6 well inside
         # the step budget in every seed
         hits = 0
         for seed in range(10):
@@ -116,8 +129,8 @@ class TestRefine:
             tau0 = np.clip(net.shifts + (0.1 / np.sqrt(12)) * d / np.linalg.norm(d),
                            -0.6, 0.6)
             student = StudentNetwork(net.weights.copy(), tau0, net.act)
-            cfg = RefineConfig(n_train=1200, lr=1e-3, batch=0, max_steps=10_000,
-                               stop_loss=0.0, timeout_s=None, lr_auto=True)
+            cfg = RefineConfig(n_train=1200, lr=kernel_step(student, 1200, seed),
+                               batch=0, max_steps=10_000, stop_loss=0.0, timeout_s=None)
             errs = shift_errors(refine(student, net, cfg, seed=seed), net.shifts)
             hits += errs[-1] <= 1e-6
             # geometric decrease while above the numerical floor
@@ -142,14 +155,11 @@ class TestRefine:
         # kernel F^T F / 2n; the loss is 0.5 * mean(r^2), so equality is the
         # 2/L edge of stability, where curvature growth along the path can
         # diverge.  refine(..., seed=4) draws the same 800 inputs as
-        # default_rng(4) here, so this is the kernel the descent sees.
+        # default_rng(4), so this is the kernel the descent sees.
         net = random_teacher(8, 6, seed=301)
         student = perturbed_student(net, 0.1, seed=3)
-        xs = np.random.default_rng(4).standard_normal((800, 8))
-        f = net.act.g1(xs @ student.weights + student.shifts)
-        lmax = np.linalg.eigvalsh((f.T @ f) / (2 * 800))[-1]
-        cfg = RefineConfig(n_train=800, lr=0.9 / lmax, batch=0, max_steps=500,
-                           stop_loss=0.0, timeout_s=None)
+        cfg = RefineConfig(n_train=800, lr=kernel_step(student, 800, seed=4), batch=0,
+                           max_steps=500, stop_loss=0.0, timeout_s=None)
         res = refine(student, net, cfg, seed=4)
         assert np.all(np.diff(res.losses) <= 1e-14)
 
@@ -162,8 +172,8 @@ class TestRefine:
         w /= np.linalg.norm(w, axis=0)
         tau0 = np.clip(net.shifts + 0.05 * rng.standard_normal(12), -0.6, 0.6)
         student = StudentNetwork(w, tau0, net.act)
-        cfg = RefineConfig(n_train=1200, lr=1e-3, batch=0, max_steps=5000,
-                           stop_loss=0.0, timeout_s=None, lr_auto=True)
+        cfg = RefineConfig(n_train=1200, lr=kernel_step(student, 1200, seed=6), batch=0,
+                           max_steps=5000, stop_loss=0.0, timeout_s=None)
         res = refine(student, net, cfg, seed=6)
         errs = shift_errors(res, net.shifts)
         assert res.losses[-1] > 1e-12
@@ -215,16 +225,16 @@ class TestRefine:
         refine(student, net, cfg, seed=15, audit_grad=True)
 
 
-# Fixed-seed refine runs, pinned value by value: full batch with the auto step
-# and with a fixed step, and mini-batch runs (600 samples, 10 batches of 64
-# per epoch) whose step budget ends on an epoch boundary and mid-epoch.
-# Each entry: teacher (D, m, seed), config, student seed s (refine runs with
-# seed s + 100), then steps, lr, record_steps tail, losses at (0, 1, middle,
-# last) and the last tau_path row.
+# Fixed-seed refine runs, pinned value by value: full batch with the kernel
+# step (lr None: kernel_step at the starting shifts) and with a fixed step, and
+# mini-batch runs (600 samples, 10 batches of 64 per epoch) whose step budget
+# ends on an epoch boundary and mid-epoch.  Each entry: teacher (D, m, seed),
+# config, student seed s (refine runs with seed s + 100), then steps, lr,
+# record_steps tail, losses at (0, 1, middle, last) and the last tau_path row.
 _PINNED_RUNS = {
     "full_batch_lr_auto": (
         (10, 12, 200),
-        dict(n_train=1200, batch=0, max_steps=200, lr_auto=True), 20,
+        dict(n_train=1200, lr=None, batch=0, max_steps=200), 20,
         200, 0.4130537806084651, [198, 199, 200],
         [0.003455475036691763, 0.0030345012887770923, 2.3451554756444147e-05,
          1.6130168644768537e-06],
@@ -270,6 +280,8 @@ def test_pinned_trajectory(name):
     teacher, kw, seed, steps, lr, rec_tail, losses, tau_last = _PINNED_RUNS[name]
     net = random_teacher(*teacher)
     student = perturbed_student(net, 0.1, seed=seed)
+    if kw["lr"] is None:
+        kw = dict(kw, lr=kernel_step(student, kw["n_train"], seed + 100))
     cfg = RefineConfig(stop_loss=0.0, timeout_s=None, **kw)
     res = refine(student, net, cfg, seed=seed + 100)
     assert res.steps == steps

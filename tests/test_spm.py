@@ -103,16 +103,23 @@ class TestAscend:
         assert np.linalg.norm(u - w[:, 0]) < 1e-12
 
     def test_monotone_objective_trajectories(self):
-        # ascent property at the default step size, per trajectory
+        # ascent property at the default step size, per trajectory: F after
+        # each step of a single column, stepped until it converges
         for trial in range(20):
             net = random_teacher(8, 6, seed=900 + trial)
             proj = exact_projector(net.weights)
+            mats = proj.matrices()
             rng = np.random.default_rng(trial)
-            u0 = rng.standard_normal((8, 1))
-            u0 /= np.linalg.norm(u0)
-            _, _, _, _, history = _ascend_batch(proj, u0, SpmConfig(), proj.matrices(),
-                                                record_objectives=True)
-            assert np.all(np.diff(history[:, 0]) >= -1e-12)
+            u = rng.standard_normal((8, 1))
+            u /= np.linalg.norm(u)
+            track = np.array([[np.inf], [spm._NEWTON_MOVE]])
+            history = [objective(proj, u[:, 0])]
+            for _ in range(SpmConfig().max_steps):
+                u, track = spm._step(proj, mats, u, track)
+                history.append(objective(proj, u[:, 0]))
+                if track[0, 0] <= spm._CONV_TOL:
+                    break
+            assert np.all(np.diff(history) >= -1e-12)
 
     def test_leaves_a_saddle_for_a_maximum(self):
         # for orthonormal w1, w2, (w1 + w2) / sqrt(2) is a saddle of objective
@@ -310,8 +317,8 @@ class TestExactModeIdentification:
         hits = 0
         for seed in range(10):
             net = random_teacher(dim, m, seed=700 + seed)
-            cols, _, _ = build_hessian_matrix(net, 2 * m, None,
-                                              seed=800 + seed, exact=True)
+            cols, _ = build_hessian_matrix(net, 2 * m, None,
+                                           seed=800 + seed, exact=True)
             proj = top_m_projector(cols, m)
             try:
                 w_hat, _ = collect_weights(proj, m, SpmConfig(), seed=seed)
@@ -353,21 +360,21 @@ def _exact_case():
 
 def _sampled_case():
     net = random_teacher(15, 30, seed=700)
-    cols, _, _ = build_hessian_matrix(net, 60, None, seed=800, exact=True)
+    cols, _ = build_hessian_matrix(net, 60, None, seed=800, exact=True)
     return top_m_projector(cols, 30), 30, 0
 
 
 def _wide_case():
     # m = 40 at D = 10 (the identifiability bound is 45), exact Hessians
     net = random_teacher(10, 40, seed=700)
-    cols, _, _ = build_hessian_matrix(net, 80, None, seed=800, exact=True)
+    cols, _ = build_hessian_matrix(net, 80, None, seed=800, exact=True)
     return top_m_projector(cols, 40), net.weights, 0
 
 
 def _two_chunk_case(dim=20, m=60):
     # the first placed batch is min(_BATCH, m) wide, so m > _CHUNK steps it in two chunks
     net = random_teacher(dim, m, seed=700)
-    cols, _, _ = build_hessian_matrix(net, 2 * m, None, seed=800, exact=True)
+    cols, _ = build_hessian_matrix(net, 2 * m, None, seed=800, exact=True)
     return top_m_projector(cols, m), m, 0
 
 
