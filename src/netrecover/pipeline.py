@@ -98,7 +98,7 @@ class PipelineConfig:
     beta_order: float | None = None
     activation: str = "tanh"
     shift_law: object = UniformShifts(-0.5, 0.5)
-    fd_step: float = 0.01
+    fd_step: float = FDConfig.step_h    # the balanced step; see FDConfig
     exact_derivatives: bool = False
     n_hessians: int | None = None
     spm: SpmConfig = dataclasses.field(default_factory=SpmConfig)

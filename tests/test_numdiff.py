@@ -22,7 +22,7 @@ class TestConfig:
             FDConfig(step_h=1e-9)
         with pytest.raises(ConfigError):
             FDConfig(step_h=2.0)
-        assert FDConfig().step_h == 0.01
+        assert FDConfig().step_h == 1e-3
 
 
 class TestHessian:
@@ -240,7 +240,7 @@ class TestDirectional:
         net = random_teacher(5, 3, seed=21)
         u = random_unit_columns(5, 4, seed=22)
         x = np.random.default_rng(23).standard_normal(5)
-        cfg = FDConfig()
+        cfg = FDConfig(step_h=0.01)
         rows = []
         net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
         batch = fd_directional(net.eval_batch, x, u, n, cfg)

@@ -18,7 +18,8 @@ from netrecover import (ConfigError, PipelineConfig, StageError, UniformShifts,
 from netrecover.pipeline import RESULT_COLUMNS
 
 # D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv at
-# the paper's Hessian budget, ceil(13 log 10) = 30 anchors (--n-h 30)
+# h = 0.01 and the paper's Hessian budget, ceil(13 log 10) = 30 anchors
+# (--fd-step 0.01 --n-h 30)
 EXACT_COLUMNS = {
     "mode": "pipeline", "D": "10", "beta": "1.5", "m": "13", "seed": "7",
     "exact_mode": "0", "spm_processed": "22", "spm_accepted": "13",
@@ -44,10 +45,9 @@ FLOAT_COLUMNS = {
     "final_loss": 2.1204205150775226e-10,
     "query_ceiling_ratio": 0.035265703198408646,
 }
-# the same run at the default budget, ceil(1.5 * 13) = 20 anchors: the columns
-# that the budget moves
-DEFAULT_EXACT_COLUMNS = {**EXACT_COLUMNS, "q_hessians": "2220", "q_algorithm": "2811"}
-DEFAULT_FLOAT_COLUMNS = {
+# the same run at ceil(1.5 * 13) = 20 anchors: the columns that the budget moves
+COARSE_EXACT_COLUMNS = {**EXACT_COLUMNS, "q_hessians": "2220", "q_algorithm": "2811"}
+COARSE_FLOAT_COLUMNS = {
     **FLOAT_COLUMNS,
     "e_inf": 8.77591582045726e-06,
     "max_weight_err": 1.505904129386483e-05,
@@ -62,6 +62,25 @@ DEFAULT_FLOAT_COLUMNS = {
     "final_loss": 2.420469250766957e-10,
     "query_ceiling_ratio": 0.025282298314390897,
 }
+# the same run at the default step, h = 1e-3 (20 anchors): the columns that
+# the step moves
+DEFAULT_EXACT_COLUMNS = {**COARSE_EXACT_COLUMNS, "refine_steps": "1"}
+DEFAULT_FLOAT_COLUMNS = {
+    **COARSE_FLOAT_COLUMNS,
+    "fd_step": 0.001,
+    "e_inf": 8.754681174876895e-08,
+    "max_weight_err": 1.5042337676437154e-07,
+    "shift_rms": 8.414163082632766e-08,
+    "init_shift_rms": 3.5990770626032476e-07,
+    "delta_w1": 3.829521203305534e-06,
+    "delta_wo": 3.9490270795899514e-13,
+    "delta_ws": 3.7064811827208414e-07,
+    "init_shift_bound": 3.3071493059833566e-06,
+    "eps_hat": 2.1243512268384612e-07,
+    "cond_g2": 5.757373066345696,
+    "cond_g3": 3.0037188771182244,
+    "final_loss": 2.416184862936315e-14,
+}
 REL_TOL = 1e-9
 
 STAGE_NAMES = ("teacher", "hessians", "projector", "spm", "init", "refine", "score")
@@ -75,14 +94,15 @@ def read_csv(path):
 @pytest.fixture(scope="class")
 def d10_run(request, tmp_path_factory):
     out = tmp_path_factory.mktemp("d10")
-    res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7,
+    res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, fd_step=request.cls.fd_step,
                                       n_hessians=request.cls.n_hessians, out_dir=out))
     return res, out
 
 
 class TestFixedSeedRun:
-    """The pinned run at the default Hessian budget."""
+    """The pinned run at the default step and Hessian budget."""
 
+    fd_step = PipelineConfig.fd_step
     n_hessians = None
     n_columns = 20
     exact_columns = DEFAULT_EXACT_COLUMNS
@@ -143,10 +163,21 @@ class TestFixedSeedRun:
             assert f"  {name} " in text
 
 
-class TestPaperBudgetRun(TestFixedSeedRun):
-    """The same run at the paper's budget reproduces the pins from before the
-    default moved, so the default budget is the only thing that changed."""
+class TestCoarseStepRun(TestFixedSeedRun):
+    """The same run at h = 0.01 and 20 anchors, the defaults before the step
+    moved, reproduces the pins from then, so only the defaults changed."""
 
+    fd_step = 0.01
+    n_hessians = 20
+    exact_columns = COARSE_EXACT_COLUMNS
+    float_columns = COARSE_FLOAT_COLUMNS
+
+
+class TestPaperBudgetRun(TestFixedSeedRun):
+    """The same run at h = 0.01 and the paper's budget reproduces the pins
+    from before the default budget moved."""
+
+    fd_step = 0.01
     n_hessians = 30
     n_columns = 30
     exact_columns = EXACT_COLUMNS
