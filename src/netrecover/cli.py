@@ -70,10 +70,11 @@ _FLAGS = {
     "--beta": dict(type=float, dest="beta_order"),
     "--activation": dict(choices=["tanh", "sigmoid"]),
     "--shift-law": dict(help="uniform:a,b | gaussian:sigma | fixed:v1,v2,..."),
-    "--fd-step": dict(type=float),
+    "--fd-step": dict(type=float, help="finite-difference step of the Hessians and the "
+                      f"init stencils; default {PipelineConfig.fd_step:g}"),
     "--exact-derivatives": dict(action="store_true"),
     "--n-h": dict(type=int, dest="n_hessians",
-                  help="Hessian anchors; default ceil(1.5 m), the paper's is ceil(m log D)"),
+                  help="Hessian anchors; default ceil(1.25 m), the paper's is ceil(m log D)"),
     "--n-eval": dict(type=int),
     "--seed": dict(type=int),
     "--out-dir": dict(),

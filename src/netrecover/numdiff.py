@@ -40,7 +40,7 @@ class FDConfig:
     # and by rounding, about eps |f| / h^2; the two balance near h = 1e-3
     # (Nocedal & Wright, Numerical Optimization, 8.1).  At 0.01 truncation
     # dominates and every error below falls as h^2 down to 1e-3.  Pipeline
-    # max_weight_err at the default budget, tanh unless named:
+    # max_weight_err at ceil(1.5 m) Hessian anchors, tanh unless named:
     #   cell                   h = 0.01   3e-3      1e-3      3e-4
     #   D=40 beta=1.5 s1       7.40e-6    6.67e-7   7.81e-8   8.54e-8
     #   D=20 beta=2.0 s1       2.41e-5    2.17e-6   2.40e-7   2.24e-7

@@ -62,24 +62,25 @@ COARSE_FLOAT_COLUMNS = {
     "final_loss": 2.420469250766957e-10,
     "query_ceiling_ratio": 0.025282298314390897,
 }
-# the same run at the default step, h = 1e-3 (20 anchors): the columns that
-# the step moves
-DEFAULT_EXACT_COLUMNS = {**COARSE_EXACT_COLUMNS, "refine_steps": "1"}
+# the same run at the defaults, h = 1e-3 and ceil(1.25 * 13) = 17 anchors:
+# the columns that the step and the budget move
+DEFAULT_EXACT_COLUMNS = {**COARSE_EXACT_COLUMNS, "q_hessians": "1887", "q_algorithm": "2478"}
 DEFAULT_FLOAT_COLUMNS = {
     **COARSE_FLOAT_COLUMNS,
     "fd_step": 0.001,
-    "e_inf": 8.754681174876895e-08,
-    "max_weight_err": 1.5042337676437154e-07,
-    "shift_rms": 8.414163082632766e-08,
-    "init_shift_rms": 3.5990770626032476e-07,
-    "delta_w1": 3.829521203305534e-06,
-    "delta_wo": 3.9490270795899514e-13,
-    "delta_ws": 3.7064811827208414e-07,
-    "init_shift_bound": 3.3071493059833566e-06,
+    "e_inf": 1.057888232057171e-07,
+    "max_weight_err": 2.175571809232904e-07,
+    "shift_rms": 8.036903903665102e-08,
+    "init_shift_rms": 3.5775954415072796e-07,
+    "delta_w1": 4.4904729080900515e-06,
+    "delta_wo": 5.215030003423766e-13,
+    "delta_ws": 4.3514711152169604e-07,
+    "init_shift_bound": 4.4412859477234645e-06,
     "eps_hat": 2.1243512268384612e-07,
-    "cond_g2": 5.757373066345696,
-    "cond_g3": 3.0037188771182244,
-    "final_loss": 2.416184862936315e-14,
+    "cond_g2": 5.7573727103755825,
+    "cond_g3": 3.003718682060251,
+    "final_loss": 3.737760620802744e-14,
+    "query_ceiling_ratio": 0.02228727684918557,
 }
 REL_TOL = 1e-9
 
@@ -104,7 +105,7 @@ class TestFixedSeedRun:
 
     fd_step = PipelineConfig.fd_step
     n_hessians = None
-    n_columns = 20
+    n_columns = 17
     exact_columns = DEFAULT_EXACT_COLUMNS
     float_columns = DEFAULT_FLOAT_COLUMNS
 
@@ -164,11 +165,13 @@ class TestFixedSeedRun:
 
 
 class TestCoarseStepRun(TestFixedSeedRun):
-    """The same run at h = 0.01 and 20 anchors, the defaults before the step
-    moved, reproduces the pins from then, so only the defaults changed."""
+    """The same run at h = 0.01 and ceil(1.5 * 13) = 20 anchors, the defaults
+    before the balanced step and the ceil(1.25 m) budget, reproduces the pins
+    from then, so only the defaults changed."""
 
     fd_step = 0.01
     n_hessians = 20
+    n_columns = 20
     exact_columns = COARSE_EXACT_COLUMNS
     float_columns = COARSE_FLOAT_COLUMNS
 
@@ -271,7 +274,7 @@ class TestRefineConfig:
         (30, 183, 623),     # ceil(183 log 30)
         (10, 13, 512),      # ceil(13 log 10) = 30, raised to the floor
         (2, 1, 512),
-        # ceil(m log D), not the Hessian budget ceil(1.5 m) (153 and 431)
+        # ceil(m log D), not the Hessian budget ceil(1.25 m) (128 and 359)
         (40, 102, 512),
         (80, 287, 1258),
     ])

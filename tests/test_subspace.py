@@ -128,9 +128,9 @@ class TestBuildHessianMatrix:
 
     def test_default_budget_formula(self):
         from netrecover import default_n_hessians
-        assert default_n_hessians(36) == 54
+        assert default_n_hessians(36) == 45
         assert default_n_hessians(1) == 2
-        assert default_n_hessians(5) == 8
+        assert default_n_hessians(5) == 7
         # at least m + 1, so that sigma_{m+1} exists
         assert all(default_n_hessians(m) >= m + 1 for m in range(1, 2001))
 
