@@ -76,7 +76,6 @@ class RefineResult:
     losses: np.ndarray          # full-sample loss at each record
     steps: int
     stop_reason: str
-    lr: float
 
 
 def _residual(act, pre, ys) -> np.ndarray:
@@ -252,7 +251,6 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
         losses=np.array(losses),
         steps=step,
         stop_reason=stop_reason,
-        lr=lr,
     )
 
 
@@ -311,7 +309,6 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig) -> Ref
         losses=np.array(losses),
         steps=steps,
         stop_reason=stop_reason,
-        lr=1.0,  # full Gauss-Newton steps
     )
 
 

@@ -286,7 +286,7 @@ def test_pinned_trajectory(name):
     res = refine(student, net, cfg, seed=seed + 100)
     assert res.steps == steps
     assert res.stop_reason == "max_steps"
-    assert res.lr == pytest.approx(lr, rel=1e-9)
+    assert cfg.lr == pytest.approx(lr, rel=1e-9)
     # one record before the first step, then one per full-batch step or
     # per epoch, and a last one where the step budget runs out
     per_pass = 1 if kw["batch"] == 0 else -(-kw["n_train"] // kw["batch"])
