@@ -39,14 +39,14 @@ class FDConfig:
     # The Hessian's central stencil errs by truncation, about h^2 g''''/12,
     # and by rounding, about eps |f| / h^2; the two balance near h = 1e-3
     # (Nocedal & Wright, Numerical Optimization, 8.1).  At 0.01 truncation
-    # dominates and every error below falls as h^2 down to 1e-3.  Pipeline
-    # max_weight_err at ceil(1.5 m) Hessian anchors, tanh unless named:
-    #   cell                   h = 0.01   3e-3      1e-3      3e-4
-    #   D=40 beta=1.5 s1       7.40e-6    6.67e-7   7.81e-8   8.54e-8
-    #   D=20 beta=2.0 s1       2.41e-5    2.17e-6   2.40e-7   2.24e-7
-    #   D=10 beta=2.0 s3       9.24e-5    8.31e-6   9.15e-7   2.44e-7
-    #   D=80 beta=1.5 s1       4.98e-6              4.75e-8
-    #   D=40 beta=1.5 s2 sigm  2.76e-6              7.41e-7
+    # dominates, and the pipeline's errors fall as h^2 down to 1e-3.
+    # max_weight_err at ceil(1.5 m) Hessian anchors:
+    #   cell                      h = 0.01   3e-3      1e-3      3e-4
+    #   D=40 beta=1.5 s1          7.40e-6    6.67e-7   7.81e-8   8.54e-8
+    #   D=20 beta=2.0 s1          2.41e-5    2.17e-6   2.40e-7   2.24e-7
+    #   D=10 beta=2.0 s3          9.24e-5    8.31e-6   9.15e-7   2.44e-7
+    #   D=80 beta=1.5 s1          4.98e-6              4.75e-8
+    #   D=40 beta=1.5 s2 sigmoid  2.76e-6              7.41e-7
     # At 3e-4 the D=40 Hessian error stops falling (eps_hat 9.6e-8 at 1e-3,
     # 1.29e-7 at 3e-4): rounding takes over.  One constant holds on every
     # cell measured, so the step is not derived per run.

@@ -83,18 +83,18 @@ def neuron_count(dim: int, beta_order: float) -> int:
 def default_n_hessians(m: int) -> int:
     """Default Hessian-anchor budget ceil(1.25 m): >= m + 1, so sigma_{m+1} exists.
 
-    The paper's ceil(m log D) buys little: at h = 0.01, beta = 1.5 seed 1
-    ``max_weight_err`` against ceil(1.5 m) is 6.8e-6 -> 7.4e-6 at D = 40,
-    4.53e-6 -> 4.98e-6 at D = 80, 4.27e-6 -> 4.22e-6 at D = 100.  At the
-    default step h = 1e-3 it is, tanh unless named:
+    The paper's ceil(m log D) buys little: at h = 0.01, beta = 1.5, seed 1,
+    ``max_weight_err`` was 6.8e-6 against 7.4e-6 at ceil(1.5 m) for D = 40,
+    4.53e-6 against 4.98e-6 for D = 80 and 4.27e-6 against 4.22e-6 for D = 100.
+    At the default step h = 1e-3 it is:
 
-        cell                   m + 1     ceil(1.25 m)   ceil(1.5 m), h = 0.01
-        D=40 beta=1.5 s1       2.5e-7    8.1e-8         7.4e-6
-        D=80 beta=1.5 s1       3.5e-7    4.8e-8         5.0e-6
-        D=20 beta=2.0 s1       3.3e-6    2.7e-7         2.4e-5
-        D=10 beta=2.0 s3       1.4e-5    1.3e-6         9.2e-5
-        D=40 beta=1.5 s1 sigm  5.9e-6    9.5e-7         3.0e-6
-        D=40 beta=1.5 s2 sigm  2.9e-6    8.7e-7         2.8e-6
+        cell                      m + 1     ceil(1.25 m)   ceil(1.5 m), h = 0.01
+        D=40 beta=1.5 s1          2.5e-7    8.1e-8         7.4e-6
+        D=80 beta=1.5 s1          3.5e-7    4.8e-8         5.0e-6
+        D=20 beta=2.0 s1          3.3e-6    2.7e-7         2.4e-5
+        D=10 beta=2.0 s3          1.4e-5    1.3e-6         9.2e-5
+        D=40 beta=1.5 s1 sigmoid  5.9e-6    9.5e-7         3.0e-6
+        D=40 beta=1.5 s2 sigmoid  2.9e-6    8.7e-7         2.8e-6
 
     m + 1 would take a third fewer Hessian queries than ceil(1.5 m), but it
     leaves the sigmoid cells worse than the former default; ceil(1.25 m)
