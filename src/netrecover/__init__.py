@@ -16,7 +16,7 @@ from .exceptions import (ConfigError, DivergenceError, FDEvaluationError,
                          IllConditionedError, IncompleteRecoveryError,
                          RecoveryError, StageError, SubspaceDeficientError)
 from .fileio import load_teacher, save_teacher
-from .numdiff import FDConfig, at_stencil_points, fd_directional, fd_hessian
+from .numdiff import at_stencil_points, fd_directional, fd_hessian
 from .pipeline import (ExperimentResult, PipelineConfig, child_seed,
                        default_n_hessians, neuron_count, run_pipeline,
                        run_scaling_study)

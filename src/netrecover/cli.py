@@ -72,7 +72,9 @@ _FLAGS = {
     "--shift-law": dict(help="uniform:a,b | gaussian:sigma | fixed:v1,v2,..."),
     "--fd-step": dict(type=float, help="finite-difference step of the Hessians and the "
                       f"init stencils; default {PipelineConfig.fd_step:g}"),
-    "--exact-derivatives": dict(action="store_true"),
+    "--exact-derivatives": dict(action="store_true", help="Hessians and directional "
+                                "derivatives from the analytic oracle (no queries); "
+                                "--fd-step is then unused"),
     "--n-h": dict(type=int, dest="n_hessians",
                   help="Hessian anchors; default ceil(1.25 m), the paper's is ceil(m log D)"),
     "--n-eval": dict(type=int),

@@ -101,7 +101,7 @@ def estimate_alpha(net: TeacherNetwork, n_mc: int, seed: int = 0) -> float:
     """
     if n_mc < net.n_neurons:
         raise ConfigError(f"need n_mc >= m = {net.n_neurons}, got {n_mc}")
-    cols, _ = build_hessian_matrix(net, n_mc, None, seed, exact=True)
+    cols, _ = build_hessian_matrix(net, n_mc, None, seed)
     svals = np.linalg.svd(cols, compute_uv=False)
     if svals.size < net.n_neurons:
         return 0.0
@@ -161,11 +161,14 @@ def kernel_floor_omega(act: Activation) -> OmegaResult:
 
     Computes ``0.5 * min_tau sum_{r=4}^{R} mu_r(g'(. + tau))^2``, R =
     ``_OMEGA_R_MAX``, over ``_OMEGA_TAU_GRID`` evenly spaced shifts in
-    ``[-tau_inf, tau_inf]``.  The truncation tail is bounded through the
-    derivative ladder: ``mu_r(g') = mu_{r-2}(g''') / sqrt(r (r-1))``, so the
-    tail is at most ``E[g'''^2] / (R (R + 1))``.
+    ``[-tau_inf, tau_inf]``.  g' is even for both activations, so the energy
+    is even in tau and only the grid's nonnegative half is scanned: over the
+    whole grid the mirror shifts would tie, and rounding would pick the
+    argmin's sign.  The truncation tail is bounded through the derivative
+    ladder: ``mu_r(g') = mu_{r-2}(g''') / sqrt(r (r-1))``, so the tail is at
+    most ``E[g'''^2] / (R (R + 1))``.
     """
-    taus = np.linspace(-act.tau_inf, act.tau_inf, _OMEGA_TAU_GRID)
+    taus = np.linspace(-act.tau_inf, act.tau_inf, _OMEGA_TAU_GRID)[_OMEGA_TAU_GRID // 2:]
     best, best_tau = np.inf, 0.0
     for tau in taus:
         mu = hermite_coeffs(lambda y: act.g1(y + tau), _OMEGA_R_MAX)

@@ -21,40 +21,13 @@ counts them.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
 
 from .exceptions import ConfigError, FDEvaluationError
 
-__all__ = ["FDConfig", "fd_hessian", "fd_directional", "hessian_stencil",
-           "at_stencil_points"]
-
-
-@dataclasses.dataclass(frozen=True)
-class FDConfig:
-    """Stencil spacing for the finite-difference operators."""
-
-    # The Hessian's central stencil errs by truncation, about h^2 g''''/12,
-    # and by rounding, about eps |f| / h^2; the two balance near h = 1e-3
-    # (Nocedal & Wright, Numerical Optimization, 8.1).  At 0.01 truncation
-    # dominates, and the pipeline's errors fall as h^2 down to 1e-3.
-    # max_weight_err at ceil(1.5 m) Hessian anchors:
-    #   cell                      h = 0.01   3e-3      1e-3      3e-4
-    #   D=40 beta=1.5 s1          7.40e-6    6.67e-7   7.81e-8   8.54e-8
-    #   D=20 beta=2.0 s1          2.41e-5    2.17e-6   2.40e-7   2.24e-7
-    #   D=10 beta=2.0 s3          9.24e-5    8.31e-6   9.15e-7   2.44e-7
-    #   D=80 beta=1.5 s1          4.98e-6              4.75e-8
-    #   D=40 beta=1.5 s2 sigmoid  2.76e-6              7.41e-7
-    # At 3e-4 the D=40 Hessian error stops falling (eps_hat 9.6e-8 at 1e-3,
-    # 1.29e-7 at 3e-4): rounding takes over.  One constant holds on every
-    # cell measured, so the step is not derived per run.
-    step_h: float = 1e-3
-
-    def __post_init__(self):
-        if not (1e-8 <= self.step_h <= 1.0):
-            raise ConfigError(f"step_h must lie in [1e-8, 1], got {self.step_h}")
+__all__ = ["fd_hessian", "fd_directional", "hessian_stencil", "at_stencil_points"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,7 +90,7 @@ def _finite(vals, point_at) -> np.ndarray:
     return vals
 
 
-def fd_hessian(f, x, cfg: FDConfig) -> np.ndarray:
+def fd_hessian(f, x, h: float) -> np.ndarray:
     """Central-difference Hessian from a stencil function, symmetric by construction.
 
     ``f(x, h)`` returns the values at the rows of :func:`hessian_stencil`
@@ -128,7 +101,6 @@ def fd_hessian(f, x, cfg: FDConfig) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    h = cfg.step_h
     iu, ju = _pairs(d)
     vals = _finite(f(x, h), lambda r: _stencil_points(x, h)[r])
 
@@ -144,8 +116,8 @@ def fd_hessian(f, x, cfg: FDConfig) -> np.ndarray:
     return hess
 
 
-def fd_directional(f, x, u, n: int, cfg: FDConfig):
-    """Order-n (n = 1, 2, 3) derivative of t -> f(x + t u) at t = 0.
+def fd_directional(f, x, u, n: int, h: float):
+    """Order-n (n = 1, 2, 3) derivative of t -> f(x + t u) at t = 0, at step h.
 
     f is a batch function of the stencil points.  ``u`` is one unit direction
     (D,), which gives a float, or a (D, k) batch of unit columns, which gives
@@ -160,7 +132,6 @@ def fd_directional(f, x, u, n: int, cfg: FDConfig):
     worst = float(nrm[np.argmax(np.abs(nrm - 1.0))])
     if abs(worst - 1.0) > 1e-8:
         raise ConfigError(f"direction must have unit norm, got ||u|| = {worst!r}")
-    h = cfg.step_h
     ut = np.atleast_2d(u.T)  # one direction per row
     if n == 1:
         v = _evaluate(f, [x + h * ut, x - h * ut])

@@ -33,7 +33,6 @@ from .diagnostics import (Metrics, init_shift_error_bound, match_and_score,
                           match_weights)
 from .exceptions import ConfigError, StageError
 from .fileio import save_teacher
-from .numdiff import FDConfig
 from .refine import RefineConfig, refine
 from .shift_init import init_signs_shifts
 from .spm import SpmConfig, collect_weights
@@ -112,7 +111,21 @@ class PipelineConfig:
     beta_order: float | None = None
     activation: str = "tanh"
     shift_law: object = UniformShifts(-0.5, 0.5)
-    fd_step: float = FDConfig.step_h    # the balanced step; see FDConfig
+    # The Hessian's central stencil errs by truncation, about h^2 g''''/12,
+    # and by rounding, about eps |f| / h^2; the two balance near h = 1e-3
+    # (Nocedal & Wright, Numerical Optimization, 8.1).  At 0.01 truncation
+    # dominates, and the pipeline's errors fall as h^2 down to 1e-3.
+    # max_weight_err at ceil(1.5 m) Hessian anchors:
+    #   cell                      h = 0.01   3e-3      1e-3      3e-4
+    #   D=40 beta=1.5 s1          7.40e-6    6.67e-7   7.81e-8   8.54e-8
+    #   D=20 beta=2.0 s1          2.41e-5    2.17e-6   2.40e-7   2.24e-7
+    #   D=10 beta=2.0 s3          9.24e-5    8.31e-6   9.15e-7   2.44e-7
+    #   D=80 beta=1.5 s1          4.98e-6              4.75e-8
+    #   D=40 beta=1.5 s2 sigmoid  2.76e-6              7.41e-7
+    # At 3e-4 the D=40 Hessian error stops falling (eps_hat 9.6e-8 at 1e-3,
+    # 1.29e-7 at 3e-4): rounding takes over.  One constant holds on every
+    # cell measured, so the step is not derived per run.
+    fd_step: float = 1e-3
     exact_derivatives: bool = False
     n_hessians: int | None = None
     spm: SpmConfig = dataclasses.field(default_factory=SpmConfig)
@@ -149,10 +162,15 @@ class PipelineConfig:
         if self.n_eval < 1:
             raise ConfigError(f"n_eval must be >= 1, got {self.n_eval}")
         # a bad step, shift law or refine setting fails here, before the first stage runs
-        FDConfig(step_h=self.fd_step)
+        if not 1e-8 <= self.fd_step <= 1.0:
+            raise ConfigError(f"fd_step must lie in [1e-8, 1], got {self.fd_step}")
         self.shift_law.sample(m, make_activation(self.activation).tau_inf,
                               np.random.default_rng(0))
         self.refine_config(m)
+
+    def derivative_step(self) -> float | None:
+        """The derivative stages' step: ``fd_step``, or None for the analytic oracle."""
+        return None if self.exact_derivatives else self.fd_step
 
     def refine_config(self, m: int) -> RefineConfig:
         """The refine stage's settings: Gauss-Newton on ``n_train`` inputs.
@@ -190,15 +208,13 @@ def hessian_stage(cfg: PipelineConfig, net):
     """Half-vectorized Hessian columns and the measured FD accuracy ``eps_hat``.
 
     ``eps_hat`` is the largest entrywise deviation from the analytic oracle
-    over the first few anchors (0 in exact mode).
+    over the first few anchors (0 with ``h=None``, which reads that oracle).
     """
     n_h = default_n_hessians(cfg.resolved_m()) if cfg.n_hessians is None else cfg.n_hessians
-    cols, anchors = build_hessian_matrix(
-        net, n_h, FDConfig(step_h=cfg.fd_step), child_seed(cfg.seed, "hessians"),
-        exact=cfg.exact_derivatives,
-    )
+    h = cfg.derivative_step()
+    cols, anchors = build_hessian_matrix(net, n_h, h, child_seed(cfg.seed, "hessians"))
     eps_hat = 0.0
-    if not cfg.exact_derivatives:
+    if h is not None:
         for i in range(min(3, n_h)):
             dev = unhvec(cols[:, i], cfg.dim) - net.analytic_hessian(anchors[i])
             eps_hat = max(eps_hat, float(np.max(np.abs(dev))))
@@ -225,8 +241,7 @@ def spm_stage(cfg: PipelineConfig, proj, path=None):
 
 def init_stage(cfg: PipelineConfig, net, w_hat, path=None):
     """Signs and initial shifts from directional derivatives at the origin."""
-    res = init_signs_shifts(net, w_hat, net.act, FDConfig(step_h=cfg.fd_step),
-                            exact=cfg.exact_derivatives)
+    res = init_signs_shifts(net, w_hat, cfg.derivative_step())
     if path is not None:
         fileio.save_init_result(res, path)
     return res

@@ -16,9 +16,9 @@ import logging
 
 import numpy as np
 
-from .activations import Activation, invert_g2
+from .activations import invert_g2
 from .exceptions import ConfigError, IllConditionedError
-from .numdiff import FDConfig, fd_directional
+from .numdiff import fd_directional
 
 __all__ = ["InitResult", "gram_power", "directional_derivs_at_zero", "init_signs_shifts"]
 
@@ -48,22 +48,21 @@ def gram_power(w_hat: np.ndarray, n: int) -> np.ndarray:
     return (w_hat.T @ w_hat) ** n
 
 
-def directional_derivs_at_zero(net, w_hat: np.ndarray, n: int, cfg: FDConfig | None,
-                               exact: bool = False) -> np.ndarray:
+def directional_derivs_at_zero(net, w_hat: np.ndarray, n: int, h: float | None) -> np.ndarray:
     """Order-n derivative of the network along each column, at the origin.
 
-    Finite differences cost 2 queries per column plus one at the origin for
-    n = 2 and 4 per column for n = 3, all in one batch call of the network;
-    ``exact=True`` uses the network's analytic oracle instead.
+    Finite differences of step ``h`` cost 2 queries per column plus one at
+    the origin for n = 2 and 4 per column for n = 3, all in one batch call of
+    the network; ``h=None`` uses the network's analytic oracle instead.
     """
     w_hat = np.asarray(w_hat, dtype=float)
     norms = np.linalg.norm(w_hat, axis=0)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ConfigError("weight estimates must have unit columns")
-    if exact:
+    if h is None:
         return np.array([net.directional_deriv_exact(w_hat[:, k], n)
                          for k in range(w_hat.shape[1])])
-    return fd_directional(net.eval_batch, np.zeros(net.dim), w_hat, n, cfg)
+    return fd_directional(net.eval_batch, np.zeros(net.dim), w_hat, n, h)
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray, label: str):
@@ -93,9 +92,12 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, label: str):
     return sol, cond
 
 
-def init_signs_shifts(net, w_hat: np.ndarray, act: Activation,
-                      cfg: FDConfig | None, exact: bool = False) -> InitResult:
+def init_signs_shifts(net, w_hat: np.ndarray, h: float | None) -> InitResult:
     """Run the full initialization: Gram solves, g'' inversion, sign rule.
+
+    The derivatives are finite differences of step ``h``, or the analytic
+    oracle's for ``h=None`` (:func:`directional_derivs_at_zero`); g is the
+    network's own activation ``net.act``.
 
     Signs come from ``sign(c3_k * g'''(0))``.  As c3_k = s_k^3 g'''(tau_k),
     and g'''(tau_k) has the sign of g'''(0) on the shift interval (which is
@@ -103,14 +105,14 @@ def init_signs_shifts(net, w_hat: np.ndarray, act: Activation,
     is exactly zero leaves its sign undetermined: it is counted in
     ``n_undetermined`` and defaults to +1.
     """
-    t2 = directional_derivs_at_zero(net, w_hat, 2, cfg, exact=exact)
-    t3 = directional_derivs_at_zero(net, w_hat, 3, cfg, exact=exact)
+    t2 = directional_derivs_at_zero(net, w_hat, 2, h)
+    t3 = directional_derivs_at_zero(net, w_hat, 3, h)
     c2, cond_g2 = _solve_spd(gram_power(w_hat, 2), t2, "order-2")
     c3, cond_g3 = _solve_spd(gram_power(w_hat, 3), t3, "order-3")
 
-    tau0 = np.array([invert_g2(act, float(v)) for v in c2])
+    tau0 = np.array([invert_g2(net.act, float(v)) for v in c2])
 
-    signs = np.sign(c3 * float(act.g3(0.0))).astype(int)
+    signs = np.sign(c3 * float(net.act.g3(0.0))).astype(int)
     n_undetermined = int(np.sum(signs == 0))
     if n_undetermined:
         logger.warning("%d sign(s) undetermined (zero coefficient); defaulting to +1",

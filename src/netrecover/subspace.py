@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .exceptions import ConfigError, SubspaceDeficientError
-from .numdiff import FDConfig, fd_hessian
+from .numdiff import fd_hessian
 
 __all__ = [
     "half_dim",
@@ -140,17 +140,16 @@ class SubspaceProjector:
         return np.einsum("jr,jr->r", c, c)
 
 
-def build_hessian_matrix(net, n_hessians: int, cfg: FDConfig | None, seed: int,
-                         exact: bool = False):
+def build_hessian_matrix(net, n_hessians: int, h: float | None, seed: int):
     """Half-vectorized Hessians of the network at Gaussian anchor points.
 
     Returns ``(columns, anchors)`` where ``columns`` is
-    ``(half_dim(D), n_hessians)``.  In finite-difference mode one stencil
-    function, ``net.stencil_function(cfg.step_h)``, serves every anchor's
-    :func:`fd_hessian` call, so the stencil's preactivation offsets are built
-    once per stage; each Hessian costs D^2 + D + 1 network queries, counted by
-    that function on ``net.query_count``.  ``exact=True`` switches to the
-    analytic oracle (zero queries, tallied separately by the network).
+    ``(half_dim(D), n_hessians)``.  With a step ``h`` one stencil function,
+    ``net.stencil_function(h)``, serves every anchor's :func:`fd_hessian`
+    call, so the stencil's preactivation offsets are built once per stage;
+    each Hessian costs D^2 + D + 1 network queries, counted by that function
+    on ``net.query_count``.  ``h=None`` reads the analytic oracle instead
+    (zero queries, tallied separately by the network).
     """
     if n_hessians < 1:
         raise ConfigError("n_hessians must be positive")
@@ -163,13 +162,9 @@ def build_hessian_matrix(net, n_hessians: int, cfg: FDConfig | None, seed: int,
     rng = np.random.default_rng(seed)
     anchors = rng.standard_normal((n_hessians, net.dim))
     cols = np.empty((half_dim(net.dim), n_hessians))
-    stencil = None if exact else net.stencil_function(cfg.step_h)
-    for i in range(n_hessians):
-        if exact:
-            h = net.analytic_hessian(anchors[i])
-        else:
-            h = fd_hessian(stencil, anchors[i], cfg)
-        cols[:, i] = hvec(h)
+    stencil = None if h is None else net.stencil_function(h)
+    for i, x in enumerate(anchors):
+        cols[:, i] = hvec(net.analytic_hessian(x) if h is None else fd_hessian(stencil, x, h))
     logger.info("built %d Hessian columns", n_hessians)
     return cols, anchors
 

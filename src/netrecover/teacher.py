@@ -8,8 +8,9 @@ Hessian's stencil points, which it evaluates without forming them.  Both
 apply g to one row block of ``BLOCK_BYTES`` at a time, so no query holds
 more preactivations than that.
 The analytic derivative methods exist for tests and for the
-exact-derivative pipeline mode, and are tallied separately so the harness
-can verify the black-box budget.  Network files are read and written by
+exact-derivative pipeline mode, which the derivative stages select with the
+step ``h=None``, and are tallied separately so the harness can verify the
+black-box budget.  Network files are read and written by
 :mod:`netrecover.fileio`.
 """
 
@@ -143,7 +144,7 @@ class _ShallowNet:
     def _preactivations(self, x):
         return x @ self.weights + self.shifts
 
-    def eval_batch_raw(self, xs):
+    def eval_batch(self, xs) -> np.ndarray:
         """``sum_k g(<w_k, x_i> + tau_k)`` for each row x_i of ``xs``.
 
         The rows are evaluated ``block_rows(m)`` at a time into one output
@@ -198,7 +199,7 @@ class TeacherNetwork(_ShallowNet):
         return x
 
     def eval_batch(self, xs) -> np.ndarray:
-        vals = self.eval_batch_raw(xs)
+        vals = super().eval_batch(xs)
         self._queries.add(vals.shape[0])
         return vals
 
@@ -251,9 +252,6 @@ class StudentNetwork(_ShallowNet):
     The shifts are unconstrained estimates: unlike the teacher's, they may
     leave ``[-tau_inf, tau_inf]``, which bounds the planted model only.
     """
-
-    def eval_batch(self, xs) -> np.ndarray:
-        return self.eval_batch_raw(xs)
 
     def with_shifts(self, shifts) -> "StudentNetwork":
         return StudentNetwork(self.weights, shifts, self.act)

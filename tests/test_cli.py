@@ -277,7 +277,7 @@ class TestRefusedCells:
         (["--d", "8", "--beta", "2.2"], "m = 39 exceeds D(D+1)/2 - D = 28"),
         (["--d", "10", "--beta", "2.1"], "m = 51 exceeds D(D+1)/2 - D = 45"),
         (["--d", "10", "--m", "13", "--n-h", "13"], "take m + 1 = 14"),
-        (["--d", "10", "--beta", "1.5", "--fd-step", "2"], "step_h must lie in [1e-8, 1]"),
+        (["--d", "10", "--beta", "1.5", "--fd-step", "2"], "fd_step must lie in [1e-8, 1]"),
         (["--d", "10", "--beta", "1.5", "--n-eval", "0"], "n_eval must be >= 1"),
         (["--d", "10", "--beta", "1.5", "--shift-law", "uniform:-1,1"],
          "uniform shift range [-1.0, 1.0] exceeds [-0.6, 0.6]"),
@@ -352,7 +352,7 @@ class TestStudy:
 
     @pytest.mark.parametrize("argv, message", [
         (["--d-list", "6", "--beta-list", "1.0", "--fd-step", "2"],
-         "step_h must lie in [1e-8, 1]"),
+         "fd_step must lie in [1e-8, 1]"),
         # the first cell (D=8, m=26) is valid; the second (D=4, m=7) is not
         (["--d-list", "8,4", "--beta-list", "2.0"], "m = 7 exceeds D(D+1)/2 - D = 6"),
     ], ids=["fd-step", "second-cell"])

@@ -61,7 +61,7 @@ class TestEstimateAlpha:
 # kind, omega, tau_argmin, tail bound
 _FLOOR_PINS = [
     ("tanh", 0.0100566949535787, 0.6, 0.0024663912596353736),
-    ("sigmoid", 2.2422371881793897e-05, -1.3, 1.6273958831761132e-05),
+    ("sigmoid", 2.2422371881793897e-05, 1.3, 1.6273958831761132e-05),
 ]
 
 
@@ -77,13 +77,13 @@ class TestKernelFloor:
     def test_node_count_converged(self, kind, omega, tau_argmin, tail, monkeypatch):
         # the Hermite coefficients up to order 20 are resolved at 200 nodes:
         # 300 give the same floor (400 would overflow numpy's hermgauss
-        # weights).  g' is even for both activations, so the floors at
-        # -tau_inf and tau_inf tie and rounding picks the argmin's sign; the
-        # tail's E[g'''^2] converges slower, 5.7e-11 apart for tanh
+        # weights).  Only tau >= 0 is scanned, so rounding cannot flip the
+        # argmin to its mirror -tau; the tail's E[g'''^2] converges slower,
+        # 5.7e-11 apart for tanh
         monkeypatch.setattr(diagnostics, "_QUAD_NODES", 300)
         res = kernel_floor_omega(make_activation(kind))
         assert res.omega == pytest.approx(omega, rel=1e-12)
-        assert abs(res.tau_argmin) == pytest.approx(abs(tau_argmin), rel=1e-12)
+        assert res.tau_argmin == pytest.approx(tau_argmin, rel=1e-12)
         assert res.tail_bound == pytest.approx(tail, rel=1e-10)
 
 
@@ -97,7 +97,7 @@ class TestScoring:
         met = match_and_score(student, net, n_eval=n_eval, seed=4)
         assert net.query_count == n_eval
         xs = np.random.default_rng(4).standard_normal((n_eval, 6))
-        one_batch = np.max(np.abs(net.eval_batch_raw(xs) - student.eval_batch(xs))) / 5
+        one_batch = np.max(np.abs(net.eval_batch(xs) - student.eval_batch(xs))) / 5
         assert met.e_inf == one_batch
 
     def test_needs_an_input(self):

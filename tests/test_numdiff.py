@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from netrecover import (ConfigError, FDConfig, FDEvaluationError, TeacherNetwork,
+from netrecover import (ConfigError, FDEvaluationError, PipelineConfig, TeacherNetwork,
                         UniformShifts, at_stencil_points, build_hessian_matrix,
                         fd_directional, fd_hessian, make_activation, neuron_count,
                         sample_teacher)
@@ -16,29 +16,20 @@ from netrecover.subspace import hvec
 from conftest import random_teacher, random_unit_columns
 
 
-class TestConfig:
-    def test_step_bounds(self):
-        with pytest.raises(ConfigError):
-            FDConfig(step_h=1e-9)
-        with pytest.raises(ConfigError):
-            FDConfig(step_h=2.0)
-        assert FDConfig().step_h == 1e-3
-
-
 class TestHessian:
     def test_quadratic_exact(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6))
         x = rng.standard_normal(6)
         h = fd_hessian(at_stencil_points(lambda p: np.sum((p @ a) * p, axis=1)), x,
-                       FDConfig(step_h=0.02))
+                       0.02)
         assert np.max(np.abs(h - (a + a.T))) < 1e-8
 
     def test_centered_tanh_neuron_zero(self, tanh_act):
         w = np.zeros((3, 1))
         w[0, 0] = 1.0
         net = TeacherNetwork(w, np.zeros(1), tanh_act)
-        h = fd_hessian(net.stencil_function(0.01), np.zeros(3), FDConfig(step_h=0.01))
+        h = fd_hessian(net.stencil_function(0.01), np.zeros(3), 0.01)
         assert np.max(np.abs(h)) < 1e-6
 
     def test_richardson_ratio(self):
@@ -48,21 +39,22 @@ class TestHessian:
         exact = net.analytic_hessian(x)
         errs = []
         for h in (0.02, 0.01):
-            fd = fd_hessian(net.stencil_function(h), x, FDConfig(step_h=h))
+            fd = fd_hessian(net.stencil_function(h), x, h)
             errs.append(np.max(np.abs(fd - exact)))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_symmetry_by_construction(self):
         net = random_teacher(5, 4, seed=8)
-        h = fd_hessian(net.stencil_function(FDConfig().step_h), np.ones(5), FDConfig())
+        step = PipelineConfig.fd_step
+        h = fd_hessian(net.stencil_function(step), np.ones(5), step)
         assert np.array_equal(h, h.T)
 
     def test_query_count(self):
         net = random_teacher(6, 2, seed=9)
         d = 6
-        for f in (net.stencil_function(FDConfig().step_h), at_stencil_points(net.eval_batch)):
+        for f in (net.stencil_function(PipelineConfig.fd_step), at_stencil_points(net.eval_batch)):
             before = net.query_count
-            fd_hessian(f, np.zeros(6), FDConfig())
+            fd_hessian(f, np.zeros(6), PipelineConfig.fd_step)
             assert net.query_count - before == d * d + d + 1
 
     def test_stencil_rows_are_the_points(self):
@@ -87,7 +79,7 @@ class TestHessian:
             return np.einsum("ijk,ri,rj,rk->r", c, p, p, p)
 
         for x in rng.standard_normal((3, d)):
-            h = fd_hessian(at_stencil_points(f), x, FDConfig(step_h=0.1))
+            h = fd_hessian(at_stencil_points(f), x, 0.1)
             assert np.max(np.abs(h - 6 * sym @ x)) < 1e-10
 
     def test_mixed_entry_error_of_a_quartic(self):
@@ -96,17 +88,17 @@ class TestHessian:
         def f(p):
             return p[:, 0] ** 2 * p[:, 1] ** 2
 
-        h = fd_hessian(at_stencil_points(f), np.zeros(3), FDConfig(step_h=0.1))
+        h = fd_hessian(at_stencil_points(f), np.zeros(3), 0.1)
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = 0.1 ** 2
         assert h == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_d40_matches_analytic_hessian(self):
         net = random_teacher(40, neuron_count(40, 1.5), seed=1)
-        cfg = FDConfig(step_h=0.01)
-        f = net.stencil_function(cfg.step_h)
+        step = 0.01
+        f = net.stencil_function(step)
         for x in np.random.default_rng(101).standard_normal((3, 40)):
-            err = np.max(np.abs(fd_hessian(f, x, cfg) - net.analytic_hessian(x)))
+            err = np.max(np.abs(fd_hessian(f, x, step) - net.analytic_hessian(x)))
             assert err <= 2e-5
 
     def test_non_finite_propagates_with_point(self):
@@ -114,7 +106,7 @@ class TestHessian:
             return np.where(p[:, 0] + p[:, 1] > 0.15, float("inf"), 0.0)
 
         with pytest.raises(FDEvaluationError) as err:
-            fd_hessian(at_stencil_points(f), np.zeros(3), FDConfig(step_h=0.1))
+            fd_hessian(at_stencil_points(f), np.zeros(3), 0.1)
         assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
 
 
@@ -127,23 +119,23 @@ class TestStructuredStencil:
         act = make_activation(kind)
         m = neuron_count(dim, 1.5)
         net = sample_teacher(dim, m, UniformShifts(-0.5, 0.5), act, seed=dim)
-        cfg = FDConfig(step_h=0.01)
+        step = 0.01
         # the two routes round the preactivations and the m-term row sums
         # differently; the weights of every entry's stencil sum to 4 / h^2 in
         # absolute value (1 + 2 + 1 on the diagonal, (1 + 1 + 4 + 2) / 2 off
         # it), and |g| <= 1 for both activations
-        tol = 8 * m * np.finfo(float).eps / cfg.step_h ** 2
+        tol = 8 * m * np.finfo(float).eps / step ** 2
         rng = np.random.default_rng(19)
         for _ in range(3):
             x = rng.standard_normal(dim)
-            dense = fd_hessian(at_stencil_points(net.eval_batch), x, cfg)
-            structured = fd_hessian(net.stencil_function(cfg.step_h), x, cfg)
+            dense = fd_hessian(at_stencil_points(net.eval_batch), x, step)
+            structured = fd_hessian(net.stencil_function(step), x, step)
             assert np.max(np.abs(structured - dense)) <= tol
 
     def test_build_hessian_matrix_query_count(self):
         net = random_teacher(7, 9, seed=20)
         n_h, d = 11, 7
-        cols, anchors = build_hessian_matrix(net, n_h, FDConfig(), seed=3)
+        cols, anchors = build_hessian_matrix(net, n_h, PipelineConfig.fd_step, seed=3)
         assert net.query_count == n_h * (d * d + d + 1)
         assert cols.shape == (d * (d + 1) // 2, n_h) and anchors.shape == (n_h, d)
 
@@ -156,14 +148,14 @@ class TestStructuredStencil:
 
         monkeypatch.setattr(teacher, "hessian_stencil", counted)
         net = random_teacher(5, 4, seed=24)
-        cfg = FDConfig(step_h=0.02)
-        build_hessian_matrix(net, 4, cfg, seed=5, exact=True)
+        step = 0.02
+        build_hessian_matrix(net, 4, None, seed=5)
         assert calls == []
-        cols, anchors = build_hessian_matrix(net, 4, cfg, seed=5)
+        cols, anchors = build_hessian_matrix(net, 4, step, seed=5)
         assert len(calls) == 1
-        stencil = net.stencil_function(cfg.step_h)
+        stencil = net.stencil_function(step)
         for col, anchor in zip(cols.T, anchors):
-            assert np.array_equal(col, hvec(fd_hessian(stencil, anchor, cfg)))
+            assert np.array_equal(col, hvec(fd_hessian(stencil, anchor, step)))
 
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_uneven_blocks_match_default_blocks(self, kind, monkeypatch):
@@ -191,7 +183,7 @@ class TestStructuredStencil:
             monkeypatch.setattr(teacher, "BLOCK_BYTES", block_bytes)
             for f in (net.stencil_function(0.1), at_stencil_points(net.eval_batch)):
                 with pytest.raises(FDEvaluationError) as err:
-                    fd_hessian(f, np.zeros(3), FDConfig(step_h=0.1))
+                    fd_hessian(f, np.zeros(3), 0.1)
                 assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
 
     def test_stencil_function_checks_its_step(self):
@@ -206,7 +198,7 @@ class TestDirectional:
     def test_cubic_exact(self):
         u = np.array([1.0])
         val = fd_directional(lambda p: p[:, 0] ** 3, np.zeros(1), u, 3,
-                             FDConfig(step_h=0.1))
+                             0.1)
         assert val == pytest.approx(6.0, abs=1e-10)
 
     def test_single_neuron_second_order(self, tanh_act):
@@ -214,9 +206,9 @@ class TestDirectional:
         w = np.zeros((4, 1))
         w[1, 0] = 1.0
         net = TeacherNetwork(w, np.array([0.2]), tanh_act)
-        cfg = FDConfig(step_h=0.01)
-        val = fd_directional(net.eval_batch, np.zeros(4), w[:, 0], 2, cfg)
-        assert val == pytest.approx(float(tanh_act.g2(0.2)), abs=10 * cfg.step_h ** 2)
+        step = 0.01
+        val = fd_directional(net.eval_batch, np.zeros(4), w[:, 0], 2, step)
+        assert val == pytest.approx(float(tanh_act.g2(0.2)), abs=10 * step ** 2)
 
     def test_query_counts(self):
         net = random_teacher(5, 2, seed=10)
@@ -224,33 +216,33 @@ class TestDirectional:
         u[0] = 1.0
         for n, cost in ((1, 2), (2, 3), (3, 4)):
             before = net.query_count
-            fd_directional(net.eval_batch, np.zeros(5), u, n, FDConfig())
+            fd_directional(net.eval_batch, np.zeros(5), u, n, PipelineConfig.fd_step)
             assert net.query_count - before == cost
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ConfigError):
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
-                           np.array([1.0, 1.0]), 1, FDConfig())
+                           np.array([1.0, 1.0]), 1, PipelineConfig.fd_step)
         with pytest.raises(ConfigError):
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
-                           np.array([[1.0, 1.0], [0.0, 1.0]]), 1, FDConfig())
+                           np.array([[1.0, 1.0], [0.0, 1.0]]), 1, PipelineConfig.fd_step)
 
     @pytest.mark.parametrize("n,cost", [(1, 2), (2, 3), (3, 4)])
     def test_batch_matches_single_directions(self, n, cost):
         net = random_teacher(5, 3, seed=21)
         u = random_unit_columns(5, 4, seed=22)
         x = np.random.default_rng(23).standard_normal(5)
-        cfg = FDConfig(step_h=0.01)
+        step = 0.01
         rows = []
         net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
-        batch = fd_directional(net.eval_batch, x, u, n, cfg)
+        batch = fd_directional(net.eval_batch, x, u, n, step)
         # cost is per single direction; a batch queries the order-2 center x once
         batch_cost = 2 * 4 + 1 if n == 2 else 4 * cost
         assert rows == [batch_cost] and net.query_count == batch_cost
-        single = [fd_directional(net.eval_batch, x, u[:, k], n, cfg) for k in range(4)]
+        single = [fd_directional(net.eval_batch, x, u[:, k], n, step) for k in range(4)]
         # the rows may round differently in a larger GEMM: the stencil weights
         # sum to at most 4 / h^n in absolute value, and |g| <= 1 for m = 3
-        tol = 4 * 8 * 3 * np.finfo(float).eps / cfg.step_h ** n
+        tol = 4 * 8 * 3 * np.finfo(float).eps / step ** n
         assert np.max(np.abs(batch - single)) <= tol
 
     def test_batch_non_finite_names_the_point(self):
@@ -259,13 +251,13 @@ class TestDirectional:
 
         u = np.eye(3)[:, :2]
         with pytest.raises(FDEvaluationError) as err:
-            fd_directional(f, np.zeros(3), u, 2, FDConfig(step_h=0.1))
+            fd_directional(f, np.zeros(3), u, 2, 0.1)
         assert np.array_equal(err.value.point, [0.0, 0.1, 0.0])
 
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigError):
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
-                           np.array([1.0, 0.0]), 4, FDConfig())
+                           np.array([1.0, 0.0]), 4, PipelineConfig.fd_step)
 
 
 class TestLinearity:
@@ -279,24 +271,24 @@ class TestLinearity:
         x = rng.standard_normal(6)
         # a coarse step keeps the 1/h^n round-off amplification below 1e-12,
         # so the purely algebraic linearity identity is testable at that level
-        cfg = FDConfig(step_h=0.2 if n == 3 else 0.05)
+        step = 0.2 if n == 3 else 0.05
         for a in rng.uniform(-2, 2, size=3):
-            combo = lambda p: a * f_net.eval_batch_raw(p) + g_net.eval_batch_raw(p)
-            lhs = fd_directional(combo, x, u, n, cfg)
-            rhs = a * fd_directional(f_net.eval_batch_raw, x, u, n, cfg) + fd_directional(
-                g_net.eval_batch_raw, x, u, n, cfg)
+            combo = lambda p: a * f_net.eval_batch(p) + g_net.eval_batch(p)
+            lhs = fd_directional(combo, x, u, n, step)
+            rhs = a * fd_directional(f_net.eval_batch, x, u, n, step) + fd_directional(
+                g_net.eval_batch, x, u, n, step)
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
     def test_hessian_linear_in_f(self):
         f_net = random_teacher(4, 3, seed=14)
         g_net = random_teacher(4, 2, seed=15)
         x = np.random.default_rng(16).standard_normal(4)
-        cfg = FDConfig(step_h=0.05)
+        step = 0.05
         a = 1.7
-        combo = lambda p: a * f_net.eval_batch_raw(p) + g_net.eval_batch_raw(p)
-        h_combo = fd_hessian(at_stencil_points(combo), x, cfg)
-        h_ref = (a * fd_hessian(at_stencil_points(f_net.eval_batch_raw), x, cfg)
-                 + fd_hessian(at_stencil_points(g_net.eval_batch_raw), x, cfg))
+        combo = lambda p: a * f_net.eval_batch(p) + g_net.eval_batch(p)
+        h_combo = fd_hessian(at_stencil_points(combo), x, step)
+        h_ref = (a * fd_hessian(at_stencil_points(f_net.eval_batch), x, step)
+                 + fd_hessian(at_stencil_points(g_net.eval_batch), x, step))
         assert np.max(np.abs(h_combo - h_ref)) < 1e-9
 
 
@@ -312,7 +304,7 @@ class TestConvergenceOrder:
             if op == "hessian":
                 exact = net.analytic_hessian(x)
                 err = lambda h: np.max(np.abs(
-                    fd_hessian(net.stencil_function(h), x, FDConfig(step_h=h)) - exact))
+                    fd_hessian(net.stencil_function(h), x, h) - exact))
             else:
                 u = rng.standard_normal(5)
                 u /= np.linalg.norm(u)
@@ -320,7 +312,7 @@ class TestConvergenceOrder:
                 # shift so the third directional derivative is generic
                 err = lambda h: abs(
                     fd_directional(net.eval_batch, np.zeros(5), u, 3,
-                                   FDConfig(step_h=h)) - exact)
+                                   h) - exact)
             ratio = err(0.04) / max(err(0.02), 1e-300)
             good += 3.0 < ratio < 5.0
         assert good >= 17  # allow a few trials where the leading term degenerates

@@ -216,6 +216,22 @@ class TestWideRegime:
         assert res.metrics.max_weight_err < 1e-3
 
 
+class TestExactDerivatives:
+    def test_oracle_replaces_the_derivative_queries(self, tmp_path):
+        # D=10, beta=1.5, seed 7 (m=13): the Hessian and init stages read the
+        # analytic oracle, ceil(1.25 m) Hessians and 2 m directional
+        # derivatives, and query the teacher not once
+        res = run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, n_eval=2000,
+                                          exact_derivatives=True, out_dir=tmp_path))
+        assert {k: res.stage_queries[k] for k in ("hessians", "init", "refine")} == {
+            "hessians": 0, "init": 0, "refine": 512}
+        assert res.oracle_count == math.ceil(1.25 * 13) + 2 * 13 == 43
+        assert res.eps_hat == 0.0
+        header, row = read_csv(tmp_path / "result.csv")
+        assert dict(zip(header, row))["exact_mode"] == "1"
+        assert res.metrics.max_weight_err < 1e-12
+
+
 class TestSigmoid:
     def test_shifts_across_the_declared_interval_recovered(self):
         # shifts up to the declared 1.3, just inside the turn of g'' at ln(2 + sqrt(3)) ~ 1.317
@@ -241,6 +257,14 @@ class TestValidate:
         PipelineConfig(dim=10, n_neurons=13, n_hessians=13, exact_derivatives=True).validate()
         # fewer than m still fails in the projector stage (TestFailedRun)
         PipelineConfig(dim=10, n_neurons=13, n_hessians=5).validate()
+
+    def test_fd_step_bounds(self):
+        assert PipelineConfig.fd_step == 1e-3
+        for step in (1e-8, 1.0):
+            PipelineConfig(dim=10, n_neurons=13, fd_step=step).validate()
+        for step in (1e-9, 2.0):
+            with pytest.raises(ConfigError, match=r"fd_step must lie in \[1e-8, 1\]"):
+                PipelineConfig(dim=10, n_neurons=13, fd_step=step).validate()
 
 
 class TestImportGraph:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from netrecover import (FDConfig, IllConditionedError, StudentNetwork,
+from netrecover import (IllConditionedError, PipelineConfig, StudentNetwork,
                         TeacherNetwork, directional_derivs_at_zero, gram_power,
                         init_signs_shifts, make_activation)
 from netrecover.shift_init import _solve_spd
@@ -52,42 +52,42 @@ class TestDirectionalDerivs:
         net = random_teacher(8, 6, seed=0)
         w_hat = net.weights.copy()
         for n in (2, 3):
-            vals = directional_derivs_at_zero(net, w_hat, n, None, exact=True)
+            vals = directional_derivs_at_zero(net, w_hat, n, None)
             assert np.allclose(vals, closed_form_directional(net, w_hat, n), atol=1e-12)
 
     def test_fd_mode_matches_closed_form(self):
         net = random_teacher(8, 6, seed=1)
         w_hat = net.weights.copy()
-        cfg = FDConfig(step_h=0.01)
+        step = 0.01
         for n in (2, 3):
-            vals = directional_derivs_at_zero(net, w_hat, n, cfg)
+            vals = directional_derivs_at_zero(net, w_hat, n, step)
             ref = closed_form_directional(net, w_hat, n)
-            assert np.max(np.abs(vals - ref)) < 50 * cfg.step_h ** 2
+            assert np.max(np.abs(vals - ref)) < 50 * step ** 2
 
     def test_single_neuron_second_derivative(self, tanh_act):
         w = np.zeros((5, 1))
         w[2, 0] = 1.0
         net = TeacherNetwork(w, np.array([0.2]), tanh_act)
-        cfg = FDConfig(step_h=0.01)
-        val = directional_derivs_at_zero(net, w, 2, cfg)[0]
-        assert val == pytest.approx(float(tanh_act.g2(0.2)), abs=10 * cfg.step_h ** 2)
+        step = 0.01
+        val = directional_derivs_at_zero(net, w, 2, step)[0]
+        assert val == pytest.approx(float(tanh_act.g2(0.2)), abs=10 * step ** 2)
 
     def test_single_tanh_third_derivative_at_origin(self, tanh_act):
         w = np.zeros((4, 1))
         w[0, 0] = 1.0
         net = TeacherNetwork(w, np.zeros(1), tanh_act)
-        cfg = FDConfig(step_h=0.01)
-        val = directional_derivs_at_zero(net, w, 3, cfg)[0]
-        assert val == pytest.approx(-2.0, abs=100 * cfg.step_h ** 2)
+        step = 0.01
+        val = directional_derivs_at_zero(net, w, 3, step)[0]
+        assert val == pytest.approx(-2.0, abs=100 * step ** 2)
 
     def test_query_costs(self):
         net = random_teacher(6, 4, seed=2)
-        cfg = FDConfig()
+        step = PipelineConfig.fd_step
         before = net.query_count
-        directional_derivs_at_zero(net, net.weights, 2, cfg)
+        directional_derivs_at_zero(net, net.weights, 2, step)
         assert net.query_count - before == 2 * 4 + 1
         before = net.query_count
-        directional_derivs_at_zero(net, net.weights, 3, cfg)
+        directional_derivs_at_zero(net, net.weights, 3, step)
         assert net.query_count - before == 4 * 4
 
     def test_one_network_call_per_order(self):
@@ -95,85 +95,85 @@ class TestDirectionalDerivs:
         rows = []
         net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
         for n in (2, 3):
-            directional_derivs_at_zero(net, net.weights, n, FDConfig())
+            directional_derivs_at_zero(net, net.weights, n, PipelineConfig.fd_step)
         assert rows == [2 * 4 + 1, 4 * 4]
 
 
 class TestInitSignsShifts:
-    def test_exact_weights_exact_mode(self, tanh_act):
+    def test_exact_weights_exact_mode(self):
         net = random_teacher(10, 12, seed=3)
-        res = init_signs_shifts(net, net.weights.copy(), tanh_act, None, exact=True)
+        res = init_signs_shifts(net, net.weights.copy(), None)
         assert np.all(res.signs == 1)
         assert np.max(np.abs(res.tau0 - net.shifts)) < 1e-8
 
-    def test_sign_flip_equivariance_brute_force(self, tanh_act):
+    def test_sign_flip_equivariance_brute_force(self):
         # flipping any subset of columns must be detected exactly (m <= 8)
         net = random_teacher(7, 4, seed=4)
         for signs in itertools.product((-1, 1), repeat=4):
             s = np.array(signs)
-            res = init_signs_shifts(net, net.weights * s, tanh_act, None, exact=True)
+            res = init_signs_shifts(net, net.weights * s, None)
             assert np.array_equal(res.signs, s)
 
     def test_single_neuron_identity_gram(self, tanh_act):
         w = np.zeros((6, 1))
         w[1, 0] = 1.0
         net = TeacherNetwork(w, np.array([0.31]), tanh_act)
-        res = init_signs_shifts(net, w, tanh_act, None, exact=True)
+        res = init_signs_shifts(net, w, None)
         assert res.c2[0] == pytest.approx(float(tanh_act.g2(0.31)), abs=1e-12)
         assert res.tau0[0] == pytest.approx(0.31, abs=1e-8)
 
-    def test_exactness_sweep(self, tanh_act):
+    def test_exactness_sweep(self):
         # 20 seeds: exact inputs give shifts to 1e-8 and all signs correct
         for seed in range(20):
             net = random_teacher(10, 12, seed=1000 + seed)
             rng = np.random.default_rng(seed)
             s = rng.choice([-1, 1], size=12)
-            res = init_signs_shifts(net, net.weights * s, tanh_act, None, exact=True)
+            res = init_signs_shifts(net, net.weights * s, None)
             assert np.array_equal(res.signs, s)
             assert np.linalg.norm(res.tau0 - net.shifts) <= 1e-8
 
     def test_clamped_to_interval(self, tanh_act):
         net = random_teacher(8, 5, seed=5)
-        res = init_signs_shifts(net, net.weights, tanh_act, FDConfig(step_h=0.05))
+        res = init_signs_shifts(net, net.weights, 0.05)
         assert np.max(np.abs(res.tau0)) <= tanh_act.tau_inf
 
-    def test_error_decreases_when_step_shrinks(self, tanh_act):
+    def test_error_decreases_when_step_shrinks(self):
         # the shift error splits into an h-driven term and a weight-error
         # floor; with exact weights, halving h must not worsen the estimate
         net = random_teacher(10, 8, seed=6)
         errs = []
         for h in (0.08, 0.04, 0.02, 0.01):
-            res = init_signs_shifts(net, net.weights, tanh_act, FDConfig(step_h=h))
+            res = init_signs_shifts(net, net.weights, h)
             errs.append(np.linalg.norm(res.tau0 - net.shifts))
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-12
 
-    def test_weight_noise_sets_the_floor(self, tanh_act):
+    def test_weight_noise_sets_the_floor(self):
         # with noisy weights, shrinking h converges to the exact-mode error
         net = random_teacher(10, 8, seed=6)
         rng = np.random.default_rng(7)
         w_noisy = net.weights + 1e-3 * rng.standard_normal(net.weights.shape)
         w_noisy /= np.linalg.norm(w_noisy, axis=0)
         floor = np.linalg.norm(
-            init_signs_shifts(net, w_noisy, tanh_act, None, exact=True).tau0
+            init_signs_shifts(net, w_noisy, None).tau0
             - net.shifts)
         fd = np.linalg.norm(
-            init_signs_shifts(net, w_noisy, tanh_act, FDConfig(step_h=0.005)).tau0
+            init_signs_shifts(net, w_noisy, 0.005).tau0
             - net.shifts)
         assert fd == pytest.approx(floor, rel=0.1)
 
-    def test_condition_numbers_surfaced(self, tanh_act):
+    def test_condition_numbers_surfaced(self):
         net = random_teacher(10, 6, seed=8)
-        res = init_signs_shifts(net, net.weights, tanh_act, None, exact=True)
+        res = init_signs_shifts(net, net.weights, None)
         assert res.cond_g2 >= 1.0 and res.cond_g3 >= 1.0
         assert res.cond_g3 <= res.cond_g2 + 1e-6  # higher Hadamard power is better conditioned
 
-    def test_singular_gram_raises(self, tanh_act):
+    def test_singular_gram_raises(self):
         w = random_unit_columns(6, 3, seed=9)
         w_dup = np.concatenate([w, w[:, :1]], axis=1)  # duplicated column
         net = random_teacher(6, 4, seed=10)
         with pytest.raises(IllConditionedError):
-            init_signs_shifts(net, w_dup, tanh_act, None, exact=True)
+            init_signs_shifts(net, w_dup, None)
 
 
 class TestSolveSpd:

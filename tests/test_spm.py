@@ -318,7 +318,7 @@ class TestExactModeIdentification:
         for seed in range(10):
             net = random_teacher(dim, m, seed=700 + seed)
             cols, _ = build_hessian_matrix(net, 2 * m, None,
-                                           seed=800 + seed, exact=True)
+                                           seed=800 + seed)
             proj = top_m_projector(cols, m)
             try:
                 w_hat, _ = collect_weights(proj, m, SpmConfig(), seed=seed)
@@ -360,21 +360,21 @@ def _exact_case():
 
 def _sampled_case():
     net = random_teacher(15, 30, seed=700)
-    cols, _ = build_hessian_matrix(net, 60, None, seed=800, exact=True)
+    cols, _ = build_hessian_matrix(net, 60, None, seed=800)
     return top_m_projector(cols, 30), 30, 0
 
 
 def _wide_case():
     # m = 40 at D = 10 (the identifiability bound is 45), exact Hessians
     net = random_teacher(10, 40, seed=700)
-    cols, _ = build_hessian_matrix(net, 80, None, seed=800, exact=True)
+    cols, _ = build_hessian_matrix(net, 80, None, seed=800)
     return top_m_projector(cols, 40), net.weights, 0
 
 
 def _two_chunk_case(dim=20, m=60):
     # the first placed batch is min(_BATCH, m) wide, so m > _CHUNK steps it in two chunks
     net = random_teacher(dim, m, seed=700)
-    cols, _ = build_hessian_matrix(net, 2 * m, None, seed=800, exact=True)
+    cols, _ = build_hessian_matrix(net, 2 * m, None, seed=800)
     return top_m_projector(cols, m), m, 0
 
 

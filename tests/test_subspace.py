@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from netrecover import (FDConfig, SubspaceDeficientError, build_hessian_matrix,
+from netrecover import (PipelineConfig, SubspaceDeficientError, build_hessian_matrix,
                         exact_projector, half_dim, hvec, projector_distance,
                         top_m_projector, unhvec)
 from netrecover.subspace import hvec_outer_batch
@@ -55,7 +55,7 @@ class TestHalfVec:
 @pytest.fixture(scope="module")
 def proj():
     net = random_teacher(10, 15, seed=5)
-    cols, _ = build_hessian_matrix(net, 30, None, seed=7, exact=True)
+    cols, _ = build_hessian_matrix(net, 30, None, seed=7)
     return top_m_projector(cols, 15)
 
 
@@ -107,14 +107,14 @@ class TestBuildHessianMatrix:
         # generic anchors give numerical rank m when Hessians carry enough
         # information (the learnability property, checked empirically)
         net = random_teacher(10, 15, seed=10)
-        cols, _ = build_hessian_matrix(net, 15, None, seed=11, exact=True)
+        cols, _ = build_hessian_matrix(net, 15, None, seed=11)
         svals = np.linalg.svd(cols, compute_uv=False)
         assert svals[14] / svals[0] > 1e-8
 
     def test_single_neuron_columns_aligned(self):
         net = random_teacher(6, 1, seed=12)
-        cfg = FDConfig(step_h=0.01)
-        cols, _ = build_hessian_matrix(net, 4, cfg, seed=13)
+        step = 0.01
+        cols, _ = build_hessian_matrix(net, 4, step, seed=13)
         target = hvec_outer_batch(net.weights[:, :1])[:, 0]
         for i in range(4):
             col = cols[:, i]
@@ -123,7 +123,7 @@ class TestBuildHessianMatrix:
 
     def test_query_cost(self):
         net = random_teacher(7, 3, seed=14)
-        build_hessian_matrix(net, 5, FDConfig(), seed=15)
+        build_hessian_matrix(net, 5, PipelineConfig.fd_step, seed=15)
         assert net.query_count == 5 * (7 ** 2 + 7 + 1)
 
     def test_default_budget_formula(self):
@@ -137,7 +137,7 @@ class TestBuildHessianMatrix:
     def test_warns_below_neuron_count(self):
         net = random_teacher(6, 5, seed=16)
         with pytest.warns(UserWarning, match="below the neuron count"):
-            build_hessian_matrix(net, 3, None, seed=17, exact=True)
+            build_hessian_matrix(net, 3, None, seed=17)
 
 
 class TestTopMProjector:
@@ -175,7 +175,7 @@ class TestTopMProjector:
 
     def test_gram_and_svd_paths_agree(self):
         net = random_teacher(7, 5, seed=21)
-        cols, _ = build_hessian_matrix(net, 10, None, seed=22, exact=True)
+        cols, _ = build_hessian_matrix(net, 10, None, seed=22)
         p_gram = top_m_projector(cols, 5)            # 10 <= 28/2 -> gram path
         p_svd = top_m_projector(np.hstack([cols] * 3), 5)  # 30 > 14 -> svd path
         assert projector_distance(p_gram, p_svd) < 1e-10
@@ -208,7 +208,7 @@ class TestPerturbationBounds:
     def test_projection_residual_bound(self):
         # || (I - P_hat) hvec(w_k w_k^T) || <= 2 ||P - P_hat|| for every k
         net = random_teacher(9, 8, seed=24)
-        cols, _ = build_hessian_matrix(net, 24, FDConfig(step_h=0.02), seed=25)
+        cols, _ = build_hessian_matrix(net, 24, 0.02, seed=25)
         p_hat = top_m_projector(cols, 8)
         p_true = exact_projector(net.weights)
         dist = projector_distance(p_true, p_hat)
@@ -223,8 +223,7 @@ class TestPerturbationBounds:
         violations = 0
         for trial in range(20):
             net = random_teacher(8, 6, seed=400 + trial)
-            cols, _ = build_hessian_matrix(net, 12, None, seed=500 + trial,
-                                           exact=True)
+            cols, _ = build_hessian_matrix(net, 12, None, seed=500 + trial)
             p_true = top_m_projector(cols, 6)
             noise = rng.standard_normal(cols.shape)
             noise *= 0.01 * np.linalg.norm(cols) / np.linalg.norm(noise)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from netrecover import (ConfigError, FDConfig, FixedShifts, GaussianShifts,
+from netrecover import (ConfigError, FixedShifts, GaussianShifts,
                         StudentNetwork, TeacherNetwork, UniformShifts,
                         exact_projector, fd_hessian, hvec,
                         load_teacher, make_activation, sample_teacher, save_teacher)
@@ -194,13 +194,13 @@ class TestAnalyticDerivatives:
 
     def test_fd_agrees_with_analytic(self):
         net = random_teacher(6, 5, seed=9)
-        cfg = FDConfig(step_h=1e-3)
+        step = 1e-3
         # 2.0 = sup |g'''| of tanh, the largest of its first three derivatives
-        tol = 2.0 * net.n_neurons * cfg.step_h ** 2 * 10
+        tol = 2.0 * net.n_neurons * step ** 2 * 10
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.standard_normal(6)
-            h = fd_hessian(net.stencil_function(cfg.step_h), x, cfg)
+            h = fd_hessian(net.stencil_function(step), x, step)
             assert np.max(np.abs(h - net.analytic_hessian(x))) < tol
 
     def test_hessians_live_in_weight_span(self):
