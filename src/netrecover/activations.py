@@ -152,16 +152,16 @@ def invert_g2(act: Activation, y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def slope_sign_certificate(act: Activation, n_tau: int = 101, quad_nodes: int = 128):
+def slope_sign_certificate(act: Activation):
     """Numerically certify that the Gaussian mean of g'(. + tau) keeps one sign.
 
-    Evaluates ``integral g'(t + tau) exp(-t^2/2) dt`` by Gauss-Hermite
-    quadrature on a tau-grid over the shift interval.  Returns
-    ``(sign, min_abs_integral)``; a report, not a proof.  Raises if the sign
-    flips across the grid.
+    Evaluates ``integral g'(t + tau) exp(-t^2/2) dt`` by 128-node
+    Gauss-Hermite quadrature on a 101-point tau-grid over the shift
+    interval.  Returns ``(sign, min_abs_integral)``; a report, not a proof.
+    Raises if the sign flips across the grid.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
-    taus = np.linspace(-act.tau_inf, act.tau_inf, n_tau)
+    nodes, weights = np.polynomial.hermite.hermgauss(128)
+    taus = np.linspace(-act.tau_inf, act.tau_inf, 101)
     # change of variables t = sqrt(2) x maps the e^{-x^2} weight to e^{-t^2/2}
     vals = np.array(
         [math.sqrt(2.0) * float(weights @ act.g1(math.sqrt(2.0) * nodes + tau)) for tau in taus]

@@ -37,6 +37,7 @@ logger = logging.getLogger(__name__)
 _LR = 5e-3                  # joint-SGD step size
 _BATCH = 64                 # joint-SGD mini-batch size
 _TRAIN_PER_M_D2 = 2.5       # training inputs per m D^2
+_MAX_EPOCHS = 500           # joint-SGD epoch cap
 
 
 def _joint_sgd(cfg: PipelineConfig, net):
@@ -62,7 +63,7 @@ def _joint_sgd(cfg: PipelineConfig, net):
     steps = 0
     stop_reason = "max_epochs"
     full_loss = float("nan")
-    for epoch in range(cfg.baseline_max_epochs):
+    for epoch in range(_MAX_EPOCHS):
         perm = rng.permutation(n_train)
         for lo in range(0, n_train, _BATCH):
             idx = perm[lo:lo + _BATCH]

@@ -2,21 +2,21 @@
 
 All stencils are second order in the step size: the Hessian uses the
 3-point central scheme on the diagonal and the 7-point mixed-partial scheme
-(Abramowitz & Stegun 25.3.27) off it, and directional derivatives up to
-order three use the matching 1-D stencils.  Every operator is linear in the
-function it differentiates and reduces its stencil values in a fixed order,
-so results are deterministic.
+(Abramowitz & Stegun 25.3.27) off it, and the directional derivatives of
+orders two and three use the matching 1-D stencils.  Every operator is
+linear in the function it differentiates and reduces its stencil values in
+a fixed order, so results are deterministic.
 
 The Hessian's stencil rows are laid out once, by :func:`hessian_stencil`,
 and :func:`fd_hessian` reads their values from a stencil function
 ``f(x, h)``.  :func:`at_stencil_points` makes one from any batch function
 ``f(points) -> values`` of the (D^2 + D + 1, D) stencil points;
 ``TeacherNetwork.stencil_function(h)`` returns one that builds the
-preactivations of those points directly and never forms them.  Directional
-derivatives call a batch function once.  Query counts are exactly D^2 + D + 1
-for the Hessian and 2/3/4 for a directional derivative of order 1/2/3,
-2k/2k+1/4k for a batch of k directions; the function that serves the values
-counts them.
+preactivations of those points directly and never forms them.  The
+directional derivatives of orders 2 and 3 come together from one call of a
+batch function.  Query counts are exactly D^2 + D + 1 for the Hessian and
+4k + 1 for both orders along k directions; the function that serves the
+values counts them.
 """
 
 from __future__ import annotations
@@ -116,15 +116,15 @@ def fd_hessian(f, x, h: float) -> np.ndarray:
     return hess
 
 
-def fd_directional(f, x, u, n: int, h: float):
-    """Order-n (n = 1, 2, 3) derivative of t -> f(x + t u) at t = 0, at step h.
+def fd_directional(f, x, u, h: float):
+    """Order-2 and order-3 derivatives of t -> f(x + t u) at t = 0, at step h.
 
     f is a batch function of the stencil points.  ``u`` is one unit direction
-    (D,), which gives a float, or a (D, k) batch of unit columns, which gives
-    the k derivatives from one call of f.  Query counts for k directions are
-    2k, 2k + 1 and 4k respectively: the order-2 stencil evaluates the shared
-    center x once, and the order-3 stencil is the 5-point antisymmetric
-    scheme (center unused).
+    (D,), which gives two floats, or a (D, k) batch of unit columns, which
+    gives two (k,) arrays.  One call of f reads the 4k + 1 points x + hU, x,
+    x - hU, x + 2hU and x - 2hU, in that order: the 3-point order-2 stencil
+    and the 5-point antisymmetric order-3 stencil (center unused) share
+    x +- hU, and the center is queried once for all k directions.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -133,18 +133,11 @@ def fd_directional(f, x, u, n: int, h: float):
     if abs(worst - 1.0) > 1e-8:
         raise ConfigError(f"direction must have unit norm, got ||u|| = {worst!r}")
     ut = np.atleast_2d(u.T)  # one direction per row
-    if n == 1:
-        v = _evaluate(f, [x + h * ut, x - h * ut])
-        d = (v[0] - v[1]) / (2.0 * h)
-    elif n == 2:
-        v = _evaluate(f, [x + h * ut, x[None], x - h * ut])
-        d = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
-    elif n == 3:
-        v = _evaluate(f, [x + 2 * h * ut, x + h * ut, x - h * ut, x - 2 * h * ut])
-        d = (v[0] - 2.0 * v[1] + 2.0 * v[2] - v[3]) / (2.0 * h ** 3)
-    else:
-        raise ConfigError(f"directional derivative order must be 1, 2 or 3, got {n}")
-    return float(d[0]) if u.ndim == 1 else d
+    vp, v0, vm, vpp, vmm = _evaluate(
+        f, [x + h * ut, x[None], x - h * ut, x + 2 * h * ut, x - 2 * h * ut])
+    d2 = (vp - 2.0 * v0 + vm) / (h * h)
+    d3 = (vpp - 2.0 * vp + 2.0 * vm - vmm) / (2.0 * h ** 3)
+    return (float(d2[0]), float(d3[0])) if u.ndim == 1 else (d2, d3)
 
 
 def _evaluate(f, blocks) -> list:

@@ -136,7 +136,6 @@ class PipelineConfig:
     n_eval: int = 100_000
     seed: int = 0
     out_dir: str | None = None
-    baseline_max_epochs: int = 500
 
     def resolved_m(self) -> int:
         if self.n_neurons is not None:

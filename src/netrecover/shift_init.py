@@ -48,21 +48,22 @@ def gram_power(w_hat: np.ndarray, n: int) -> np.ndarray:
     return (w_hat.T @ w_hat) ** n
 
 
-def directional_derivs_at_zero(net, w_hat: np.ndarray, n: int, h: float | None) -> np.ndarray:
-    """Order-n derivative of the network along each column, at the origin.
+def directional_derivs_at_zero(net, w_hat: np.ndarray, h: float | None):
+    """Order-2 and order-3 derivatives of the network along each column, at the origin.
 
-    Finite differences of step ``h`` cost 2 queries per column plus one at
-    the origin for n = 2 and 4 per column for n = 3, all in one batch call of
-    the network; ``h=None`` uses the network's analytic oracle instead.
+    Returns ``(t2, t3)``.  Finite differences of step ``h`` cost 4 queries
+    per column plus one at the origin, all in one batch call of the network
+    (:func:`~.numdiff.fd_directional`); ``h=None`` reads the network's
+    analytic oracle instead, twice per column.
     """
     w_hat = np.asarray(w_hat, dtype=float)
     norms = np.linalg.norm(w_hat, axis=0)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ConfigError("weight estimates must have unit columns")
     if h is None:
-        return np.array([net.directional_deriv_exact(w_hat[:, k], n)
-                         for k in range(w_hat.shape[1])])
-    return fd_directional(net.eval_batch, np.zeros(net.dim), w_hat, n, h)
+        return tuple(np.array([net.directional_deriv_exact(w, n) for w in w_hat.T])
+                     for n in (2, 3))
+    return fd_directional(net.eval_batch, np.zeros(net.dim), w_hat, h)
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray, label: str):
@@ -95,8 +96,9 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, label: str):
 def init_signs_shifts(net, w_hat: np.ndarray, h: float | None) -> InitResult:
     """Run the full initialization: Gram solves, g'' inversion, sign rule.
 
-    The derivatives are finite differences of step ``h``, or the analytic
-    oracle's for ``h=None`` (:func:`directional_derivs_at_zero`); g is the
+    Both orders of derivative come from one call of
+    :func:`directional_derivs_at_zero`: finite differences of step ``h`` at
+    4m + 1 points, or the analytic oracle's for ``h=None``; g is the
     network's own activation ``net.act``.
 
     Signs come from ``sign(c3_k * g'''(0))``.  As c3_k = s_k^3 g'''(tau_k),
@@ -105,8 +107,7 @@ def init_signs_shifts(net, w_hat: np.ndarray, h: float | None) -> InitResult:
     is exactly zero leaves its sign undetermined: it is counted in
     ``n_undetermined`` and defaults to +1.
     """
-    t2 = directional_derivs_at_zero(net, w_hat, 2, h)
-    t3 = directional_derivs_at_zero(net, w_hat, 3, h)
+    t2, t3 = directional_derivs_at_zero(net, w_hat, h)
     c2, cond_g2 = _solve_spd(gram_power(w_hat, 2), t2, "order-2")
     c3, cond_g3 = _solve_spd(gram_power(w_hat, 3), t3, "order-3")
 

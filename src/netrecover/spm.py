@@ -235,8 +235,7 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
     ``mats`` is the stack that :func:`_step` ascends on: ``proj.matrices()``,
     or a deflated stack (:func:`_deflate`).  Each step runs the active
     columns ``_CHUNK`` at a time.  A column whose move falls to ``tol`` has
-    converged and is frozen.  Returns ``(U, objectives, steps,
-    converged)``, the objectives on the full span.
+    converged and is frozen.  Returns ``(U, steps, converged)``.
     """
     u = np.array(u0, dtype=float)
     n_cols = u.shape[1]
@@ -255,7 +254,7 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
             active = active[~done]
         if active.size == 0:
             break
-    return u, proj.objective_batch(u), steps, converged
+    return u, steps, converged
 
 
 def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):
@@ -267,8 +266,8 @@ def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):
     nrm = float(np.linalg.norm(u0))
     if abs(nrm - 1.0) > 1e-8:
         raise ConfigError(f"expected a unit vector, got norm {nrm!r}")
-    u, obj, steps, conv = _ascend_batch(proj, u0[:, None], cfg, proj.matrices())
-    return u[:, 0], float(obj[0]), int(steps[0]), bool(conv[0])
+    u, steps, conv = _ascend_batch(proj, u0[:, None], cfg, proj.matrices())
+    return u[:, 0], float(proj.objective_batch(u)[0]), int(steps[0]), bool(conv[0])
 
 
 def canonical_sign(u: np.ndarray) -> np.ndarray:
@@ -359,9 +358,10 @@ def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, m: int
         if k and buf is None:
             buf = np.empty((m - k,) + mats.shape[1:])
         stack = mats if k == 0 else _deflate(proj, mats, accepted, buf)
-        u, _, placing, _ = _ascend_batch(proj, starts[:, first:first + width], cfg, stack,
-                                         _PLACE_MOVE)
-        u, objectives, polishing, converged = _ascend_batch(proj, u, cfg, mats)
+        u, placing, _ = _ascend_batch(proj, starts[:, first:first + width], cfg, stack,
+                                      _PLACE_MOVE)
+        u, polishing, converged = _ascend_batch(proj, u, cfg, mats)
+        objectives = proj.objective_batch(u)  # on the full span
         objectives[~converged] = -np.inf  # below every level: rejected
         for j in range(width):
             if len(accepted) == m:

@@ -215,9 +215,10 @@ class TestSlopeSignCertificate:
         assert sign == 1
 
     def test_quadrature_matches_direct_integral(self, tanh_act):
-        # scipy quadrature oracle at tau = -0.6 (the single grid point)
+        # scipy quadrature oracle at tau = -0.6, an end of the grid, where
+        # the mean slope is smallest
         from scipy.integrate import quad
         ref, _ = quad(lambda t: (1 - np.tanh(t - 0.6) ** 2) * np.exp(-t * t / 2),
                       -12, 12)
-        _, min_abs = slope_sign_certificate(tanh_act, n_tau=1)
+        _, min_abs = slope_sign_certificate(tanh_act)
         assert min_abs == pytest.approx(ref, rel=1e-10)

@@ -20,8 +20,9 @@ REL_TOL = 1e-9
 def result():
     # m = ceil(0.4 * 10) = 4; n_train = ceil(2.5 * 4 * 100) = 1000, batch 64
     # -> 16 steps per epoch, 80 steps in 5 epochs
-    return run_baseline_sgd(PipelineConfig(dim=10, beta_order=1.0, seed=3,
-                                           baseline_max_epochs=5, n_eval=2000))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baseline, "_MAX_EPOCHS", 5)
+        return run_baseline_sgd(PipelineConfig(dim=10, beta_order=1.0, seed=3, n_eval=2000))
 
 
 def test_identity_columns(result):
@@ -86,9 +87,9 @@ def test_failed_stage_is_a_stage_error_with_its_result(tmp_path, monkeypatch):
         raise RuntimeError("scoring broke")
 
     monkeypatch.setattr(baseline, "score_stage", broken_score)
-    cfg = PipelineConfig(dim=6, beta_order=1.0, seed=3, baseline_max_epochs=1)
-    with pytest.raises(StageError) as err:
-        run_baseline_sgd(cfg)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(StageError) as err:
+        mp.setattr(baseline, "_MAX_EPOCHS", 1)
+        run_baseline_sgd(PipelineConfig(dim=6, beta_order=1.0, seed=3))
     assert err.value.stage == "score"
     assert err.value.result.error == "score: scoring broke"
     assert err.value.result.stage_queries["refine"] == math.ceil(2.5 * 3 * 6 ** 2)
@@ -98,11 +99,11 @@ def test_failed_stage_is_a_stage_error_with_its_result(tmp_path, monkeypatch):
     assert read_result(out)[1]["error"] == "score: scoring broke"
 
 
-def test_epoch_holds_the_training_set_and_row_blocks():
+def test_epoch_holds_the_training_set_and_row_blocks(monkeypatch):
     # D=20, beta=1.5: m = 36, n_train = ceil(2.5 * 36 * 20^2) = 36,000
     dim, n = 20, 36_000
-    cfg = PipelineConfig(dim=dim, beta_order=1.5, seed=1, baseline_max_epochs=1,
-                         n_eval=2000)
+    monkeypatch.setattr(baseline, "_MAX_EPOCHS", 1)
+    cfg = PipelineConfig(dim=dim, beta_order=1.5, seed=1, n_eval=2000)
     result, peak = traced_peak(run_baseline_sgd, cfg)
     assert (result.m, result.stage_queries["refine"]) == (36, n)
     # xs and ys, the epoch loss's n-vectors (prediction, residual, its square)

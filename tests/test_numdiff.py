@@ -194,12 +194,22 @@ class TestStructuredStencil:
         assert net.query_count == 0
 
 
+def two_stencils(f, x, u, h):
+    """Reference: the order-2 and order-3 stencils, each from its own call of f."""
+    ut = np.atleast_2d(u.T)
+    v = np.split(f(np.concatenate([x + h * ut, x[None], x - h * ut])), [len(ut), len(ut) + 1])
+    d2 = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
+    v = np.split(f(np.concatenate([x + 2 * h * ut, x + h * ut, x - h * ut, x - 2 * h * ut])), 4)
+    d3 = (v[0] - 2.0 * v[1] + 2.0 * v[2] - v[3]) / (2.0 * h ** 3)
+    return (float(d2[0]), float(d3[0])) if u.ndim == 1 else (d2, d3)
+
+
 class TestDirectional:
     def test_cubic_exact(self):
         u = np.array([1.0])
-        val = fd_directional(lambda p: p[:, 0] ** 3, np.zeros(1), u, 3,
-                             0.1)
-        assert val == pytest.approx(6.0, abs=1e-10)
+        d2, d3 = fd_directional(lambda p: p[:, 0] ** 3, np.zeros(1), u, 0.1)
+        assert d2 == 0.0
+        assert d3 == pytest.approx(6.0, abs=1e-10)
 
     def test_single_neuron_second_order(self, tanh_act):
         from netrecover import TeacherNetwork
@@ -207,61 +217,72 @@ class TestDirectional:
         w[1, 0] = 1.0
         net = TeacherNetwork(w, np.array([0.2]), tanh_act)
         step = 0.01
-        val = fd_directional(net.eval_batch, np.zeros(4), w[:, 0], 2, step)
+        val, _ = fd_directional(net.eval_batch, np.zeros(4), w[:, 0], step)
         assert val == pytest.approx(float(tanh_act.g2(0.2)), abs=10 * step ** 2)
 
     def test_query_counts(self):
         net = random_teacher(5, 2, seed=10)
         u = np.zeros(5)
         u[0] = 1.0
-        for n, cost in ((1, 2), (2, 3), (3, 4)):
-            before = net.query_count
-            fd_directional(net.eval_batch, np.zeros(5), u, n, PipelineConfig.fd_step)
-            assert net.query_count - before == cost
+        fd_directional(net.eval_batch, np.zeros(5), u, PipelineConfig.fd_step)
+        assert net.query_count == 5
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ConfigError):
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
-                           np.array([1.0, 1.0]), 1, PipelineConfig.fd_step)
+                           np.array([1.0, 1.0]), PipelineConfig.fd_step)
         with pytest.raises(ConfigError):
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
-                           np.array([[1.0, 1.0], [0.0, 1.0]]), 1, PipelineConfig.fd_step)
+                           np.array([[1.0, 1.0], [0.0, 1.0]]), PipelineConfig.fd_step)
 
-    @pytest.mark.parametrize("n,cost", [(1, 2), (2, 3), (3, 4)])
-    def test_batch_matches_single_directions(self, n, cost):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_matches_single_directions(self, n):
         net = random_teacher(5, 3, seed=21)
         u = random_unit_columns(5, 4, seed=22)
         x = np.random.default_rng(23).standard_normal(5)
         step = 0.01
         rows = []
         net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
-        batch = fd_directional(net.eval_batch, x, u, n, step)
-        # cost is per single direction; a batch queries the order-2 center x once
-        batch_cost = 2 * 4 + 1 if n == 2 else 4 * cost
-        assert rows == [batch_cost] and net.query_count == batch_cost
-        single = [fd_directional(net.eval_batch, x, u[:, k], n, step) for k in range(4)]
+        batch = fd_directional(net.eval_batch, x, u, step)[n - 2]
+        # one call of 4k + 1 rows: the center x is queried once for the batch
+        assert rows == [4 * 4 + 1] and net.query_count == 4 * 4 + 1
+        single = [fd_directional(net.eval_batch, x, u[:, k], step)[n - 2] for k in range(4)]
         # the rows may round differently in a larger GEMM: the stencil weights
         # sum to at most 4 / h^n in absolute value, and |g| <= 1 for m = 3
         tol = 4 * 8 * 3 * np.finfo(float).eps / step ** n
         assert np.max(np.abs(batch - single)) <= tol
 
+    @pytest.mark.parametrize("dim,m", [(40, 102), (10, 13)])
+    def test_shared_stencil_equals_the_two_stencils(self, dim, m):
+        # the order-2 and order-3 stencils share x +- hU; read from one call
+        # of 4k + 1 rows, both orders equal the two calls of 2k + 1 and 4k
+        # rows bit for bit
+        net = random_teacher(dim, m, seed=dim)
+        step = PipelineConfig.fd_step
+        x = np.zeros(dim)
+        for u in (random_unit_columns(dim, 1, seed=1)[:, 0], random_unit_columns(dim, m, seed=2)):
+            k = 1 if u.ndim == 1 else m
+            rows = []
+            f = lambda p: rows.append(len(p)) or net.eval_batch(p)
+            d2, d3 = fd_directional(f, x, u, step)
+            assert rows == [4 * k + 1]
+            r2, r3 = two_stencils(net.eval_batch, x, u, step)
+            assert np.array_equal(d2, r2) and np.array_equal(d3, r3)
+
     def test_batch_non_finite_names_the_point(self):
+        # the order-2 points come first, so x + h e_1 is named before the
+        # order-3 point x + 2h e_1
         def f(p):
             return np.where(p[:, 1] > 0.05, np.nan, 0.0)
 
         u = np.eye(3)[:, :2]
         with pytest.raises(FDEvaluationError) as err:
-            fd_directional(f, np.zeros(3), u, 2, 0.1)
+            fd_directional(f, np.zeros(3), u, 0.1)
         assert np.array_equal(err.value.point, [0.0, 0.1, 0.0])
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ConfigError):
-            fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
-                           np.array([1.0, 0.0]), 4, PipelineConfig.fd_step)
 
 
 class TestLinearity:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
     def test_directional_linear_in_f(self, n):
         f_net = random_teacher(6, 4, seed=11)
         g_net = random_teacher(6, 5, seed=12)
@@ -274,9 +295,9 @@ class TestLinearity:
         step = 0.2 if n == 3 else 0.05
         for a in rng.uniform(-2, 2, size=3):
             combo = lambda p: a * f_net.eval_batch(p) + g_net.eval_batch(p)
-            lhs = fd_directional(combo, x, u, n, step)
-            rhs = a * fd_directional(f_net.eval_batch, x, u, n, step) + fd_directional(
-                g_net.eval_batch, x, u, n, step)
+            lhs = fd_directional(combo, x, u, step)[n - 2]
+            rhs = (a * fd_directional(f_net.eval_batch, x, u, step)[n - 2]
+                   + fd_directional(g_net.eval_batch, x, u, step)[n - 2])
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
     def test_hessian_linear_in_f(self):
@@ -311,8 +332,7 @@ class TestConvergenceOrder:
                 exact = net.directional_deriv_exact(u, 3)
                 # shift so the third directional derivative is generic
                 err = lambda h: abs(
-                    fd_directional(net.eval_batch, np.zeros(5), u, 3,
-                                   h) - exact)
+                    fd_directional(net.eval_batch, np.zeros(5), u, h)[1] - exact)
             ratio = err(0.04) / max(err(0.02), 1e-300)
             good += 3.0 < ratio < 5.0
         assert good >= 17  # allow a few trials where the leading term degenerates

@@ -24,8 +24,8 @@ EXACT_COLUMNS = {
     "mode": "pipeline", "D": "10", "beta": "1.5", "m": "13", "seed": "7",
     "exact_mode": "0", "spm_processed": "22", "spm_accepted": "13",
     "spm_duplicate": "9", "spm_rejected": "0", "refine_steps": "2",
-    "refine_stop_reason": "stop_loss", "q_hessians": "3330", "q_init": "79",
-    "q_refine": "512", "q_algorithm": "3921", "n_shifts_clamped": "0",
+    "refine_stop_reason": "stop_loss", "q_hessians": "3330", "q_init": "53",
+    "q_refine": "512", "q_algorithm": "3895", "n_shifts_clamped": "0",
     "error": "",
 }
 FLOAT_COLUMNS = {
@@ -43,10 +43,10 @@ FLOAT_COLUMNS = {
     "cond_g2": 5.757395152528569,
     "cond_g3": 3.0037260890201343,
     "final_loss": 2.1204205150775226e-10,
-    "query_ceiling_ratio": 0.035265703198408646,
+    "query_ceiling_ratio": 0.035031857678602826,
 }
 # the same run at ceil(1.5 * 13) = 20 anchors: the columns that the budget moves
-COARSE_EXACT_COLUMNS = {**EXACT_COLUMNS, "q_hessians": "2220", "q_algorithm": "2811"}
+COARSE_EXACT_COLUMNS = {**EXACT_COLUMNS, "q_hessians": "2220", "q_algorithm": "2785"}
 COARSE_FLOAT_COLUMNS = {
     **FLOAT_COLUMNS,
     "e_inf": 8.77591582045726e-06,
@@ -60,11 +60,11 @@ COARSE_FLOAT_COLUMNS = {
     "cond_g2": 5.7573563735052975,
     "cond_g3": 3.003705258964769,
     "final_loss": 2.420469250766957e-10,
-    "query_ceiling_ratio": 0.025282298314390897,
+    "query_ceiling_ratio": 0.025048452794585077,
 }
 # the same run at the defaults, h = 1e-3 and ceil(1.25 * 13) = 17 anchors:
 # the columns that the step and the budget move
-DEFAULT_EXACT_COLUMNS = {**COARSE_EXACT_COLUMNS, "q_hessians": "1887", "q_algorithm": "2478"}
+DEFAULT_EXACT_COLUMNS = {**COARSE_EXACT_COLUMNS, "q_hessians": "1887", "q_algorithm": "2452"}
 DEFAULT_FLOAT_COLUMNS = {
     **COARSE_FLOAT_COLUMNS,
     "fd_step": 0.001,
@@ -80,7 +80,7 @@ DEFAULT_FLOAT_COLUMNS = {
     "cond_g2": 5.7573727103755825,
     "cond_g3": 3.003718682060251,
     "final_loss": 3.737760620802744e-14,
-    "query_ceiling_ratio": 0.02228727684918557,
+    "query_ceiling_ratio": 0.02205343132937975,
 }
 REL_TOL = 1e-9
 

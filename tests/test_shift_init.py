@@ -51,16 +51,15 @@ class TestDirectionalDerivs:
     def test_exact_mode_matches_closed_form(self):
         net = random_teacher(8, 6, seed=0)
         w_hat = net.weights.copy()
-        for n in (2, 3):
-            vals = directional_derivs_at_zero(net, w_hat, n, None)
+        for n, vals in zip((2, 3), directional_derivs_at_zero(net, w_hat, None)):
             assert np.allclose(vals, closed_form_directional(net, w_hat, n), atol=1e-12)
+        assert net.oracle_count == 2 * 6
 
     def test_fd_mode_matches_closed_form(self):
         net = random_teacher(8, 6, seed=1)
         w_hat = net.weights.copy()
         step = 0.01
-        for n in (2, 3):
-            vals = directional_derivs_at_zero(net, w_hat, n, step)
+        for n, vals in zip((2, 3), directional_derivs_at_zero(net, w_hat, step)):
             ref = closed_form_directional(net, w_hat, n)
             assert np.max(np.abs(vals - ref)) < 50 * step ** 2
 
@@ -69,7 +68,7 @@ class TestDirectionalDerivs:
         w[2, 0] = 1.0
         net = TeacherNetwork(w, np.array([0.2]), tanh_act)
         step = 0.01
-        val = directional_derivs_at_zero(net, w, 2, step)[0]
+        val = directional_derivs_at_zero(net, w, step)[0][0]
         assert val == pytest.approx(float(tanh_act.g2(0.2)), abs=10 * step ** 2)
 
     def test_single_tanh_third_derivative_at_origin(self, tanh_act):
@@ -77,26 +76,21 @@ class TestDirectionalDerivs:
         w[0, 0] = 1.0
         net = TeacherNetwork(w, np.zeros(1), tanh_act)
         step = 0.01
-        val = directional_derivs_at_zero(net, w, 3, step)[0]
+        val = directional_derivs_at_zero(net, w, step)[1][0]
         assert val == pytest.approx(-2.0, abs=100 * step ** 2)
 
     def test_query_costs(self):
         net = random_teacher(6, 4, seed=2)
         step = PipelineConfig.fd_step
-        before = net.query_count
-        directional_derivs_at_zero(net, net.weights, 2, step)
-        assert net.query_count - before == 2 * 4 + 1
-        before = net.query_count
-        directional_derivs_at_zero(net, net.weights, 3, step)
-        assert net.query_count - before == 4 * 4
+        directional_derivs_at_zero(net, net.weights, step)
+        assert net.query_count == 4 * 4 + 1
 
-    def test_one_network_call_per_order(self):
+    def test_one_network_call_for_both_orders(self):
         net = random_teacher(6, 4, seed=2)
         rows = []
         net.eval_batch = lambda p, f=net.eval_batch: rows.append(len(p)) or f(p)
-        for n in (2, 3):
-            directional_derivs_at_zero(net, net.weights, n, PipelineConfig.fd_step)
-        assert rows == [2 * 4 + 1, 4 * 4]
+        init_signs_shifts(net, net.weights, PipelineConfig.fd_step)
+        assert rows == [4 * 4 + 1]
 
 
 class TestInitSignsShifts:

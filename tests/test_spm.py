@@ -434,7 +434,7 @@ class TestStep:
             assert np.array_equal(part, np.concatenate(joined, axis=-1))
         # the even columns took a Newton step, which ends within 1e-9 of the
         # maximum; an ascent step from a 1e-3 start would not
-        assert np.all(1.0 - whole[1][::2] <= 1e-9)
+        assert np.all(1.0 - proj.objective_batch(whole[0])[::2] <= 1e-9)
 
     def test_one_product_stack_per_chunk(self, monkeypatch):
         proj, _, _ = _two_chunk_case()
