@@ -140,7 +140,16 @@ def _check_columns(args, net, w_hat, signs=None):
                           f"{w_hat.shape[1]} weight columns in {args.weights}")
 
 
+def _seed(args) -> int:
+    """The ``--seed`` flag, 0 when not given; numpy refuses a negative seed."""
+    seed = args.seed or 0
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _cmd_generate(args) -> int:
+    _seed(args)
     net = teacher_stage(build_pipeline_config(args), args.out)
     print(f"wrote teacher D={net.dim} m={net.n_neurons} -> {args.out}")
     return 0
@@ -198,10 +207,11 @@ def _cmd_baseline(args) -> int:
     return 0
 
 def _cmd_diagnose(args) -> int:
+    seed = _seed(args)
     net = fileio.load_teacher(args.net)
-    rep = check_incoherence(net.weights, rip_trials=args.rip_trials, seed=args.seed or 0)
+    rep = check_incoherence(net.weights, rip_trials=args.rip_trials, seed=seed)
     n_mc = args.n_mc or max(4 * net.n_neurons, 50)
-    alpha = estimate_alpha(net, n_mc, seed=child_seed(args.seed or 0, "score"))
+    alpha = estimate_alpha(net, n_mc, seed=child_seed(seed, "score"))
     omega = kernel_floor_omega(net.act)
     sign, min_abs = slope_sign_certificate(net.act)
     rows = [
@@ -266,20 +276,20 @@ _SUBCOMMANDS = [
 ]
 
 
-def _split_option_line(line: str) -> list[str]:
-    """The flags on one line of an ``@FILE``: shell words up to a ``#``."""
-    try:
-        return shlex.split(line, comments=True)
-    except ValueError as exc:  # an unclosed quote; argparse exits 2 on this error
-        raise argparse.ArgumentError(None, f"option file line {line!r}: {exc}") from None
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads an ``@FILE`` as shell words, ``#`` comments skipped."""
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:  # an unclosed quote; argparse exits 2 on this error
+            raise argparse.ArgumentError(None, f"option file line {arg_line!r}: {exc}") from None
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="netrecover",
-                                     description="Recover planted shallow networks "
-                                                 "from black-box queries.",
-                                     fromfile_prefix_chars="@", allow_abbrev=False)
-    parser.convert_arg_line_to_args = _split_option_line
+    parser = _Parser(prog="netrecover",
+                     description="Recover planted shallow networks from black-box queries.",
+                     fromfile_prefix_chars="@", allow_abbrev=False)
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, required, optional in _SUBCOMMANDS:

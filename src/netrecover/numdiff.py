@@ -117,27 +117,25 @@ def fd_hessian(f, x, h: float) -> np.ndarray:
 
 
 def fd_directional(f, x, u, h: float):
-    """Order-2 and order-3 derivatives of t -> f(x + t u) at t = 0, at step h.
+    """Order-2 and order-3 derivatives of t -> f(x + t u_k) at t = 0, at step h.
 
-    f is a batch function of the stencil points.  ``u`` is one unit direction
-    (D,), which gives two floats, or a (D, k) batch of unit columns, which
-    gives two (k,) arrays.  One call of f reads the 4k + 1 points x + hU, x,
-    x - hU, x + 2hU and x - 2hU, in that order: the 3-point order-2 stencil
-    and the 5-point antisymmetric order-3 stencil (center unused) share
-    x +- hU, and the center is queried once for all k directions.
+    f is a batch function of the stencil points and ``u`` a (D, k) batch of
+    unit columns; returns two (k,) arrays.  One call of f reads the 4k + 1
+    points x + hU, x, x - hU, x + 2hU and x - 2hU, in that order: the 3-point
+    order-2 stencil and the 5-point antisymmetric order-3 stencil (center
+    unused) share x +- hU, and the center is queried once for all k directions.
     """
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    nrm = np.atleast_1d(np.linalg.norm(u, axis=0))
+    ut = np.asarray(u, dtype=float).T  # one direction per row
+    nrm = np.linalg.norm(ut, axis=1)
     worst = float(nrm[np.argmax(np.abs(nrm - 1.0))])
     if abs(worst - 1.0) > 1e-8:
         raise ConfigError(f"direction must have unit norm, got ||u|| = {worst!r}")
-    ut = np.atleast_2d(u.T)  # one direction per row
     vp, v0, vm, vpp, vmm = _evaluate(
         f, [x + h * ut, x[None], x - h * ut, x + 2 * h * ut, x - 2 * h * ut])
     d2 = (vp - 2.0 * v0 + vm) / (h * h)
     d3 = (vpp - 2.0 * vp + 2.0 * vm - vmm) / (2.0 * h ** 3)
-    return (float(d2[0]), float(d3[0])) if u.ndim == 1 else (d2, d3)
+    return d2, d3
 
 
 def _evaluate(f, blocks) -> list:

@@ -160,6 +160,8 @@ class PipelineConfig:
             raise ConfigError(f"n_hessians = m leaves SPM no sigma_{m + 1}; take m + 1 = {m + 1}")
         if self.n_eval < 1:
             raise ConfigError(f"n_eval must be >= 1, got {self.n_eval}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # a bad step, shift law or refine setting fails here, before the first stage runs
         if not 1e-8 <= self.fd_step <= 1.0:
             raise ConfigError(f"fd_step must lie in [1e-8, 1], got {self.fd_step}")

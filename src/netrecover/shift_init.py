@@ -29,15 +29,12 @@ _COND_LIMIT = 1e10
 
 @dataclasses.dataclass
 class InitResult:
-    """Recovered signs and initial shifts, with solver conditioning info."""
+    """Recovered signs and initial shifts, with the Gram systems' condition numbers."""
 
     signs: np.ndarray            # +-1 per neuron
     tau0: np.ndarray             # initial shifts, clamped to the admissible interval
-    c2: np.ndarray               # solved second-order coefficients
-    c3: np.ndarray               # solved third-order coefficients
     cond_g2: float
     cond_g3: float
-    n_undetermined: int = 0
 
 
 def gram_power(w_hat: np.ndarray, n: int) -> np.ndarray:
@@ -104,8 +101,8 @@ def init_signs_shifts(net, w_hat: np.ndarray, h: float | None) -> InitResult:
     Signs come from ``sign(c3_k * g'''(0))``.  As c3_k = s_k^3 g'''(tau_k),
     and g'''(tau_k) has the sign of g'''(0) on the shift interval (which is
     -2 for tanh and -1/8 for the sigmoid), this is s_k.  A coefficient that
-    is exactly zero leaves its sign undetermined: it is counted in
-    ``n_undetermined`` and defaults to +1.
+    is exactly zero leaves its sign undetermined: it defaults to +1, with a
+    warning.
     """
     t2, t3 = directional_derivs_at_zero(net, w_hat, h)
     c2, cond_g2 = _solve_spd(gram_power(w_hat, 2), t2, "order-2")
@@ -114,17 +111,9 @@ def init_signs_shifts(net, w_hat: np.ndarray, h: float | None) -> InitResult:
     tau0 = np.array([invert_g2(net.act, float(v)) for v in c2])
 
     signs = np.sign(c3 * float(net.act.g3(0.0))).astype(int)
-    n_undetermined = int(np.sum(signs == 0))
-    if n_undetermined:
+    undetermined = signs == 0
+    if undetermined.any():
         logger.warning("%d sign(s) undetermined (zero coefficient); defaulting to +1",
-                       n_undetermined)
-        signs[signs == 0] = 1
-    return InitResult(
-        signs=signs,
-        tau0=tau0,
-        c2=np.asarray(c2),
-        c3=np.asarray(c3),
-        cond_g2=cond_g2,
-        cond_g3=cond_g3,
-        n_undetermined=n_undetermined,
-    )
+                       np.count_nonzero(undetermined))
+        signs[undetermined] = 1
+    return InitResult(signs=signs, tau0=tau0, cond_g2=cond_g2, cond_g3=cond_g3)

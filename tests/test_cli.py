@@ -328,6 +328,40 @@ class TestRefusedCells:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """A teacher, weights and init file that the stage subcommands accept."""
+        net = tmp_path / "teacher.net"
+        assert cli.main(["generate", "--d", "5", "--m", "3", "--out", str(net)]) == 0
+        (tmp_path / "w.txt").write_text("5 3\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n")
+        (tmp_path / "init.txt").write_text("signs 1 1 1\nshifts 0 0 0\ncond_g2 1\ncond_g3 1\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--d", "5", "--m", "3"],
+        ["recover-weights", "--net", "teacher.net"],
+        ["refine", "--net", "teacher.net", "--weights", "w.txt", "--init", "init.txt"],
+        ["pipeline", "--d", "6", "--beta", "1.0"],
+        ["baseline", "--d", "6", "--m", "3"],
+        ["diagnose", "--net", "teacher.net"],
+        ["study", "--d-list", "6", "--beta-list", "1.0"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed(self, inputs, monkeypatch, argv, capsys):
+        monkeypatch.chdir(inputs)
+        before = sorted(inputs.rglob("*"))
+        out = "--out-dir" if argv[0] in ("pipeline", "baseline") else "--out"
+        assert cli.main([*argv, "--seed", "-1", out, "run"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert sorted(inputs.rglob("*")) == before
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_diagnose_rip_trials(self, inputs, trials, capsys):
+        out = inputs / "diag.csv"
+        assert cli.main(["diagnose", "--net", str(inputs / "teacher.net"), "--rip-trials",
+                         trials, "--out", str(out)]) == 2
+        assert f"rip_trials must be >= 1, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStudy:
     def test_flags_reach_every_cell(self, tmp_path):

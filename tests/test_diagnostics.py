@@ -75,16 +75,21 @@ class TestKernelFloor:
 
     @pytest.mark.parametrize("kind, omega, tau_argmin, tail", _FLOOR_PINS)
     def test_node_count_converged(self, kind, omega, tau_argmin, tail, monkeypatch):
-        # the Hermite coefficients up to order 20 are resolved at 200 nodes:
-        # 300 give the same floor (400 would overflow numpy's hermgauss
-        # weights).  Only tau >= 0 is scanned, so rounding cannot flip the
-        # argmin to its mirror -tau; the tail's E[g'''^2] converges slower,
-        # 5.7e-11 apart for tanh
+        # the Hermite coefficients up to order 20 and the tail's E[g'''^2] are
+        # resolved at the default 256 nodes: 300 give the same floor and tail
+        # (400 would overflow numpy's hermgauss weights).  The pins are the
+        # 200-node values, whose tanh tail sat 5.7e-11 below.  Only tau >= 0
+        # is scanned, so rounding cannot flip the argmin to its mirror -tau
+        assert diagnostics._QUAD_NODES == 256
+        act = make_activation(kind)
+        res = kernel_floor_omega(act)
         monkeypatch.setattr(diagnostics, "_QUAD_NODES", 300)
-        res = kernel_floor_omega(make_activation(kind))
-        assert res.omega == pytest.approx(omega, rel=1e-12)
-        assert res.tau_argmin == pytest.approx(tau_argmin, rel=1e-12)
-        assert res.tail_bound == pytest.approx(tail, rel=1e-10)
+        ref = kernel_floor_omega(act)
+        assert res.omega == pytest.approx(ref.omega, rel=1e-12)
+        assert res.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
+        assert res.tau_argmin == ref.tau_argmin == tau_argmin
+        assert ref.omega == pytest.approx(omega, rel=1e-12)
+        assert ref.tail_bound == pytest.approx(tail, rel=1e-10)
 
 
 class TestScoring:

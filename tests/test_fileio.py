@@ -28,7 +28,7 @@ def test_writer_bytes_pinned(tmp_path):
     save_weights(np.array([[0.6, 1e-300], [0.8, -1.0]]), tmp_path / "w.txt")
     assert (tmp_path / "w.txt").read_text() == "2 2\n0.6 0.8\n1e-300 -1.0\n"
     res = InitResult(signs=np.array([1, -1]), tau0=np.array([0.25, -1 / 3]),
-                     c2=np.zeros(2), c3=np.zeros(2), cond_g2=2.0, cond_g3=1e20)
+                     cond_g2=2.0, cond_g3=1e20)
     save_init_result(res, tmp_path / "init.txt")
     assert (tmp_path / "init.txt").read_text() == (
         "signs 1 -1\nshifts 0.25 -0.3333333333333333\ncond_g2 2.0\ncond_g3 1e+20\n")
@@ -106,8 +106,7 @@ class TestInitResult:
     def test_round_trip_bit_exact(self, tmp_path):
         tau = awkward_floats(6, seed=2)
         res = InitResult(signs=np.array([1, -1, 1, 1, -1, -1]), tau0=tau,
-                         cond_g2=3.141592653589793, cond_g3=1e-310,
-                         c2=np.zeros(6), c3=np.zeros(6))
+                         cond_g2=3.141592653589793, cond_g3=1e-310)
         save_init_result(res, tmp_path / "init.txt")
         signs, tau0, cond2, cond3 = load_init_result(tmp_path / "init.txt")
         assert signs.tolist() == [1, -1, 1, 1, -1, -1]

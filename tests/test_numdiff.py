@@ -196,18 +196,18 @@ class TestStructuredStencil:
 
 def two_stencils(f, x, u, h):
     """Reference: the order-2 and order-3 stencils, each from its own call of f."""
-    ut = np.atleast_2d(u.T)
+    ut = u.T
     v = np.split(f(np.concatenate([x + h * ut, x[None], x - h * ut])), [len(ut), len(ut) + 1])
     d2 = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
     v = np.split(f(np.concatenate([x + 2 * h * ut, x + h * ut, x - h * ut, x - 2 * h * ut])), 4)
     d3 = (v[0] - 2.0 * v[1] + 2.0 * v[2] - v[3]) / (2.0 * h ** 3)
-    return (float(d2[0]), float(d3[0])) if u.ndim == 1 else (d2, d3)
+    return d2, d3
 
 
 class TestDirectional:
     def test_cubic_exact(self):
-        u = np.array([1.0])
-        d2, d3 = fd_directional(lambda p: p[:, 0] ** 3, np.zeros(1), u, 0.1)
+        u = np.array([[1.0]])
+        (d2,), (d3,) = fd_directional(lambda p: p[:, 0] ** 3, np.zeros(1), u, 0.1)
         assert d2 == 0.0
         assert d3 == pytest.approx(6.0, abs=1e-10)
 
@@ -217,20 +217,19 @@ class TestDirectional:
         w[1, 0] = 1.0
         net = TeacherNetwork(w, np.array([0.2]), tanh_act)
         step = 0.01
-        val, _ = fd_directional(net.eval_batch, np.zeros(4), w[:, 0], step)
+        (val,), _ = fd_directional(net.eval_batch, np.zeros(4), w, step)
         assert val == pytest.approx(float(tanh_act.g2(0.2)), abs=10 * step ** 2)
 
     def test_query_counts(self):
         net = random_teacher(5, 2, seed=10)
-        u = np.zeros(5)
-        u[0] = 1.0
+        u = np.eye(5)[:, :1]
         fd_directional(net.eval_batch, np.zeros(5), u, PipelineConfig.fd_step)
         assert net.query_count == 5
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ConfigError):
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
-                           np.array([1.0, 1.0]), PipelineConfig.fd_step)
+                           np.array([[1.0], [1.0]]), PipelineConfig.fd_step)
         with pytest.raises(ConfigError):
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
                            np.array([[1.0, 1.0], [0.0, 1.0]]), PipelineConfig.fd_step)
@@ -246,7 +245,8 @@ class TestDirectional:
         batch = fd_directional(net.eval_batch, x, u, step)[n - 2]
         # one call of 4k + 1 rows: the center x is queried once for the batch
         assert rows == [4 * 4 + 1] and net.query_count == 4 * 4 + 1
-        single = [fd_directional(net.eval_batch, x, u[:, k], step)[n - 2] for k in range(4)]
+        single = [fd_directional(net.eval_batch, x, u[:, k:k + 1], step)[n - 2][0]
+                  for k in range(4)]
         # the rows may round differently in a larger GEMM: the stencil weights
         # sum to at most 4 / h^n in absolute value, and |g| <= 1 for m = 3
         tol = 4 * 8 * 3 * np.finfo(float).eps / step ** n
@@ -260,8 +260,8 @@ class TestDirectional:
         net = random_teacher(dim, m, seed=dim)
         step = PipelineConfig.fd_step
         x = np.zeros(dim)
-        for u in (random_unit_columns(dim, 1, seed=1)[:, 0], random_unit_columns(dim, m, seed=2)):
-            k = 1 if u.ndim == 1 else m
+        for k, seed in ((1, 1), (m, 2)):
+            u = random_unit_columns(dim, k, seed=seed)
             rows = []
             f = lambda p: rows.append(len(p)) or net.eval_batch(p)
             d2, d3 = fd_directional(f, x, u, step)
@@ -287,7 +287,7 @@ class TestLinearity:
         f_net = random_teacher(6, 4, seed=11)
         g_net = random_teacher(6, 5, seed=12)
         rng = np.random.default_rng(13)
-        u = rng.standard_normal(6)
+        u = rng.standard_normal((6, 1))
         u /= np.linalg.norm(u)
         x = rng.standard_normal(6)
         # a coarse step keeps the 1/h^n round-off amplification below 1e-12,
@@ -295,9 +295,9 @@ class TestLinearity:
         step = 0.2 if n == 3 else 0.05
         for a in rng.uniform(-2, 2, size=3):
             combo = lambda p: a * f_net.eval_batch(p) + g_net.eval_batch(p)
-            lhs = fd_directional(combo, x, u, step)[n - 2]
-            rhs = (a * fd_directional(f_net.eval_batch, x, u, step)[n - 2]
-                   + fd_directional(g_net.eval_batch, x, u, step)[n - 2])
+            lhs = fd_directional(combo, x, u, step)[n - 2][0]
+            rhs = (a * fd_directional(f_net.eval_batch, x, u, step)[n - 2][0]
+                   + fd_directional(g_net.eval_batch, x, u, step)[n - 2][0])
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
     def test_hessian_linear_in_f(self):
@@ -327,12 +327,12 @@ class TestConvergenceOrder:
                 err = lambda h: np.max(np.abs(
                     fd_hessian(net.stencil_function(h), x, h) - exact))
             else:
-                u = rng.standard_normal(5)
+                u = rng.standard_normal((5, 1))
                 u /= np.linalg.norm(u)
-                exact = net.directional_deriv_exact(u, 3)
+                exact = net.directional_deriv_exact(u[:, 0], 3)
                 # shift so the third directional derivative is generic
                 err = lambda h: abs(
-                    fd_directional(net.eval_batch, np.zeros(5), u, h)[1] - exact)
+                    fd_directional(net.eval_batch, np.zeros(5), u, h)[1][0] - exact)
             ratio = err(0.04) / max(err(0.02), 1e-300)
             good += 3.0 < ratio < 5.0
         assert good >= 17  # allow a few trials where the leading term degenerates

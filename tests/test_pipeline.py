@@ -266,6 +266,12 @@ class TestValidate:
             with pytest.raises(ConfigError, match=r"fd_step must lie in \[1e-8, 1\]"):
                 PipelineConfig(dim=10, n_neurons=13, fd_step=step).validate()
 
+    def test_negative_seed_refused(self):
+        # numpy's seeding takes only nonnegative integers
+        PipelineConfig(dim=10, n_neurons=13, seed=0).validate()
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            PipelineConfig(dim=10, n_neurons=13, seed=-1).validate()
+
 
 class TestImportGraph:
     SCRIPT = textwrap.dedent("""

@@ -113,8 +113,19 @@ class TestInitSignsShifts:
         w[1, 0] = 1.0
         net = TeacherNetwork(w, np.array([0.31]), tanh_act)
         res = init_signs_shifts(net, w, None)
-        assert res.c2[0] == pytest.approx(float(tanh_act.g2(0.31)), abs=1e-12)
         assert res.tau0[0] == pytest.approx(0.31, abs=1e-8)
+
+    def test_undetermined_signs_warn_and_default_to_plus(self, monkeypatch, caplog):
+        # a zero order-3 derivative gives c3 = 0 for every column: the flipped
+        # columns would read -1 from any nonzero coefficient
+        net = random_teacher(10, 12, seed=3)
+        exact = net.directional_deriv_exact
+        monkeypatch.setattr(net, "directional_deriv_exact",
+                            lambda u, n: 0.0 if n == 3 else exact(u, n))
+        with caplog.at_level("WARNING", logger="netrecover.shift_init"):
+            res = init_signs_shifts(net, -net.weights, None)
+        assert res.signs.tolist() == [1] * 12
+        assert "12 sign(s) undetermined (zero coefficient); defaulting to +1" in caplog.text
 
     def test_exactness_sweep(self):
         # 20 seeds: exact inputs give shifts to 1e-8 and all signs correct
