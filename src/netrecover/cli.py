@@ -99,7 +99,7 @@ _FLAGS = {
     "--beta-list": dict(help="comma-separated beta orders"),
     "--reps": dict(type=int, default=1),
     "--rip-trials": dict(type=int, default=20),
-    "--n-mc": dict(type=int),
+    "--n-mc": dict(type=int, help="Hessians behind alpha_hat, >= m; default max(4 m, 50)"),
 }
 _FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
 _SPM_FLAGS = {"spm_steps": "max_steps", "spm_restarts": "max_restarts"}
@@ -209,8 +209,10 @@ def _cmd_baseline(args) -> int:
 def _cmd_diagnose(args) -> int:
     seed = _seed(args)
     net = fileio.load_teacher(args.net)
+    n_mc = max(4 * net.n_neurons, 50) if args.n_mc is None else args.n_mc
+    if n_mc < net.n_neurons:
+        raise ConfigError(f"--n-mc must be >= m = {net.n_neurons}, got {n_mc}")
     rep = check_incoherence(net.weights, rip_trials=args.rip_trials, seed=seed)
-    n_mc = args.n_mc or max(4 * net.n_neurons, 50)
     alpha = estimate_alpha(net, n_mc, seed=child_seed(seed, "score"))
     omega = kernel_floor_omega(net.act)
     sign, min_abs = slope_sign_certificate(net.act)

@@ -32,8 +32,8 @@ class SubspaceDeficientError(RecoveryError):
 class IncompleteRecoveryError(RecoveryError):
     """Fewer than m distinct maximizers were found within the restart budget.
 
-    ``partial`` holds the (D, k) array of vectors found so far and ``stats``
-    the per-restart acceptance statistics.
+    ``partial`` holds the (D, k) vectors found so far and ``stats`` the
+    restart counts, which the failed row of a pipeline run or study reports.
     """
 
     def __init__(self, message, partial, stats):

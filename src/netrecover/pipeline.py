@@ -7,9 +7,10 @@ results; its finite-difference step; its budget defaults) and writes its
 artifact when given a path.  ``_StageRunner`` holds the wiring of a
 composed run, :func:`run_pipeline` or the SGD baseline: it times stages,
 counts their queries, and writes ``result.csv`` and ``report.txt`` at the
-end or after a failure, so a run can be post-mortemed.  The CLI stage
-subcommands call the same functions.  The result CSV contains only
-deterministic fields; timings go to the human-readable report.
+end or after a failure, so a run can be post-mortemed; a run that SPM
+stops keeps the restart counts of its error.  The CLI stage subcommands
+call the same functions.  The result CSV contains only deterministic
+fields; timings go to the human-readable report.
 
 The shifts are refined by Gauss-Newton on a small fresh sample; the paper's
 gradient descent on m D^2 inputs stays available as
@@ -31,11 +32,11 @@ from . import fileio
 from .activations import make_activation
 from .diagnostics import (Metrics, init_shift_error_bound, match_and_score,
                           match_weights)
-from .exceptions import ConfigError, StageError
+from .exceptions import ConfigError, IncompleteRecoveryError, StageError
 from .fileio import save_teacher
 from .refine import RefineConfig, refine
-from .shift_init import init_signs_shifts
-from .spm import SpmConfig, collect_weights
+from .shift_init import InitResult, init_signs_shifts
+from .spm import SpmConfig, SpmStats, collect_weights
 from .subspace import build_hessian_matrix, half_dim, top_m_projector, unhvec
 from .teacher import StudentNetwork, UniformShifts, sample_teacher
 
@@ -167,13 +168,13 @@ class PipelineConfig:
             raise ConfigError(f"fd_step must lie in [1e-8, 1], got {self.fd_step}")
         self.shift_law.sample(m, make_activation(self.activation).tau_inf,
                               np.random.default_rng(0))
-        self.refine_config(m)
+        self.refine_config()
 
     def derivative_step(self) -> float | None:
         """The derivative stages' step: ``fd_step``, or None for the analytic oracle."""
         return None if self.exact_derivatives else self.fd_step
 
-    def refine_config(self, m: int) -> RefineConfig:
+    def refine_config(self) -> RefineConfig:
         """The refine stage's settings: Gauss-Newton on ``n_train`` inputs.
 
         Without ``n_train`` it draws ceil(m log D) inputs, and at least
@@ -181,7 +182,7 @@ class PipelineConfig:
         """
         n_train = self.n_train
         if n_train is None:
-            n_train = max(math.ceil(m * math.log(self.dim)), _GN_MIN_TRAIN)
+            n_train = max(math.ceil(self.resolved_m() * math.log(self.dim)), _GN_MIN_TRAIN)
         return RefineConfig(
             n_train=n_train,
             max_steps=self.refine_max_steps,
@@ -233,8 +234,7 @@ def projector_stage(cfg: PipelineConfig, cols, spectrum_path=None):
 
 def spm_stage(cfg: PipelineConfig, proj, path=None):
     """Sphere-ascent collection; returns ``(w_hat, stats)``."""
-    w_hat, stats = collect_weights(proj, cfg.resolved_m(), cfg.spm,
-                                   child_seed(cfg.seed, "spm"))
+    w_hat, stats = collect_weights(proj, cfg.spm, child_seed(cfg.seed, "spm"))
     if path is not None:
         fileio.save_weights(w_hat, path)
     return w_hat, stats
@@ -254,8 +254,7 @@ def refine_stage(cfg: PipelineConfig, student, net, tau_truth=None, path=None):
     ``tau_truth``, the true shifts in the student's column order, adds a
     ``shift_error`` column to it; refine itself never sees them.
     """
-    ref = refine(student, net, cfg.refine_config(cfg.resolved_m()),
-                 child_seed(cfg.seed, "refine"))
+    ref = refine(student, net, cfg.refine_config(), child_seed(cfg.seed, "refine"))
     if path is not None:
         header = ["step", "loss"]
         rows = [[int(s), float(l)] for s, l in zip(ref.record_steps, ref.losses)]
@@ -277,8 +276,8 @@ def score_stage(cfg: PipelineConfig, student, net) -> Metrics:
 # results
 # ---------------------------------------------------------------------------
 
-def _metric(name):
-    return lambda r: getattr(r.metrics, name) if r.metrics else float("nan")
+def _held(stage, name, missing=float("nan")):
+    return lambda r: missing if getattr(r, stage) is None else getattr(getattr(r, stage), name)
 
 
 def _queries(stage):
@@ -294,22 +293,22 @@ _RESULT_TABLE = [
     ("seed", attrgetter("seed")),
     ("exact_mode", lambda r: int(r.exact_mode)),
     ("fd_step", attrgetter("fd_step")),
-    ("e_inf", _metric("e_inf")),
-    ("max_weight_err", _metric("max_weight_err")),
-    ("shift_rms", _metric("shift_rms")),
+    ("e_inf", _held("metrics", "e_inf")),
+    ("max_weight_err", _held("metrics", "max_weight_err")),
+    ("shift_rms", _held("metrics", "shift_rms")),
     ("sign_accuracy", attrgetter("sign_accuracy")),
     ("init_shift_rms", attrgetter("init_shift_rms")),
-    ("delta_w1", _metric("delta_w1")),
-    ("delta_wo", _metric("delta_wo")),
-    ("delta_ws", _metric("delta_ws")),
+    ("delta_w1", _held("metrics", "delta_w1")),
+    ("delta_wo", _held("metrics", "delta_wo")),
+    ("delta_ws", _held("metrics", "delta_ws")),
     ("init_shift_bound", attrgetter("init_shift_bound")),
     ("eps_hat", attrgetter("eps_hat")),
-    ("cond_g2", attrgetter("cond_g2")),
-    ("cond_g3", attrgetter("cond_g3")),
-    ("spm_processed", attrgetter("spm_processed")),
-    ("spm_accepted", attrgetter("spm_accepted")),
-    ("spm_duplicate", attrgetter("spm_duplicate")),
-    ("spm_rejected", attrgetter("spm_rejected")),
+    ("cond_g2", _held("init", "cond_g2")),
+    ("cond_g3", _held("init", "cond_g3")),
+    ("spm_processed", _held("spm", "n_processed", 0)),
+    ("spm_accepted", _held("spm", "n_accepted", 0)),
+    ("spm_duplicate", _held("spm", "n_duplicate", 0)),
+    ("spm_rejected", _held("spm", "n_rejected", 0)),
     ("refine_steps", attrgetter("refine_steps")),
     ("refine_stop_reason", attrgetter("refine_stop_reason")),
     ("final_loss", attrgetter("final_loss")),
@@ -326,7 +325,11 @@ RESULT_COLUMNS = [column for column, _ in _RESULT_TABLE]
 
 @dataclasses.dataclass
 class ExperimentResult:
-    """Everything one run produces, minus the heavyweight artifacts."""
+    """Everything one run produces, minus the heavyweight artifacts.
+
+    ``spm`` and ``init`` hold the :class:`SpmStats` and :class:`InitResult` of
+    their stages, or None; a run that SPM stops holds its error's ``stats``.
+    """
 
     mode: str
     dim: int
@@ -340,12 +343,8 @@ class ExperimentResult:
     init_shift_rms: float = float("nan")
     init_shift_bound: float = float("nan")
     eps_hat: float = float("nan")
-    cond_g2: float = float("nan")
-    cond_g3: float = float("nan")
-    spm_processed: int = 0
-    spm_accepted: int = 0
-    spm_duplicate: int = 0
-    spm_rejected: int = 0
+    spm: SpmStats | None = None
+    init: InitResult | None = None
     refine_steps: int = 0
     refine_stop_reason: str = ""
     final_loss: float = float("nan")
@@ -360,13 +359,9 @@ class ExperimentResult:
         return sum(self.stage_queries.get(k, 0) for k in ("hessians", "init", "refine"))
 
     @property
-    def query_ceiling(self) -> float:
-        log_m = math.log(self.m) if self.m > 1 else 1.0
-        return 10.0 * self.dim * self.m ** 2 * log_m ** 2
-
-    @property
     def query_ceiling_ratio(self) -> float:
-        return self.query_algorithm / self.query_ceiling
+        log_m = math.log(self.m) if self.m > 1 else 1.0
+        return self.query_algorithm / (10.0 * self.dim * self.m ** 2 * log_m ** 2)
 
     def csv_row(self) -> list:
         return [getter(self) for _, getter in _RESULT_TABLE]
@@ -432,6 +427,8 @@ class _StageRunner:
         try:
             out = fn(*args)
         except Exception as exc:
+            if isinstance(exc, IncompleteRecoveryError):
+                result.spm = exc.stats  # the restarts SPM classified before it gave up
             result.stage_times[name] = time.perf_counter() - t0
             result.error = f"{name}: {exc}"
             self._write()
@@ -471,20 +468,17 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
     cols, result.eps_hat = stages.run("hessians", hessian_stage, cfg, net)
     proj = stages.run("projector", projector_stage, cfg, cols, artifact("spectrum.csv"))
     del cols  # the projector holds all that later stages read of the Hessians
-    w_hat, stats = stages.run("spm", spm_stage, cfg, proj, artifact("weights.txt"))
-    result.spm_processed, result.spm_accepted = stats.n_processed, stats.n_accepted
-    result.spm_duplicate, result.spm_rejected = stats.n_duplicate, stats.n_rejected
-    init_res = stages.run("init", init_stage, cfg, net, w_hat, artifact("init.txt"))
-    result.cond_g2, result.cond_g3 = init_res.cond_g2, init_res.cond_g3
+    w_hat, result.spm = stages.run("spm", spm_stage, cfg, proj, artifact("weights.txt"))
+    result.init = stages.run("init", init_stage, cfg, net, w_hat, artifact("init.txt"))
 
     # fold the recovered signs into the columns, then evaluate the
     # initialization against the (diagnostics-only) matching
-    student0 = StudentNetwork(w_hat * init_res.signs, init_res.tau0, net.act)
+    student0 = StudentNetwork(w_hat * result.init.signs, result.init.tau0, net.act)
     perm, match_signs, werrs = match_weights(student0.weights, net.weights)
     delta_max = float(np.max(werrs))
     result.sign_accuracy = float(np.mean(match_signs == 1))
     result.init_shift_rms = float(
-        np.linalg.norm(net.shifts - init_res.tau0[perm]) / math.sqrt(m))
+        np.linalg.norm(net.shifts - result.init.tau0[perm]) / math.sqrt(m))
     result.init_shift_bound = init_shift_error_bound(
         m, cfg.dim, result.eps_hat, delta_max)
     tau_truth_student = np.empty(m)

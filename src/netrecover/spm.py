@@ -332,9 +332,9 @@ def _tally(stats: SpmStats, accepted: np.ndarray, idx: int, u: np.ndarray, objec
     return accepted
 
 
-def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, m: int,
-           cfg: SpmConfig, level: float, stats: SpmStats) -> np.ndarray:
-    """Placed restarts, a batch at a time, until m are accepted; returns the accepted rows.
+def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, cfg: SpmConfig,
+           level: float, stats: SpmStats) -> np.ndarray:
+    """Placed restarts until m = ``proj.rank`` are accepted; returns the accepted rows.
 
     With k directions accepted, the next min(``_BATCH``, m, max(8, 2 (m - k)))
     starts by index climb on the span with the accepted ones deflated out
@@ -349,6 +349,7 @@ def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, m: int
     left by the k_1 directions accepted then; every later deflated stack is
     smaller and fills its head.
     """
+    m = proj.rank
     accepted = np.zeros((0, proj.dim))
     buf = None
     n_restarts = starts.shape[1]
@@ -371,8 +372,8 @@ def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, m: int
     return accepted
 
 
-def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
-    """Collect the m planted directions from restarts drawn up front from the seed.
+def collect_weights(proj: SubspaceProjector, cfg: SpmConfig, seed: int):
+    """Collect the m = ``proj.rank`` planted directions from restarts drawn from the seed.
 
     :func:`_place` ascends the restarts and classifies them in index order
     against the level that :func:`_acceptance_level` reads from the
@@ -384,13 +385,14 @@ def collect_weights(proj: SubspaceProjector, m: int, cfg: SpmConfig, seed: int):
     acceptance statistics) when the restart budget runs out first.  The
     summary line and that error state the level and sigma_{m+1}/sigma_m.
     """
+    m = proj.rank
     level, ratio = _acceptance_level(proj)
     n_restarts = cfg.max_restarts if cfg.max_restarts is not None else default_restarts(m)
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((proj.dim, n_restarts))
     starts /= np.linalg.norm(starts, axis=0)
     stats = SpmStats()
-    accepted = _place(proj, proj.matrices(), starts, m, cfg, level, stats)
+    accepted = _place(proj, proj.matrices(), starts, cfg, level, stats)
     why_rejected = (f"at or below the acceptance level 1 - {1.0 - level:.2e} from "
                     f"sigma_{m + 1}/sigma_{m} = {ratio:.2e}, or cut unconverged at "
                     f"max_steps = {cfg.max_steps}")

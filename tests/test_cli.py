@@ -362,6 +362,17 @@ class TestRefusedCells:
         assert f"rip_trials must be >= 1, got {trials}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_mc", ["0", "-3", "2"])
+    def test_diagnose_n_mc_below_m(self, inputs, n_mc, monkeypatch, capsys):
+        # 0 is a value, not the default; every value below m = 3 is refused
+        # before the first diagnostic runs
+        monkeypatch.setattr(cli, "check_incoherence", lambda *a, **k: pytest.fail("ran"))
+        out = inputs / "diag.csv"
+        assert cli.main(["diagnose", "--net", str(inputs / "teacher.net"), "--n-mc",
+                         n_mc, "--out", str(out)]) == 2
+        assert f"--n-mc must be >= m = 3, got {n_mc}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStudy:
     def test_flags_reach_every_cell(self, tmp_path):

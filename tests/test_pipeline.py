@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import netrecover
-from netrecover import (ConfigError, PipelineConfig, StageError, UniformShifts,
+from netrecover import (ConfigError, PipelineConfig, SpmConfig, StageError, UniformShifts,
                         run_pipeline, run_scaling_study)
 from netrecover.pipeline import RESULT_COLUMNS
 
@@ -202,6 +202,25 @@ class TestFailedRun:
         # the hessians stage probed eps_hat with three analytic Hessians
         assert "oracle evaluations (test/eps-probe only): 3" in report
 
+    def test_spm_failure_keeps_its_counts(self, tmp_path):
+        # D=10, beta=1.5, seed 7 (m=13): 10 restarts find 6 of the 13
+        # directions; the row reports what SPM found, not the 0s of a stage
+        # that never ran
+        cfg = PipelineConfig(dim=10, beta_order=1.5, seed=7, spm=SpmConfig(max_restarts=10),
+                             out_dir=tmp_path)
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        stats = err.value.__cause__.stats
+        header, row = read_csv(tmp_path / "result.csv")
+        cell = dict(zip(header, row))
+        counts = [int(cell[f"spm_{k}"])
+                  for k in ("processed", "accepted", "duplicate", "rejected")]
+        assert counts == [10, 6, 4, 0]
+        assert counts == [stats.n_processed, stats.n_accepted, stats.n_duplicate,
+                          stats.n_rejected]
+        assert cell["error"].startswith("spm: found 6 of 13 directions")
+        assert err.value.result.spm is stats
+
 
 class TestWideRegime:
     @pytest.mark.parametrize("exact", [False, True], ids=["fd", "exact"])
@@ -212,7 +231,7 @@ class TestWideRegime:
         # that converged below the level and 1 that max_steps cut unconverged
         res = run_pipeline(PipelineConfig(dim=10, beta_order=2.0, seed=1, n_eval=2000,
                                           exact_derivatives=exact))
-        assert res.spm_rejected == 11
+        assert res.spm.n_rejected == 11
         assert res.metrics.max_weight_err < 1e-3
 
 
@@ -309,12 +328,12 @@ class TestRefineConfig:
         (80, 287, 1258),
     ])
     def test_default_sample_size(self, dim, m, n_train):
-        rc = PipelineConfig(dim=dim, n_neurons=m).refine_config(m)
+        rc = PipelineConfig(dim=dim, n_neurons=m).refine_config()
         assert (rc.n_train, rc.method) == (n_train, "gn")
 
     def test_explicit_sample_size_wins(self):
         cfg = PipelineConfig(dim=40, n_neurons=102, n_train=1000)
-        assert cfg.refine_config(102).n_train == 1000
+        assert cfg.refine_config().n_train == 1000
 
     def test_bad_setting_rejected_before_any_stage(self):
         cfg = PipelineConfig(dim=6, beta_order=1.0, n_train=0)

@@ -254,7 +254,7 @@ class TestCollect:
     def test_exact_projector_recovers_all(self):
         net = random_teacher(10, 12, seed=11)
         proj = exact_projector(net.weights)
-        w_hat, stats = collect_weights(proj, 12, SpmConfig(), seed=12)
+        w_hat, stats = collect_weights(proj, SpmConfig(), seed=12)
         assert w_hat.shape == (10, 12)
         perm, signs, errs = match_weights(w_hat, net.weights)
         assert np.max(errs) <= 1e-6
@@ -263,7 +263,7 @@ class TestCollect:
     def test_returned_vectors_unit_and_above_beta(self):
         net = random_teacher(9, 7, seed=13)
         proj = exact_projector(net.weights)
-        w_hat, _ = collect_weights(proj, 7, SpmConfig(), seed=14)
+        w_hat, _ = collect_weights(proj, SpmConfig(), seed=14)
         level, _ = _acceptance_level(proj)
         assert level == 1.0 - 1e-9
         for k in range(7):
@@ -273,7 +273,7 @@ class TestCollect:
     def test_pairwise_cosines_below_dedup(self):
         net = random_teacher(9, 7, seed=15)
         proj = exact_projector(net.weights)
-        w_hat, _ = collect_weights(proj, 7, SpmConfig(), seed=16)
+        w_hat, _ = collect_weights(proj, SpmConfig(), seed=16)
         gram = np.abs(w_hat.T @ w_hat)
         np.fill_diagonal(gram, 0.0)
         assert np.max(gram) <= spm._DEDUP_COS
@@ -281,15 +281,15 @@ class TestCollect:
     def test_deterministic_under_seed(self):
         net = random_teacher(8, 5, seed=17)
         proj = exact_projector(net.weights)
-        a, _ = collect_weights(proj, 5, SpmConfig(), seed=18)
-        b, _ = collect_weights(proj, 5, SpmConfig(), seed=18)
+        a, _ = collect_weights(proj, SpmConfig(), seed=18)
+        b, _ = collect_weights(proj, SpmConfig(), seed=18)
         assert np.array_equal(a, b)
 
     def test_incomplete_recovery_error_carries_partial(self):
         net = random_teacher(10, 12, seed=19)
         proj = exact_projector(net.weights)
         with pytest.raises(IncompleteRecoveryError) as err:
-            collect_weights(proj, 12, SpmConfig(max_restarts=6), seed=20)
+            collect_weights(proj, SpmConfig(max_restarts=6), seed=20)
         assert err.value.partial.shape[1] < 12
         assert err.value.stats.n_processed == 6
         # the message says at which level the restarts were judged, and why
@@ -303,7 +303,7 @@ class TestCollect:
             net = random_teacher(10, 12, seed=600 + seed)
             proj = exact_projector(net.weights)
             try:
-                w_hat, _ = collect_weights(proj, 12, SpmConfig(), seed=seed)
+                w_hat, _ = collect_weights(proj, SpmConfig(), seed=seed)
                 _, _, errs = match_weights(w_hat, net.weights)
                 hits += np.max(errs) <= 1e-6
             except IncompleteRecoveryError:
@@ -321,7 +321,7 @@ class TestExactModeIdentification:
                                            seed=800 + seed)
             proj = top_m_projector(cols, m)
             try:
-                w_hat, _ = collect_weights(proj, m, SpmConfig(), seed=seed)
+                w_hat, _ = collect_weights(proj, SpmConfig(), seed=seed)
             except IncompleteRecoveryError:
                 continue
             _, _, errs = match_weights(w_hat, net.weights)
@@ -418,7 +418,7 @@ class TestStep:
         second step, between 32 random ones, which take ascent steps."""
         rng = np.random.default_rng(36)
         u = rng.standard_normal((proj.dim, 64))
-        w, _ = collect_weights(proj, proj.rank, SpmConfig(), seed=0)
+        w, _ = collect_weights(proj, SpmConfig(), seed=0)
         u[:, ::2] = w[:, :32] + 1e-3 * rng.standard_normal((proj.dim, 32))
         return u / np.linalg.norm(u, axis=0)
 
@@ -463,7 +463,7 @@ class TestStep:
                             lambda p, ms, us, tr: chunks.append(us.shape[1]) or step(p, ms, us, tr))
         formed.clear()
         newton_formed.clear()
-        collect_weights(proj, proj.rank, SpmConfig(), seed=0)
+        collect_weights(proj, SpmConfig(), seed=0)
         assert formed == chunks and max(chunks) == 32
         assert sum(newton_formed) == 0 and len(newton_formed) > 0
 
@@ -478,7 +478,7 @@ class TestStep:
                             lambda ms, *args: stacks.append(ms.shape[0]) or newton(ms, *args))
         monkeypatch.setattr(spm, "_deflate",
                             lambda p, ms, acc, out: deflated.append(len(acc)) or deflate(p, ms, acc, out))
-        _, stats = collect_weights(proj, m, SpmConfig(), seed)
+        _, stats = collect_weights(proj, SpmConfig(), seed)
         assert stats.n_accepted == m and len(deflated) >= 1 and len(stacks) > 0
         assert set(stacks) == {m}
 
@@ -488,7 +488,7 @@ class TestPlace:
     def test_matches_restarts_ascended_alone(self, case):
         proj, m, seed = case()
         w_ref, _ = _reference_collect(proj, m, SpmConfig(), seed)
-        w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        w_hat, stats = collect_weights(proj, SpmConfig(), seed)
         assert stats.n_accepted == m
         assert _same_set(w_hat, w_ref) <= 1e-12
 
@@ -498,7 +498,7 @@ class TestPlace:
         _, statuses = _reference_collect(proj, m, SpmConfig(), seed)
         assert len(statuses) == 157
         with caplog.at_level("INFO", logger="netrecover.spm"):
-            _, stats = collect_weights(proj, m, SpmConfig(), seed)
+            _, stats = collect_weights(proj, SpmConfig(), seed)
         assert stats.n_processed <= 2 * m
         assert (f"collected 30 directions from {stats.n_processed} restarts "
                 f"({stats.n_duplicate} duplicates; 0 rejected at or below the acceptance "
@@ -507,9 +507,9 @@ class TestPlace:
 
     def test_newton_finish_cuts_the_steps(self, monkeypatch):
         proj, m, seed = _sampled_case()
-        w_hat, stats = collect_weights(proj, m, SpmConfig(), seed)
+        w_hat, stats = collect_weights(proj, SpmConfig(), seed)
         monkeypatch.setattr(spm, "_NEWTON_MOVE", 0.0)  # ascent steps only
-        w_asc, stats_asc = collect_weights(proj, m, SpmConfig(), seed)
+        w_asc, stats_asc = collect_weights(proj, SpmConfig(), seed)
         assert _counts(stats) == _counts(stats_asc) == (51, 30, 21, 0)
         # the ascent stops within about _CONV_TOL rho / (1 - rho) of the fixed point
         assert np.max(np.abs(w_hat - w_asc)) <= 1e-10
@@ -538,7 +538,7 @@ class TestPlace:
         deflate, deflations = spm._deflate, []
         monkeypatch.setattr(spm, "_deflate", lambda p, ms, acc, out: deflations.append(
             (len(acc), out.shape[0])) or deflate(p, ms, acc, out))
-        (_, stats), peak = traced_peak(collect_weights, proj, m, cfg, seed)
+        (_, stats), peak = traced_peak(collect_weights, proj, cfg, seed)
         assert stats.n_accepted == m and len(deflations) >= 1
         k1 = deflations[0][0]
         assert {size for _, size in deflations} == {m - k1}
@@ -550,8 +550,8 @@ class TestPlace:
 
     def test_wide_case_recovers_all_deterministically(self):
         proj, weights, seed = _wide_case()
-        a, stats_a = collect_weights(proj, 40, SpmConfig(), seed)
-        b, stats_b = collect_weights(proj, 40, SpmConfig(), seed)
+        a, stats_a = collect_weights(proj, SpmConfig(), seed)
+        b, stats_b = collect_weights(proj, SpmConfig(), seed)
         assert np.array_equal(a, b)
         assert stats_a == stats_b
         _, _, errs = match_weights(a, weights)
@@ -566,7 +566,7 @@ class TestUnconverged:
         level, _ = _acceptance_level(proj)
         with caplog.at_level("DEBUG", logger="netrecover.spm"):
             with pytest.raises(IncompleteRecoveryError) as err:
-                collect_weights(proj, m, SpmConfig(max_steps=8), seed)
+                collect_weights(proj, SpmConfig(max_steps=8), seed)
         stats = err.value.stats
         assert _counts(stats) == (150, 7, 6, 137)
         for k in range(err.value.partial.shape[1]):
@@ -580,5 +580,5 @@ class TestUnconverged:
     def test_zero_when_every_restart_converges(self):
         # at the default budget every restart converges above the level here
         proj, m, seed = _exact_case()
-        _, stats = collect_weights(proj, m, SpmConfig(), seed)
+        _, stats = collect_weights(proj, SpmConfig(), seed)
         assert _counts(stats) == (23, 12, 11, 0)
