@@ -131,10 +131,11 @@ def _teacher_and_config(args):
 
 
 def _check_columns(args, net, w_hat, signs=None):
-    """The weights must have the teacher's D, and the init file one sign per column."""
-    if w_hat.shape[0] != net.dim:
-        raise ConfigError(f"{args.weights}: weights have D={w_hat.shape[0]}, "
-                          f"but the teacher {args.net} has D={net.dim}")
+    """The weights must have the teacher's D and m, and the init file one sign per column."""
+    for name, ours, theirs in zip("Dm", w_hat.shape, (net.dim, net.n_neurons)):
+        if ours != theirs:
+            raise ConfigError(f"{args.weights}: weights have {name}={ours}, "
+                              f"but the teacher {args.net} has {name}={theirs}")
     if signs is not None and signs.size != w_hat.shape[1]:
         raise ConfigError(f"{args.init}: {signs.size} signs for "
                           f"{w_hat.shape[1]} weight columns in {args.weights}")
@@ -205,6 +206,7 @@ def _cmd_baseline(args) -> int:
           f"e_inf={met.e_inf:.3e} max_weight_err={met.max_weight_err:.3e} "
           f"({res.refine_stop_reason})")
     return 0
+
 
 def _cmd_diagnose(args) -> int:
     seed = _seed(args)

@@ -32,8 +32,9 @@ class SubspaceDeficientError(RecoveryError):
 class IncompleteRecoveryError(RecoveryError):
     """Fewer than m distinct maximizers were found within the restart budget.
 
-    ``partial`` holds the (D, k) vectors found so far and ``stats`` the
-    restart counts, which the failed row of a pipeline run or study reports.
+    ``partial`` holds the (D, k) vectors found so far, which the SPM stage
+    writes to its weights file, and ``stats`` the restart counts, which the
+    failed row of a pipeline run or study reports.
     """
 
     def __init__(self, message, partial, stats):

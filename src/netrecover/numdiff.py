@@ -9,14 +9,13 @@ a fixed order, so results are deterministic.
 
 The Hessian's stencil rows are laid out once, by :func:`hessian_stencil`,
 and :func:`fd_hessian` reads their values from a stencil function
-``f(x, h)``.  :func:`at_stencil_points` makes one from any batch function
-``f(points) -> values`` of the (D^2 + D + 1, D) stencil points;
-``TeacherNetwork.stencil_function(h)`` returns one that builds the
-preactivations of those points directly and never forms them.  The
-directional derivatives of orders 2 and 3 come together from one call of a
-batch function.  Query counts are exactly D^2 + D + 1 for the Hessian and
-4k + 1 for both orders along k directions; the function that serves the
-values counts them.
+``f(x, h)``, which returns the values at the (D^2 + D + 1, D) stencil
+points ``hessian_stencil(x, h I)``.  ``TeacherNetwork.stencil_function(h)``
+returns one that builds the preactivations of those points directly and
+never forms them.  The directional derivatives of orders 2 and 3 come
+together from one call of a batch function.  Query counts are exactly
+D^2 + D + 1 for the Hessian and 4k + 1 for both orders along k directions;
+the function that serves the values counts them.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .exceptions import ConfigError, FDEvaluationError
 
-__all__ = ["fd_hessian", "fd_directional", "hessian_stencil", "at_stencil_points"]
+__all__ = ["fd_hessian", "fd_directional", "hessian_stencil"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,15 +66,6 @@ def hessian_stencil(base, steps) -> np.ndarray:
     return rows
 
 
-def _stencil_points(x: np.ndarray, h: float) -> np.ndarray:
-    return hessian_stencil(x, h * np.eye(x.shape[0]))
-
-
-def at_stencil_points(f):
-    """The stencil function of :func:`fd_hessian` for a batch function f."""
-    return lambda x, h: f(_stencil_points(x, h))
-
-
 def _finite(vals, point_at) -> np.ndarray:
     """The values as floats, or FDEvaluationError at the first non-finite one.
 
@@ -102,7 +92,7 @@ def fd_hessian(f, x, h: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     iu, ju = _pairs(d)
-    vals = _finite(f(x, h), lambda r: _stencil_points(x, h)[r])
+    vals = _finite(f(x, h), lambda r: hessian_stencil(x, h * np.eye(d))[r])
 
     hess = np.zeros((d, d))
     idx = np.arange(d)

@@ -8,9 +8,9 @@ artifact when given a path.  ``_StageRunner`` holds the wiring of a
 composed run, :func:`run_pipeline` or the SGD baseline: it times stages,
 counts their queries, and writes ``result.csv`` and ``report.txt`` at the
 end or after a failure, so a run can be post-mortemed; a run that SPM
-stops keeps the restart counts of its error.  The CLI stage subcommands
-call the same functions.  The result CSV contains only deterministic
-fields; timings go to the human-readable report.
+stops keeps its error's restart counts, and ``weights.txt`` the directions
+it found.  The CLI stage subcommands call the same functions.  The result
+CSV contains only deterministic fields; timings go to the report.
 
 The shifts are refined by Gauss-Newton on a small fresh sample; the paper's
 gradient descent on m D^2 inputs stays available as
@@ -233,8 +233,13 @@ def projector_stage(cfg: PipelineConfig, cols, spectrum_path=None):
 
 
 def spm_stage(cfg: PipelineConfig, proj, path=None):
-    """Sphere-ascent collection; returns ``(w_hat, stats)``."""
-    w_hat, stats = collect_weights(proj, cfg.spm, child_seed(cfg.seed, "spm"))
+    """Sphere-ascent collection; returns ``(w_hat, stats)``.  A failure writes what it found."""
+    try:
+        w_hat, stats = collect_weights(proj, cfg.spm, child_seed(cfg.seed, "spm"))
+    except IncompleteRecoveryError as exc:
+        if path is not None:
+            fileio.save_weights(exc.partial, path)
+        raise
     if path is not None:
         fileio.save_weights(w_hat, path)
     return w_hat, stats
@@ -377,11 +382,17 @@ class ExperimentResult:
         lines.append(f"  algorithm queries: {self.query_algorithm} "
                      f"(ceiling ratio {self.query_ceiling_ratio:.4f})")
         lines.append(f"  oracle evaluations (test/eps-probe only): {self.oracle_count}")
+        if self.spm:
+            lines.append(f"  spm restarts processed/accepted/duplicate/rejected: "
+                         f"{self.spm.n_processed}/{self.spm.n_accepted}/"
+                         f"{self.spm.n_duplicate}/{self.spm.n_rejected}")
         if self.metrics:
             lines.append(f"  e_inf={self.metrics.e_inf:.3e} "
                          f"max_weight_err={self.metrics.max_weight_err:.3e} "
                          f"shift_rms={self.metrics.shift_rms:.3e} "
                          f"sign_accuracy={self.sign_accuracy:.3f}")
+        if self.error:
+            lines.append(f"  error: {self.error}")
         fileio.write_lines(path, lines)
 
 

@@ -57,7 +57,7 @@ import numpy as np
 from .exceptions import ConfigError, IncompleteRecoveryError
 from .subspace import SubspaceProjector, hvec_outer_batch
 
-__all__ = ["SpmConfig", "SpmStats", "default_restarts", "spm_ascend", "collect_weights"]
+__all__ = ["SpmConfig", "SpmStats", "default_restarts", "collect_weights"]
 
 logger = logging.getLogger(__name__)
 
@@ -257,19 +257,6 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
     return u, steps, converged
 
 
-def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):
-    """Ascend from a single unit starting point.
-
-    Returns ``(u_star, objective, steps, converged)``.
-    """
-    u0 = np.asarray(u0, dtype=float)
-    nrm = float(np.linalg.norm(u0))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ConfigError(f"expected a unit vector, got norm {nrm!r}")
-    u, steps, conv = _ascend_batch(proj, u0[:, None], cfg, proj.matrices())
-    return u[:, 0], float(proj.objective_batch(u)[0]), int(steps[0]), bool(conv[0])
-
-
 def canonical_sign(u: np.ndarray) -> np.ndarray:
     """Flip so the first coordinate of meaningful size is positive."""
     nz = np.nonzero(np.abs(u) > 1e-14)[0]
@@ -280,7 +267,7 @@ def canonical_sign(u: np.ndarray) -> np.ndarray:
 def _acceptance_level(proj: SubspaceProjector):
     """``(1 - max(_LEVEL_C r^2, _LEVEL_FLOOR), r)`` with r = sigma_{m+1}/sigma_m of the spectrum.
 
-    r is 0 for a projector built from exactly m columns, as by ``exact_projector``.
+    r is 0 for a projector from exactly m Hessians (``--n-h m --exact-derivatives``).
     """
     m, spectrum = proj.rank, proj.spectrum
     ratio = float(spectrum[m] / spectrum[m - 1]) if spectrum.size > m else 0.0

@@ -30,8 +30,6 @@ __all__ = [
     "SubspaceProjector",
     "build_hessian_matrix",
     "top_m_projector",
-    "projector_distance",
-    "exact_projector",
 ]
 
 logger = logging.getLogger(__name__)
@@ -214,22 +212,3 @@ def top_m_projector(columns: np.ndarray, m: int) -> SubspaceProjector:
     basis *= np.sign(np.diag(r))
     return SubspaceProjector(dim=dim, rank=m, basis=basis, spectrum=svals)
 
-
-def projector_distance(p: SubspaceProjector, q: SubspaceProjector) -> float:
-    """Spectral norm of P - Q, i.e. the sine of the largest principal angle.
-
-    Computed as ``||(I - P) Q_basis||_2``, which stays accurate for nearly
-    identical subspaces where the cosine route would lose half the digits to
-    cancellation.
-    """
-    if p.dim != q.dim or p.rank != q.rank:
-        raise ConfigError("projectors must share dimension and rank")
-    resid = q.basis - p.basis @ (p.basis.T @ q.basis)
-    return float(np.linalg.svd(resid, compute_uv=False)[0])
-
-
-def exact_projector(weights: np.ndarray) -> SubspaceProjector:
-    """Projector onto span{w_k w_k^T} built from known weight columns."""
-    w = np.asarray(weights, dtype=float)
-    cols = hvec_outer_batch(w)
-    return top_m_projector(cols, w.shape[1])

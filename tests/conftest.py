@@ -1,9 +1,24 @@
+"""Helpers and reference routes shared by the tests.
+
+Besides the fixtures and teacher helpers, this module holds four reference
+routes that the package itself never calls, kept here as test oracles:
+:func:`spm_ascend`, one ascent from one start on the full span;
+:func:`at_stencil_points`, the stencil function of ``fd_hessian`` for a
+batch function of the stencil points; :func:`projector_distance`, the
+spectral distance of two projectors; and :func:`exact_projector`, the
+projector onto the span of known weight directions.
+"""
+
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from netrecover import UniformShifts, make_activation, sample_teacher
+from netrecover import (ConfigError, SpmConfig, SubspaceProjector, UniformShifts,
+                        make_activation, sample_teacher, top_m_projector)
+from netrecover.numdiff import hessian_stencil
+from netrecover.spm import _ascend_batch
+from netrecover.subspace import hvec_outer_batch
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +51,41 @@ def traced_peak(fn, *args, **kw):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):
+    """Ascend from a single unit starting point.
+
+    Returns ``(u_star, objective, steps, converged)``.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    nrm = float(np.linalg.norm(u0))
+    if abs(nrm - 1.0) > 1e-8:
+        raise ConfigError(f"expected a unit vector, got norm {nrm!r}")
+    u, steps, conv = _ascend_batch(proj, u0[:, None], cfg, proj.matrices())
+    return u[:, 0], float(proj.objective_batch(u)[0]), int(steps[0]), bool(conv[0])
+
+
+def at_stencil_points(f):
+    """The stencil function of ``fd_hessian`` for a batch function f."""
+    return lambda x, h: f(hessian_stencil(x, h * np.eye(x.shape[0])))
+
+
+def projector_distance(p: SubspaceProjector, q: SubspaceProjector) -> float:
+    """Spectral norm of P - Q, i.e. the sine of the largest principal angle.
+
+    Computed as ``||(I - P) Q_basis||_2``, which stays accurate for nearly
+    identical subspaces where the cosine route would lose half the digits to
+    cancellation.
+    """
+    if p.dim != q.dim or p.rank != q.rank:
+        raise ConfigError("projectors must share dimension and rank")
+    resid = q.basis - p.basis @ (p.basis.T @ q.basis)
+    return float(np.linalg.svd(resid, compute_uv=False)[0])
+
+
+def exact_projector(weights: np.ndarray) -> SubspaceProjector:
+    """Projector onto span{w_k w_k^T} built from known weight columns."""
+    w = np.asarray(weights, dtype=float)
+    cols = hvec_outer_batch(w)
+    return top_m_projector(cols, w.shape[1])

@@ -51,6 +51,14 @@ class TestStageChain:
         shifts = (chain / "traj.shifts.txt").read_text().split()
         assert len(shifts) == 13
 
+    def test_failed_recovery_writes_the_directions_found(self, chain, tmp_path):
+        # 10 restarts find 6 of the 13 directions, as in the failed pipeline run
+        out = tmp_path / "w.txt"
+        assert cli.main(["recover-weights", "--net", str(chain / "teacher.net"),
+                         "--seed", "7", "--spm-restarts", "10", "--out", str(out)]) == 3
+        lines = out.read_text().splitlines()
+        assert lines[0] == "10 6" and len(lines) == 7
+
     def test_diagnose_writes_every_quantity(self, chain, tmp_path):
         out = tmp_path / "diag.csv"
         assert cli.main(["diagnose", "--net", str(chain / "teacher.net"),
@@ -86,6 +94,19 @@ class TestInputsAcrossFiles:
         assert cli.main(["refine", "--net", teacher, "--weights", str(w), "--init",
                          str(init), "--out", str(tmp_path / "traj.csv")]) == 2
         assert "2 signs for 3 weight columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["init-shifts", "refine"])
+    def test_weight_columns_differ_from_neurons(self, teacher, tmp_path, capsys, command):
+        # a weights file that SPM left with fewer columns than the teacher has neurons
+        w, init = tmp_path / "w.txt", tmp_path / "init.txt"
+        w.write_text("5 2\n1 0 0 0 0\n0 1 0 0 0\n")
+        init.write_text("signs 1 -1\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n")
+        argv = [command, "--net", teacher, "--weights", str(w), "--out", str(tmp_path / "out")]
+        if command == "refine":
+            argv += ["--init", str(init)]
+        assert cli.main(argv) == 2
+        assert "weights have m=2, but the teacher" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # every value the command line sets, one flag each, as an option file

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from netrecover import (ConfigError, FDEvaluationError, PipelineConfig, TeacherNetwork,
-                        UniformShifts, at_stencil_points, build_hessian_matrix,
+                        UniformShifts, build_hessian_matrix,
                         fd_directional, fd_hessian, make_activation, neuron_count,
                         sample_teacher)
 from netrecover import teacher
 from netrecover.numdiff import hessian_stencil
 from netrecover.subspace import hvec
-from conftest import random_teacher, random_unit_columns
+from conftest import at_stencil_points, random_teacher, random_unit_columns
 
 
 class TestHessian:

@@ -10,11 +10,13 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import netrecover
 from netrecover import (ConfigError, PipelineConfig, SpmConfig, StageError, UniformShifts,
                         run_pipeline, run_scaling_study)
+from netrecover.fileio import load_weights
 from netrecover.pipeline import RESULT_COLUMNS
 
 # D=10, beta=1.5, seed=7 (m=13): the deterministic columns of result.csv at
@@ -220,6 +222,27 @@ class TestFailedRun:
                           stats.n_rejected]
         assert cell["error"].startswith("spm: found 6 of 13 directions")
         assert err.value.result.spm is stats
+        # the directions SPM found are written, and the report says why the run stopped
+        partial = err.value.__cause__.partial
+        assert partial.shape == (10, 6)
+        assert (tmp_path / "weights.txt").read_text().startswith("10 6\n")
+        w = load_weights(tmp_path / "weights.txt")
+        assert w.shape == partial.shape and np.array_equal(w, partial)
+        report = (tmp_path / "report.txt").read_text()
+        assert "  spm restarts processed/accepted/duplicate/rejected: 10/6/4/0\n" in report
+        assert f"  error: {cell['error']}\n" in report
+
+    def test_spm_failure_without_directions(self, tmp_path):
+        # one step per restart converges nowhere: both restarts are cut
+        # unconverged and rejected, so the weights file holds its header alone
+        cfg = PipelineConfig(dim=10, beta_order=1.5, seed=7,
+                             spm=SpmConfig(max_steps=1, max_restarts=2), out_dir=tmp_path)
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        stats = err.value.__cause__.stats
+        assert [stats.n_accepted, stats.n_duplicate, stats.n_rejected] == [0, 0, 2]
+        assert (tmp_path / "weights.txt").read_text() == "10 0\n"
+        assert load_weights(tmp_path / "weights.txt").shape == (10, 0)
 
 
 class TestWideRegime:

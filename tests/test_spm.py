@@ -7,11 +7,11 @@ import pytest
 
 from netrecover import (ConfigError, IncompleteRecoveryError, SpmConfig,
                         SubspaceProjector, build_hessian_matrix, collect_weights,
-                        default_restarts, exact_projector, hvec, match_weights,
-                        spm_ascend, top_m_projector)
+                        default_restarts, hvec, match_weights, top_m_projector)
 from netrecover import spm, subspace
 from netrecover.spm import _acceptance_level, _ascend_batch, _classify, canonical_sign
-from conftest import random_teacher, random_unit_columns, traced_peak
+from conftest import (exact_projector, random_teacher, random_unit_columns, spm_ascend,
+                      traced_peak)
 
 
 def objective(proj, u):

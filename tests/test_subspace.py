@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from netrecover import (PipelineConfig, SubspaceDeficientError, build_hessian_matrix,
-                        exact_projector, half_dim, hvec, projector_distance,
-                        top_m_projector, unhvec)
+                        half_dim, hvec, top_m_projector, unhvec)
 from netrecover.subspace import hvec_outer_batch
-from conftest import random_teacher, random_unit_columns
+from conftest import (exact_projector, projector_distance, random_teacher,
+                      random_unit_columns)
 
 
 def dense_projector_matrix(proj):

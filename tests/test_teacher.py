@@ -7,10 +7,10 @@ import pytest
 
 from netrecover import (ConfigError, FixedShifts, GaussianShifts,
                         StudentNetwork, TeacherNetwork, UniformShifts,
-                        exact_projector, fd_hessian, hvec,
+                        fd_hessian, hvec,
                         load_teacher, make_activation, sample_teacher, save_teacher)
 from netrecover.teacher import BLOCK_BYTES, block_rows
-from conftest import random_teacher, traced_peak
+from conftest import exact_projector, random_teacher, traced_peak
 
 
 class TestSampling:
