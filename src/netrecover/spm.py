@@ -42,8 +42,8 @@ Memory.  :func:`_ascend_batch` steps its columns ``_CHUNK`` at a time.  A
 step forms the chunk's (R, m, D) products B_j u once, in
 :meth:`~netrecover.subspace.SubspaceProjector.action_batch`, and the Newton
 step reads them in place, without a copy, so SPM holds the (m, D, D)
-stack, one chunk's products and the deflation buffer, which is sized for
-the m - k_1 matrices left at the first deflation.
+stack and one chunk's products.  A deflated stack lives only while its
+batch is placed, so the polish holds none.
 """
 
 from __future__ import annotations
@@ -283,22 +283,18 @@ def _classify(candidate, objective, accepted, level: float) -> str:
     return "accepted"
 
 
-def _deflate(proj: SubspaceProjector, mats: np.ndarray, accepted: np.ndarray,
-             out: np.ndarray) -> np.ndarray:
-    """The stack of the span with every accepted hvec(w w^T) projected out, written into ``out``.
+def _deflate(proj: SubspaceProjector, mats: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """The stack of the span with every accepted hvec(w w^T) projected out.
 
     C = basis^T hvec(w_a w_a^T) holds the k accepted directions' coordinates
     in the span (m, k); the last m - k columns Q of a complete QR of C are an
     orthonormal basis of its complement, and ``Q^T mats`` is the (m - k, D, D)
     stack of that deflated span, orthonormal in Frobenius like ``mats``.
-    ``out`` has at least m - k matrices, so no deflation allocates a stack.
     """
     m, k = mats.shape[0], accepted.shape[0]
     coords = proj.basis.T @ hvec_outer_batch(accepted.T)
     q = np.linalg.qr(coords, mode="complete")[0][:, k:]
-    stack = out[:m - k]
-    np.matmul(q.T, mats.reshape(m, -1), out=stack.reshape(m - k, -1))
-    return stack
+    return (q.T @ mats.reshape(m, -1)).reshape(m - k, *mats.shape[1:])
 
 
 def _tally(stats: SpmStats, accepted: np.ndarray, idx: int, u: np.ndarray, objective: float,
@@ -331,23 +327,20 @@ def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, cfg: S
     undeflated one: 2m starts there find only about 1 - e^-2 of the m
     directions.  A restart that the polish leaves unconverged is rejected.
     Placement ends when m directions are accepted, the rest of that batch
-    unclassified, or when the starts run out.  The deflation buffer is
-    allocated at the first deflation, for the m - k_1 matrices of the span
-    left by the k_1 directions accepted then; every later deflated stack is
-    smaller and fills its head.
+    unclassified, or when the starts run out.  A deflated stack is released
+    once its batch is placed, so the polish holds none, and the next
+    deflation forms its smaller stack after the last one is gone.
     """
     m = proj.rank
     accepted = np.zeros((0, proj.dim))
-    buf = None
     n_restarts = starts.shape[1]
     while len(accepted) < m and stats.n_processed < n_restarts:
         k, first = len(accepted), stats.n_processed
         width = min(_BATCH, m, max(8, 2 * (m - k)), n_restarts - first)
-        if k and buf is None:
-            buf = np.empty((m - k,) + mats.shape[1:])
-        stack = mats if k == 0 else _deflate(proj, mats, accepted, buf)
+        stack = mats if k == 0 else _deflate(proj, mats, accepted)
         u, placing, _ = _ascend_batch(proj, starts[:, first:first + width], cfg, stack,
                                       _PLACE_MOVE)
+        del stack  # the polish holds no deflated stack
         u, polishing, converged = _ascend_batch(proj, u, cfg, mats)
         objectives = proj.objective_batch(u)  # on the full span
         objectives[~converged] = -np.inf  # below every level: rejected

@@ -1,6 +1,7 @@
 """Sphere-ascent objective, convergence, gating, dedup, and collection."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,7 +478,7 @@ class TestStep:
         monkeypatch.setattr(spm, "_newton",
                             lambda ms, *args: stacks.append(ms.shape[0]) or newton(ms, *args))
         monkeypatch.setattr(spm, "_deflate",
-                            lambda p, ms, acc, out: deflated.append(len(acc)) or deflate(p, ms, acc, out))
+                            lambda p, ms, acc: deflated.append(len(acc)) or deflate(p, ms, acc))
         _, stats = collect_weights(proj, SpmConfig(), seed)
         assert stats.n_accepted == m and len(deflated) >= 1 and len(stacks) > 0
         assert set(stacks) == {m}
@@ -520,7 +521,7 @@ class TestPlace:
         proj, _, _ = _sampled_case()
         mats = proj.matrices()
         accepted = random_unit_columns(15, 4, seed=42).T
-        stack = spm._deflate(proj, mats, accepted, np.empty_like(mats))
+        stack = spm._deflate(proj, mats, accepted)
         flat = stack.reshape(26, -1)
         assert np.max(np.abs(flat @ flat.T - np.eye(26))) <= 1e-12
         # no accepted w w^T has a component in the deflated span
@@ -528,7 +529,7 @@ class TestPlace:
         assert np.max(np.abs(flat @ outer.T)) <= 1e-12
 
     def test_memory_is_bounded_by_one_chunk(self, monkeypatch):
-        # the stack, the deflation buffer sized at the first deflation and one
+        # the stack, the first deflated stack (no later one is larger) and one
         # chunk's (R, m, D) products; the slack covers the restarts drawn up
         # front and the Newton step's (R, D, D) matrix, its Cholesky factor and
         # one temporary.  With m about 7 D a chunk's products (1.5 MB) outweigh
@@ -536,17 +537,49 @@ class TestPlace:
         proj, m, seed = _two_chunk_case(dim=30, m=200)
         d, cfg = proj.dim, SpmConfig(max_restarts=3 * m)
         deflate, deflations = spm._deflate, []
-        monkeypatch.setattr(spm, "_deflate", lambda p, ms, acc, out: deflations.append(
-            (len(acc), out.shape[0])) or deflate(p, ms, acc, out))
+
+        def sized_deflate(p, ms, acc):
+            stack = deflate(p, ms, acc)
+            deflations.append((len(acc), stack.shape[0]))
+            return stack
+
+        monkeypatch.setattr(spm, "_deflate", sized_deflate)
         (_, stats), peak = traced_peak(collect_weights, proj, cfg, seed)
         assert stats.n_accepted == m and len(deflations) >= 1
         k1 = deflations[0][0]
-        assert {size for _, size in deflations} == {m - k1}
+        assert deflations[0][1] == max(size for _, size in deflations) == m - k1
         double = np.dtype(float).itemsize
-        stack, buffer = m * d * d * double, (m - k1) * d * d * double
+        stack, deflated = m * d * d * double, (m - k1) * d * d * double
         products = spm._CHUNK * m * d * double
         slack = (d * cfg.max_restarts + 3 * spm._CHUNK * d * d) * double + 2**17
-        assert peak <= stack + buffer + products + slack
+        assert peak <= stack + deflated + products + slack
+
+    def test_polish_holds_no_deflated_stack(self, monkeypatch):
+        # when a batch placed on a deflated stack starts its polish, SPM holds
+        # the full stack and the restarts drawn up front, and the slack covers
+        # the batch's iterates and the projector's small arrays, not the
+        # deflated stack (1.0 MB here)
+        proj, m, seed = _two_chunk_case(dim=30, m=200)
+        d, cfg = proj.dim, SpmConfig(max_restarts=3 * m)
+        deflate, ascend = spm._deflate, spm._ascend_batch
+        deflated, held = [], []
+
+        def polish_held(p, u0, c, ms, *args):
+            if deflated and ms.shape[0] == m:
+                held.append(tracemalloc.get_traced_memory()[0])
+            return ascend(p, u0, c, ms, *args)
+
+        monkeypatch.setattr(spm, "_deflate",
+                            lambda p, ms, acc: deflated.append(len(acc)) or deflate(p, ms, acc))
+        monkeypatch.setattr(spm, "_ascend_batch", polish_held)
+        tracemalloc.start()
+        try:
+            _, stats = collect_weights(proj, cfg, seed)
+        finally:
+            tracemalloc.stop()
+        assert stats.n_accepted == m and len(held) == len(deflated) >= 1
+        double = np.dtype(float).itemsize
+        assert max(held) <= (m * d * d + d * cfg.max_restarts) * double + 2**18
 
     def test_wide_case_recovers_all_deterministically(self):
         proj, weights, seed = _wide_case()
