@@ -38,6 +38,8 @@ _LR = 5e-3                  # joint-SGD step size
 _BATCH = 64                 # joint-SGD mini-batch size
 _TRAIN_PER_M_D2 = 2.5       # training inputs per m D^2
 _MAX_EPOCHS = 500           # joint-SGD epoch cap
+_STOP_LOSS = 1e-8           # training loss that ends the run early
+_TIMEOUT_S = 180.0          # wall-clock cap, checked after each epoch
 
 
 def _joint_sgd(cfg: PipelineConfig, net):
@@ -58,7 +60,7 @@ def _joint_sgd(cfg: PipelineConfig, net):
     xs = rng.standard_normal((n_train, cfg.dim))
     ys = net.eval_batch(xs)
 
-    deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
+    deadline = time.monotonic() + _TIMEOUT_S
     epochs_done = 0
     steps = 0
     stop_reason = "max_epochs"
@@ -79,10 +81,10 @@ def _joint_sgd(cfg: PipelineConfig, net):
         np.clip(tau, -act.tau_inf, act.tau_inf, out=tau)
         epochs_done = epoch + 1
         full_loss = loss(StudentNetwork(weights, tau, act), xs, ys)
-        if full_loss <= cfg.stop_loss:
+        if full_loss <= _STOP_LOSS:
             stop_reason = "stop_loss"
             break
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             stop_reason = "timeout"
             break
     student = StudentNetwork(weights, tau, act)

@@ -13,8 +13,8 @@ stage fails.
 
 Each subcommand takes only the flags it reads: ``study`` sets D, m and
 beta per cell and keeps no run directory, ``baseline`` reads none of the
-Hessian, SPM or refine settings but ``--stop-loss`` and ``--timeout-s``, and
-``recover-weights`` reads D, m and the activation from its ``--net`` file.
+Hessian or SPM settings, and ``recover-weights`` reads D, m and the
+activation from its ``--net`` file.  The refinement takes no settings.
 An argument ``@FILE`` is replaced by the flags in FILE: one or more per
 line, in shell quoting, with blank lines and ``#`` comments skipped; a flag
 written after ``@FILE`` overrides the file.  Abbreviated flags are refused.
@@ -86,10 +86,6 @@ _FLAGS = {
     "--spm-steps": dict(type=int, help="SPM steps per restart, on the deflated span and "
                         "again in its polish; default 1000"),
     "--spm-restarts": dict(type=int, help="SPM restart budget; default ceil(5 m log m)"),
-    "--n-train": dict(type=int),
-    "--max-steps": dict(type=int, dest="refine_max_steps"),
-    "--stop-loss": dict(type=float),
-    "--timeout-s": dict(type=float),
     # files, and the settings of diagnose and study
     "--net": dict(help="teacher network file"),
     "--weights": dict(help="recovered weights file"),
@@ -241,8 +237,11 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    dims = [int(v) for v in args.d_list.split(",")] if args.d_list else []
-    betas = [float(v) for v in args.beta_list.split(",")] if args.beta_list else []
+    try:
+        dims = [int(v) for v in args.d_list.split(",")] if args.d_list else []
+        betas = [float(v) for v in args.beta_list.split(",")] if args.beta_list else []
+    except ValueError as exc:
+        raise ConfigError(f"bad --d-list or --beta-list entry: {exc}") from None
     if not dims or not betas:
         raise ConfigError("study needs --d-list and --beta-list")
     base = build_pipeline_config(args, dim=dims[0])
@@ -255,8 +254,7 @@ def _cmd_study(args) -> int:
 # the pipeline flags that study passes to every cell: all but --d, --m,
 # --beta and --out-dir
 _CELL_FLAGS = ("--activation --shift-law --fd-step --exact-derivatives --n-h --n-eval "
-               "--seed --spm-steps --spm-restarts --n-train --max-steps --stop-loss "
-               "--timeout-s")
+               "--seed --spm-steps --spm-restarts")
 # name, handler, help, required flags, optional flags
 _SUBCOMMANDS = [
     ("generate", _cmd_generate, "sample and write a teacher network",
@@ -266,13 +264,12 @@ _SUBCOMMANDS = [
     ("init-shifts", _cmd_init_shifts, "signs and initial shifts from a weight file",
      "--net --weights --out", "--fd-step --exact-derivatives"),
     ("refine", _cmd_refine, "Gauss-Newton shift refinement",
-     "--net --weights --init --out", "--n-train --max-steps --timeout-s --seed"),
+     "--net --weights --init --out", "--seed"),
     ("pipeline", _cmd_pipeline, "full recovery run with scoring",
      "", "--d --m --beta --out-dir " + _CELL_FLAGS),
     ("baseline", _cmd_baseline, "joint-SGD teacher-student baseline; writes "
                                 "result.csv and report.txt like pipeline",
-     "", "--d --m --beta --activation --shift-law --seed --n-eval --out-dir "
-         "--stop-loss --timeout-s"),
+     "", "--d --m --beta --activation --shift-law --seed --n-eval --out-dir"),
     ("diagnose", _cmd_diagnose, "incoherence / learnability report",
      "--net", "--out --rip-trials --n-mc --seed"),
     ("study", _cmd_study, "grid of pipeline runs, long-format CSV",

@@ -97,6 +97,8 @@ def load_teacher(path) -> TeacherNetwork:
         tau_inf = float(header[3])
     except ValueError as exc:
         raise ConfigError(f"{path}:{lineno}: malformed header: {exc}") from None
+    if dim < 0 or m < 0:
+        raise ConfigError(f"{path}:{lineno}: negative size in header {' '.join(header)!r}")
     act = make_activation(header[2])
     if tau_inf != act.tau_inf:
         raise ConfigError(f"{path}:{lineno}: header declares tau_inf {tau_inf!r}, "
@@ -126,6 +128,8 @@ def load_weights(path) -> np.ndarray:
     except ValueError:
         raise ConfigError(f"{path}:{lineno}: malformed header "
                           f"{' '.join(header)!r}") from None
+    if d < 0 or m < 0:
+        raise ConfigError(f"{path}:{lineno}: negative size in header {' '.join(header)!r}")
     if len(records) - 1 != m:
         raise ConfigError(f"{path}: expected {m} columns, found {len(records) - 1}")
     w = np.empty((d, m))
@@ -145,8 +149,13 @@ def save_init_result(res, path):
 
 
 def load_init_result(path):
-    """Returns ``(signs, tau0, cond_g2, cond_g3)``."""
-    fields = {key: vals for _, (key, *vals) in _records(path, "init-result")}
+    """Returns ``(signs, tau0, cond_g2, cond_g3)``; each key appears once, each sign is +-1."""
+    fields = {}
+    for lineno, (key, *vals) in _records(path, "init-result"):
+        if key in fields or key not in ("signs", "shifts", "cond_g2", "cond_g3"):
+            raise ConfigError(f"{path}:{lineno}: malformed init-result file: "
+                              f"{'repeated' if key in fields else 'unknown'} key {key!r}")
+        fields[key] = vals
     try:
         signs = np.array([int(v) for v in fields["signs"]])
         tau0 = np.array([float(v) for v in fields["shifts"]])
@@ -157,6 +166,8 @@ def load_init_result(path):
     if signs.size != tau0.size:
         raise ConfigError(f"{path}: malformed init-result file: "
                           f"{signs.size} signs but {tau0.size} shifts")
+    if np.any(np.abs(signs) != 1):
+        raise ConfigError(f"{path}: malformed init-result file: signs must be -1 or 1")
     return signs, tau0, cond2, cond3
 
 

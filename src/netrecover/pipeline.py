@@ -58,12 +58,12 @@ _STAGE_IDS = {
     "study": 6,
 }
 
-# fewest inputs the refinement draws by default.  At small D the initial
-# shifts are already close, and a small sample's least-squares fit can land
-# farther from the truth: over D in {2, 3, 5, 6}, beta = 1.0, seeds 0-59,
-# floors of 64/128/256/512/1024 ended above the initial shift error on
-# 5/4/2/0/2 cells.  The two left at 1024 sit within 1.6x of it, as does
-# their least-squares optimum on 16k inputs.
+# fewest inputs the refine stage draws (PipelineConfig.refine_config).  At
+# small D the initial shifts are already close, and a small sample's
+# least-squares fit can land farther from the truth: over D in {2, 3, 5, 6},
+# beta = 1.0, seeds 0-59, floors of 64/128/256/512/1024 ended above the
+# initial shift error on 5/4/2/0/2 cells.  The two left at 1024 sit within
+# 1.6x of it, as does their least-squares optimum on 16k inputs.
 _GN_MIN_TRAIN = 512
 
 STAGES = ("teacher", "hessians", "projector", "spm", "init", "refine", "score")
@@ -130,10 +130,6 @@ class PipelineConfig:
     exact_derivatives: bool = False
     n_hessians: int | None = None
     spm: SpmConfig = dataclasses.field(default_factory=SpmConfig)
-    n_train: int | None = None      # None -> see refine_config
-    refine_max_steps: int = 200_000
-    stop_loss: float = 1e-8
-    timeout_s: float | None = 180.0
     n_eval: int = 100_000
     seed: int = 0
     out_dir: str | None = None
@@ -145,7 +141,10 @@ class PipelineConfig:
             return self.n_neurons
         if self.beta_order is None:
             raise ConfigError("either n_neurons or beta_order must be given")
-        return neuron_count(self.dim, self.beta_order)
+        try:  # D^beta is nan or overflows
+            return neuron_count(self.dim, self.beta_order)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"beta_order {self.beta_order} gives no neuron count") from None
 
     def validate(self):
         if self.dim < 2:
@@ -163,33 +162,26 @@ class PipelineConfig:
             raise ConfigError(f"n_eval must be >= 1, got {self.n_eval}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # a bad step, shift law or refine setting fails here, before the first stage runs
+        # a bad step or shift law fails here, before the first stage runs
         if not 1e-8 <= self.fd_step <= 1.0:
             raise ConfigError(f"fd_step must lie in [1e-8, 1], got {self.fd_step}")
         self.shift_law.sample(m, make_activation(self.activation).tau_inf,
                               np.random.default_rng(0))
-        self.refine_config()
 
     def derivative_step(self) -> float | None:
         """The derivative stages' step: ``fd_step``, or None for the analytic oracle."""
         return None if self.exact_derivatives else self.fd_step
 
     def refine_config(self) -> RefineConfig:
-        """The refine stage's settings: Gauss-Newton on ``n_train`` inputs.
+        """The refine stage's settings: Gauss-Newton on ceil(m log D) inputs.
 
-        Without ``n_train`` it draws ceil(m log D) inputs, and at least
-        ``_GN_MIN_TRAIN``; this does not follow the Hessian budget.
+        The sample is at least ``_GN_MIN_TRAIN`` inputs and does not follow
+        the Hessian budget.  Every other setting is ``RefineConfig``'s
+        default: Gauss-Newton stops on its own once a step stops lowering
+        the loss, and reads ``stop_loss`` only as the label of a loss below it.
         """
-        n_train = self.n_train
-        if n_train is None:
-            n_train = max(math.ceil(self.resolved_m() * math.log(self.dim)), _GN_MIN_TRAIN)
-        return RefineConfig(
-            n_train=n_train,
-            max_steps=self.refine_max_steps,
-            stop_loss=self.stop_loss,
-            timeout_s=self.timeout_s,
-            method="gn",
-        )
+        n_train = max(math.ceil(self.resolved_m() * math.log(self.dim)), _GN_MIN_TRAIN)
+        return RefineConfig(n_train=n_train, method="gn")
 
 
 # ---------------------------------------------------------------------------

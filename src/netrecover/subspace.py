@@ -26,7 +26,6 @@ __all__ = [
     "hvec",
     "unhvec",
     "hvec_outer_batch",
-    "basis_products",
     "SubspaceProjector",
     "build_hessian_matrix",
     "top_m_projector",
@@ -72,17 +71,6 @@ def hvec_outer_batch(us: np.ndarray) -> np.ndarray:
     return us[rows, :] * us[cols, :] * scale[:, None]
 
 
-def basis_products(mats: np.ndarray, us: np.ndarray):
-    """Every B_j u and u^T B_j u for a (D, R) batch, by one GEMM of the stack.
-
-    ``mats`` is a (m, D, D) stack of symmetric matrices.  Returns the (R, m, D)
-    products B_j u_r and the (R, m) quadratic forms u_r^T B_j u_r.
-    """
-    m, d, _ = mats.shape
-    prods = (us.T @ mats.reshape(m * d, d).T).reshape(us.shape[1], m, d)
-    return prods, (prods @ us.T[:, :, None])[:, :, 0]
-
-
 @dataclasses.dataclass
 class SubspaceProjector:
     """Orthogonal projector onto an m-dimensional space of symmetric matrices.
@@ -122,14 +110,17 @@ class SubspaceProjector:
     def action_batch(self, us: np.ndarray, mats: np.ndarray):
         """Columnwise P(u u^T) u for a (D, R) batch of unit vectors, with its products.
 
-        ``mats`` is :meth:`matrices`, or any stack orthonormal in Frobenius.
-        P(u u^T) = sum_j (u^T B_j u) B_j, so the action is sum_j (u^T B_j u)
-        B_j u, from one GEMM of the stack against the batch
-        (:func:`basis_products`).  Returns ``(action, prods, coeffs)``: the
-        (D, R) action and the (R, m, D) products B_j u_r and (R, m) forms
-        u_r^T B_j u_r it was read from, which a Newton step reuses.
+        ``mats`` is :meth:`matrices`, or any (m, D, D) stack of symmetric
+        matrices orthonormal in Frobenius.  P(u u^T) = sum_j (u^T B_j u) B_j,
+        so the action is sum_j (u^T B_j u) B_j u.  Every B_j u_r comes from
+        one GEMM of the whole stack, read as an (m D, D) matrix, against the
+        batch.  Returns ``(action, prods, coeffs)``: the (D, R) action and
+        the (R, m, D) products B_j u_r and (R, m) forms u_r^T B_j u_r it was
+        read from, which a Newton step reuses.
         """
-        prods, coeffs = basis_products(mats, us)
+        m, d, _ = mats.shape
+        prods = (us.T @ mats.reshape(m * d, d).T).reshape(us.shape[1], m, d)
+        coeffs = (prods @ us.T[:, :, None])[:, :, 0]
         return (coeffs[:, None, :] @ prods)[:, 0, :].T, prods, coeffs
 
     def objective_batch(self, us: np.ndarray) -> np.ndarray:

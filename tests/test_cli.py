@@ -108,6 +108,20 @@ class TestInputsAcrossFiles:
         assert "weights have m=2, but the teacher" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, text, line", [
+        ("init-shifts", "-5 3\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n", 1),
+        ("diagnose", "# shallow network file\n-2 1 tanh 0.6 -1\n0.6 0.8 0.1\n", 2),
+    ], ids=["init-shifts", "diagnose"])
+    def test_negative_size_exits_2(self, teacher, tmp_path, capsys, command, text, line):
+        # numpy would otherwise refuse the size with a traceback and exit 1
+        bad, out = tmp_path / "bad.txt", tmp_path / "out"
+        bad.write_text(text)
+        files = {"init-shifts": ["--net", teacher, "--weights", str(bad)],
+                 "diagnose": ["--net", str(bad)]}[command]
+        assert cli.main([command, *files, "--out", str(out)]) == 2
+        assert f"bad.txt:{line}: negative size in header" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # every value the command line sets, one flag each, as an option file
 ARGS_TEXT = """\
@@ -118,21 +132,18 @@ ARGS_TEXT = """\
 # Hessians and SPM
 --fd-step 0.02 --exact-derivatives --n-h 40
 --spm-steps 77 --spm-restarts 31
-# refine and scoring
---n-train 1234 --max-steps 99 --stop-loss 1e-9 --timeout-s 12.5
+# scoring
 --n-eval 500 --seed 9 --out-dir somewhere
 """
 FLAGS = ["--d", "12", "--m", "5", "--beta", "1.25", "--activation", "sigmoid",
          "--shift-law", "gaussian:0.1", "--fd-step", "0.02", "--exact-derivatives",
          "--n-h", "40", "--n-eval", "500", "--seed", "9", "--out-dir", "somewhere",
-         "--spm-steps", "77", "--spm-restarts", "31", "--n-train", "1234",
-         "--max-steps", "99", "--stop-loss", "1e-9", "--timeout-s", "12.5"]
+         "--spm-steps", "77", "--spm-restarts", "31"]
 EXPECTED = PipelineConfig(
     dim=12, n_neurons=5, beta_order=1.25, activation="sigmoid",
     shift_law=GaussianShifts(0.1), fd_step=0.02, exact_derivatives=True,
     n_hessians=40, n_eval=500, seed=9, out_dir="somewhere",
     spm=SpmConfig(max_steps=77, max_restarts=31),
-    n_train=1234, refine_max_steps=99, stop_loss=1e-9, timeout_s=12.5,
 )
 
 
@@ -165,13 +176,13 @@ class TestConfig:
     def test_one_flag_per_value(self):
         # pipeline takes exactly these flags (TestSubcommandFlags::test_kept)
         flags = [f for f in FLAGS if f.startswith("--")]
-        assert len(flags) == len(set(flags)) == 17
+        assert len(flags) == len(set(flags)) == 13
 
     def test_dim_key_and_flag_precedence(self, tmp_path):
         # a later flag wins, whether it follows the file or the file follows it
-        args = write(tmp_path / "run.args", "--d 8 --beta 1.0 --seed 4\n--n-train 500\n")
-        cfg = config_from(["pipeline", "--n-train", "300", args, "--seed", "5"])
-        assert (cfg.dim, cfg.beta_order, cfg.seed, cfg.n_train) == (8, 1.0, 5, 500)
+        args = write(tmp_path / "run.args", "--d 8 --beta 1.0 --seed 4\n--n-eval 500\n")
+        cfg = config_from(["pipeline", "--n-eval", "300", args, "--seed", "5"])
+        assert (cfg.dim, cfg.beta_order, cfg.seed, cfg.n_eval) == (8, 1.0, 5, 500)
 
     def test_comments_blank_lines_and_quotes(self, tmp_path):
         args = write(tmp_path / "run.args", (
@@ -211,7 +222,8 @@ class TestConfig:
     @pytest.mark.parametrize("text, message", [
         ("--d ten\n", "argument --d: invalid int value: 'ten'"),
         ("--d 10 --exact-derivatives maybe\n", "unrecognized arguments: maybe"),
-        ("--d 10 --beta 1.0\n--n-train 0\n", "n_train must be >= 1"),
+        # no refine setting is left to get wrong, so a Hessian one stands in under the old id
+        ("--d 10 --beta 1.0\n--n-h 0\n", "n_hessians must be >= 1"),
         ("--d 10 --out-dir 'a b\n", "No closing quotation"),
     ], ids=["unparsable-value", "not-a-boolean", "bad-refine-setting", "unclosed-quote"])
     def test_malformed_config_exits_2(self, tmp_path, text, message, capsys):
@@ -233,7 +245,8 @@ class TestConfig:
             assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, abbreviation", [
-        (["pipeline", "--d", "10", "--max", "5"], "--max"),
+        # a prefix of --spm-steps, under the id of --max, a prefix of the removed --max-steps
+        (["pipeline", "--d", "10", "--spm-st", "5"], "--spm-st"),
         (["pipeline", "--d", "10", "--exact"], "--exact"),
         (["study", "--d-list", "6", "--beta-list", "1.0", "--out", "x", "--m", "3"], "--m"),
         (["study", "--d-list", "6", "--beta-list", "1.0", "--out", "x", "--rep", "2"],
@@ -252,19 +265,23 @@ class TestConfig:
 KEPT = {
     "pipeline": {f for f in FLAGS if f.startswith("--")},
     "baseline": {"--d", "--m", "--beta", "--activation", "--shift-law", "--seed",
-                 "--n-eval", "--out-dir", "--stop-loss", "--timeout-s"},
+                 "--n-eval", "--out-dir"},
     "study": {f for f in FLAGS if f.startswith("--")} - {"--d", "--m", "--beta", "--out-dir"}
     | {"--d-list", "--beta-list", "--reps", "--out"},
     "recover-weights": {"--net", "--out", "--seed", "--fd-step", "--exact-derivatives",
                         "--n-h", "--spm-steps", "--spm-restarts"},
+    "refine": {"--net", "--weights", "--init", "--out", "--seed"},
 }
+# the refinement's settings are constants, so every subcommand refuses their flags
+REFINE_FLAGS = ["--n-train 100", "--max-steps 5", "--stop-loss 1e-9", "--timeout-s 5"]
 REFUSED = {
+    "pipeline": REFINE_FLAGS,
     "baseline": ["--fd-step 0.02", "--exact-derivatives", "--n-h 40", "--spm-steps 7",
-                 "--spm-restarts 7", "--n-train 100", "--max-steps 5"],
-    "study": ["--d 50", "--m 3", "--beta 1.9", "--out-dir x"],
+                 "--spm-restarts 7", *REFINE_FLAGS],
+    "study": ["--d 50", "--m 3", "--beta 1.9", "--out-dir x", *REFINE_FLAGS],
     "recover-weights": ["--d 30", "--m 99", "--beta 1.9", "--activation sigmoid",
                         "--shift-law gaussian:0.1", "--n-eval 5", "--out-dir x",
-                        "--n-train 5", "--max-steps 5", "--timeout-s 5"],
+                        *REFINE_FLAGS],
 }
 
 
@@ -321,16 +338,14 @@ class TestRefusedCells:
         (["--d", "10", "--beta", "1.5", "--n-h", "0"], "n_hessians must be >= 1, got 0"),
         (["--d", "10", "--beta", "1.5", "--spm-restarts", "0"],
          "max_restarts must be >= 1, got 0"),
-        (["--d", "10", "--beta", "1.5", "--timeout-s", "-1"],
-         "timeout_s must be positive, got -1.0"),
-        (["--d", "10", "--beta", "1.5", "--stop-loss", "nan"],
-         "stop_loss must be finite and >= 0, got nan"),
-        (["--d", "10", "--beta", "1.5", "--stop-loss", "-1"],
-         "stop_loss must be finite and >= 0, got -1.0"),
+        # a beta whose D^beta is nan or overflows gives no neuron count
+        (["--d", "10", "--beta", "nan"], "beta_order nan gives no neuron count"),
+        (["--d", "10", "--beta", "inf"], "beta_order inf gives no neuron count"),
+        (["--d", "10", "--beta", "400"], "beta_order 400.0 gives no neuron count"),
     ], ids=["D8-b2.2", "D10-b2.1", "n_h-equals-m", "fd-step", "n-eval", "shift-law",
             "sigmoid-shift-law", "gaussian-negative", "gaussian-nan", "uniform-reversed",
-            "uniform-nan", "fixed-inf", "n-h-zero", "spm-restarts-zero", "timeout-negative",
-            "stop-loss-nan", "stop-loss-negative"])
+            "uniform-nan", "fixed-inf", "n-h-zero", "spm-restarts-zero", "beta-nan",
+            "beta-inf", "beta-overflow"])
     def test_pipeline(self, tmp_path, argv, message, capsys):
         out = tmp_path / "run"
         assert cli.main(["pipeline", *argv, "--out-dir", str(out)]) == 2
@@ -399,15 +414,14 @@ class TestStudy:
     def test_flags_reach_every_cell(self, tmp_path):
         out = tmp_path / "study.csv"
         assert cli.main(["study", "--d-list", "6", "--beta-list", "1.0",
-                         "--fd-step", "0.05", "--n-eval", "500", "--max-steps", "500",
+                         "--fd-step", "0.05", "--n-eval", "500", "--spm-steps", "500",
                          "--out", str(out)]) == 0
         header, row = read_csv(out)
         cell = dict(zip(header, row))
         assert cell["fd_step"] == "0.05"
-        assert int(cell["refine_steps"]) <= 500
 
     def test_config_without_dimension(self, tmp_path):
-        args = write(tmp_path / "study.args", "--fd-step 0.05 --n-eval 500\n--max-steps 500\n")
+        args = write(tmp_path / "study.args", "--fd-step 0.05 --n-eval 500\n--spm-steps 500\n")
         out = tmp_path / "study.csv"
         assert cli.main(["study", "--d-list", "6,8", "--beta-list", "1.0", args,
                          "--out", str(out)]) == 0
@@ -421,7 +435,12 @@ class TestStudy:
          "fd_step must lie in [1e-8, 1]"),
         # the first cell (D=8, m=26) is valid; the second (D=4, m=7) is not
         (["--d-list", "8,4", "--beta-list", "2.0"], "m = 7 exceeds D(D+1)/2 - D = 6"),
-    ], ids=["fd-step", "second-cell"])
+        (["--d-list", "6,x", "--beta-list", "1.0"],
+         "bad --d-list or --beta-list entry: invalid literal for int() with base 10: 'x'"),
+        (["--d-list", "6", "--beta-list", "1.0,y"],
+         "bad --d-list or --beta-list entry: could not convert string to float: 'y'"),
+        (["--d-list", "6", "--beta-list", "1.0,nan"], "beta_order nan gives no neuron count"),
+    ], ids=["fd-step", "second-cell", "d-list-entry", "beta-list-entry", "beta-list-nan"])
     def test_bad_cell_exits_2_before_any_run(self, tmp_path, argv, message, capsys, caplog):
         out = tmp_path / "study.csv"
         with caplog.at_level("INFO", logger="netrecover.pipeline"):

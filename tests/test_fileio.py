@@ -57,6 +57,14 @@ def test_teacher_with_nan_is_refused(tmp_path, neuron, message):
         load_teacher(path)
 
 
+@pytest.mark.parametrize("header", ["-2 1 tanh 0.6 -1", "2 -1 tanh 0.6 -1"])
+def test_teacher_negative_size_reports_line(tmp_path, header):
+    path = tmp_path / "t.net"
+    path.write_text(f"# shallow network file\n{header}\n0.6 0.8 0.1\n")
+    with pytest.raises(ConfigError, match=rf"t\.net:2: negative size in header '{header}'"):
+        load_teacher(path)
+
+
 class TestWeights:
     def test_round_trip_bit_exact(self, tmp_path):
         w = random_unit_columns(7, 5, seed=0)
@@ -89,6 +97,13 @@ class TestWeights:
         with pytest.raises(ConfigError, match=r"w\.txt:2: could not convert"):
             load_weights(path)
 
+    @pytest.mark.parametrize("header", ["-5 3", "2 -1"])
+    def test_negative_size_reports_line(self, tmp_path, header):
+        path = tmp_path / "w.txt"
+        path.write_text(f"{header}\n0.6 0.8\n0.6 0.8\n0.6 0.8\n")
+        with pytest.raises(ConfigError, match=rf"w\.txt:1: negative size in header '{header}'"):
+            load_weights(path)
+
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("2 3\n0.6 0.8\n")
@@ -118,6 +133,11 @@ class TestInitResult:
         "signs 1 x\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",  # bad sign
         "signs 1 -1\nshifts 0.1 0.2\ncond_g2\ncond_g3 1.0\n",     # empty value
         "signs 1 -1 1\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",  # 3 signs, 2 shifts
+        "signs 1 -1\nshifts 0.1 0.2\nsigns -1 -1\ncond_g2 1.0\ncond_g3 1.0\n",  # repeated key
+        "signs 1 -1\nshifts 0.1 0.2\nbogus 7\ncond_g2 1.0\ncond_g3 1.0\n",  # unknown key
+        # refine would otherwise blame the weights: "weight column 0 has norm 2.0"
+        "signs 1 2\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",
+        "signs 0 -1\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",
     ])
     def test_malformed_raises(self, tmp_path, text):
         path = tmp_path / "init.txt"

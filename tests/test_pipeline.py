@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import netrecover
-from netrecover import (ConfigError, PipelineConfig, SpmConfig, StageError, UniformShifts,
-                        run_pipeline, run_scaling_study)
+from netrecover import (ConfigError, PipelineConfig, RefineConfig, SpmConfig, StageError,
+                        UniformShifts, run_pipeline, run_scaling_study)
 from netrecover.fileio import load_weights
 from netrecover.pipeline import RESULT_COLUMNS
 
@@ -351,19 +351,10 @@ class TestRefineConfig:
         (80, 287, 1258),
     ])
     def test_default_sample_size(self, dim, m, n_train):
+        # every other setting is RefineConfig's default: the 1e-8 stop_loss
+        # label and the 180 s clock
         rc = PipelineConfig(dim=dim, n_neurons=m).refine_config()
-        assert (rc.n_train, rc.method) == (n_train, "gn")
-
-    def test_explicit_sample_size_wins(self):
-        cfg = PipelineConfig(dim=40, n_neurons=102, n_train=1000)
-        assert cfg.refine_config().n_train == 1000
-
-    def test_bad_setting_rejected_before_any_stage(self):
-        cfg = PipelineConfig(dim=6, beta_order=1.0, n_train=0)
-        with pytest.raises(ConfigError, match="n_train must be >= 1"):
-            cfg.validate()
-        with pytest.raises(ConfigError, match="n_train must be >= 1"):
-            run_pipeline(cfg)
+        assert rc == RefineConfig(n_train=n_train, method="gn")
 
 
 class TestScalingStudy:

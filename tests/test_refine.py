@@ -441,3 +441,12 @@ class TestGaussNewton:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError, match="unknown refine method 'newton'"):
             RefineConfig(n_train=10, method="newton")
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(timeout_s=-1.0), "timeout_s must be positive, got -1.0"),
+        (dict(stop_loss=float("nan")), "stop_loss must be finite and >= 0, got nan"),
+        (dict(stop_loss=-1.0), "stop_loss must be finite and >= 0, got -1.0"),
+    ], ids=["timeout-negative", "stop-loss-nan", "stop-loss-negative"])
+    def test_bad_stop_rejected(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            RefineConfig(n_train=10, method="gn", **setting)

@@ -442,9 +442,9 @@ class TestStep:
         mats = proj.matrices()
         u = self._batch(proj)
         formed = []
-        products = subspace.basis_products
-        monkeypatch.setattr(subspace, "basis_products",
-                            lambda ms, us: formed.append(us.shape[1]) or products(ms, us))
+        action = subspace.SubspaceProjector.action_batch
+        monkeypatch.setattr(subspace.SubspaceProjector, "action_batch",
+                            lambda p, us, ms: formed.append(us.shape[1]) or action(p, us, ms))
         newton = spm._newton
         newton_formed = []
 
