@@ -7,11 +7,12 @@ the origin), refine (Gauss-Newton; the paper's gradient descent is
 ``RefineConfig(method="gd")``) and score.  Test oracles are in ``tests/conftest.py``.
 """
 
-from .activations import Activation, invert_g2, make_activation, slope_sign_certificate
+from .activations import Activation, invert_g2, make_activation
 from .baseline import run_baseline_sgd
 from .diagnostics import (IncoherenceReport, Metrics, check_incoherence,
                           estimate_alpha, hermite_coeffs, init_shift_error_bound,
-                          kernel_floor_omega, match_and_score, match_weights)
+                          kernel_floor_omega, match_and_score, match_weights,
+                          slope_sign_certificate)
 from .exceptions import (ConfigError, DivergenceError, FDEvaluationError,
                          IllConditionedError, IncompleteRecoveryError,
                          RecoveryError, StageError, SubspaceDeficientError)

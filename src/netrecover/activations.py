@@ -5,7 +5,10 @@ tau_inf]`` g'' is strictly decreasing, g''' keeps the sign of g'''(0) and
 g' > 0.  So :func:`invert_g2` reads a shift back from s_k g''(tau_k), and the
 sign of s_k g'''(tau_k) against g'''(0) reads the sign s_k.  Both fail first
 where g''' vanishes; each radius is a literal just inside that point, checked
-on a grid by ``tests/test_activations.py``.
+on a grid by ``tests/test_activations.py``.  The module holds only the
+activations and :func:`invert_g2`; the Gaussian means of their derivatives
+(the kernel floor, the mean-slope certificate) are in
+:mod:`netrecover.diagnostics`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "Activation",
     "make_activation",
     "invert_g2",
-    "slope_sign_certificate",
 ]
 
 _INVERT_TOL = 1e-12
@@ -151,22 +153,3 @@ def invert_g2(act: Activation, y: float) -> float:
             break
     return 0.5 * (lo + hi)
 
-
-def slope_sign_certificate(act: Activation):
-    """Numerically certify that the Gaussian mean of g'(. + tau) keeps one sign.
-
-    Evaluates ``integral g'(t + tau) exp(-t^2/2) dt`` by 128-node
-    Gauss-Hermite quadrature on a 101-point tau-grid over the shift
-    interval.  Returns ``(sign, min_abs_integral)``; a report, not a proof.
-    Raises if the sign flips across the grid.
-    """
-    nodes, weights = np.polynomial.hermite.hermgauss(128)
-    taus = np.linspace(-act.tau_inf, act.tau_inf, 101)
-    # change of variables t = sqrt(2) x maps the e^{-x^2} weight to e^{-t^2/2}
-    vals = np.array(
-        [math.sqrt(2.0) * float(weights @ act.g1(math.sqrt(2.0) * nodes + tau)) for tau in taus]
-    )
-    signs = np.sign(vals)
-    if np.any(signs == 0) or np.any(signs != signs[0]):
-        raise ConfigError("mean slope changes sign across the shift interval")
-    return int(signs[0]), float(np.min(np.abs(vals)))

@@ -9,7 +9,9 @@ the artifacts of ``pipeline``: ``teacher.net``, ``weights.txt``,
 ``--out`` file, ``recover-weights`` writes the span's ``.spectrum.csv`` and
 ``refine`` the refined ``.shifts.txt``.  ``pipeline`` and ``baseline`` both
 write ``result.csv`` and ``report.txt`` into ``--out-dir``, also when a
-stage fails.
+stage fails.  ``diagnose`` reports 12 quantities of a teacher file: its
+incoherence constants, ``alpha_hat``, the exact kernel floor ``omega`` with
+its shift, and the mean slope's sign and smallest size.
 
 Each subcommand takes only the flags it reads: ``study`` sets D, m and
 beta per cell and keeps no run directory, ``baseline`` reads none of the
@@ -32,9 +34,9 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .activations import slope_sign_certificate
 from .baseline import run_baseline_sgd
-from .diagnostics import check_incoherence, estimate_alpha, kernel_floor_omega
+from .diagnostics import (check_incoherence, estimate_alpha, kernel_floor_omega,
+                          slope_sign_certificate)
 from .exceptions import ConfigError, RecoveryError, StageError
 from .pipeline import (PipelineConfig, child_seed, hessian_stage, init_stage,
                        projector_stage, refine_stage, run_pipeline,
@@ -156,6 +158,7 @@ def _cmd_recover_weights(args) -> int:
     net, cfg = _teacher_and_config(args)
     cols, _ = hessian_stage(cfg, net)
     proj = projector_stage(cfg, cols, Path(args.out).with_suffix(".spectrum.csv"))
+    del cols  # as in run_pipeline: SPM reads only the projector
     w_hat, stats = spm_stage(cfg, proj, args.out)
     print(f"recovered {w_hat.shape[1]} directions in {stats.n_processed} restarts -> {args.out}")
     return 0
@@ -225,7 +228,6 @@ def _cmd_diagnose(args) -> int:
         ["alpha_hat", alpha],
         ["omega", omega.omega],
         ["omega_tau_argmin", omega.tau_argmin],
-        ["omega_tail_bound", omega.tail_bound],
         ["mean_slope_sign", sign],
         ["mean_slope_min_abs", min_abs],
     ]

@@ -1,10 +1,11 @@
 """Executable diagnostics: incoherence, learnability, Hermite machinery,
-and recovered-vs-true scoring.
+the mean-slope sign certificate, and recovered-vs-true scoring.
 
 Everything here measures; nothing proves.  Incoherence constants are
 reported as fitted values, the restricted-isometry probe samples random
 submatrices (exhaustive verification is combinatorial), and the learnability
-floor is an empirical eigenvalue.  The scoring path is the only place the
+floor is an empirical eigenvalue.  Every Gaussian mean is taken by one
+Gauss-Hermite rule, ``_gauss_mean``.  The scoring path is the only place the
 ground truth is consulted, and the recovery algorithms never see its output.
 """
 
@@ -29,6 +30,7 @@ __all__ = [
     "hermite_coeffs",
     "kernel_floor_omega",
     "OmegaResult",
+    "slope_sign_certificate",
     "match_weights",
     "match_and_score",
     "init_shift_error_bound",
@@ -114,13 +116,19 @@ def estimate_alpha(net: TeacherNetwork, n_mc: int, seed: int = 0) -> float:
 # Hermite machinery
 # ---------------------------------------------------------------------------
 
-# Gauss-Hermite nodes: 256 resolve the tail bound's E[g'''^2] to within
-# 4e-13 of 300 nodes (200 left tanh's 5.7e-11 short), and numpy's
-# hermgauss(400) overflows to NaN weights; then the kernel floor's shift
-# grid and highest Hermite order
+# Gauss-Hermite nodes of every Gaussian mean below: at 256 the kernel floor's
+# E[g'(Y + tau)^2] - sum_{r<4} mu_r^2 agrees with 300 nodes to 2.8e-15 (tanh)
+# and 7.7e-14 (sigmoid) relative, and numpy's hermgauss(400) overflows to NaN
+# weights; then the kernel floor's shift grid
 _QUAD_NODES = 256
 _OMEGA_TAU_GRID = 41
-_OMEGA_R_MAX = 20
+
+
+def _gauss_mean(fn):
+    """``E[fn(Y)]`` over fn's last axis, Y standard Gaussian: ``_QUAD_NODES``-point
+    Gauss-Hermite quadrature, its nodes scaled by sqrt(2) to the Gaussian weight."""
+    nodes, wts = np.polynomial.hermite.hermgauss(_QUAD_NODES)
+    return np.asarray(fn(math.sqrt(2.0) * nodes), dtype=float) @ wts / math.sqrt(math.pi)
 
 
 def hermite_basis(r_max: int, y: np.ndarray) -> np.ndarray:
@@ -140,53 +148,53 @@ def hermite_basis(r_max: int, y: np.ndarray) -> np.ndarray:
 
 
 def hermite_coeffs(fn, r_max: int) -> np.ndarray:
-    """Coefficients of fn in the orthonormal Hermite basis.
-
-    ``mu_r = E[fn(Y) h_r(Y)]`` for standard Gaussian Y, computed by
-    ``_QUAD_NODES``-point Gauss-Hermite quadrature after the change of
-    variables that absorbs the ``exp(-y^2/2)`` weight.
-    """
-    nodes, wts = np.polynomial.hermite.hermgauss(_QUAD_NODES)
-    y = math.sqrt(2.0) * nodes
-    basis = hermite_basis(r_max, y)
-    vals = np.asarray(fn(y), dtype=float)
-    return (basis * vals) @ wts / math.sqrt(math.pi)
+    """Coefficients ``mu_r = E[fn(Y) h_r(Y)]``, r = 0..r_max, of fn in the
+    orthonormal Hermite basis, for standard Gaussian Y."""
+    return _gauss_mean(lambda y: hermite_basis(r_max, y) * fn(y))
 
 
 @dataclasses.dataclass
 class OmegaResult:
     omega: float
     tau_argmin: float
-    tail_bound: float   # bound on the discarded sum_{r > _OMEGA_R_MAX} mu_r^2
 
 
 def kernel_floor_omega(act: Activation) -> OmegaResult:
     """Half the worst-case high-order Hermite energy of the slope function.
 
-    Computes ``0.5 * min_tau sum_{r=4}^{R} mu_r(g'(. + tau))^2``, R =
-    ``_OMEGA_R_MAX``, over ``_OMEGA_TAU_GRID`` evenly spaced shifts in
-    ``[-tau_inf, tau_inf]``.  g' is even for both activations, so the energy
-    is even in tau and only the grid's nonnegative half is scanned: over the
-    whole grid the mirror shifts would tie, and rounding would pick the
-    argmin's sign.  The truncation tail is bounded through the derivative
-    ladder: ``mu_r(g') = mu_{r-2}(g''') / sqrt(r (r-1))``, so the tail is at
-    most ``E[g'''^2] / (R (R + 1))``.
+    Computes ``0.5 * min_tau sum_{r>=4} mu_r(g'(. + tau))^2`` over
+    ``_OMEGA_TAU_GRID`` evenly spaced shifts in ``[-tau_inf, tau_inf]``.  The
+    whole series is read exactly by Parseval's identity, as
+    ``E[g'(Y + tau)^2] - sum_{r<4} mu_r^2``.  g' is even for both
+    activations, so the energy is even in tau and only the grid's
+    nonnegative half is scanned: over the whole grid the mirror shifts would
+    tie, and rounding would pick the argmin's sign.
     """
     taus = np.linspace(-act.tau_inf, act.tau_inf, _OMEGA_TAU_GRID)[_OMEGA_TAU_GRID // 2:]
-    best, best_tau = np.inf, 0.0
-    for tau in taus:
-        mu = hermite_coeffs(lambda y: act.g1(y + tau), _OMEGA_R_MAX)
-        energy = float(mu[4:] @ mu[4:])
-        if energy < best:
-            best, best_tau = energy, float(tau)
-    nodes, wts = np.polynomial.hermite.hermgauss(_QUAD_NODES)
-    y = math.sqrt(2.0) * nodes
-    e_g3_sq = max(
-        float((np.asarray(act.g3(y + tau), dtype=float) ** 2) @ wts / math.sqrt(math.pi))
-        for tau in (-act.tau_inf, 0.0, act.tau_inf)
-    )
-    tail = e_g3_sq / (_OMEGA_R_MAX * (_OMEGA_R_MAX + 1))
-    return OmegaResult(omega=0.5 * best, tau_argmin=best_tau, tail_bound=tail)
+
+    def energy(tau):
+        mu = hermite_coeffs(lambda y: act.g1(y + tau), 3)
+        return float(_gauss_mean(lambda y: act.g1(y + tau) ** 2)) - float(mu @ mu)
+
+    energies = [energy(tau) for tau in taus]
+    k = int(np.argmin(energies))
+    return OmegaResult(omega=0.5 * energies[k], tau_argmin=float(taus[k]))
+
+
+def slope_sign_certificate(act: Activation):
+    """Numerically certify that the Gaussian mean of g'(. + tau) keeps one sign.
+
+    Evaluates ``integral g'(t + tau) exp(-t^2/2) dt = sqrt(2 pi) E[g'(Y + tau)]``
+    on a 101-point tau-grid over the shift interval.  Returns ``(sign,
+    min_abs_integral)``; a report, not a proof.  Raises if the sign flips.
+    """
+    taus = np.linspace(-act.tau_inf, act.tau_inf, 101)
+    vals = np.array([math.sqrt(2.0 * math.pi) * _gauss_mean(lambda y: act.g1(y + tau))
+                     for tau in taus])
+    signs = np.sign(vals)
+    if np.any(signs == 0) or np.any(signs != signs[0]):
+        raise ConfigError("mean slope changes sign across the shift interval")
+    return int(signs[0]), float(np.min(np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------

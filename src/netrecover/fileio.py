@@ -4,10 +4,12 @@ Line formats, read skipping blank lines and lines starting with ``#``:
 
 - ``teacher.net``: ``# shallow network file``, then ``D m activation
   tau_inf seed`` (seed -1 when unknown), then per neuron its weight column
-  and its shift on one line.  The header's ``tau_inf`` must be the
-  activation's declared one, so a sigmoid file written when the sigmoid
-  declared 1.5 (beyond its identifiable 1.3) is refused;
+  and its shift on one line.  D and m must be at least 1, and the header's
+  ``tau_inf`` must be the activation's declared one, so a sigmoid file
+  written when the sigmoid declared 1.5 (beyond its identifiable 1.3) is
+  refused;
 - ``weights.txt`` (recovered weights): ``D m``, then one column per line;
+  m may be 0, as when SPM found no direction;
 - ``init.txt``: ``signs ...``, ``shifts ...``, ``cond_g2 c``, ``cond_g3 c``;
 - ``*.shifts.txt`` (refined shifts): one line of m values;
 - ``report.txt``: the free-text lines of ``ExperimentResult.write_report``.
@@ -97,8 +99,8 @@ def load_teacher(path) -> TeacherNetwork:
         tau_inf = float(header[3])
     except ValueError as exc:
         raise ConfigError(f"{path}:{lineno}: malformed header: {exc}") from None
-    if dim < 0 or m < 0:
-        raise ConfigError(f"{path}:{lineno}: negative size in header {' '.join(header)!r}")
+    if dim < 1 or m < 1:
+        raise ConfigError(f"{path}:{lineno}: size below 1 in header {' '.join(header)!r}")
     act = make_activation(header[2])
     if tau_inf != act.tau_inf:
         raise ConfigError(f"{path}:{lineno}: header declares tau_inf {tau_inf!r}, "

@@ -392,10 +392,10 @@ class _StageRunner:
     """The wiring of one composed run, shared by every mode.
 
     Validates the config, creates ``cfg.out_dir`` and starts the result
-    from the run's identity columns.  :meth:`run` times a stage, counts the
-    teacher's queries across it and wraps its failure in :class:`StageError`
-    after writing ``result.csv`` and ``report.txt``; :meth:`finish` writes
-    them at the end of the run.
+    from the run's identity columns.  :meth:`run` times a stage and counts the
+    teacher's queries across it, whether it returns or fails, and wraps its
+    failure in :class:`StageError` after writing ``result.csv`` and
+    ``report.txt``; :meth:`finish` writes them at the end of the run.
     """
 
     def __init__(self, cfg: PipelineConfig, mode: str):
@@ -428,16 +428,17 @@ class _StageRunner:
         before = net.query_count if net is not None else 0
         t0 = time.perf_counter()
         try:
-            out = fn(*args)
+            out, error = fn(*args), None
         except Exception as exc:
-            if isinstance(exc, IncompleteRecoveryError):
-                result.spm = exc.stats  # the restarts SPM classified before it gave up
-            result.stage_times[name] = time.perf_counter() - t0
-            result.error = f"{name}: {exc}"
-            self._write()
-            raise StageError(name, exc, result) from exc
+            out, error = None, exc
         result.stage_times[name] = dt = time.perf_counter() - t0
         result.stage_queries[name] = q = (net.query_count if net is not None else 0) - before
+        if error is not None:
+            if isinstance(error, IncompleteRecoveryError):
+                result.spm = error.stats  # the restarts SPM classified before it gave up
+            result.error = f"{name}: {error}"
+            self._write()
+            raise StageError(name, error, result) from error
         logger.info("stage %-10s %.3f s, %d queries", name, dt, q)
         return out
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from netrecover import ConfigError, invert_g2, make_activation, slope_sign_certificate
+from netrecover import ConfigError, invert_g2, make_activation
 
 
 # where each activation's g''' first vanishes, and g'' turns around
@@ -202,23 +202,3 @@ class TestCustomBundle:
         for kind in ("relu", "custom"):
             with pytest.raises(ConfigError, match="unknown activation kind"):
                 make_activation(kind)
-
-
-class TestSlopeSignCertificate:
-    def test_tanh_positive_mean_slope(self, tanh_act):
-        sign, min_abs = slope_sign_certificate(tanh_act)
-        assert sign == 1
-        assert min_abs > 0
-
-    def test_sigmoid_positive_mean_slope(self, sigmoid_act):
-        sign, _ = slope_sign_certificate(sigmoid_act)
-        assert sign == 1
-
-    def test_quadrature_matches_direct_integral(self, tanh_act):
-        # scipy quadrature oracle at tau = -0.6, an end of the grid, where
-        # the mean slope is smallest
-        from scipy.integrate import quad
-        ref, _ = quad(lambda t: (1 - np.tanh(t - 0.6) ** 2) * np.exp(-t * t / 2),
-                      -12, 12)
-        _, min_abs = slope_sign_certificate(tanh_act)
-        assert min_abs == pytest.approx(ref, rel=1e-10)

@@ -1,10 +1,12 @@
 """Command-line interface, driven through ``cli.main``."""
 
 import csv
+import weakref
 
 import pytest
 
 from netrecover import GaussianShifts, PipelineConfig, SpmConfig, UniformShifts, cli
+from netrecover.pipeline import hessian_stage, spm_stage
 
 
 def read_csv(path):
@@ -65,8 +67,32 @@ class TestStageChain:
                          "--out", str(out), "--seed", "1"]) == 0
         rows = read_csv(out)
         assert rows[0] == ["quantity", "value"]
-        assert len(rows) == 14
-        assert rows[1][0] == "max_sq_corr" and rows[-1][0] == "mean_slope_min_abs"
+        assert [name for name, _ in rows[1:]] == [
+            "max_sq_corr", "c2_hat", "gram_inv_norm_2", "gram_inv_norm_3",
+            "gram_inv_norm_4", "rip_p", "rip_worst_delta", "alpha_hat", "omega",
+            "omega_tau_argmin", "mean_slope_sign", "mean_slope_min_abs"]
+
+    def test_recover_weights_releases_the_hessians_before_spm(self, chain, tmp_path,
+                                                             monkeypatch):
+        # as in run_pipeline, SPM runs on the projector alone: the Hessian
+        # columns are freed once the projector is built
+        cols_ref = []
+
+        def hessians(cfg, net):
+            cols, eps_hat = hessian_stage(cfg, net)
+            cols_ref.append(weakref.ref(cols))
+            return cols, eps_hat
+
+        def spm(cfg, proj, path):
+            assert cols_ref[0]() is None
+            return spm_stage(cfg, proj, path)
+
+        monkeypatch.setattr(cli, "hessian_stage", hessians)
+        monkeypatch.setattr(cli, "spm_stage", spm)
+        out = tmp_path / "w.txt"
+        assert cli.main(["recover-weights", "--net", str(chain / "teacher.net"),
+                         "--out", str(out), "--seed", "7"]) == 0
+        assert out.read_bytes() == (chain / "weights.txt").read_bytes()
 
 
 class TestInputsAcrossFiles:
@@ -108,18 +134,23 @@ class TestInputsAcrossFiles:
         assert "weights have m=2, but the teacher" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, text, line", [
-        ("init-shifts", "-5 3\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n", 1),
-        ("diagnose", "# shallow network file\n-2 1 tanh 0.6 -1\n0.6 0.8 0.1\n", 2),
-    ], ids=["init-shifts", "diagnose"])
-    def test_negative_size_exits_2(self, teacher, tmp_path, capsys, command, text, line):
-        # numpy would otherwise refuse the size with a traceback and exit 1
+    @pytest.mark.parametrize("command, text, message", [
+        ("init-shifts", "-5 3\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n",
+         "bad.txt:1: negative size in header"),
+        ("diagnose", "# shallow network file\n-2 1 tanh 0.6 -1\n0.6 0.8 0.1\n",
+         "bad.txt:2: size below 1 in header"),
+        ("diagnose", "# shallow network file\n2 0 tanh 0.6 -1\n",
+         "bad.txt:2: size below 1 in header"),
+    ], ids=["init-shifts", "diagnose", "diagnose-no-neuron"])
+    def test_negative_size_exits_2(self, teacher, tmp_path, capsys, command, text, message):
+        # numpy, or diagnose on a teacher without neurons, would otherwise
+        # fail with a traceback and exit 1
         bad, out = tmp_path / "bad.txt", tmp_path / "out"
         bad.write_text(text)
         files = {"init-shifts": ["--net", teacher, "--weights", str(bad)],
                  "diagnose": ["--net", str(bad)]}[command]
         assert cli.main([command, *files, "--out", str(out)]) == 2
-        assert f"bad.txt:{line}: negative size in header" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

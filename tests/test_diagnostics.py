@@ -1,4 +1,4 @@
-"""Incoherence, learnability and kernel-floor diagnostics, pinned at fixed seeds."""
+"""Incoherence, learnability, kernel-floor and mean-slope diagnostics, pinned at fixed seeds."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
 from netrecover import (ConfigError, StudentNetwork, check_incoherence,
-                        estimate_alpha, kernel_floor_omega, make_activation,
-                        match_and_score, match_weights)
+                        estimate_alpha, hermite_coeffs, kernel_floor_omega,
+                        make_activation, match_and_score, match_weights,
+                        slope_sign_certificate)
 from netrecover import diagnostics
 from netrecover.teacher import block_rows
 from conftest import random_teacher, random_unit_columns
@@ -58,38 +59,87 @@ class TestEstimateAlpha:
             estimate_alpha(random_teacher(6, 5, seed=7), 4)
 
 
-# kind, omega, tau_argmin, tail bound
+# kind, omega, tau_argmin
 _FLOOR_PINS = [
-    ("tanh", 0.0100566949535787, 0.6, 0.0024663912596353736),
-    ("sigmoid", 2.2422371881793897e-05, 1.3, 1.6273958831761132e-05),
+    ("tanh", 0.01007786095119409, 0.6),
+    ("sigmoid", 2.242245048576265e-05, 1.3),
 ]
+# kind -> (truncated floor, tail bound) of the reference below at 256 nodes
+_TRUNCATED_PINS = {
+    "tanh": (0.010056694953578641, 0.0024663912597741146),
+    "sigmoid": (2.2422371881793714e-05, 1.6273958831761132e-05),
+}
+
+
+def truncated_floor(act, r_max=20):
+    """Reference: the floor from the Hermite series cut at order ``r_max``, on
+    the same 21 shifts tau >= 0, and a bound on the part cut off.
+
+    The derivative ladder ``mu_r(g') = mu_{r-2}(g''') / sqrt(r (r - 1))``
+    bounds the cut-off part by ``E[g'''^2] / (r_max (r_max + 1))``, with
+    E[g'''^2] taken at the worst of the shifts -tau_inf, 0 and tau_inf.
+    """
+    taus = np.linspace(-act.tau_inf, act.tau_inf, 41)[20:]
+    energies = []
+    for tau in taus:
+        mu = hermite_coeffs(lambda y: act.g1(y + tau), r_max)
+        energies.append(float(mu[4:] @ mu[4:]))
+    e_g3_sq = max(float(diagnostics._gauss_mean(lambda y: act.g3(y + tau) ** 2))
+                  for tau in (-act.tau_inf, 0.0, act.tau_inf))
+    return 0.5 * min(energies), e_g3_sq / (r_max * (r_max + 1))
 
 
 class TestKernelFloor:
-    @pytest.mark.parametrize("kind, omega, tau_argmin, tail", _FLOOR_PINS)
-    def test_pinned(self, kind, omega, tau_argmin, tail):
+    @pytest.mark.parametrize("kind, omega, tau_argmin", _FLOOR_PINS)
+    def test_pinned(self, kind, omega, tau_argmin):
         res = kernel_floor_omega(make_activation(kind))
         assert res.omega == pytest.approx(omega, rel=REL_TOL)
         assert res.tau_argmin == pytest.approx(tau_argmin, rel=REL_TOL)
-        assert res.tail_bound == pytest.approx(tail, rel=REL_TOL)
 
-    @pytest.mark.parametrize("kind, omega, tau_argmin, tail", _FLOOR_PINS)
-    def test_node_count_converged(self, kind, omega, tau_argmin, tail, monkeypatch):
-        # the Hermite coefficients up to order 20 and the tail's E[g'''^2] are
-        # resolved at the default 256 nodes: 300 give the same floor and tail
-        # (400 would overflow numpy's hermgauss weights).  The pins are the
-        # 200-node values, whose tanh tail sat 5.7e-11 below.  Only tau >= 0
-        # is scanned, so rounding cannot flip the argmin to its mirror -tau
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+    def test_exact_floor_within_truncation_bound(self, kind):
+        # the series cut at order 20 leaves out only nonnegative terms, and at
+        # most half of their bound reaches the floor
+        act = make_activation(kind)
+        truncated, bound = truncated_floor(act)
+        assert (truncated, bound) == pytest.approx(_TRUNCATED_PINS[kind], rel=1e-12)
+        omega = kernel_floor_omega(act).omega
+        assert truncated <= omega <= truncated + 0.5 * bound
+
+    @pytest.mark.parametrize("kind, omega, tau_argmin", _FLOOR_PINS)
+    def test_node_count_converged(self, kind, omega, tau_argmin, monkeypatch):
+        # E[g'(Y + tau)^2] and the first four Hermite coefficients are
+        # resolved at the default 256 nodes: 300 give the same floor (400
+        # would overflow numpy's hermgauss weights).  Only tau >= 0 is
+        # scanned, so rounding cannot flip the argmin to its mirror -tau
         assert diagnostics._QUAD_NODES == 256
         act = make_activation(kind)
         res = kernel_floor_omega(act)
         monkeypatch.setattr(diagnostics, "_QUAD_NODES", 300)
         ref = kernel_floor_omega(act)
         assert res.omega == pytest.approx(ref.omega, rel=1e-12)
-        assert res.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
         assert res.tau_argmin == ref.tau_argmin == tau_argmin
         assert ref.omega == pytest.approx(omega, rel=1e-12)
-        assert ref.tail_bound == pytest.approx(tail, rel=1e-10)
+
+
+class TestSlopeSignCertificate:
+    def test_tanh_positive_mean_slope(self, tanh_act):
+        sign, min_abs = slope_sign_certificate(tanh_act)
+        assert sign == 1
+        assert min_abs > 0
+
+    def test_sigmoid_positive_mean_slope(self, sigmoid_act):
+        sign, _ = slope_sign_certificate(sigmoid_act)
+        assert sign == 1
+
+    def test_quadrature_matches_direct_integral(self, tanh_act):
+        # scipy quadrature oracle at tau = -0.6, an end of the grid, where
+        # the mean slope is smallest
+        from scipy.integrate import quad
+        ref, _ = quad(lambda t: (1 - np.tanh(t - 0.6) ** 2) * np.exp(-t * t / 2),
+                      -12, 12)
+        _, min_abs = slope_sign_certificate(tanh_act)
+        assert min_abs == pytest.approx(ref, rel=1e-10)
 
 
 class TestScoring:

@@ -57,11 +57,13 @@ def test_teacher_with_nan_is_refused(tmp_path, neuron, message):
         load_teacher(path)
 
 
-@pytest.mark.parametrize("header", ["-2 1 tanh 0.6 -1", "2 -1 tanh 0.6 -1"])
+@pytest.mark.parametrize("header", ["-2 1 tanh 0.6 -1", "2 -1 tanh 0.6 -1",
+                                    "0 1 tanh 0.6 -1", "2 0 tanh 0.6 -1"])
 def test_teacher_negative_size_reports_line(tmp_path, header):
+    # a teacher needs D >= 1 and m >= 1; a weights file may hold 0 columns
     path = tmp_path / "t.net"
     path.write_text(f"# shallow network file\n{header}\n0.6 0.8 0.1\n")
-    with pytest.raises(ConfigError, match=rf"t\.net:2: negative size in header '{header}'"):
+    with pytest.raises(ConfigError, match=rf"t\.net:2: size below 1 in header '{header}'"):
         load_teacher(path)
 
 

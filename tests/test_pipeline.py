@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import netrecover
-from netrecover import (ConfigError, PipelineConfig, RefineConfig, SpmConfig, StageError,
-                        UniformShifts, run_pipeline, run_scaling_study)
+from netrecover import (ConfigError, IllConditionedError, PipelineConfig, RefineConfig,
+                        SpmConfig, StageError, UniformShifts, run_pipeline,
+                        run_scaling_study)
 from netrecover.fileio import load_weights
 from netrecover.pipeline import RESULT_COLUMNS
 
@@ -243,6 +245,26 @@ class TestFailedRun:
         assert [stats.n_accepted, stats.n_duplicate, stats.n_rejected] == [0, 0, 2]
         assert (tmp_path / "weights.txt").read_text() == "10 0\n"
         assert load_weights(tmp_path / "weights.txt").shape == (10, 0)
+
+    def test_failed_stage_counts_its_queries(self, tmp_path, monkeypatch):
+        # the init stage spends its stencil of 4 m + 1 queries, then fails
+        # (D=10, beta=1.5, seed 7: m=13)
+        real = netrecover.pipeline.init_signs_shifts
+
+        def spend_then_fail(net, w_hat, h):
+            real(net, w_hat, h)
+            raise IllConditionedError("planted failure", cond=float("inf"))
+
+        monkeypatch.setattr(netrecover.pipeline, "init_signs_shifts", spend_then_fail)
+        with pytest.raises(StageError):
+            run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, out_dir=tmp_path))
+        header, row = read_csv(tmp_path / "result.csv")
+        cell = dict(zip(header, row))
+        assert int(cell["q_init"]) == 4 * 13 + 1
+        assert int(cell["q_algorithm"]) == int(cell["q_hessians"]) + 4 * 13 + 1
+        assert cell["error"] == "init: planted failure"
+        report = (tmp_path / "report.txt").read_text()
+        assert re.search(r"^  init +\d+\.\d{3} s   53 queries$", report, re.MULTILINE)
 
 
 class TestWideRegime:
