@@ -1,5 +1,7 @@
 """Incoherence, learnability, kernel-floor and mean-slope diagnostics, pinned at fixed seeds."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -143,17 +145,71 @@ class TestSlopeSignCertificate:
 
 
 class TestScoring:
-    def test_chunked_e_inf_equals_one_batch(self):
+    @staticmethod
+    def perturbed_pair():
+        """A D=6, m=5 teacher and a student with slightly moved shifts."""
         net = random_teacher(6, 5, seed=21)
-        rng = np.random.default_rng(22)
-        student = StudentNetwork(net.weights, net.shifts + 1e-3 * rng.standard_normal(5),
-                                 net.act)
-        n_eval = 2 * block_rows(5) + 100  # two full blocks and a partial one
+        tau = net.shifts + 1e-3 * np.random.default_rng(22).standard_normal(5)
+        return net, StudentNetwork(net.weights, tau, net.act)
+
+    # n_eval = blocks * block_rows(m) + extra: the edges of the prefetched next block
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 100),
+                                               (3, 0), (3, 7)],
+                             ids=["1", "rows-1", "rows", "rows+1", "2rows+100", "3rows",
+                                  "3rows+7"])
+    def test_chunked_e_inf_equals_one_batch(self, blocks, extra):
+        net, student = self.perturbed_pair()
+        n_eval = blocks * block_rows(5) + extra
         met = match_and_score(student, net, n_eval=n_eval, seed=4)
         assert net.query_count == n_eval
         xs = np.random.default_rng(4).standard_normal((n_eval, 6))
         one_batch = np.max(np.abs(net.eval_batch(xs) - student.eval_batch(xs))) / 5
         assert met.e_inf == one_batch
+
+    def test_nan_student_is_not_a_perfect_fit(self):
+        net = random_teacher(6, 5, seed=21)
+        tau = net.shifts.copy()
+        tau[0] = np.nan
+        met = match_and_score(StudentNetwork(net.weights, tau, net.act), net,
+                              n_eval=2 * block_rows(5) + 100, seed=4)
+        assert np.isnan(met.e_inf)
+        assert np.isnan(met.shift_rms)
+
+    def test_teacher_queried_on_the_calling_thread(self):
+        net, student = self.perturbed_pair()
+        threads = {"teacher": [], "student": []}
+
+        def spy(name, evaluate):
+            def wrapper(xs):
+                threads[name].append(threading.get_ident())
+                return evaluate(xs)
+            return wrapper
+
+        net.eval_batch = spy("teacher", net.eval_batch)
+        student.eval_batch = spy("student", student.eval_batch)
+        before = threading.active_count()
+        match_and_score(student, net, n_eval=3 * block_rows(5) + 7, seed=4)
+        assert threading.active_count() == before
+        assert threads["teacher"] == [threading.get_ident()] * 4
+        assert len(threads["student"]) == 4
+        assert threading.get_ident() not in threads["student"]
+
+    def test_student_error_propagates_and_leaves_no_thread(self):
+        net, student = self.perturbed_pair()
+        calls = []
+
+        def failing(xs):
+            calls.append(xs.shape[0])
+            if len(calls) == 2:
+                raise RuntimeError("student failed on its second block")
+            return StudentNetwork.eval_batch(student, xs)
+
+        student.eval_batch = failing
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second block"):
+            match_and_score(student, net, n_eval=3 * block_rows(5), seed=4)
+        assert threading.active_count() == before
+        assert calls == [block_rows(5)] * 2
 
     def test_needs_an_input(self):
         net = random_teacher(4, 3, seed=23)
