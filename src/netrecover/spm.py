@@ -14,8 +14,8 @@ so the collected set is a deterministic function of the seed.
 
 Placement (:func:`_place`).  A random start on the full span mostly climbs
 back to a direction already found.  So, following the same paper, a batch
-of starts first climbs on the span with the accepted hvec(w w^T) deflated
-out (:func:`_deflate`), whose maxima lie near the directions not yet found,
+of starts first climbs on the span with the accepted w w^T deflated out
+(:func:`_deflate`), whose maxima lie near the directions not yet found,
 until its moves fall to ``_PLACE_MOVE``.  It is then polished on the full
 span, so an accepted vector is a maximum of the same objective as without
 placement.  A restart that its polish leaves unconverged at ``max_steps``
@@ -35,15 +35,17 @@ the sphere, as near a nondegenerate local maximum, and where it does not
 lower F.  Otherwise the column takes the ascent step and halves its gate,
 so Newton neither pulls a column to a saddle nor lets it fall into another
 basin.  Placement stops at the move where the gate starts (``_PLACE_MOVE``
-is ``_NEWTON_MOVE``), so only the polish takes Newton steps, and the Newton
-test reads F from the hvec basis of the full span.
+is ``_NEWTON_MOVE``), so only the polish takes Newton steps, on the full
+span.
 
-Memory.  :func:`_ascend_batch` steps its columns ``_CHUNK`` at a time.  A
-step forms the chunk's (R, m, D) products B_j u once, in
-:meth:`~netrecover.subspace.SubspaceProjector.action_batch`, and the Newton
-step reads them in place, without a copy, so SPM holds the (m, D, D)
-stack and one chunk's products.  A deflated stack lives only while its
-batch is placed, so the polish holds none.
+Memory.  SPM reads the span only as the (m, D, D) stack of matrices B_j,
+through :meth:`~netrecover.subspace.SubspaceProjector.action_batch`, whose
+forms u^T B_j u give F(u) as their squared norm and, at the accepted
+directions, the coordinates that :func:`_deflate` projects out.
+:func:`_ascend_batch` steps ``_CHUNK`` columns at a time; a step forms their
+(R, m, D) products once, Newton reads them in place, and they are freed
+before the chunk's Newton candidates form theirs.  A deflated stack lives
+only while its batch is placed, so the polish holds none.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import math
 import numpy as np
 
 from .exceptions import ConfigError, IncompleteRecoveryError
-from .subspace import SubspaceProjector, hvec_outer_batch
+from .subspace import SubspaceProjector
 
 __all__ = ["SpmConfig", "SpmStats", "default_restarts", "collect_weights"]
 
@@ -72,15 +74,15 @@ _CHUNK = 32
 _GAMMA = 2.0
 # a column whose last move falls below this tries Newton steps; a refusal halves it
 _NEWTON_MOVE = 1e-2
-# a Newton step may lower F by this much: at the maxima of runs up to D=150, F(u)
-# read as u^T g and F read from the hvec basis differ by rounding alone by up
-# to 2.2e-15 (at D=150 s1, 1e-15 refused 82 of 3,285 Newton tries, 4e-15 none)
+# a Newton step may lower F by this much: near a maximum, u^T g and the candidate's
+# forms differ in F by rounding alone, up to 1.8e-15 at D=150 s1 (1e-15 would refuse
+# 45 of 3,253 Newton tries there, 4e-15 none); wide-regime refusals are real drops
 _F_SLACK = 4e-15
 # a column that moves at most this far in a step has converged
 _CONV_TOL = 1e-12
 # a placed restart leaves the deflated span once its move falls to this: the
-# first Newton gate, so Newton steps, whose test reads F from the hvec basis
-# of the full span, run only on the full span
+# first Newton gate, so Newton steps, which finish a column at a maximum, run
+# only in the polish, on the full span whose maxima are classified
 _PLACE_MOVE = _NEWTON_MOVE
 # a restart within this |cos| of an accepted direction is a duplicate
 _DEDUP_COS = 0.99
@@ -199,15 +201,15 @@ def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.nd
     below its gate tries a Newton step xi (:func:`_newton`) and takes it
     when N has a Cholesky factor and F(normalize(u + xi)) >= F(u) -
     ``_F_SLACK``.  F(u) = u^T g comes with the ascent direction, and the
-    candidate's F is read from the hvec basis
-    (:meth:`~SubspaceProjector.objective_batch`), which is F on the full
-    span.  That is the only stack a column tries Newton on: placement on a
-    deflated stack stops at ``_PLACE_MOVE``, the first gate.  Every other
-    column takes the ascent step ``u + 2 _GAMMA g``, and a column whose
-    Newton step is refused halves its gate.  Both steps end renormalized;
-    neither nears the origin, as u^T(u + 2 _GAMMA g) = 1 + 2 _GAMMA F(u)
-    and xi is tangent.  Returns the new iterates and the new track, whose
-    first row is how far each column moved.
+    candidates' F is the squared norm of their forms from a second
+    ``action_batch`` on the same stack, once the chunk's products are
+    released.  Placement on a deflated stack stops at ``_PLACE_MOVE``, the
+    first gate, so only the polish on the full stack takes Newton steps.
+    Every other column takes the ascent step ``u + 2 _GAMMA g``, and a
+    column whose Newton step is refused halves its gate.  Both steps end
+    renormalized; neither nears the origin, as u^T(u + 2 _GAMMA g) = 1 +
+    2 _GAMMA F(u) and xi is tangent.  Returns the new iterates and the new
+    track, whose first row is how far each column moved.
     """
     move, gate = track
     tried = move < gate
@@ -218,9 +220,11 @@ def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.nd
     if tried.any():
         ut = u[:, tried]
         cand = ut + _newton(mats, u, g, prods, coeffs, tried)  # NaN where N has no Cholesky factor
+        del prods  # the candidates' products replace the chunk's
         cand /= np.linalg.norm(cand, axis=0)
+        fc = proj.action_batch(cand, mats)[2]
         # a NaN objective compares False, so a NaN step is refused
-        climbs = proj.objective_batch(cand) >= np.einsum("dr,dr->r", g[:, tried], ut) - _F_SLACK
+        climbs = np.einsum("rj,rj->r", fc, fc) >= np.einsum("dr,dr->r", g[:, tried], ut) - _F_SLACK
         taken[tried] = climbs
         unew[:, taken] = cand[:, climbs]
     moved = np.linalg.norm(unew - u, axis=0)
@@ -283,16 +287,16 @@ def _classify(candidate, objective, accepted, level: float) -> str:
     return "accepted"
 
 
-def _deflate(proj: SubspaceProjector, mats: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """The stack of the span with every accepted hvec(w w^T) projected out.
+def _deflate(mats: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The stack of the span with every accepted w w^T projected out.
 
-    C = basis^T hvec(w_a w_a^T) holds the k accepted directions' coordinates
-    in the span (m, k); the last m - k columns Q of a complete QR of C are an
-    orthonormal basis of its complement, and ``Q^T mats`` is the (m - k, D, D)
-    stack of that deflated span, orthonormal in Frobenius like ``mats``.
+    ``coords`` C (m, k) holds the forms w_a^T B_j w_a of the k accepted
+    directions, their coordinates in the span; the last m - k columns Q of a
+    complete QR of C are an orthonormal basis of its complement, and ``Q^T
+    mats`` is the (m - k, D, D) stack of that deflated span, orthonormal in
+    Frobenius like ``mats``.
     """
-    m, k = mats.shape[0], accepted.shape[0]
-    coords = proj.basis.T @ hvec_outer_batch(accepted.T)
+    m, k = coords.shape
     q = np.linalg.qr(coords, mode="complete")[0][:, k:]
     return (q.T @ mats.reshape(m, -1)).reshape(m - k, *mats.shape[1:])
 
@@ -327,28 +331,35 @@ def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, cfg: S
     undeflated one: 2m starts there find only about 1 - e^-2 of the m
     directions.  A restart that the polish leaves unconverged is rejected.
     Placement ends when m directions are accepted, the rest of that batch
-    unclassified, or when the starts run out.  A deflated stack is released
-    once its batch is placed, so the polish holds none, and the next
-    deflation forms its smaller stack after the last one is gone.
+    unclassified, or when the starts run out.  The polished columns' forms,
+    read ``_CHUNK`` at a time, give their objectives and the accepted ones'
+    coordinates.  Each deflated stack is released before the polish and
+    before the next, smaller one is formed.
     """
     m = proj.rank
-    accepted = np.zeros((0, proj.dim))
+    accepted, coords = np.zeros((0, proj.dim)), np.zeros((m, 0))
     n_restarts = starts.shape[1]
     while len(accepted) < m and stats.n_processed < n_restarts:
         k, first = len(accepted), stats.n_processed
         width = min(_BATCH, m, max(8, 2 * (m - k)), n_restarts - first)
-        stack = mats if k == 0 else _deflate(proj, mats, accepted)
+        stack = mats if k == 0 else _deflate(mats, coords)
         u, placing, _ = _ascend_batch(proj, starts[:, first:first + width], cfg, stack,
                                       _PLACE_MOVE)
         del stack  # the polish holds no deflated stack
         u, polishing, converged = _ascend_batch(proj, u, cfg, mats)
-        objectives = proj.objective_batch(u)  # on the full span
+        forms = np.concatenate([proj.action_batch(u[:, lo:lo + _CHUNK], mats)[2]
+                                for lo in range(0, width, _CHUNK)])
+        objectives = np.einsum("rj,rj->r", forms, forms)
         objectives[~converged] = -np.inf  # below every level: rejected
+        kept = []
         for j in range(width):
             if len(accepted) == m:
                 break
             accepted = _tally(stats, accepted, first + j, u[:, j], objectives[j],
                               placing[j] + polishing[j], level)
+            if len(accepted) > k + len(kept):
+                kept.append(j)
+        coords = np.hstack([coords, forms[kept].T])
     return accepted
 
 

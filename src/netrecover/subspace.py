@@ -5,7 +5,8 @@ Symmetric matrices are handled through an isometric half-vectorization
 inner product at half the memory of a full flattening.  The principal
 subspace of the Hessian columns is extracted through the Gram matrix
 whenever the number of columns is small, so no object of size D^2 x D^2 is
-ever materialized.
+ever materialized.  SPM reads the span only as the (m, D, D) stack of basis
+matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "half_dim",
     "hvec",
     "unhvec",
-    "hvec_outer_batch",
     "SubspaceProjector",
     "build_hessian_matrix",
     "top_m_projector",
@@ -64,20 +64,14 @@ def unhvec(v: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-def hvec_outer_batch(us: np.ndarray) -> np.ndarray:
-    """Column-wise hvec(u u^T) for a (D, R) batch, returned as (half, R)."""
-    us = np.asarray(us, dtype=float)
-    rows, cols, scale = _hvec_index(us.shape[0])
-    return us[rows, :] * us[cols, :] * scale[:, None]
-
-
 @dataclasses.dataclass
 class SubspaceProjector:
     """Orthogonal projector onto an m-dimensional space of symmetric matrices.
 
     Stored as an orthonormal basis of half-vectorized matrices.  The
     singular values of the source column matrix are retained because the
-    m-th one enters the Wedin perturbation bound.
+    m-th one enters the Wedin perturbation bound.  SPM reads the span only
+    through :meth:`action_batch` on the stack :meth:`matrices`.
     """
 
     dim: int
@@ -122,11 +116,6 @@ class SubspaceProjector:
         prods = (us.T @ mats.reshape(m * d, d).T).reshape(us.shape[1], m, d)
         coeffs = (prods @ us.T[:, :, None])[:, :, 0]
         return (coeffs[:, None, :] @ prods)[:, 0, :].T, prods, coeffs
-
-    def objective_batch(self, us: np.ndarray) -> np.ndarray:
-        """Columnwise ||P(u u^T)||_F^2; lands in [0, 1] for unit u."""
-        c = self.basis.T @ hvec_outer_batch(us)
-        return np.einsum("jr,jr->r", c, c)
 
 
 def build_hessian_matrix(net, n_hessians: int, h: float | None, seed: int):

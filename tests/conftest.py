@@ -1,12 +1,15 @@
 """Helpers and reference routes shared by the tests.
 
-Besides the fixtures and teacher helpers, this module holds four reference
+Besides the fixtures and teacher helpers, this module holds six reference
 routes that the package itself never calls, kept here as test oracles:
 :func:`spm_ascend`, one ascent from one start on the full span;
 :func:`at_stencil_points`, the stencil function of ``fd_hessian`` for a
 batch function of the stencil points; :func:`projector_distance`, the
-spectral distance of two projectors; and :func:`exact_projector`, the
-projector onto the span of known weight directions.
+spectral distance of two projectors; :func:`hvec_outer_batch`, the
+columnwise hvec(u u^T) of a batch; :func:`hvec_objective`, the objective
+``||P(u u^T)||^2`` read from the hvec basis rather than from the matrix
+stack SPM reads; and :func:`exact_projector`, the projector onto the span of
+known weight directions.
 """
 
 import tracemalloc
@@ -18,7 +21,6 @@ from netrecover import (ConfigError, SpmConfig, SubspaceProjector, UniformShifts
                         make_activation, sample_teacher, top_m_projector)
 from netrecover.numdiff import hessian_stencil
 from netrecover.spm import _ascend_batch
-from netrecover.subspace import hvec_outer_batch
 
 
 @pytest.fixture(scope="session")
@@ -63,7 +65,7 @@ def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):
     if abs(nrm - 1.0) > 1e-8:
         raise ConfigError(f"expected a unit vector, got norm {nrm!r}")
     u, steps, conv = _ascend_batch(proj, u0[:, None], cfg, proj.matrices())
-    return u[:, 0], float(proj.objective_batch(u)[0]), int(steps[0]), bool(conv[0])
+    return u[:, 0], float(hvec_objective(proj, u)[0]), int(steps[0]), bool(conv[0])
 
 
 def at_stencil_points(f):
@@ -82,6 +84,20 @@ def projector_distance(p: SubspaceProjector, q: SubspaceProjector) -> float:
         raise ConfigError("projectors must share dimension and rank")
     resid = q.basis - p.basis @ (p.basis.T @ q.basis)
     return float(np.linalg.svd(resid, compute_uv=False)[0])
+
+
+def hvec_outer_batch(us: np.ndarray) -> np.ndarray:
+    """Column-wise hvec(u u^T) for a (D, R) batch, returned as (D(D+1)/2, R)."""
+    us = np.asarray(us, dtype=float)
+    rows, cols = np.triu_indices(us.shape[0])
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    return us[rows, :] * us[cols, :] * scale[:, None]
+
+
+def hvec_objective(proj: SubspaceProjector, us: np.ndarray) -> np.ndarray:
+    """Columnwise ||P(u u^T)||_F^2 from the hvec basis; lands in [0, 1] for unit u."""
+    c = proj.basis.T @ hvec_outer_batch(us)
+    return np.einsum("jr,jr->r", c, c)
 
 
 def exact_projector(weights: np.ndarray) -> SubspaceProjector:

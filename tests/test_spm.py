@@ -11,12 +11,13 @@ from netrecover import (ConfigError, IncompleteRecoveryError, SpmConfig,
                         default_restarts, hvec, match_weights, top_m_projector)
 from netrecover import spm, subspace
 from netrecover.spm import _acceptance_level, _ascend_batch, _classify, canonical_sign
-from conftest import (exact_projector, random_teacher, random_unit_columns, spm_ascend,
-                      traced_peak)
+from conftest import (exact_projector, hvec_objective, hvec_outer_batch, random_teacher,
+                      random_unit_columns, spm_ascend, traced_peak)
 
 
 def objective(proj, u):
-    return float(proj.objective_batch(np.asarray(u)[:, None])[0])
+    """F(u) read from the hvec basis, independent of the stack SPM reads."""
+    return float(hvec_objective(proj, np.asarray(u)[:, None])[0])
 
 
 class TestConfig:
@@ -57,16 +58,20 @@ class TestObjective:
         assert objective(proj, u) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_projector(self):
-        # oracle: explicit projector matrix applied to hvec(u u^T) at D = 8
+        # oracle: explicit projector matrix applied to hvec(u u^T) at D = 8; SPM
+        # reads F as the squared norm of action_batch's forms u^T B_j u
         w = random_unit_columns(8, 4, seed=1)
         proj = exact_projector(w)
         dense = proj.basis @ proj.basis.T
+        mats = proj.matrices()
         rng = np.random.default_rng(2)
         for _ in range(10):
             u = rng.standard_normal(8)
             u /= np.linalg.norm(u)
             ref = float(np.linalg.norm(dense @ hvec(np.outer(u, u))) ** 2)
             assert objective(proj, u) == pytest.approx(ref, abs=1e-12)
+            forms = proj.action_batch(u[:, None], mats)[2]
+            assert float(np.sum(forms ** 2)) == pytest.approx(ref, abs=1e-12)
 
     def test_range(self):
         w = random_unit_columns(7, 5, seed=3)
@@ -435,7 +440,7 @@ class TestStep:
             assert np.array_equal(part, np.concatenate(joined, axis=-1))
         # the even columns took a Newton step, which ends within 1e-9 of the
         # maximum; an ascent step from a 1e-3 start would not
-        assert np.all(1.0 - proj.objective_batch(whole[0])[::2] <= 1e-9)
+        assert np.all(1.0 - hvec_objective(proj, whole[0])[::2] <= 1e-9)
 
     def test_one_product_stack_per_chunk(self, monkeypatch):
         proj, _, _ = _two_chunk_case()
@@ -456,21 +461,32 @@ class TestStep:
 
         monkeypatch.setattr(spm, "_newton", counted_newton)
         _ascend_batch(proj, u, SpmConfig(max_steps=2), mats)
-        assert formed == [32, 32, 32, 32] and newton_formed == [0, 0]
+        # a step forms each chunk's products, then, once Newton has read them,
+        # those of the chunk's 16 Newton candidates, for the test of F
+        assert formed == [32, 32, 32, 16, 32, 16] and newton_formed == [0, 0]
         # so does every step of a collection, chunk by chunk
-        chunks = []
+        steps = []
         step = spm._step
-        monkeypatch.setattr(spm, "_step",
-                            lambda p, ms, us, tr: chunks.append(us.shape[1]) or step(p, ms, us, tr))
+
+        def counted_step(p, ms, us, tr):
+            before = len(formed)
+            out = step(p, ms, us, tr)
+            tried = int(np.sum(tr[0] < tr[1]))
+            steps.append((formed[before:], [us.shape[1]] + [tried] * (tried > 0)))
+            return out
+
+        monkeypatch.setattr(spm, "_step", counted_step)
         formed.clear()
         newton_formed.clear()
         collect_weights(proj, SpmConfig(), seed=0)
-        assert formed == chunks and max(chunks) == 32
+        assert all(got == want for got, want in steps)
+        assert max(len(want) for _, want in steps) == 2 and max(formed) == 32
         assert sum(newton_formed) == 0 and len(newton_formed) > 0
 
     def test_newton_runs_only_on_the_full_span(self, monkeypatch):
-        # the Newton step reads the candidate's objective from the hvec basis of
-        # the full span, so placement on a deflated stack must stop before the gate
+        # placement on a deflated stack stops at the first Newton gate, so Newton
+        # steps, which finish a column at a maximum, run only in the polish, on
+        # the full span whose maxima are classified
         assert spm._PLACE_MOVE == spm._NEWTON_MOVE
         proj, m, seed = _two_chunk_case()
         newton, deflate = spm._newton, spm._deflate
@@ -478,7 +494,7 @@ class TestStep:
         monkeypatch.setattr(spm, "_newton",
                             lambda ms, *args: stacks.append(ms.shape[0]) or newton(ms, *args))
         monkeypatch.setattr(spm, "_deflate",
-                            lambda p, ms, acc: deflated.append(len(acc)) or deflate(p, ms, acc))
+                            lambda ms, c: deflated.append(c.shape[1]) or deflate(ms, c))
         _, stats = collect_weights(proj, SpmConfig(), seed)
         assert stats.n_accepted == m and len(deflated) >= 1 and len(stacks) > 0
         assert set(stacks) == {m}
@@ -521,12 +537,24 @@ class TestPlace:
         proj, _, _ = _sampled_case()
         mats = proj.matrices()
         accepted = random_unit_columns(15, 4, seed=42).T
-        stack = spm._deflate(proj, mats, accepted)
+        stack = spm._deflate(mats, proj.action_batch(accepted.T, mats)[2].T)
         flat = stack.reshape(26, -1)
         assert np.max(np.abs(flat @ flat.T - np.eye(26))) <= 1e-12
         # no accepted w w^T has a component in the deflated span
         outer = np.einsum("ka,kb->kab", accepted, accepted).reshape(4, -1)
         assert np.max(np.abs(flat @ outer.T)) <= 1e-12
+
+    def test_kept_coordinates_are_the_accepted_in_the_hvec_basis(self, monkeypatch):
+        # _place keeps each accepted direction's forms w^T B_j w read from the
+        # stack; they are its coordinates basis^T hvec(w w^T) in the span
+        proj, m, seed = _sampled_case()
+        deflate, kept = spm._deflate, []
+        monkeypatch.setattr(spm, "_deflate", lambda ms, c: kept.append(c) or deflate(ms, c))
+        w_hat, stats = collect_weights(proj, SpmConfig(), seed)
+        assert stats.n_accepted == m and len(kept) >= 1
+        for coords in kept:
+            oracle = proj.basis.T @ hvec_outer_batch(w_hat[:, :coords.shape[1]])
+            assert np.max(np.abs(coords - oracle)) <= 1e-13
 
     def test_memory_is_bounded_by_one_chunk(self, monkeypatch):
         # the stack, the first deflated stack (no later one is larger) and one
@@ -538,9 +566,9 @@ class TestPlace:
         d, cfg = proj.dim, SpmConfig(max_restarts=3 * m)
         deflate, deflations = spm._deflate, []
 
-        def sized_deflate(p, ms, acc):
-            stack = deflate(p, ms, acc)
-            deflations.append((len(acc), stack.shape[0]))
+        def sized_deflate(ms, coords):
+            stack = deflate(ms, coords)
+            deflations.append((coords.shape[1], stack.shape[0]))
             return stack
 
         monkeypatch.setattr(spm, "_deflate", sized_deflate)
@@ -556,9 +584,10 @@ class TestPlace:
 
     def test_polish_holds_no_deflated_stack(self, monkeypatch):
         # when a batch placed on a deflated stack starts its polish, SPM holds
-        # the full stack and the restarts drawn up front, and the slack covers
-        # the batch's iterates and the projector's small arrays, not the
-        # deflated stack (1.0 MB here)
+        # the full stack, the restarts drawn up front and the (m, k) coordinates
+        # of the k accepted directions, and the slack covers the batch's
+        # iterates and the projector's small arrays, not the deflated stack
+        # (1.0 MB here)
         proj, m, seed = _two_chunk_case(dim=30, m=200)
         d, cfg = proj.dim, SpmConfig(max_restarts=3 * m)
         deflate, ascend = spm._deflate, spm._ascend_batch
@@ -566,11 +595,11 @@ class TestPlace:
 
         def polish_held(p, u0, c, ms, *args):
             if deflated and ms.shape[0] == m:
-                held.append(tracemalloc.get_traced_memory()[0])
+                held.append((tracemalloc.get_traced_memory()[0], deflated[-1]))
             return ascend(p, u0, c, ms, *args)
 
         monkeypatch.setattr(spm, "_deflate",
-                            lambda p, ms, acc: deflated.append(len(acc)) or deflate(p, ms, acc))
+                            lambda ms, c: deflated.append(c.shape[1]) or deflate(ms, c))
         monkeypatch.setattr(spm, "_ascend_batch", polish_held)
         tracemalloc.start()
         try:
@@ -579,7 +608,9 @@ class TestPlace:
             tracemalloc.stop()
         assert stats.n_accepted == m and len(held) == len(deflated) >= 1
         double = np.dtype(float).itemsize
-        assert max(held) <= (m * d * d + d * cfg.max_restarts) * double + 2**18
+        for nbytes, k in held:
+            coords = m * k * double
+            assert nbytes <= (m * d * d + d * cfg.max_restarts) * double + coords + 2**18
 
     def test_wide_case_recovers_all_deterministically(self):
         proj, weights, seed = _wide_case()

@@ -5,9 +5,8 @@ import pytest
 
 from netrecover import (PipelineConfig, SubspaceDeficientError, build_hessian_matrix,
                         half_dim, hvec, top_m_projector, unhvec)
-from netrecover.subspace import hvec_outer_batch
-from conftest import (exact_projector, projector_distance, random_teacher,
-                      random_unit_columns)
+from conftest import (exact_projector, hvec_outer_batch, projector_distance,
+                      random_teacher, random_unit_columns)
 
 
 def dense_projector_matrix(proj):
