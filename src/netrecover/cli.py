@@ -2,16 +2,18 @@
 
 Subcommands mirror the pipeline stages (``generate``, ``recover-weights``,
 ``init-shifts``, ``refine``), plus the composed runs (``pipeline``,
-``baseline``, ``study``) and ``diagnose``.  The stage subcommands call the
-pipeline's own stage functions, so for the same ``--seed`` they reproduce
-the artifacts of ``pipeline``: ``teacher.net``, ``weights.txt``,
-``init.txt`` and the loss column of ``trajectory.csv``; beside their
-``--out`` file, ``recover-weights`` writes the span's ``.spectrum.csv`` and
-``refine`` the refined ``.shifts.txt``.  ``pipeline`` and ``baseline`` both
-write ``result.csv`` and ``report.txt`` into ``--out-dir``, also when a
-stage fails.  ``diagnose`` reports 12 quantities of a teacher file: its
-incoherence constants, ``alpha_hat``, the exact kernel floor ``omega`` with
-its shift, and the mean slope's sign and smallest size.
+``baseline``, ``study``) and ``diagnose``.  The stage subcommands run the
+pipeline's own stages, so for the same ``--seed`` they reproduce the
+artifacts of ``pipeline``: ``teacher.net``, ``weights.txt``, ``init.txt``
+and the loss column of ``trajectory.csv``; beside their ``--out`` file,
+``recover-weights`` writes the span's ``.spectrum.csv`` and ``refine`` the
+refined ``.shifts.txt``.  ``recover-weights`` logs each stage's time and
+queries and reports a failure as ``stage failure: ...``, like ``pipeline``
+and ``baseline``, which both write ``result.csv`` and ``report.txt`` into
+``--out-dir``, also when a stage fails.  ``diagnose`` reports 12
+quantities of a teacher file: its incoherence constants, ``alpha_hat``,
+the exact kernel floor ``omega`` with its shift, and the mean slope's sign
+and smallest size.
 
 Each subcommand takes only the flags it reads: ``study`` sets D, m and
 beta per cell and keeps no run directory, ``baseline`` reads none of the
@@ -38,9 +40,8 @@ from .baseline import run_baseline_sgd
 from .diagnostics import (check_incoherence, estimate_alpha, kernel_floor_omega,
                           slope_sign_certificate)
 from .exceptions import ConfigError, RecoveryError, StageError
-from .pipeline import (PipelineConfig, child_seed, hessian_stage, init_stage,
-                       projector_stage, refine_stage, run_pipeline,
-                       run_scaling_study, spm_stage, teacher_stage)
+from .pipeline import (PipelineConfig, _StageRunner, child_seed, init_stage,
+                       refine_stage, run_pipeline, run_scaling_study, teacher_stage)
 from .spm import SpmConfig
 from .teacher import FixedShifts, GaussianShifts, StudentNetwork, UniformShifts
 
@@ -156,11 +157,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_recover_weights(args) -> int:
     net, cfg = _teacher_and_config(args)
-    cols, _ = hessian_stage(cfg, net)
-    proj = projector_stage(cfg, cols, Path(args.out).with_suffix(".spectrum.csv"))
-    del cols  # as in run_pipeline: SPM reads only the projector
-    w_hat, stats = spm_stage(cfg, proj, args.out)
-    print(f"recovered {w_hat.shape[1]} directions in {stats.n_processed} restarts -> {args.out}")
+    stages = _StageRunner(cfg, "recover-weights", net)
+    w_hat = stages.weights(Path(args.out).with_suffix(".spectrum.csv"), args.out)
+    print(f"recovered {w_hat.shape[1]} directions in {stages.result.spm.n_processed} "
+          f"restarts -> {args.out}")
     return 0
 
 

@@ -9,7 +9,8 @@ composed run, :func:`run_pipeline` or the SGD baseline: it times stages,
 counts their queries, and writes ``result.csv`` and ``report.txt`` at the
 end or after a failure, so a run can be post-mortemed; a run that SPM
 stops keeps its error's restart counts, and ``weights.txt`` the directions
-it found.  The CLI stage subcommands call the same functions.  The result
+it found.  ``recover-weights`` runs the runner's Hessians -> projector -> SPM
+chain; the other CLI stage subcommands call their one stage.  The result
 CSV contains only deterministic fields; timings go to the report.
 
 The shifts are refined by Gauss-Newton on a small fresh sample; the paper's
@@ -391,14 +392,14 @@ class ExperimentResult:
 class _StageRunner:
     """The wiring of one composed run, shared by every mode.
 
-    Validates the config, creates ``cfg.out_dir`` and starts the result
-    from the run's identity columns.  :meth:`run` times a stage and counts the
-    teacher's queries across it, whether it returns or fails, and wraps its
-    failure in :class:`StageError` after writing ``result.csv`` and
-    ``report.txt``; :meth:`finish` writes them at the end of the run.
+    Validates the config, creates ``cfg.out_dir``, starts the result from
+    the run's identity columns and takes ``net``, a loaded teacher, if any.
+    :meth:`run` times a stage and counts the teacher's queries across it,
+    whether it returns or fails, and wraps its failure in :class:`StageError`
+    after writing ``result.csv`` and ``report.txt``, as :meth:`finish` does.
     """
 
-    def __init__(self, cfg: PipelineConfig, mode: str):
+    def __init__(self, cfg: PipelineConfig, mode: str, net=None):
         cfg.validate()
         self.cfg = cfg
         self.result = ExperimentResult(
@@ -407,7 +408,7 @@ class _StageRunner:
             # the baseline takes no derivatives
             exact_mode=cfg.exact_derivatives and mode == "pipeline",
         )
-        self.net = None
+        self.net = net
         self._out_dir = Path(cfg.out_dir) if cfg.out_dir else None
         if self._out_dir:
             self._out_dir.mkdir(parents=True, exist_ok=True)
@@ -421,6 +422,14 @@ class _StageRunner:
         self.net = self.run("teacher", teacher_stage, self.cfg, self.artifact("teacher.net"))
         self.result.n_shifts_clamped = self.net.n_shifts_clamped
         return self.net
+
+    def weights(self, spectrum_path, weights_path):
+        """Hessians -> projector -> SPM; sets ``eps_hat`` and ``spm``, returns the directions."""
+        cols, self.result.eps_hat = self.run("hessians", hessian_stage, self.cfg, self.net)
+        proj = self.run("projector", projector_stage, self.cfg, cols, spectrum_path)
+        del cols  # the projector holds all that SPM reads of the Hessians
+        w_hat, self.result.spm = self.run("spm", spm_stage, self.cfg, proj, weights_path)
+        return w_hat  # the span is freed here, before any later stage runs
 
     def run(self, name, fn, *args):
         """Stage ``name``: returns ``fn(*args)``, or raises :class:`StageError`."""
@@ -469,10 +478,7 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
     stages = _StageRunner(cfg, "pipeline")
     result, artifact, m = stages.result, stages.artifact, stages.result.m
     net = stages.teacher()
-    cols, result.eps_hat = stages.run("hessians", hessian_stage, cfg, net)
-    proj = stages.run("projector", projector_stage, cfg, cols, artifact("spectrum.csv"))
-    del cols  # the projector holds all that later stages read of the Hessians
-    w_hat, result.spm = stages.run("spm", spm_stage, cfg, proj, artifact("weights.txt"))
+    w_hat = stages.weights(artifact("spectrum.csv"), artifact("weights.txt"))
     result.init = stages.run("init", init_stage, cfg, net, w_hat, artifact("init.txt"))
 
     # fold the recovered signs into the columns, then evaluate the

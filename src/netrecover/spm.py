@@ -38,10 +38,10 @@ basin.  Placement stops at the move where the gate starts (``_PLACE_MOVE``
 is ``_NEWTON_MOVE``), so only the polish takes Newton steps, on the full
 span.
 
-Memory.  SPM reads the span only as the (m, D, D) stack of matrices B_j,
-through :meth:`~netrecover.subspace.SubspaceProjector.action_batch`, whose
-forms u^T B_j u give F(u) as their squared norm and, at the accepted
-directions, the coordinates that :func:`_deflate` projects out.
+Memory.  SPM reads the span as the projector's stack ``mats`` of B_j, through
+:meth:`~netrecover.subspace.SubspaceProjector.action_batch`, whose forms
+u^T B_j u give F(u) as their squared norm and, at the accepted directions,
+the coordinates that :func:`_deflate` projects out.
 :func:`_ascend_batch` steps ``_CHUNK`` columns at a time; a step forms their
 (R, m, D) products once, Newton reads them in place, and they are freed
 before the chunk's Newton candidates form theirs.  A deflated stack lives
@@ -192,8 +192,8 @@ def _newton(mats: np.ndarray, u: np.ndarray, g: np.ndarray, prods: np.ndarray,
 def _step(proj: SubspaceProjector, mats: np.ndarray, u: np.ndarray, track: np.ndarray):
     """One step on a (D, R) batch of unit columns: Newton's where it climbs, else ascent.
 
-    F is the objective on the stack ``mats`` (``proj.matrices()`` or a
-    deflated stack), and ``track`` is (2, R): each column's last move and its
+    F is the objective on the stack ``mats`` (``proj.mats`` or a deflated
+    stack), and ``track`` is (2, R): each column's last move and its
     Newton gate.  :meth:`~SubspaceProjector.action_batch` forms the (R, m, D)
     products B_j u once, for the ascent direction g = P(u u^T) u and for the
     Newton step; :func:`_ascend_batch` steps at most ``_CHUNK`` columns at a
@@ -236,8 +236,8 @@ def _ascend_batch(proj: SubspaceProjector, u0: np.ndarray, cfg: SpmConfig, mats:
                   tol: float = _CONV_TOL):
     """Iterate :func:`_step` on a (D, R) batch of starting points, for at most ``max_steps``.
 
-    ``mats`` is the stack that :func:`_step` ascends on: ``proj.matrices()``,
-    or a deflated stack (:func:`_deflate`).  Each step runs the active
+    ``mats`` is the stack that :func:`_step` ascends on: ``proj.mats``, or a
+    deflated stack (:func:`_deflate`).  Each step runs the active
     columns ``_CHUNK`` at a time.  A column whose move falls to ``tol`` has
     converged and is frozen.  Returns ``(U, steps, converged)``.
     """
@@ -319,8 +319,8 @@ def _tally(stats: SpmStats, accepted: np.ndarray, idx: int, u: np.ndarray, objec
     return accepted
 
 
-def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, cfg: SpmConfig,
-           level: float, stats: SpmStats) -> np.ndarray:
+def _place(proj: SubspaceProjector, starts: np.ndarray, cfg: SpmConfig, level: float,
+           stats: SpmStats) -> np.ndarray:
     """Placed restarts until m = ``proj.rank`` are accepted; returns the accepted rows.
 
     With k directions accepted, the next min(``_BATCH``, m, max(8, 2 (m - k)))
@@ -336,7 +336,7 @@ def _place(proj: SubspaceProjector, mats: np.ndarray, starts: np.ndarray, cfg: S
     coordinates.  Each deflated stack is released before the polish and
     before the next, smaller one is formed.
     """
-    m = proj.rank
+    m, mats = proj.rank, proj.mats
     accepted, coords = np.zeros((0, proj.dim)), np.zeros((m, 0))
     n_restarts = starts.shape[1]
     while len(accepted) < m and stats.n_processed < n_restarts:
@@ -383,7 +383,7 @@ def collect_weights(proj: SubspaceProjector, cfg: SpmConfig, seed: int):
     starts = rng.standard_normal((proj.dim, n_restarts))
     starts /= np.linalg.norm(starts, axis=0)
     stats = SpmStats()
-    accepted = _place(proj, proj.matrices(), starts, cfg, level, stats)
+    accepted = _place(proj, starts, cfg, level, stats)
     why_rejected = (f"at or below the acceptance level 1 - {1.0 - level:.2e} from "
                     f"sigma_{m + 1}/sigma_{m} = {ratio:.2e}, or cut unconverged at "
                     f"max_steps = {cfg.max_steps}")

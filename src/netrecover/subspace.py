@@ -1,12 +1,11 @@
 """Hessian-span estimation: PCA over finite-difference Hessians.
 
-Symmetric matrices are handled through an isometric half-vectorization
+The Hessian columns and their PCA use an isometric half-vectorization
 (off-diagonal entries scaled by sqrt(2)), which preserves every Frobenius
 inner product at half the memory of a full flattening.  The principal
-subspace of the Hessian columns is extracted through the Gram matrix
-whenever the number of columns is small, so no object of size D^2 x D^2 is
-ever materialized.  SPM reads the span only as the (m, D, D) stack of basis
-matrices.
+subspace is extracted through the Gram matrix whenever the number of
+columns is small, so no object of size D^2 x D^2 is ever materialized.  The
+projector holds the span only as the (m, D, D) stack of basis matrices B_j.
 """
 
 from __future__ import annotations
@@ -64,19 +63,30 @@ def unhvec(v: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
+def _unhvec_columns(basis: np.ndarray, d: int) -> np.ndarray:
+    """:func:`unhvec` of each column, as a (rank, D, D) stack written in place."""
+    rows, cols, _ = _hvec_index(d)
+    out = np.zeros((basis.shape[1], d, d))
+    out[:, rows, cols] = basis.T
+    out[:, cols, rows] = basis.T
+    # the off-diagonal entries were stored times sqrt(2)
+    out /= np.where(np.eye(d, dtype=bool), 1.0, _SQRT2)
+    return out
+
+
 @dataclasses.dataclass
 class SubspaceProjector:
     """Orthogonal projector onto an m-dimensional space of symmetric matrices.
 
-    Stored as an orthonormal basis of half-vectorized matrices.  The
-    singular values of the source column matrix are retained because the
-    m-th one enters the Wedin perturbation bound.  SPM reads the span only
-    through :meth:`action_batch` on the stack :meth:`matrices`.
+    Stored as the (rank, D, D) stack ``mats`` of symmetric matrices B_j,
+    orthonormal in Frobenius, which SPM reads through :meth:`action_batch`.
+    The singular values of the source column matrix are retained because the
+    m-th one enters the Wedin perturbation bound.
     """
 
     dim: int
     rank: int
-    basis: np.ndarray     # (half_dim(dim), rank), orthonormal columns
+    mats: np.ndarray      # (rank, dim, dim), the span's orthonormal basis matrices B_j
     spectrum: np.ndarray  # every singular value of the source columns, descending
 
     @property
@@ -84,27 +94,10 @@ class SubspaceProjector:
         """The top ``rank`` singular values."""
         return self.spectrum[: self.rank]
 
-    def matrices(self) -> np.ndarray:
-        """The basis as a (rank, D, D) stack of symmetric matrices B_j, orthonormal in Frobenius.
-
-        It takes rank * D^2 doubles, about twice the basis, so a caller builds
-        it once for a run of :meth:`action_batch` calls rather than the
-        projector keeping it.  The stack is written in place, so building it
-        holds no second stack.
-        """
-        d = self.dim
-        rows, cols, _ = _hvec_index(d)
-        out = np.zeros((self.rank, d, d))
-        out[:, rows, cols] = self.basis.T
-        out[:, cols, rows] = self.basis.T
-        # the off-diagonal entries were stored times sqrt(2)
-        out /= np.where(np.eye(d, dtype=bool), 1.0, _SQRT2)
-        return out
-
     def action_batch(self, us: np.ndarray, mats: np.ndarray):
         """Columnwise P(u u^T) u for a (D, R) batch of unit vectors, with its products.
 
-        ``mats`` is :meth:`matrices`, or any (m, D, D) stack of symmetric
+        ``mats`` is :attr:`mats`, or any (m, D, D) stack of symmetric
         matrices orthonormal in Frobenius.  P(u u^T) = sum_j (u^T B_j u) B_j,
         so the action is sum_j (u^T B_j u) B_j u.  Every B_j u_r comes from
         one GEMM of the whole stack, read as an (m D, D) matrix, against the
@@ -167,8 +160,7 @@ def top_m_projector(columns: np.ndarray, m: int) -> SubspaceProjector:
         )
     use_gram = n_cols <= d_half // 2
     if use_gram:
-        gram = columns.T @ columns
-        evals, evecs = np.linalg.eigh(gram)
+        evals, evecs = np.linalg.eigh(columns.T @ columns)
         order = np.argsort(evals)[::-1]
         evals = np.clip(evals[order], 0.0, None)
         svals = np.sqrt(evals)
@@ -190,5 +182,5 @@ def top_m_projector(columns: np.ndarray, m: int) -> SubspaceProjector:
     # polish orthonormality lost to round-off in the Gram route
     basis, r = np.linalg.qr(basis)
     basis *= np.sign(np.diag(r))
-    return SubspaceProjector(dim=dim, rank=m, basis=basis, spectrum=svals)
+    return SubspaceProjector(dim=dim, rank=m, mats=_unhvec_columns(basis, dim), spectrum=svals)
 

@@ -1,8 +1,10 @@
 """Helpers and reference routes shared by the tests.
 
-Besides the fixtures and teacher helpers, this module holds six reference
+Besides the fixtures and teacher helpers, this module holds seven reference
 routes that the package itself never calls, kept here as test oracles:
-:func:`spm_ascend`, one ascent from one start on the full span;
+:func:`hvec_basis`, the span's orthonormal hvec basis read back from the
+projector's matrix stack; :func:`spm_ascend`, one ascent from one start on
+the full span;
 :func:`at_stencil_points`, the stencil function of ``fd_hessian`` for a
 batch function of the stencil points; :func:`projector_distance`, the
 spectral distance of two projectors; :func:`hvec_outer_batch`, the
@@ -17,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netrecover import (ConfigError, SpmConfig, SubspaceProjector, UniformShifts,
+from netrecover import (ConfigError, SpmConfig, SubspaceProjector, UniformShifts, hvec,
                         make_activation, sample_teacher, top_m_projector)
 from netrecover.numdiff import hessian_stencil
 from netrecover.spm import _ascend_batch
@@ -55,6 +57,11 @@ def traced_peak(fn, *args, **kw):
         tracemalloc.stop()
 
 
+def hvec_basis(proj: SubspaceProjector) -> np.ndarray:
+    """The hvec of each matrix B_j of the projector's stack, as (D(D+1)/2, m) columns."""
+    return np.column_stack([hvec(b) for b in proj.mats])
+
+
 def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):
     """Ascend from a single unit starting point.
 
@@ -64,7 +71,7 @@ def spm_ascend(proj: SubspaceProjector, u0, cfg: SpmConfig):
     nrm = float(np.linalg.norm(u0))
     if abs(nrm - 1.0) > 1e-8:
         raise ConfigError(f"expected a unit vector, got norm {nrm!r}")
-    u, steps, conv = _ascend_batch(proj, u0[:, None], cfg, proj.matrices())
+    u, steps, conv = _ascend_batch(proj, u0[:, None], cfg, proj.mats)
     return u[:, 0], float(hvec_objective(proj, u)[0]), int(steps[0]), bool(conv[0])
 
 
@@ -76,13 +83,14 @@ def at_stencil_points(f):
 def projector_distance(p: SubspaceProjector, q: SubspaceProjector) -> float:
     """Spectral norm of P - Q, i.e. the sine of the largest principal angle.
 
-    Computed as ``||(I - P) Q_basis||_2``, which stays accurate for nearly
-    identical subspaces where the cosine route would lose half the digits to
-    cancellation.
+    Computed as ``||(I - P) Q_basis||_2`` on the hvec bases, which stays
+    accurate for nearly identical subspaces where the cosine route would
+    lose half the digits to cancellation.
     """
     if p.dim != q.dim or p.rank != q.rank:
         raise ConfigError("projectors must share dimension and rank")
-    resid = q.basis - p.basis @ (p.basis.T @ q.basis)
+    pb, qb = hvec_basis(p), hvec_basis(q)
+    resid = qb - pb @ (pb.T @ qb)
     return float(np.linalg.svd(resid, compute_uv=False)[0])
 
 
@@ -96,7 +104,7 @@ def hvec_outer_batch(us: np.ndarray) -> np.ndarray:
 
 def hvec_objective(proj: SubspaceProjector, us: np.ndarray) -> np.ndarray:
     """Columnwise ||P(u u^T)||_F^2 from the hvec basis; lands in [0, 1] for unit u."""
-    c = proj.basis.T @ hvec_outer_batch(us)
+    c = hvec_basis(proj).T @ hvec_outer_batch(us)
     return np.einsum("jr,jr->r", c, c)
 
 

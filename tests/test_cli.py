@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from netrecover import GaussianShifts, PipelineConfig, SpmConfig, UniformShifts, cli
+from netrecover import GaussianShifts, PipelineConfig, SpmConfig, UniformShifts, cli, pipeline
 from netrecover.pipeline import hessian_stage, spm_stage
 
 
@@ -53,13 +53,14 @@ class TestStageChain:
         shifts = (chain / "traj.shifts.txt").read_text().split()
         assert len(shifts) == 13
 
-    def test_failed_recovery_writes_the_directions_found(self, chain, tmp_path):
+    def test_failed_recovery_writes_the_directions_found(self, chain, tmp_path, capsys):
         # 10 restarts find 6 of the 13 directions, as in the failed pipeline run
         out = tmp_path / "w.txt"
         assert cli.main(["recover-weights", "--net", str(chain / "teacher.net"),
                          "--seed", "7", "--spm-restarts", "10", "--out", str(out)]) == 3
         lines = out.read_text().splitlines()
         assert lines[0] == "10 6" and len(lines) == 7
+        assert "stage failure: stage 'spm' failed: found 6 of 13" in capsys.readouterr().err
 
     def test_diagnose_writes_every_quantity(self, chain, tmp_path):
         out = tmp_path / "diag.csv"
@@ -87,8 +88,8 @@ class TestStageChain:
             assert cols_ref[0]() is None
             return spm_stage(cfg, proj, path)
 
-        monkeypatch.setattr(cli, "hessian_stage", hessians)
-        monkeypatch.setattr(cli, "spm_stage", spm)
+        monkeypatch.setattr(pipeline, "hessian_stage", hessians)
+        monkeypatch.setattr(pipeline, "spm_stage", spm)
         out = tmp_path / "w.txt"
         assert cli.main(["recover-weights", "--net", str(chain / "teacher.net"),
                          "--out", str(out), "--seed", "7"]) == 0

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,27 @@ class TestExactDerivatives:
         header, row = read_csv(tmp_path / "result.csv")
         assert dict(zip(header, row))["exact_mode"] == "1"
         assert res.metrics.max_weight_err < 1e-12
+
+
+class TestSpanLifetime:
+    def test_span_released_once_spm_returns(self, monkeypatch):
+        # the (m, D, D) stack is the largest array SPM reads; no stage after
+        # it holds the projector
+        pipeline, refs, alive = netrecover.pipeline, [], []
+        spm_stage, init_stage = pipeline.spm_stage, pipeline.init_stage
+
+        def spm(cfg, proj, path=None):
+            refs.append(weakref.ref(proj))
+            return spm_stage(cfg, proj, path)
+
+        def init(cfg, net, w_hat, path=None):
+            alive.append(refs[0]() is not None)
+            return init_stage(cfg, net, w_hat, path)
+
+        monkeypatch.setattr(pipeline, "spm_stage", spm)
+        monkeypatch.setattr(pipeline, "init_stage", init)
+        run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, n_eval=2000))
+        assert alive == [False]
 
 
 class TestSigmoid:

@@ -8,11 +8,11 @@ import pytest
 
 from netrecover import (ConfigError, IncompleteRecoveryError, SpmConfig,
                         SubspaceProjector, build_hessian_matrix, collect_weights,
-                        default_restarts, hvec, match_weights, top_m_projector)
+                        default_restarts, hvec, match_weights, top_m_projector, unhvec)
 from netrecover import spm, subspace
 from netrecover.spm import _acceptance_level, _ascend_batch, _classify, canonical_sign
-from conftest import (exact_projector, hvec_objective, hvec_outer_batch, random_teacher,
-                      random_unit_columns, spm_ascend, traced_peak)
+from conftest import (exact_projector, hvec_basis, hvec_objective, hvec_outer_batch,
+                      random_teacher, random_unit_columns, spm_ascend, traced_peak)
 
 
 def objective(proj, u):
@@ -62,8 +62,9 @@ class TestObjective:
         # reads F as the squared norm of action_batch's forms u^T B_j u
         w = random_unit_columns(8, 4, seed=1)
         proj = exact_projector(w)
-        dense = proj.basis @ proj.basis.T
-        mats = proj.matrices()
+        basis = hvec_basis(proj)
+        dense = basis @ basis.T
+        mats = proj.mats
         rng = np.random.default_rng(2)
         for _ in range(10):
             u = rng.standard_normal(8)
@@ -114,7 +115,7 @@ class TestAscend:
         for trial in range(20):
             net = random_teacher(8, 6, seed=900 + trial)
             proj = exact_projector(net.weights)
-            mats = proj.matrices()
+            mats = proj.mats
             rng = np.random.default_rng(trial)
             u = rng.standard_normal((8, 1))
             u /= np.linalg.norm(u)
@@ -139,7 +140,7 @@ class TestAscend:
         assert objective(proj, u0) == pytest.approx(0.5, abs=1e-12)
         # N has a negative eigenvalue at the saddle: no Newton step there
         saddle = ((w[:, 0] + w[:, 1]) / np.sqrt(2.0))[:, None]
-        mats = proj.matrices()
+        mats = proj.mats
         assert np.all(np.isnan(spm._newton(mats, saddle, *proj.action_batch(saddle, mats), [True])))
         u, obj, _, converged = spm_ascend(proj, u0, SpmConfig())
         assert converged
@@ -162,7 +163,7 @@ class TestNewton:
         # (F / 4 extended off the sphere), then the tangent Newton system
         net = random_teacher(7, 5, seed=32)
         proj = exact_projector(net.weights)
-        mats = proj.matrices()
+        mats = proj.mats
         rng = np.random.default_rng(33)
         u = net.weights[:, :1] + 1e-2 * rng.standard_normal((7, 1))
         u /= np.linalg.norm(u)
@@ -183,7 +184,7 @@ class TestNewton:
     def test_newton_converges_quadratically(self):
         net = random_teacher(8, 6, seed=34)
         proj = exact_projector(net.weights)
-        mats = proj.matrices()
+        mats = proj.mats
         w = net.weights[:, 2]
         rng = np.random.default_rng(35)
         u = w + 1e-3 * rng.standard_normal(8)
@@ -200,7 +201,8 @@ class TestNewton:
 def _projector(spectrum):
     """A rank-2 projector at D = 3 with the given spectrum."""
     basis = np.linalg.qr(np.random.default_rng(40).standard_normal((6, 2)))[0]
-    return SubspaceProjector(dim=3, rank=2, basis=basis, spectrum=np.asarray(spectrum))
+    mats = np.stack([unhvec(b, 3) for b in basis.T])
+    return SubspaceProjector(dim=3, rank=2, mats=mats, spectrum=np.asarray(spectrum))
 
 
 class TestLevel:
@@ -400,7 +402,7 @@ class TestStep:
         # keeps its Newton step, the second gets one turned around, which lowers F
         net = random_teacher(8, 6, seed=34)
         proj = exact_projector(net.weights)
-        mats = proj.matrices()
+        mats = proj.mats
         u = net.weights[:, :2] + 1e-3 * np.random.default_rng(35).standard_normal((8, 2))
         u /= np.linalg.norm(u, axis=0)
         g, prods, coeffs = proj.action_batch(u, mats)
@@ -430,7 +432,7 @@ class TestStep:
 
     def test_chunked_ascent_equals_its_halves(self):
         proj, _, _ = _two_chunk_case()
-        mats = proj.matrices()
+        mats = proj.mats
         u, cfg = self._batch(proj), SpmConfig(max_steps=2)
         whole = _ascend_batch(proj, u, cfg, mats)
         halves = [_ascend_batch(proj, u[:, cols], cfg, mats)
@@ -444,7 +446,7 @@ class TestStep:
 
     def test_one_product_stack_per_chunk(self, monkeypatch):
         proj, _, _ = _two_chunk_case()
-        mats = proj.matrices()
+        mats = proj.mats
         u = self._batch(proj)
         formed = []
         action = subspace.SubspaceProjector.action_batch
@@ -535,7 +537,7 @@ class TestPlace:
 
     def test_deflated_stack_is_orthonormal_and_misses_the_accepted(self):
         proj, _, _ = _sampled_case()
-        mats = proj.matrices()
+        mats = proj.mats
         accepted = random_unit_columns(15, 4, seed=42).T
         stack = spm._deflate(mats, proj.action_batch(accepted.T, mats)[2].T)
         flat = stack.reshape(26, -1)
@@ -553,7 +555,7 @@ class TestPlace:
         w_hat, stats = collect_weights(proj, SpmConfig(), seed)
         assert stats.n_accepted == m and len(kept) >= 1
         for coords in kept:
-            oracle = proj.basis.T @ hvec_outer_batch(w_hat[:, :coords.shape[1]])
+            oracle = hvec_basis(proj).T @ hvec_outer_batch(w_hat[:, :coords.shape[1]])
             assert np.max(np.abs(coords - oracle)) <= 1e-13
 
     def test_memory_is_bounded_by_one_chunk(self, monkeypatch):

@@ -5,18 +5,21 @@ import pytest
 
 from netrecover import (PipelineConfig, SubspaceDeficientError, build_hessian_matrix,
                         half_dim, hvec, top_m_projector, unhvec)
-from conftest import (exact_projector, hvec_outer_batch, projector_distance,
+from netrecover.subspace import _unhvec_columns
+from conftest import (exact_projector, hvec_basis, hvec_outer_batch, projector_distance,
                       random_teacher, random_unit_columns)
 
 
 def dense_projector_matrix(proj):
     """Explicit (half x half) projector matrix, usable as an oracle at small D."""
-    return proj.basis @ proj.basis.T
+    basis = hvec_basis(proj)
+    return basis @ basis.T
 
 
 def project(proj, x):
     """The projection of a symmetric matrix, through the basis."""
-    return unhvec(proj.basis @ (proj.basis.T @ hvec(x)), proj.dim)
+    basis = hvec_basis(proj)
+    return unhvec(basis @ (basis.T @ hvec(x)), proj.dim)
 
 
 class TestHalfVec:
@@ -60,7 +63,8 @@ def proj():
 
 class TestProjectorInvariants:
     def test_orthonormal_basis(self, proj):
-        gram = proj.basis.T @ proj.basis
+        basis = hvec_basis(proj)
+        gram = basis.T @ basis
         assert np.max(np.abs(gram - np.eye(15))) < 1e-10
 
     def test_idempotent(self, proj):
@@ -79,23 +83,25 @@ class TestProjectorInvariants:
         assert np.array_equal(out, out.T)
 
     def test_matrices_are_the_basis(self, proj):
-        mats = proj.matrices()
+        # the stack is a symmetric basis of the span, orthonormal in Frobenius
+        mats = proj.mats
         assert mats.shape == (15, 10, 10)
         assert np.array_equal(mats, mats.transpose(0, 2, 1))
-        for j in range(15):
-            assert np.allclose(hvec(mats[j]), proj.basis[:, j], atol=1e-15)
+        basis = hvec_basis(proj)
+        assert np.max(np.abs(basis.T @ basis - np.eye(15))) < 1e-10
 
     def test_matrices_are_unhvec_of_each_column_exactly(self, proj):
-        mats = proj.matrices()
+        basis = hvec_basis(proj)
+        mats = _unhvec_columns(basis, 10)
         assert mats.flags.c_contiguous
         for j in range(15):
-            assert np.array_equal(mats[j], unhvec(proj.basis[:, j], 10))
+            assert np.array_equal(mats[j], unhvec(basis[:, j], 10))
 
     def test_action_matches_dense_projection(self, proj):
         # oracle: P(u u^T) u through the explicit projector matrix
         dense = dense_projector_matrix(proj)
         us = random_unit_columns(10, 6, seed=10)
-        got = proj.action_batch(us, proj.matrices())[0]
+        got = proj.action_batch(us, proj.mats)[0]
         for r in range(6):
             ref = unhvec(dense @ hvec(np.outer(us[:, r], us[:, r])), 10) @ us[:, r]
             assert np.max(np.abs(got[:, r] - ref)) < 1e-14
@@ -211,9 +217,10 @@ class TestPerturbationBounds:
         p_hat = top_m_projector(cols, 8)
         p_true = exact_projector(net.weights)
         dist = projector_distance(p_true, p_hat)
+        basis = hvec_basis(p_hat)
         for k in range(8):
             v = hvec_outer_batch(net.weights[:, k:k + 1])[:, 0]
-            resid = np.linalg.norm(v - p_hat.basis @ (p_hat.basis.T @ v))
+            resid = np.linalg.norm(v - basis @ (basis.T @ v))
             assert resid <= 2 * dist + 1e-12
 
     def test_wedin_bound_on_injected_perturbations(self):
