@@ -7,13 +7,13 @@ pipeline's own stages, so for the same ``--seed`` they reproduce the
 artifacts of ``pipeline``: ``teacher.net``, ``weights.txt``, ``init.txt``
 and the loss column of ``trajectory.csv``; beside their ``--out`` file,
 ``recover-weights`` writes the span's ``.spectrum.csv`` and ``refine`` the
-refined ``.shifts.txt``.  ``recover-weights`` logs each stage's time and
-queries and reports a failure as ``stage failure: ...``, like ``pipeline``
-and ``baseline``, which both write ``result.csv`` and ``report.txt`` into
-``--out-dir``, also when a stage fails.  ``diagnose`` reports 12
-quantities of a teacher file: its incoherence constants, ``alpha_hat``,
-the exact kernel floor ``omega`` with its shift, and the mean slope's sign
-and smallest size.
+refined ``.shifts.txt``.  All but ``generate`` run on the pipeline's stage
+runner, so they log each stage's time and queries and report a failure as
+``stage failure: ...``, like ``pipeline`` and ``baseline``, which both write
+``result.csv`` and ``report.txt`` into ``--out-dir``, also when a stage
+fails.  ``diagnose`` reports 12 quantities of a teacher file: its
+incoherence constants, ``alpha_hat``, the exact kernel floor ``omega`` with
+its shift, and the mean slope's sign and smallest size.
 
 Each subcommand takes only the flags it reads: ``study`` sets D, m and
 beta per cell and keeps no run directory, ``baseline`` reads none of the
@@ -22,8 +22,9 @@ activation from its ``--net`` file.  The refinement takes no settings.
 An argument ``@FILE`` is replaced by the flags in FILE: one or more per
 line, in shell quoting, with blank lines and ``#`` comments skipped; a flag
 written after ``@FILE`` overrides the file.  Abbreviated flags are refused.
-Exit codes: 0 success, 2 a bad flag, option file or setting (checked
-before the first stage runs), 3 stage failure.
+Exit codes: 0 success, 2 a bad flag, option file, setting or input file, or
+an ``--out`` in a missing directory (all checked before the first stage
+runs), 3 stage failure.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ from . import fileio
 from .baseline import run_baseline_sgd
 from .diagnostics import (check_incoherence, estimate_alpha, kernel_floor_omega,
                           slope_sign_certificate)
-from .exceptions import ConfigError, RecoveryError, StageError
-from .pipeline import (PipelineConfig, _StageRunner, child_seed, init_stage,
-                       refine_stage, run_pipeline, run_scaling_study, teacher_stage)
+from .exceptions import ConfigError, StageError
+from .pipeline import (PipelineConfig, _StageRunner, child_seed, run_pipeline,
+                       run_scaling_study, teacher_stage)
+from .shift_init import check_unit_columns
 from .spm import SpmConfig
 from .teacher import FixedShifts, GaussianShifts, StudentNetwork, UniformShifts
 
@@ -121,12 +123,11 @@ def build_pipeline_config(args, **fixed) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
-def _teacher_and_config(args):
-    """The teacher file named by ``--net`` and a config of its D and m."""
+def _stage_runner(args) -> _StageRunner:
+    """The subcommand's stage runner on the ``--net`` teacher, with a config of its D and m."""
     net = fileio.load_teacher(args.net)
     cfg = build_pipeline_config(args, dim=net.dim, n_neurons=net.n_neurons)
-    cfg.validate()
-    return net, cfg
+    return _StageRunner(cfg, args.command, net)
 
 
 def _check_columns(args, net, w_hat, signs=None):
@@ -156,8 +157,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_recover_weights(args) -> int:
-    net, cfg = _teacher_and_config(args)
-    stages = _StageRunner(cfg, "recover-weights", net)
+    stages = _stage_runner(args)
     w_hat = stages.weights(Path(args.out).with_suffix(".spectrum.csv"), args.out)
     print(f"recovered {w_hat.shape[1]} directions in {stages.result.spm.n_processed} "
           f"restarts -> {args.out}")
@@ -165,22 +165,23 @@ def _cmd_recover_weights(args) -> int:
 
 
 def _cmd_init_shifts(args) -> int:
-    net, cfg = _teacher_and_config(args)
+    stages = _stage_runner(args)
     w_hat = fileio.load_weights(args.weights)
-    _check_columns(args, net, w_hat)
-    res = init_stage(cfg, net, w_hat, args.out)
+    _check_columns(args, stages.net, w_hat)
+    check_unit_columns(w_hat)
+    stages.init(w_hat, args.out)
+    res = stages.result.init
     print(f"wrote signs/shifts (cond_g2={res.cond_g2:.3g}, cond_g3={res.cond_g3:.3g}) "
           f"-> {args.out}")
     return 0
 
 
 def _cmd_refine(args) -> int:
-    net, cfg = _teacher_and_config(args)
+    stages = _stage_runner(args)
     w_hat = fileio.load_weights(args.weights)
     signs, tau0, _, _ = fileio.load_init_result(args.init)
-    _check_columns(args, net, w_hat, signs)
-    student = StudentNetwork(w_hat * signs, tau0, net.act)
-    res = refine_stage(cfg, student, net, path=args.out)
+    _check_columns(args, stages.net, w_hat, signs)
+    res = stages.refine(StudentNetwork(w_hat * signs, tau0, stages.net.act), args.out)
     fileio.save_shifts(res.student.shifts, Path(args.out).with_suffix(".shifts.txt"))
     print(f"refined for {res.steps} steps ({res.stop_reason}); "
           f"final loss {res.losses[-1]:.3e} -> {args.out}")
@@ -188,8 +189,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = build_pipeline_config(args)
-    res = run_pipeline(cfg)
+    res = run_pipeline(build_pipeline_config(args))
     met = res.metrics
     print(f"pipeline D={res.dim} m={res.m} seed={res.seed}: "
           f"e_inf={met.e_inf:.3e} max_weight_err={met.max_weight_err:.3e} "
@@ -198,11 +198,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = build_pipeline_config(args)
-    res = run_baseline_sgd(cfg)
-    met = res.metrics
+    res = run_baseline_sgd(build_pipeline_config(args))
     print(f"baseline D={res.dim} m={res.m} seed={res.seed}: "
-          f"e_inf={met.e_inf:.3e} max_weight_err={met.max_weight_err:.3e} "
+          f"e_inf={res.metrics.e_inf:.3e} max_weight_err={res.metrics.max_weight_err:.3e} "
           f"({res.refine_stop_reason})")
     return 0
 
@@ -311,15 +309,14 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "out", None) and not Path(args.out).parent.is_dir():
+            raise ConfigError(f"--out {args.out}: its directory does not exist")
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
-        return 3
-    except RecoveryError as exc:
-        print(f"recovery failure: {exc}", file=sys.stderr)
         return 3
 
 

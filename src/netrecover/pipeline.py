@@ -4,14 +4,14 @@ Each stage is a module-level function of the run's :class:`PipelineConfig`
 that owns the stage's decisions (its seed, derived from the master seed with
 a counter scheme so concurrency or stage reordering can never change
 results; its finite-difference step; its budget defaults) and writes its
-artifact when given a path.  ``_StageRunner`` holds the wiring of a
-composed run, :func:`run_pipeline` or the SGD baseline: it times stages,
-counts their queries, and writes ``result.csv`` and ``report.txt`` at the
-end or after a failure, so a run can be post-mortemed; a run that SPM
-stops keeps its error's restart counts, and ``weights.txt`` the directions
-it found.  ``recover-weights`` runs the runner's Hessians -> projector -> SPM
-chain; the other CLI stage subcommands call their one stage.  The result
-CSV contains only deterministic fields; timings go to the report.
+artifact when given a path.  ``_StageRunner`` holds all stage wiring, of
+:func:`run_pipeline`, the SGD baseline and the CLI stage subcommands
+(``recover-weights``, ``init-shifts`` and ``refine`` call the methods that
+``run_pipeline`` calls): it times stages, logs their time and queries,
+and writes ``result.csv`` and ``report.txt`` at the end or after a
+failure, so a run can be post-mortemed; a run that SPM stops keeps its
+error's restart counts, and ``weights.txt`` the directions it found.  The
+result CSV contains only deterministic fields; timings go to the report.
 
 The shifts are refined by Gauss-Newton on a small fresh sample; the paper's
 gradient descent on m D^2 inputs stays available as
@@ -364,9 +364,6 @@ class ExperimentResult:
     def csv_row(self) -> list:
         return [getter(self) for _, getter in _RESULT_TABLE]
 
-    def write_result_csv(self, path):
-        fileio.write_csv(path, RESULT_COLUMNS, [self.csv_row()])
-
     def write_report(self, path):
         lines = [f"{self.mode} run: D={self.dim} m={self.m} seed={self.seed}"]
         for name, dt in self.stage_times.items():
@@ -390,7 +387,7 @@ class ExperimentResult:
 
 
 class _StageRunner:
-    """The wiring of one composed run, shared by every mode.
+    """The wiring of one run, shared by every mode and stage subcommand.
 
     Validates the config, creates ``cfg.out_dir``, starts the result from
     the run's identity columns and takes ``net``, a loaded teacher, if any.
@@ -431,6 +428,18 @@ class _StageRunner:
         w_hat, self.result.spm = self.run("spm", spm_stage, self.cfg, proj, weights_path)
         return w_hat  # the span is freed here, before any later stage runs
 
+    def init(self, w_hat, path):
+        """Signs and shifts; sets ``init``, returns the student with the signs folded in."""
+        res = self.result.init = self.run("init", init_stage, self.cfg, self.net, w_hat, path)
+        return StudentNetwork(w_hat * res.signs, res.tau0, self.net.act)
+
+    def refine(self, student, path, tau_truth=None):
+        """Shift refinement; sets the refine columns, returns the refine result."""
+        ref = self.run("refine", refine_stage, self.cfg, student, self.net, tau_truth, path)
+        self.result.refine_steps, self.result.refine_stop_reason, self.result.final_loss = (
+            ref.steps, ref.stop_reason, float(ref.losses[-1]))
+        return ref
+
     def run(self, name, fn, *args):
         """Stage ``name``: returns ``fn(*args)``, or raises :class:`StageError`."""
         net, result = self.net, self.result
@@ -462,7 +471,7 @@ class _StageRunner:
         if self.net is not None:
             self.result.oracle_count = self.net.oracle_count
         if self._out_dir:
-            self.result.write_result_csv(self._out_dir / "result.csv")
+            fileio.write_csv(self._out_dir / "result.csv", RESULT_COLUMNS, [self.result.csv_row()])
             self.result.write_report(self._out_dir / "report.txt")
 
 
@@ -479,27 +488,16 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
     result, artifact, m = stages.result, stages.artifact, stages.result.m
     net = stages.teacher()
     w_hat = stages.weights(artifact("spectrum.csv"), artifact("weights.txt"))
-    result.init = stages.run("init", init_stage, cfg, net, w_hat, artifact("init.txt"))
-
-    # fold the recovered signs into the columns, then evaluate the
-    # initialization against the (diagnostics-only) matching
-    student0 = StudentNetwork(w_hat * result.init.signs, result.init.tau0, net.act)
+    # evaluate the sign-folded initialization against the (diagnostics-only) matching
+    student0 = stages.init(w_hat, artifact("init.txt"))
     perm, match_signs, werrs = match_weights(student0.weights, net.weights)
-    delta_max = float(np.max(werrs))
     result.sign_accuracy = float(np.mean(match_signs == 1))
-    result.init_shift_rms = float(
-        np.linalg.norm(net.shifts - result.init.tau0[perm]) / math.sqrt(m))
-    result.init_shift_bound = init_shift_error_bound(
-        m, cfg.dim, result.eps_hat, delta_max)
-    tau_truth_student = np.empty(m)
-    tau_truth_student[perm] = net.shifts
+    result.init_shift_rms = float(np.linalg.norm(net.shifts - student0.shifts[perm]) / math.sqrt(m))
+    result.init_shift_bound = init_shift_error_bound(m, cfg.dim, result.eps_hat,
+                                                     float(np.max(werrs)))
+    tau_truth_student = net.shifts[np.argsort(perm)]
 
-    ref = stages.run("refine", refine_stage, cfg, student0, net, tau_truth_student,
-                     artifact("trajectory.csv"))
-    result.refine_steps = ref.steps
-    result.refine_stop_reason = ref.stop_reason
-    result.final_loss = float(ref.losses[-1])
-
+    ref = stages.refine(student0, artifact("trajectory.csv"), tau_truth_student)
     result.metrics = stages.run("score", score_stage, cfg, ref.student, net)
     return stages.finish()
 

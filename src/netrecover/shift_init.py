@@ -20,7 +20,8 @@ from .activations import invert_g2
 from .exceptions import ConfigError, IllConditionedError
 from .numdiff import fd_directional
 
-__all__ = ["InitResult", "gram_power", "directional_derivs_at_zero", "init_signs_shifts"]
+__all__ = ["InitResult", "gram_power", "check_unit_columns", "directional_derivs_at_zero",
+           "init_signs_shifts"]
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +46,12 @@ def gram_power(w_hat: np.ndarray, n: int) -> np.ndarray:
     return (w_hat.T @ w_hat) ** n
 
 
+def check_unit_columns(w_hat: np.ndarray):
+    """Refuse weight estimates whose columns are not unit vectors."""
+    if np.max(np.abs(np.linalg.norm(w_hat, axis=0) - 1.0)) > 1e-8:
+        raise ConfigError("weight estimates must have unit columns")
+
+
 def directional_derivs_at_zero(net, w_hat: np.ndarray, h: float | None):
     """Order-2 and order-3 derivatives of the network along each column, at the origin.
 
@@ -54,9 +61,7 @@ def directional_derivs_at_zero(net, w_hat: np.ndarray, h: float | None):
     analytic oracle instead, twice per column.
     """
     w_hat = np.asarray(w_hat, dtype=float)
-    norms = np.linalg.norm(w_hat, axis=0)
-    if np.max(np.abs(norms - 1.0)) > 1e-8:
-        raise ConfigError("weight estimates must have unit columns")
+    check_unit_columns(w_hat)
     if h is None:
         return tuple(np.array([net.directional_deriv_exact(w, n) for w in w_hat.T])
                      for n in (2, 3))

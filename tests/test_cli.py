@@ -1,6 +1,7 @@
 """Command-line interface, driven through ``cli.main``."""
 
 import csv
+import re
 import weakref
 
 import pytest
@@ -61,6 +62,17 @@ class TestStageChain:
         lines = out.read_text().splitlines()
         assert lines[0] == "10 6" and len(lines) == 7
         assert "stage failure: stage 'spm' failed: found 6 of 13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, queries", [("init", 4 * 13 + 1), ("refine", 512)])
+    def test_stage_subcommands_log_their_stages(self, chain, tmp_path, caplog, stage, queries):
+        # init-shifts and refine run on the pipeline's stage runner: init reads
+        # 4 m + 1 stencil points, refine max(ceil(m log D), 512) inputs
+        files = ["--net", str(chain / "teacher.net"), "--weights", str(chain / "weights.txt")]
+        argv = {"init": ["init-shifts", *files],
+                "refine": ["refine", *files, "--init", str(chain / "init.txt"), "--seed", "7"]}
+        with caplog.at_level("INFO", logger="netrecover.pipeline"):
+            assert cli.main([*argv[stage], "--out", str(tmp_path / "out")]) == 0
+        assert re.search(rf"stage {stage} +[0-9.]+ s, {queries} queries", caplog.text)
 
     def test_diagnose_writes_every_quantity(self, chain, tmp_path):
         out = tmp_path / "diag.csv"
@@ -134,6 +146,26 @@ class TestInputsAcrossFiles:
         assert cli.main(argv) == 2
         assert "weights have m=2, but the teacher" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_non_unit_weight_column(self, teacher, tmp_path, monkeypatch, capsys):
+        # refused before the init stage spends its queries
+        monkeypatch.setattr(pipeline, "init_stage", lambda *a: pytest.fail("ran"))
+        w, out = tmp_path / "w.txt", tmp_path / "init.txt"
+        w.write_text("5 3\n2 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n")
+        assert cli.main(["init-shifts", "--net", teacher, "--weights", str(w),
+                         "--out", str(out)]) == 2
+        assert "weight estimates must have unit columns" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singular_gram_system_is_a_stage_failure(self, teacher, tmp_path, capsys):
+        # two equal columns fit the teacher's files, but leave the Gram system singular
+        w, out = tmp_path / "w.txt", tmp_path / "init.txt"
+        w.write_text("5 3\n1 0 0 0 0\n1 0 0 0 0\n0 1 0 0 0\n")
+        assert cli.main(["init-shifts", "--net", teacher, "--weights", str(w),
+                         "--out", str(out)]) == 3
+        assert ("stage failure: stage 'init' failed: order-2 Gram system is not positive "
+                "definite" in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, text, message", [
         ("init-shifts", "-5 3\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n",
@@ -421,6 +453,21 @@ class TestRefusedCells:
         assert cli.main([*argv, "--seed", "-1", out, "run"]) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert sorted(inputs.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["recover-weights", "--net", "teacher.net"],
+        ["init-shifts", "--net", "teacher.net", "--weights", "w.txt"],
+        ["refine", "--net", "teacher.net", "--weights", "w.txt", "--init", "init.txt"],
+        ["study", "--d-list", "6", "--beta-list", "1.0"],
+    ], ids=lambda argv: argv[0])
+    def test_out_in_missing_directory(self, inputs, monkeypatch, argv, capsys):
+        # refused before any stage spends a query
+        monkeypatch.chdir(inputs)
+        for name in ("teacher_stage", "hessian_stage", "init_stage", "refine_stage"):
+            monkeypatch.setattr(pipeline, name, lambda *a: pytest.fail("ran"))
+        assert cli.main([*argv, "--out", "nodir/out"]) == 2
+        assert "--out nodir/out: its directory does not exist" in capsys.readouterr().err
+        assert not (inputs / "nodir").exists()
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_diagnose_rip_trials(self, inputs, trials, capsys):
