@@ -23,8 +23,8 @@ An argument ``@FILE`` is replaced by the flags in FILE: one or more per
 line, in shell quoting, with blank lines and ``#`` comments skipped; a flag
 written after ``@FILE`` overrides the file.  Abbreviated flags are refused.
 Exit codes: 0 success, 2 a bad flag, option file, setting or input file, or
-an ``--out`` in a missing directory (all checked before the first stage
-runs), 3 stage failure.
+an ``--out`` in a missing directory or naming a directory (all checked
+before the first stage runs), 3 stage failure.
 """
 
 from __future__ import annotations
@@ -309,8 +309,11 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if getattr(args, "out", None) and not Path(args.out).parent.is_dir():
-            raise ConfigError(f"--out {args.out}: its directory does not exist")
+        out = Path(args.out) if getattr(args, "out", None) else None
+        if out and not out.parent.is_dir():
+            raise ConfigError(f"--out {out}: its directory does not exist")
+        if out and out.is_dir():
+            raise ConfigError(f"--out {out}: is a directory")
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

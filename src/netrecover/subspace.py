@@ -6,10 +6,14 @@ inner product at half the memory of a full flattening.  The principal
 subspace is extracted through the Gram matrix whenever the number of
 columns is small, so no object of size D^2 x D^2 is ever materialized.  The
 projector holds the span only as the (m, D, D) stack of basis matrices B_j.
+The finite-difference Hessians share one stencil function, whose helper
+thread evaluates half of each stencil's rows; it lives inside
+:func:`build_hessian_matrix`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import logging
@@ -119,8 +123,12 @@ def build_hessian_matrix(net, n_hessians: int, h: float | None, seed: int):
     ``net.stencil_function(h)``, serves every anchor's :func:`fd_hessian`
     call, so the stencil's preactivation offsets are built once per stage;
     each Hessian costs D^2 + D + 1 network queries, counted by that function
-    on ``net.query_count``.  ``h=None`` reads the analytic oracle instead
-    (zero queries, tallied separately by the network).
+    on ``net.query_count``.  The stencil function's helper thread evaluates
+    the second half of each stencil's row blocks; it is opened and joined
+    inside this call, so no thread outlives the stage, and an error on it
+    propagates from here.  The anchors are visited in order on the calling
+    thread.  ``h=None`` reads the analytic oracle instead (zero queries,
+    tallied separately by the network) and starts no thread.
     """
     if n_hessians < 1:
         raise ConfigError("n_hessians must be positive")
@@ -133,9 +141,9 @@ def build_hessian_matrix(net, n_hessians: int, h: float | None, seed: int):
     rng = np.random.default_rng(seed)
     anchors = rng.standard_normal((n_hessians, net.dim))
     cols = np.empty((half_dim(net.dim), n_hessians))
-    stencil = None if h is None else net.stencil_function(h)
-    for i, x in enumerate(anchors):
-        cols[:, i] = hvec(net.analytic_hessian(x) if h is None else fd_hessian(stencil, x, h))
+    with contextlib.nullcontext() if h is None else net.stencil_function(h) as stencil:
+        for i, x in enumerate(anchors):
+            cols[:, i] = hvec(net.analytic_hessian(x) if h is None else fd_hessian(stencil, x, h))
     logger.info("built %d Hessian columns", n_hessians)
     return cols, anchors
 

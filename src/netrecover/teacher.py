@@ -6,7 +6,9 @@ pipeline goes through the counted evaluation oracle: ``eval_batch`` for
 given inputs, and ``stencil_function(h)`` for the finite-difference
 Hessian's stencil points, which it evaluates without forming them.  Both
 apply g to one row block of ``BLOCK_BYTES`` at a time, so no query holds
-more preactivations than that.
+more preactivations than that.  The stencil function is a context manager
+whose helper thread evaluates the second half of each stencil's row blocks;
+the query is still one call, counted on the calling thread.
 The analytic derivative methods exist for tests and for the
 exact-derivative pipeline mode, which the derivative stages select with the
 step ``h=None``, and are tallied separately so the harness can verify the
@@ -16,6 +18,8 @@ black-box budget.  Network files are read and written by
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import dataclasses
 import threading
 
@@ -203,32 +207,53 @@ class TeacherNetwork(_ShallowNet):
         self._queries.add(vals.shape[0])
         return vals
 
+    @contextlib.contextmanager
     def stencil_function(self, h: float):
         """The stencil function of :func:`netrecover.numdiff.fd_hessian` at step h.
 
+        A context manager: ``with net.stencil_function(h) as f:`` yields f.
         The preactivations of the stencil points ``x``, ``x +- h e_i`` and
         ``x +- h (e_i + e_j)`` are ``(x W + tau) + O`` with the offsets
-        ``O = hessian_stencil(0, h W)``, which depend on W and h only.  O is built once, here; each call
-        ``f(x, h)`` adds ``x W + tau`` to one block of O rows at a time and
-        sums g over each row, for the D^2 + D + 1 values in the row order of
+        ``O = hessian_stencil(0, h W)``, which depend on W and h only.  O is
+        built once, on entry; each call ``f(x, h)`` adds ``x W + tau`` to one
+        block of O rows at a time and sums g over each row, for the
+        D^2 + D + 1 values in the row order of
         :func:`~netrecover.numdiff.hessian_stencil`, one query each.
+
+        A stencil of more than one block is split at the block boundary
+        ``block_rows(m) * (n_blocks // 2)``: the calling thread evaluates the
+        blocks before it and a helper thread, opened on entry and joined on
+        exit, the blocks after it, both into one value array.  Every block
+        keeps its rows, so the values do not depend on the split.  The
+        queries are counted once per call, on the calling thread, after the
+        helper's half has returned; an error on the helper propagates there.
+        A one-block stencil never starts the helper.
         """
         offsets = hessian_stencil(np.zeros(self.n_neurons), h * self.weights)
         n_rows = offsets.shape[0]
         rows = block_rows(self.n_neurons)
+        # the calling thread's rows: half the blocks, or all of a single block
+        mid = rows * (-(-n_rows // rows) // 2) or n_rows
         ones = np.ones(self.n_neurons)
 
-        def f(x, step: float) -> np.ndarray:
-            if step != h:
-                raise ConfigError(f"stencil function built for step {h}, called with {step}")
-            base = self._preactivations(self._input(x))
-            vals = np.empty(n_rows)
-            for lo in range(0, n_rows, rows):
-                vals[lo:lo + rows] = self.act.g(offsets[lo:lo + rows] + base) @ ones
-            self._queries.add(n_rows)
-            return vals
+        def fill(vals, base, lo, hi):
+            for i in range(lo, hi, rows):
+                vals[i:i + rows] = self.act.g(offsets[i:i + rows] + base) @ ones
 
-        return f
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+            def f(x, step: float) -> np.ndarray:
+                if step != h:
+                    raise ConfigError(f"stencil function built for step {h}, called with {step}")
+                base = self._preactivations(self._input(x))
+                vals = np.empty(n_rows)
+                second = helper.submit(fill, vals, base, mid, n_rows) if mid < n_rows else None
+                fill(vals, base, 0, mid)
+                if second is not None:
+                    second.result()
+                self._queries.add(n_rows)
+                return vals
+
+            yield f
 
     # -- analytic oracles (do not touch the query budget) ------------------
 

@@ -454,20 +454,28 @@ class TestRefusedCells:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert sorted(inputs.rglob("*")) == before
 
-    @pytest.mark.parametrize("argv", [
+    _OUT_ARGV = [
         ["recover-weights", "--net", "teacher.net"],
         ["init-shifts", "--net", "teacher.net", "--weights", "w.txt"],
         ["refine", "--net", "teacher.net", "--weights", "w.txt", "--init", "init.txt"],
         ["study", "--d-list", "6", "--beta-list", "1.0"],
-    ], ids=lambda argv: argv[0])
-    def test_out_in_missing_directory(self, inputs, monkeypatch, argv, capsys):
-        # refused before any stage spends a query
+    ]
+
+    @pytest.mark.parametrize("argv, out, message", [
+        *[(argv, "nodir/out", "its directory does not exist") for argv in _OUT_ARGV],
+        *[(argv, "adir", "is a directory") for argv in _OUT_ARGV],
+    ], ids=[argv[0] for argv in _OUT_ARGV] + [f"{argv[0]}-is-a-directory" for argv in _OUT_ARGV])
+    def test_out_in_missing_directory(self, inputs, monkeypatch, argv, out, message, capsys):
+        # an --out in a missing directory, or one that names an existing
+        # directory, is refused before any stage spends a query
         monkeypatch.chdir(inputs)
+        (inputs / "adir").mkdir()
+        before = sorted(inputs.rglob("*"))
         for name in ("teacher_stage", "hessian_stage", "init_stage", "refine_stage"):
             monkeypatch.setattr(pipeline, name, lambda *a: pytest.fail("ran"))
-        assert cli.main([*argv, "--out", "nodir/out"]) == 2
-        assert "--out nodir/out: its directory does not exist" in capsys.readouterr().err
-        assert not (inputs / "nodir").exists()
+        assert cli.main([*argv, "--out", out]) == 2
+        assert f"--out {out}: {message}" in capsys.readouterr().err
+        assert sorted(inputs.rglob("*")) == before
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_diagnose_rip_trials(self, inputs, trials, capsys):

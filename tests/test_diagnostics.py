@@ -1,5 +1,6 @@
 """Incoherence, learnability, kernel-floor and mean-slope diagnostics, pinned at fixed seeds."""
 
+import sys
 import threading
 
 import numpy as np
@@ -153,10 +154,10 @@ class TestScoring:
         return net, StudentNetwork(net.weights, tau, net.act)
 
     # n_eval = blocks * block_rows(m) + extra: the edges of the prefetched next block
-    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 100),
-                                               (3, 0), (3, 7)],
-                             ids=["1", "rows-1", "rows", "rows+1", "2rows+100", "3rows",
-                                  "3rows+7"])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 0),
+                                               (2, 100), (3, 0), (3, 7)],
+                             ids=["1", "rows-1", "rows", "rows+1", "2rows", "2rows+100",
+                                  "3rows", "3rows+7"])
     def test_chunked_e_inf_equals_one_batch(self, blocks, extra):
         net, student = self.perturbed_pair()
         n_eval = blocks * block_rows(5) + extra
@@ -165,6 +166,44 @@ class TestScoring:
         xs = np.random.default_rng(4).standard_normal((n_eval, 6))
         one_batch = np.max(np.abs(net.eval_batch(xs) - student.eval_batch(xs))) / 5
         assert met.e_inf == one_batch
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (2, 0), (3, 7)],
+                             ids=["rows-1", "rows", "2rows", "3rows+7"])
+    def test_inputs_are_one_draw(self, blocks, extra):
+        # the helper draws each pair into the buffer the calling thread is not
+        # reading; the teacher's blocks, in query order, are one draw, and the
+        # student reads each of them once
+        net, student = self.perturbed_pair()
+        n_eval = blocks * block_rows(5) + extra
+        seen = {"teacher": [], "student": []}
+
+        def spy(name, evaluate):
+            def wrapper(xs):
+                seen[name].append(xs.copy())
+                return evaluate(xs)
+            return wrapper
+
+        net.eval_batch = spy("teacher", net.eval_batch)
+        student.eval_batch = spy("student", student.eval_batch)
+        match_and_score(student, net, n_eval=n_eval, seed=4)
+        xs = np.random.default_rng(4).standard_normal((n_eval, 6))
+        assert np.array_equal(np.concatenate(seen["teacher"]), xs)
+        assert (sorted(block.tobytes() for block in seen["student"])
+                == sorted(block.tobytes() for block in seen["teacher"]))
+
+    def test_inputs_hold_under_a_short_switch_interval(self):
+        # threads switching every microsecond: a draw racing a read of the
+        # same buffer would change the inputs, and so e_inf
+        net, student = self.perturbed_pair()
+        n_eval = 5 * block_rows(5) + 3
+        expected = match_and_score(student, net, n_eval=n_eval, seed=4).e_inf
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert match_and_score(student, net, n_eval=n_eval, seed=4).e_inf == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_nan_student_is_not_a_perfect_fit(self):
         net = random_teacher(6, 5, seed=21)
@@ -185,14 +224,26 @@ class TestScoring:
                 return evaluate(xs)
             return wrapper
 
+        student_on = {}
+
+        def student_spy(xs):
+            student_on[xs[0, 0]] = threading.get_ident()
+            return StudentNetwork.eval_batch(student, xs)
+
         net.eval_batch = spy("teacher", net.eval_batch)
-        student.eval_batch = spy("student", student.eval_batch)
+        student.eval_batch = spy("student", student_spy)
         before = threading.active_count()
-        match_and_score(student, net, n_eval=3 * block_rows(5) + 7, seed=4)
+        rows = block_rows(5)
+        match_and_score(student, net, n_eval=3 * rows + 7, seed=4)
         assert threading.active_count() == before
         assert threads["teacher"] == [threading.get_ident()] * 4
         assert len(threads["student"]) == 4
-        assert threading.get_ident() not in threads["student"]
+        # pairs of blocks: the calling thread evaluates the student on the
+        # first block of each pair, the helper on the second
+        xs = np.random.default_rng(4).standard_normal((3 * rows + 7, 6))
+        on_caller = [student_on[xs[block * rows, 0]] == threading.get_ident()
+                     for block in range(4)]
+        assert on_caller == [True, False, True, False]
 
     def test_student_error_propagates_and_leaves_no_thread(self):
         net, student = self.perturbed_pair()

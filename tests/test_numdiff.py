@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ class TestHessian:
         w = np.zeros((3, 1))
         w[0, 0] = 1.0
         net = TeacherNetwork(w, np.zeros(1), tanh_act)
-        h = fd_hessian(net.stencil_function(0.01), np.zeros(3), 0.01)
+        with net.stencil_function(0.01) as f:
+            h = fd_hessian(f, np.zeros(3), 0.01)
         assert np.max(np.abs(h)) < 1e-6
 
     def test_richardson_ratio(self):
@@ -39,23 +41,26 @@ class TestHessian:
         exact = net.analytic_hessian(x)
         errs = []
         for h in (0.02, 0.01):
-            fd = fd_hessian(net.stencil_function(h), x, h)
+            with net.stencil_function(h) as f:
+                fd = fd_hessian(f, x, h)
             errs.append(np.max(np.abs(fd - exact)))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_symmetry_by_construction(self):
         net = random_teacher(5, 4, seed=8)
         step = PipelineConfig.fd_step
-        h = fd_hessian(net.stencil_function(step), np.ones(5), step)
+        with net.stencil_function(step) as f:
+            h = fd_hessian(f, np.ones(5), step)
         assert np.array_equal(h, h.T)
 
     def test_query_count(self):
         net = random_teacher(6, 2, seed=9)
         d = 6
-        for f in (net.stencil_function(PipelineConfig.fd_step), at_stencil_points(net.eval_batch)):
-            before = net.query_count
-            fd_hessian(f, np.zeros(6), PipelineConfig.fd_step)
-            assert net.query_count - before == d * d + d + 1
+        with net.stencil_function(PipelineConfig.fd_step) as stencil:
+            for f in (stencil, at_stencil_points(net.eval_batch)):
+                before = net.query_count
+                fd_hessian(f, np.zeros(6), PipelineConfig.fd_step)
+                assert net.query_count - before == d * d + d + 1
 
     def test_stencil_rows_are_the_points(self):
         rng = np.random.default_rng(18)
@@ -96,10 +101,10 @@ class TestHessian:
     def test_d40_matches_analytic_hessian(self):
         net = random_teacher(40, neuron_count(40, 1.5), seed=1)
         step = 0.01
-        f = net.stencil_function(step)
-        for x in np.random.default_rng(101).standard_normal((3, 40)):
-            err = np.max(np.abs(fd_hessian(f, x, step) - net.analytic_hessian(x)))
-            assert err <= 2e-5
+        with net.stencil_function(step) as f:
+            for x in np.random.default_rng(101).standard_normal((3, 40)):
+                err = np.max(np.abs(fd_hessian(f, x, step) - net.analytic_hessian(x)))
+                assert err <= 2e-5
 
     def test_non_finite_propagates_with_point(self):
         def f(p):
@@ -129,7 +134,8 @@ class TestStructuredStencil:
         for _ in range(3):
             x = rng.standard_normal(dim)
             dense = fd_hessian(at_stencil_points(net.eval_batch), x, step)
-            structured = fd_hessian(net.stencil_function(step), x, step)
+            with net.stencil_function(step) as f:
+                structured = fd_hessian(f, x, step)
             assert np.max(np.abs(structured - dense)) <= tol
 
     def test_build_hessian_matrix_query_count(self):
@@ -153,9 +159,9 @@ class TestStructuredStencil:
         assert calls == []
         cols, anchors = build_hessian_matrix(net, 4, step, seed=5)
         assert len(calls) == 1
-        stencil = net.stencil_function(step)
-        for col, anchor in zip(cols.T, anchors):
-            assert np.array_equal(col, hvec(fd_hessian(stencil, anchor, step)))
+        with net.stencil_function(step) as stencil:
+            for col, anchor in zip(cols.T, anchors):
+                assert np.array_equal(col, hvec(fd_hessian(stencil, anchor, step)))
 
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_uneven_blocks_match_default_blocks(self, kind, monkeypatch):
@@ -164,10 +170,12 @@ class TestStructuredStencil:
         dim, m = 6, 8
         net = random_teacher(dim, m, seed=25, act=make_activation(kind))
         x = np.random.default_rng(26).standard_normal(dim)
-        default = net.stencil_function(0.01)(x, 0.01)
+        with net.stencil_function(0.01) as f:
+            default = f(x, 0.01)
         monkeypatch.setattr(teacher, "BLOCK_BYTES", 3 * 8 * m)
         assert teacher.block_rows(m) == 3
-        blocked = net.stencil_function(0.01)(x, 0.01)
+        with net.stencil_function(0.01) as f:
+            blocked = f(x, 0.01)
         # |g| <= 1 for both activations
         assert np.max(np.abs(blocked - default)) <= m * np.finfo(float).eps
 
@@ -178,18 +186,69 @@ class TestStructuredStencil:
             tanh_act, g=lambda z: np.where(z > 0.1, np.nan, np.tanh(z)))
         w = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
         net = TeacherNetwork(w, np.zeros(1), act)
-        # default blocks, then 3-row blocks that put that row in the third
-        for block_bytes in (teacher.BLOCK_BYTES, 3 * 8):
+        # that row is row 7 of 13: default blocks, one block on the calling
+        # thread; 3-row blocks, split after row 5, which put it in the third
+        # block, on the helper; 7-row blocks, split after row 6, which make it
+        # the helper's first row
+        for block_bytes in (teacher.BLOCK_BYTES, 3 * 8, 7 * 8):
             monkeypatch.setattr(teacher, "BLOCK_BYTES", block_bytes)
-            for f in (net.stencil_function(0.1), at_stencil_points(net.eval_batch)):
-                with pytest.raises(FDEvaluationError) as err:
-                    fd_hessian(f, np.zeros(3), 0.1)
-                assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
+            with net.stencil_function(0.1) as stencil:
+                for f in (stencil, at_stencil_points(net.eval_batch)):
+                    with pytest.raises(FDEvaluationError) as err:
+                        fd_hessian(f, np.zeros(3), 0.1)
+                    assert np.array_equal(err.value.point, [0.1, 0.1, 0.0])
+
+    @pytest.mark.parametrize("rows", [64, 22, 5], ids=["one-block", "two-blocks", "nine-blocks"])
+    def test_helper_columns_match_one_thread(self, rows, monkeypatch):
+        # D = 6: 43 stencil rows, in one block, in blocks of 22 and 21, and in
+        # 8 blocks of 5 and a last block of 3
+        dim, m, step = 6, 4, 0.01
+        threads = set()
+
+        def g(z):
+            threads.add(threading.get_ident())
+            return np.tanh(z)
+
+        net = random_teacher(dim, m, seed=29, act=dataclasses.replace(make_activation("tanh"), g=g))
+        monkeypatch.setattr(teacher, "BLOCK_BYTES", rows * 8 * m)
+        assert teacher.block_rows(m) == rows
+        before = threading.active_count()
+        cols, anchors = build_hessian_matrix(net, 5, step, seed=30)
+        assert threading.active_count() == before
+        assert net.query_count == 5 * (dim * dim + dim + 1)
+        # a stencil of more than one block is split between two threads
+        assert len(threads) == (1 if rows == 64 else 2)
+
+        # the reference: every block on the calling thread, in order
+        offsets = hessian_stencil(np.zeros(m), step * net.weights)
+
+        def one_thread(x, h):
+            base = x @ net.weights + net.shifts
+            return np.concatenate([np.tanh(offsets[lo:lo + rows] + base) @ np.ones(m)
+                                   for lo in range(0, offsets.shape[0], rows)])
+
+        for col, anchor in zip(cols.T, anchors):
+            assert np.array_equal(col, hvec(fd_hessian(one_thread, anchor, step)))
+
+    def test_helper_error_propagates_and_leaves_no_thread(self, tanh_act, monkeypatch):
+        caller = threading.get_ident()
+
+        def g(z):
+            if threading.get_ident() != caller:
+                raise RuntimeError("g failed on the helper")
+            return np.tanh(z)
+
+        net = random_teacher(6, 4, seed=31, act=dataclasses.replace(tanh_act, g=g))
+        monkeypatch.setattr(teacher, "BLOCK_BYTES", 5 * 8 * 4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="on the helper"):
+            build_hessian_matrix(net, 4, 0.01, seed=32)
+        assert threading.active_count() == before
+        assert net.query_count == 0
 
     def test_stencil_function_checks_its_step(self):
         net = random_teacher(3, 2, seed=27)
-        f = net.stencil_function(0.01)
-        with pytest.raises(ConfigError, match="step"):
+        with net.stencil_function(0.01) as f, pytest.raises(ConfigError, match="step"):
             f(np.zeros(3), 0.02)
         assert net.query_count == 0
 
@@ -324,8 +383,10 @@ class TestConvergenceOrder:
             x = rng.standard_normal(5)
             if op == "hessian":
                 exact = net.analytic_hessian(x)
-                err = lambda h: np.max(np.abs(
-                    fd_hessian(net.stencil_function(h), x, h) - exact))
+
+                def err(h):
+                    with net.stencil_function(h) as f:
+                        return np.max(np.abs(fd_hessian(f, x, h) - exact))
             else:
                 u = rng.standard_normal((5, 1))
                 u /= np.linalg.norm(u)

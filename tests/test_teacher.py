@@ -200,7 +200,8 @@ class TestAnalyticDerivatives:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.standard_normal(6)
-            h = fd_hessian(net.stencil_function(step), x, step)
+            with net.stencil_function(step) as f:
+                h = fd_hessian(f, x, step)
             assert np.max(np.abs(h - net.analytic_hessian(x))) < tol
 
     def test_hessians_live_in_weight_span(self):
