@@ -25,8 +25,7 @@ import time
 
 import numpy as np
 
-from .pipeline import (ExperimentResult, PipelineConfig, _StageRunner, child_seed,
-                       score_stage)
+from .pipeline import ExperimentResult, PipelineConfig, _StageRunner, child_seed
 from .refine import loss
 from .teacher import StudentNetwork
 
@@ -96,8 +95,8 @@ def run_baseline_sgd(cfg: PipelineConfig) -> ExperimentResult:
     stages = _StageRunner(cfg, "baseline")
     result = stages.result
     net = stages.teacher()
-    student, result.refine_steps, result.refine_stop_reason, result.final_loss = (
-        stages.run("refine", _joint_sgd, cfg, net))
-    result.metrics = stages.run("score", score_stage, cfg, student, net)
-    result.sign_accuracy = float(np.mean(result.metrics.signs == 1))
+    with stages.stage("refine"):
+        student, result.refine_steps, result.refine_stop_reason, result.final_loss = (
+            _joint_sgd(cfg, net))
+    result.sign_accuracy = float(np.mean(stages.score(student).signs == 1))
     return stages.finish()

@@ -151,7 +151,8 @@ def save_init_result(res, path):
 
 
 def load_init_result(path):
-    """Returns ``(signs, tau0, cond_g2, cond_g3)``; each key appears once, each sign is +-1."""
+    """Returns ``(signs, tau0, cond_g2, cond_g3)``; each key appears once, signs are +-1,
+    shifts finite."""
     fields = {}
     for lineno, (key, *vals) in _records(path, "init-result"):
         if key in fields or key not in ("signs", "shifts", "cond_g2", "cond_g3"):
@@ -170,6 +171,8 @@ def load_init_result(path):
                           f"{signs.size} signs but {tau0.size} shifts")
     if np.any(np.abs(signs) != 1):
         raise ConfigError(f"{path}: malformed init-result file: signs must be -1 or 1")
+    if not np.all(np.isfinite(tau0)):
+        raise ConfigError(f"{path}: malformed init-result file: shifts must be finite")
     return signs, tau0, cond2, cond3
 
 

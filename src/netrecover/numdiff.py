@@ -118,8 +118,8 @@ def fd_directional(f, x, u, h: float):
     x = np.asarray(x, dtype=float)
     ut = np.asarray(u, dtype=float).T  # one direction per row
     nrm = np.linalg.norm(ut, axis=1)
-    worst = float(nrm[np.argmax(np.abs(nrm - 1.0))])
-    if abs(worst - 1.0) > 1e-8:
+    worst = float(nrm[np.argmax(np.abs(nrm - 1.0))])  # the first NaN, if any
+    if not abs(worst - 1.0) <= 1e-8:
         raise ConfigError(f"direction must have unit norm, got ||u|| = {worst!r}")
     vp, v0, vm, vpp, vmm = _evaluate(
         f, [x + h * ut, x[None], x - h * ut, x + 2 * h * ut, x - 2 * h * ut])

@@ -1,17 +1,16 @@
 """End-to-end orchestration: teacher sampling through scoring.
 
-Each stage is a module-level function of the run's :class:`PipelineConfig`
-that owns the stage's decisions (its seed, derived from the master seed with
-a counter scheme so concurrency or stage reordering can never change
-results; its finite-difference step; its budget defaults) and writes its
-artifact when given a path.  ``_StageRunner`` holds all stage wiring, of
-:func:`run_pipeline`, the SGD baseline and the CLI stage subcommands
-(``recover-weights``, ``init-shifts`` and ``refine`` call the methods that
-``run_pipeline`` calls): it times stages, logs their time and queries,
-and writes ``result.csv`` and ``report.txt`` at the end or after a
-failure, so a run can be post-mortemed; a run that SPM stops keeps its
-error's restart counts, and ``weights.txt`` the directions it found.  The
-result CSV contains only deterministic fields; timings go to the report.
+``_StageRunner`` holds all stage wiring, of :func:`run_pipeline`, the SGD
+baseline and the CLI stage subcommands (``recover-weights``, ``init-shifts``
+and ``refine`` call the methods that ``run_pipeline`` calls).  Each stage is
+a ``with self.stage(name)`` block in one of its methods, and the method owns
+the stage's decisions: its seed, derived from the master seed with a counter
+scheme so concurrency or stage reordering can never change results; its
+finite-difference step and budget, read from the run's :class:`PipelineConfig`;
+and its artifact, written when given a path.  ``stage`` times the block and
+logs its time and queries; ``result.csv`` and ``report.txt`` are written at
+the end or after a failure, so a run can be post-mortemed.  The result CSV
+contains only deterministic fields; timings go to the report.
 
 The shifts are refined by Gauss-Newton on a small fresh sample; the paper's
 gradient descent on m D^2 inputs stays available as
@@ -20,6 +19,7 @@ gradient descent on m D^2 inputs stays available as
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import logging
 import math
@@ -43,9 +43,7 @@ from .teacher import StudentNetwork, UniformShifts, sample_teacher
 
 __all__ = ["PipelineConfig", "ExperimentResult", "child_seed", "neuron_count",
            "default_n_hessians", "run_pipeline", "run_scaling_study",
-           "RESULT_COLUMNS", "STAGES", "teacher_stage", "hessian_stage",
-           "projector_stage", "spm_stage", "init_stage", "refine_stage",
-           "score_stage"]
+           "RESULT_COLUMNS", "STAGES", "teacher_stage"]
 
 logger = logging.getLogger(__name__)
 
@@ -157,6 +155,8 @@ class PipelineConfig:
             raise ConfigError(f"m = {m} exceeds D(D+1)/2 - D = {bound}: not identifiable")
         if self.n_hessians is not None and self.n_hessians < 1:
             raise ConfigError(f"n_hessians must be >= 1, got {self.n_hessians}")
+        if self.n_hessians is not None and self.n_hessians < m:  # top_m_projector needs m
+            raise ConfigError(f"n_hessians = {self.n_hessians} is below m = {m}")
         if self.n_hessians == m and not self.exact_derivatives:
             raise ConfigError(f"n_hessians = m leaves SPM no sigma_{m + 1}; take m + 1 = {m + 1}")
         if self.n_eval < 1:
@@ -185,89 +185,13 @@ class PipelineConfig:
         return RefineConfig(n_train=n_train, method="gn")
 
 
-# ---------------------------------------------------------------------------
-# stages; the layer functions are looked up in this module's globals at call
-# time, so wrappers installed on ``pipeline.<name>`` see every call
-# ---------------------------------------------------------------------------
-
 def teacher_stage(cfg: PipelineConfig, path=None):
-    """Draw the planted network; write it to ``path`` when given."""
+    """Draw the planted network; write it to ``path`` when given (``generate`` runs it alone)."""
     net = sample_teacher(cfg.dim, cfg.resolved_m(), cfg.shift_law,
                          make_activation(cfg.activation), child_seed(cfg.seed, "teacher"))
     if path is not None:
         save_teacher(net, path)
     return net
-
-
-def hessian_stage(cfg: PipelineConfig, net):
-    """Half-vectorized Hessian columns and the measured FD accuracy ``eps_hat``.
-
-    ``eps_hat`` is the largest entrywise deviation from the analytic oracle
-    over the first few anchors (0 with ``h=None``, which reads that oracle).
-    """
-    n_h = default_n_hessians(cfg.resolved_m()) if cfg.n_hessians is None else cfg.n_hessians
-    h = cfg.derivative_step()
-    cols, anchors = build_hessian_matrix(net, n_h, h, child_seed(cfg.seed, "hessians"))
-    eps_hat = 0.0
-    if h is not None:
-        for i in range(min(3, n_h)):
-            dev = unhvec(cols[:, i], cfg.dim) - net.analytic_hessian(anchors[i])
-            eps_hat = max(eps_hat, float(np.max(np.abs(dev))))
-    return cols, eps_hat
-
-
-def projector_stage(cfg: PipelineConfig, cols, spectrum_path=None):
-    """Top-m projector; every singular value of ``cols`` goes to ``spectrum_path`` when given."""
-    proj = top_m_projector(cols, cfg.resolved_m())
-    if spectrum_path is not None:
-        fileio.write_csv(spectrum_path, ["index", "sigma"],
-                         [[i, float(s)] for i, s in enumerate(proj.spectrum)])
-    return proj
-
-
-def spm_stage(cfg: PipelineConfig, proj, path=None):
-    """Sphere-ascent collection; returns ``(w_hat, stats)``.  A failure writes what it found."""
-    try:
-        w_hat, stats = collect_weights(proj, cfg.spm, child_seed(cfg.seed, "spm"))
-    except IncompleteRecoveryError as exc:
-        if path is not None:
-            fileio.save_weights(exc.partial, path)
-        raise
-    if path is not None:
-        fileio.save_weights(w_hat, path)
-    return w_hat, stats
-
-
-def init_stage(cfg: PipelineConfig, net, w_hat, path=None):
-    """Signs and initial shifts from directional derivatives at the origin."""
-    res = init_signs_shifts(net, w_hat, cfg.derivative_step())
-    if path is not None:
-        fileio.save_init_result(res, path)
-    return res
-
-
-def refine_stage(cfg: PipelineConfig, student, net, tau_truth=None, path=None):
-    """Shift refinement; the trajectory goes to ``path`` when given.
-
-    ``tau_truth``, the true shifts in the student's column order, adds a
-    ``shift_error`` column to it; refine itself never sees them.
-    """
-    ref = refine(student, net, cfg.refine_config(), child_seed(cfg.seed, "refine"))
-    if path is not None:
-        header = ["step", "loss"]
-        rows = [[int(s), float(l)] for s, l in zip(ref.record_steps, ref.losses)]
-        if tau_truth is not None:
-            header.append("shift_error")
-            for row, tau in zip(rows, ref.tau_path):
-                row.append(float(np.linalg.norm(tau - tau_truth)))
-        fileio.write_csv(path, header, rows)
-    return ref
-
-
-def score_stage(cfg: PipelineConfig, student, net) -> Metrics:
-    """Held-out comparison of a recovered network against the planted one."""
-    return match_and_score(student, net, n_eval=cfg.n_eval,
-                           seed=child_seed(cfg.seed, "score"))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +315,9 @@ class _StageRunner:
 
     Validates the config, creates ``cfg.out_dir``, starts the result from
     the run's identity columns and takes ``net``, a loaded teacher, if any.
-    :meth:`run` times a stage and counts the teacher's queries across it,
-    whether it returns or fails, and wraps its failure in :class:`StageError`
-    after writing ``result.csv`` and ``report.txt``, as :meth:`finish` does.
+    Each stage is a ``with self.stage(name)`` block of one method here, which
+    calls its layer functions as this module's globals, so a wrapper
+    installed on ``pipeline.<name>`` sees every call.
     """
 
     def __init__(self, cfg: PipelineConfig, mode: str, net=None):
@@ -414,51 +338,111 @@ class _StageRunner:
         """Path of artifact ``name`` in the output directory, if there is one."""
         return self._out_dir / name if self._out_dir else None
 
-    def teacher(self):
-        """The teacher stage; the queries of later stages are counted on its network."""
-        self.net = self.run("teacher", teacher_stage, self.cfg, self.artifact("teacher.net"))
-        self.result.n_shifts_clamped = self.net.n_shifts_clamped
-        return self.net
+    @contextlib.contextmanager
+    def stage(self, name):
+        """Stage ``name``: times the block and counts the teacher's queries across it.
 
-    def weights(self, spectrum_path, weights_path):
-        """Hessians -> projector -> SPM; sets ``eps_hat`` and ``spm``, returns the directions."""
-        cols, self.result.eps_hat = self.run("hessians", hessian_stage, self.cfg, self.net)
-        proj = self.run("projector", projector_stage, self.cfg, cols, spectrum_path)
-        del cols  # the projector holds all that SPM reads of the Hessians
-        w_hat, self.result.spm = self.run("spm", spm_stage, self.cfg, proj, weights_path)
-        return w_hat  # the span is freed here, before any later stage runs
-
-    def init(self, w_hat, path):
-        """Signs and shifts; sets ``init``, returns the student with the signs folded in."""
-        res = self.result.init = self.run("init", init_stage, self.cfg, self.net, w_hat, path)
-        return StudentNetwork(w_hat * res.signs, res.tau0, self.net.act)
-
-    def refine(self, student, path, tau_truth=None):
-        """Shift refinement; sets the refine columns, returns the refine result."""
-        ref = self.run("refine", refine_stage, self.cfg, student, self.net, tau_truth, path)
-        self.result.refine_steps, self.result.refine_stop_reason, self.result.final_loss = (
-            ref.steps, ref.stop_reason, float(ref.losses[-1]))
-        return ref
-
-    def run(self, name, fn, *args):
-        """Stage ``name``: returns ``fn(*args)``, or raises :class:`StageError`."""
+        A block that raises records both as well, sets ``error``, writes
+        ``result.csv`` and ``report.txt``, as :meth:`finish` does, and
+        raises :class:`StageError`.
+        """
         net, result = self.net, self.result
         before = net.query_count if net is not None else 0
         t0 = time.perf_counter()
         try:
-            out, error = fn(*args), None
+            yield
+            error = None
         except Exception as exc:
-            out, error = None, exc
+            error = exc
         result.stage_times[name] = dt = time.perf_counter() - t0
         result.stage_queries[name] = q = (net.query_count if net is not None else 0) - before
         if error is not None:
-            if isinstance(error, IncompleteRecoveryError):
-                result.spm = error.stats  # the restarts SPM classified before it gave up
             result.error = f"{name}: {error}"
             self._write()
             raise StageError(name, error, result) from error
         logger.info("stage %-10s %.3f s, %d queries", name, dt, q)
-        return out
+
+    def teacher(self):
+        """The teacher stage; the queries of later stages are counted on its network."""
+        with self.stage("teacher"):
+            self.net = teacher_stage(self.cfg, self.artifact("teacher.net"))
+        self.result.n_shifts_clamped = self.net.n_shifts_clamped
+        return self.net
+
+    def weights(self, spectrum_path, weights_path):
+        """Hessians -> projector -> SPM; sets ``eps_hat`` and ``spm``, returns the directions.
+
+        ``eps_hat`` is the first few Hessians' largest entrywise deviation from
+        the analytic oracle (0 with exact derivatives).  The singular values go
+        to ``spectrum_path`` and the directions to ``weights_path``, when given;
+        an SPM failure keeps its restart counts and writes the directions found.
+        """
+        cfg, net, result = self.cfg, self.net, self.result
+        with self.stage("hessians"):
+            n_h = default_n_hessians(result.m) if cfg.n_hessians is None else cfg.n_hessians
+            h = cfg.derivative_step()
+            cols, anchors = build_hessian_matrix(net, n_h, h, child_seed(cfg.seed, "hessians"))
+            eps_hat = 0.0
+            if h is not None:
+                for i in range(min(3, n_h)):
+                    dev = unhvec(cols[:, i], cfg.dim) - net.analytic_hessian(anchors[i])
+                    eps_hat = max(eps_hat, float(np.max(np.abs(dev))))
+            result.eps_hat = eps_hat
+        with self.stage("projector"):
+            proj = top_m_projector(cols, result.m)
+            if spectrum_path is not None:
+                fileio.write_csv(spectrum_path, ["index", "sigma"],
+                                 [[i, float(s)] for i, s in enumerate(proj.spectrum)])
+        del cols  # the projector holds all that SPM reads of the Hessians
+        with self.stage("spm"):
+            try:
+                w_hat, result.spm = collect_weights(proj, cfg.spm, child_seed(cfg.seed, "spm"))
+            except IncompleteRecoveryError as exc:
+                result.spm = exc.stats  # the restarts SPM classified before it gave up
+                if weights_path is not None:
+                    fileio.save_weights(exc.partial, weights_path)
+                raise
+            if weights_path is not None:
+                fileio.save_weights(w_hat, weights_path)
+        return w_hat  # the span is freed here, before any later stage runs
+
+    def init(self, w_hat, path):
+        """Signs and shifts, written to ``path``; sets ``init``, returns the signed student."""
+        with self.stage("init"):
+            res = init_signs_shifts(self.net, w_hat, self.cfg.derivative_step())
+            if path is not None:
+                fileio.save_init_result(res, path)
+        self.result.init = res
+        return StudentNetwork(w_hat * res.signs, res.tau0, self.net.act)
+
+    def refine(self, student, path, tau_truth=None):
+        """Shift refinement; sets the refine columns, returns the refine result.
+
+        The trajectory goes to ``path`` when given.  ``tau_truth``, the true
+        shifts in the student's column order, adds a ``shift_error`` column
+        to it; refine itself never sees them.
+        """
+        cfg, result = self.cfg, self.result
+        with self.stage("refine"):
+            ref = refine(student, self.net, cfg.refine_config(), child_seed(cfg.seed, "refine"))
+            if path is not None:
+                header = ["step", "loss"]
+                rows = [[int(s), float(l)] for s, l in zip(ref.record_steps, ref.losses)]
+                if tau_truth is not None:
+                    header.append("shift_error")
+                    for row, tau in zip(rows, ref.tau_path):
+                        row.append(float(np.linalg.norm(tau - tau_truth)))
+                fileio.write_csv(path, header, rows)
+        result.refine_steps, result.refine_stop_reason, result.final_loss = (
+            ref.steps, ref.stop_reason, float(ref.losses[-1]))
+        return ref
+
+    def score(self, student) -> Metrics:
+        """Held-out comparison of ``student`` against the planted network; sets ``metrics``."""
+        with self.stage("score"):
+            self.result.metrics = match_and_score(student, self.net, n_eval=self.cfg.n_eval,
+                                                  seed=child_seed(self.cfg.seed, "score"))
+        return self.result.metrics
 
     def finish(self) -> ExperimentResult:
         result = self.result
@@ -498,7 +482,7 @@ def run_pipeline(cfg: PipelineConfig) -> ExperimentResult:
     tau_truth_student = net.shifts[np.argsort(perm)]
 
     ref = stages.refine(student0, artifact("trajectory.csv"), tau_truth_student)
-    result.metrics = stages.run("score", score_stage, cfg, ref.student, net)
+    stages.score(ref.student)
     return stages.finish()
 
 

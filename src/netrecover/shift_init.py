@@ -48,7 +48,8 @@ def gram_power(w_hat: np.ndarray, n: int) -> np.ndarray:
 
 def check_unit_columns(w_hat: np.ndarray):
     """Refuse weight estimates whose columns are not unit vectors."""
-    if np.max(np.abs(np.linalg.norm(w_hat, axis=0) - 1.0)) > 1e-8:
+    # written so that a NaN norm fails the test
+    if not np.max(np.abs(np.linalg.norm(w_hat, axis=0) - 1.0)) <= 1e-8:
         raise ConfigError("weight estimates must have unit columns")
 
 

@@ -8,7 +8,7 @@ import pytest
 # that the traced baseline run below does not count its modules
 import scipy.optimize  # noqa: F401
 
-from netrecover import PipelineConfig, StageError, baseline, cli, run_baseline_sgd
+from netrecover import PipelineConfig, StageError, baseline, cli, pipeline, run_baseline_sgd
 from netrecover.pipeline import RESULT_COLUMNS
 from netrecover.teacher import BLOCK_BYTES
 from conftest import traced_peak
@@ -82,10 +82,10 @@ def test_cli_run_writes_result_and_report(tmp_path):
 
 
 def test_failed_stage_is_a_stage_error_with_its_result(tmp_path, monkeypatch):
-    def broken_score(*args):
+    def broken_score(*args, **kwargs):
         raise RuntimeError("scoring broke")
 
-    monkeypatch.setattr(baseline, "score_stage", broken_score)
+    monkeypatch.setattr(pipeline, "match_and_score", broken_score)
     with pytest.MonkeyPatch.context() as mp, pytest.raises(StageError) as err:
         mp.setattr(baseline, "_MAX_EPOCHS", 1)
         run_baseline_sgd(PipelineConfig(dim=6, beta_order=1.0, seed=3))

@@ -7,7 +7,6 @@ import weakref
 import pytest
 
 from netrecover import GaussianShifts, PipelineConfig, SpmConfig, UniformShifts, cli, pipeline
-from netrecover.pipeline import hessian_stage, spm_stage
 
 
 def read_csv(path):
@@ -90,18 +89,19 @@ class TestStageChain:
         # as in run_pipeline, SPM runs on the projector alone: the Hessian
         # columns are freed once the projector is built
         cols_ref = []
+        build, collect = pipeline.build_hessian_matrix, pipeline.collect_weights
 
-        def hessians(cfg, net):
-            cols, eps_hat = hessian_stage(cfg, net)
+        def hessians(*args):
+            cols, anchors = build(*args)
             cols_ref.append(weakref.ref(cols))
-            return cols, eps_hat
+            return cols, anchors
 
-        def spm(cfg, proj, path):
+        def spm(*args):
             assert cols_ref[0]() is None
-            return spm_stage(cfg, proj, path)
+            return collect(*args)
 
-        monkeypatch.setattr(pipeline, "hessian_stage", hessians)
-        monkeypatch.setattr(pipeline, "spm_stage", spm)
+        monkeypatch.setattr(pipeline, "build_hessian_matrix", hessians)
+        monkeypatch.setattr(pipeline, "collect_weights", spm)
         out = tmp_path / "w.txt"
         assert cli.main(["recover-weights", "--net", str(chain / "teacher.net"),
                          "--out", str(out), "--seed", "7"]) == 0
@@ -148,14 +148,15 @@ class TestInputsAcrossFiles:
         assert not (tmp_path / "out").exists()
 
     def test_non_unit_weight_column(self, teacher, tmp_path, monkeypatch, capsys):
-        # refused before the init stage spends its queries
-        monkeypatch.setattr(pipeline, "init_stage", lambda *a: pytest.fail("ran"))
+        # refused before the init stage spends its queries; a NaN norm is not unit either
+        monkeypatch.setattr(pipeline, "init_signs_shifts", lambda *a: pytest.fail("ran"))
         w, out = tmp_path / "w.txt", tmp_path / "init.txt"
-        w.write_text("5 3\n2 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n")
-        assert cli.main(["init-shifts", "--net", teacher, "--weights", str(w),
-                         "--out", str(out)]) == 2
-        assert "weight estimates must have unit columns" in capsys.readouterr().err
-        assert not out.exists()
+        for column in ("2 0 0 0 0", "nan 0 0 0 0"):
+            w.write_text(f"5 3\n{column}\n0 1 0 0 0\n0 0 1 0 0\n")
+            assert cli.main(["init-shifts", "--net", teacher, "--weights", str(w),
+                             "--out", str(out)]) == 2
+            assert "weight estimates must have unit columns" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_singular_gram_system_is_a_stage_failure(self, teacher, tmp_path, capsys):
         # two equal columns fit the teacher's files, but leave the Gram system singular
@@ -400,6 +401,8 @@ class TestRefusedCells:
          "fixed shifts (0.1, inf) must be finite"),
         # budgets and stops that no stage can run with
         (["--d", "10", "--beta", "1.5", "--n-h", "0"], "n_hessians must be >= 1, got 0"),
+        # top_m_projector needs m columns; refused before the Hessian stage spends its queries
+        (["--d", "10", "--m", "13", "--n-h", "5"], "n_hessians = 5 is below m = 13"),
         (["--d", "10", "--beta", "1.5", "--spm-restarts", "0"],
          "max_restarts must be >= 1, got 0"),
         # a beta whose D^beta is nan or overflows gives no neuron count
@@ -408,7 +411,7 @@ class TestRefusedCells:
         (["--d", "10", "--beta", "400"], "beta_order 400.0 gives no neuron count"),
     ], ids=["D8-b2.2", "D10-b2.1", "n_h-equals-m", "fd-step", "n-eval", "shift-law",
             "sigmoid-shift-law", "gaussian-negative", "gaussian-nan", "uniform-reversed",
-            "uniform-nan", "fixed-inf", "n-h-zero", "spm-restarts-zero", "beta-nan",
+            "uniform-nan", "fixed-inf", "n-h-zero", "n-h-below-m", "spm-restarts-zero", "beta-nan",
             "beta-inf", "beta-overflow"])
     def test_pipeline(self, tmp_path, argv, message, capsys):
         out = tmp_path / "run"
@@ -471,7 +474,7 @@ class TestRefusedCells:
         monkeypatch.chdir(inputs)
         (inputs / "adir").mkdir()
         before = sorted(inputs.rglob("*"))
-        for name in ("teacher_stage", "hessian_stage", "init_stage", "refine_stage"):
+        for name in ("teacher_stage", "build_hessian_matrix", "init_signs_shifts", "refine"):
             monkeypatch.setattr(pipeline, name, lambda *a: pytest.fail("ran"))
         assert cli.main([*argv, "--out", out]) == 2
         assert f"--out {out}: {message}" in capsys.readouterr().err

@@ -140,6 +140,9 @@ class TestInitResult:
         # refine would otherwise blame the weights: "weight column 0 has norm 2.0"
         "signs 1 2\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",
         "signs 0 -1\nshifts 0.1 0.2\ncond_g2 1.0\ncond_g3 1.0\n",
+        # refine would otherwise spend its queries, then fail in LAPACK
+        "signs 1 -1\nshifts nan 0.2\ncond_g2 1.0\ncond_g3 1.0\n",
+        "signs 1 -1\nshifts 0.1 -inf\ncond_g2 1.0\ncond_g3 1.0\n",
     ])
     def test_malformed_raises(self, tmp_path, text):
         path = tmp_path / "init.txt"

@@ -293,6 +293,12 @@ class TestDirectional:
             fd_directional(lambda p: np.zeros(len(p)), np.zeros(2),
                            np.array([[1.0, 1.0], [0.0, 1.0]]), PipelineConfig.fd_step)
 
+    def test_nan_direction_rejected_before_f_is_called(self):
+        u = np.array([[1.0, np.nan], [0.0, 0.0]])
+        with pytest.raises(ConfigError, match=r"\|\|u\|\| = nan"):
+            fd_directional(lambda p: pytest.fail("f called"), np.zeros(2), u,
+                           PipelineConfig.fd_step)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_batch_matches_single_directions(self, n):
         net = random_teacher(5, 3, seed=21)

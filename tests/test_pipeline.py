@@ -193,9 +193,12 @@ class TestPaperBudgetRun(TestFixedSeedRun):
 
 
 class TestFailedRun:
-    def test_result_and_report_written(self, tmp_path):
-        # fewer Hessians than neurons: the projector stage fails
-        cfg = PipelineConfig(dim=10, n_neurons=13, n_hessians=5, out_dir=tmp_path)
+    def test_result_and_report_written(self, tmp_path, monkeypatch):
+        # the projector stage fails: it reads 5 of the Hessian columns, fewer than m
+        real = netrecover.pipeline.top_m_projector
+        monkeypatch.setattr(netrecover.pipeline, "top_m_projector",
+                            lambda cols, m: real(cols[:, :5], m))
+        cfg = PipelineConfig(dim=10, n_neurons=13, out_dir=tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(StageError):
@@ -267,6 +270,27 @@ class TestFailedRun:
         report = (tmp_path / "report.txt").read_text()
         assert re.search(r"^  init +\d+\.\d{3} s   53 queries$", report, re.MULTILINE)
 
+    def test_failing_stage_records_its_own_time_and_queries(self, tmp_path, monkeypatch):
+        # the refine stage queries the teacher on 7 rows, then fails
+        def query_then_fail(student, net, *args):
+            net.eval_batch(np.zeros((7, net.dim)))
+            raise RuntimeError("planted failure")
+
+        monkeypatch.setattr(netrecover.pipeline, "refine", query_then_fail)
+        with pytest.raises(StageError) as err:
+            run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, n_eval=2000,
+                                        out_dir=tmp_path))
+        result = err.value.result
+        assert err.value.stage == "refine"
+        assert result.stage_queries["refine"] == 7 and result.stage_times["refine"] >= 0
+        assert "score" not in result.stage_times
+        header, row = read_csv(tmp_path / "result.csv")
+        cell = dict(zip(header, row))
+        assert cell["q_refine"] == "7"
+        assert cell["error"] == "refine: planted failure"
+        report = (tmp_path / "report.txt").read_text()
+        assert re.search(r"^  refine +\d+\.\d{3} s   7 queries$", report, re.MULTILINE)
+
 
 class TestWideRegime:
     @pytest.mark.parametrize("exact", [False, True], ids=["fd", "exact"])
@@ -302,18 +326,18 @@ class TestSpanLifetime:
         # the (m, D, D) stack is the largest array SPM reads; no stage after
         # it holds the projector
         pipeline, refs, alive = netrecover.pipeline, [], []
-        spm_stage, init_stage = pipeline.spm_stage, pipeline.init_stage
+        collect, init_signs_shifts = pipeline.collect_weights, pipeline.init_signs_shifts
 
-        def spm(cfg, proj, path=None):
+        def spm(proj, *args):
             refs.append(weakref.ref(proj))
-            return spm_stage(cfg, proj, path)
+            return collect(proj, *args)
 
-        def init(cfg, net, w_hat, path=None):
+        def init(*args):
             alive.append(refs[0]() is not None)
-            return init_stage(cfg, net, w_hat, path)
+            return init_signs_shifts(*args)
 
-        monkeypatch.setattr(pipeline, "spm_stage", spm)
-        monkeypatch.setattr(pipeline, "init_stage", init)
+        monkeypatch.setattr(pipeline, "collect_weights", spm)
+        monkeypatch.setattr(pipeline, "init_signs_shifts", init)
         run_pipeline(PipelineConfig(dim=10, beta_order=1.5, seed=7, n_eval=2000))
         assert alive == [False]
 
@@ -341,8 +365,9 @@ class TestValidate:
             PipelineConfig(dim=10, n_neurons=13, n_hessians=13).validate()
         # exact Hessians span the planted space exactly, with no gap to read
         PipelineConfig(dim=10, n_neurons=13, n_hessians=13, exact_derivatives=True).validate()
-        # fewer than m still fails in the projector stage (TestFailedRun)
-        PipelineConfig(dim=10, n_neurons=13, n_hessians=5).validate()
+        # fewer than m can never span the planted space
+        with pytest.raises(ConfigError, match="n_hessians = 5 is below m = 13"):
+            PipelineConfig(dim=10, n_neurons=13, n_hessians=5).validate()
 
     def test_fd_step_bounds(self):
         assert PipelineConfig.fd_step == 1e-3
@@ -402,10 +427,12 @@ class TestRefineConfig:
 
 
 class TestScalingStudy:
-    def test_header_rows_and_failed_cell(self, tmp_path):
+    def test_header_rows_and_failed_cell(self, tmp_path, monkeypatch):
+        # every cell reads 5 Hessians, which validate cannot see; the second
+        # has more neurons than that, so its projector stage fails
+        monkeypatch.setattr(netrecover.pipeline, "default_n_hessians", lambda m: 5)
         grid = [PipelineConfig(dim=6, beta_order=1.0, n_eval=2000),
-                # fewer Hessians than neurons: the projector stage fails
-                PipelineConfig(dim=10, n_neurons=13, n_hessians=5, n_eval=2000)]
+                PipelineConfig(dim=10, n_neurons=13, n_eval=2000)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rows = run_scaling_study(grid, 1, out_csv=tmp_path / "study.csv")
@@ -426,10 +453,11 @@ class TestScalingStudy:
                    for n in ("spm", "init", "refine", "score"))
         assert failed["q_hessians"] == 5 * (10 * 10 + 10 + 1)
 
-    def test_failed_cell_reads_back(self, tmp_path):
+    def test_failed_cell_reads_back(self, tmp_path, monkeypatch):
         # the error message holds a comma; the cell is quoted, so csv.reader
         # gives every row the header's length
-        grid = [PipelineConfig(dim=10, n_neurons=13, n_hessians=5, n_eval=2000)]
+        monkeypatch.setattr(netrecover.pipeline, "default_n_hessians", lambda m: 5)
+        grid = [PipelineConfig(dim=10, n_neurons=13, n_eval=2000)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_scaling_study(grid, 1, out_csv=tmp_path / "study.csv")
