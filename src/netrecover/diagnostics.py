@@ -274,10 +274,12 @@ def match_and_score(recovered: StudentNetwork, truth: TeacherNetwork,
     which reproduces the inputs of a single draw.  The weight-error functionals
     are computed after sign/permutation alignment with unit constants.
 
-    The blocks are taken in pairs.  The calling thread queries the teacher
-    on both blocks of a pair, in order, and evaluates the student on the
-    first; a helper thread, opened per call and joined before it returns,
-    evaluates the student on the second and then draws the next pair.  Only
+    The blocks are taken in pairs, one teacher query and one difference
+    each.  The calling thread queries the teacher on the pair, which
+    ``eval_batch`` evaluates in the same blocks, and subtracts the student
+    on the first block; a helper thread, opened per call and joined before
+    it returns, evaluates the student on the second block (empty when the
+    last pair has at most one block) and then draws the next pair.  Only
     the helper draws inside the loop, each draw is joined before the next
     is issued, and the first pair is drawn before the helper starts, so the
     inputs are one stream.  The pairs go into two buffers of two blocks
@@ -287,7 +289,7 @@ def match_and_score(recovered: StudentNetwork, truth: TeacherNetwork,
     and be freed on the calling thread: at D=40, m=102 that cost about
     11,400 minor page faults per call against 200 with these buffers, and
     made the call about 40% slower.  On one CPU the two threads interleave.
-    ``e_inf`` cannot depend on them: each evaluation reads only its block,
+    ``e_inf`` cannot depend on them: each evaluation reads only its rows,
     and a max is exact in any order (a NaN block gives NaN).  Errors
     propagate after the join.
     """
@@ -305,9 +307,9 @@ def match_and_score(recovered: StudentNetwork, truth: TeacherNetwork,
     bufs = [np.empty((min(2 * rows, n_eval), d)) for _ in range(2)]
     peaks = []
 
-    def rest_of_pair(blocks, nxt):
-        """The student on a pair's second block, if any, then the draw of the next pair."""
-        vals = [recovered.eval_batch(xs) for xs in blocks]
+    def rest_of_pair(second, nxt):
+        """The student on a pair's second block, then the draw of the next pair."""
+        vals = recovered.eval_batch(second)
         rng.standard_normal(out=nxt)
         return vals
 
@@ -315,15 +317,13 @@ def match_and_score(recovered: StudentNetwork, truth: TeacherNetwork,
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
         for k, lo in enumerate(range(0, n_eval, 2 * rows)):
             xs = bufs[k % 2][:n_eval - lo]
-            blocks = [xs[i:i + rows] for i in range(0, xs.shape[0], rows)]
-            rest = helper.submit(rest_of_pair, blocks[1:],
+            rest = helper.submit(rest_of_pair, xs[rows:],
                                  bufs[1 - k % 2][:max(0, n_eval - lo - 2 * rows)])
-            diffs = [truth.eval_batch(block) for block in blocks]
-            student = [recovered.eval_batch(blocks[0]), *rest.result()]
-            for diff, vals in zip(diffs, student):
-                diff -= vals
-                # not max(worst, .): max(0.0, nan) is 0.0
-                peaks.append(np.max(np.abs(diff)))
+            diff = truth.eval_batch(xs)
+            diff[:rows] -= recovered.eval_batch(xs[:rows])
+            diff[rows:] -= rest.result()
+            # not max(worst, .): max(0.0, nan) is 0.0
+            peaks.append(np.max(np.abs(diff)))
     e_inf = float(np.max(peaks)) / m
 
     tau_aligned = recovered.shifts[perm]

@@ -59,12 +59,7 @@ def hvec(a: np.ndarray) -> np.ndarray:
 
 def unhvec(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`hvec`."""
-    rows, cols, scale = _hvec_index(d)
-    a = np.zeros((d, d))
-    vals = np.asarray(v, dtype=float) / scale
-    a[rows, cols] = vals
-    a[cols, rows] = vals
-    return a
+    return _unhvec_columns(np.asarray(v, dtype=float)[:, None], d)[0]
 
 
 def _unhvec_columns(basis: np.ndarray, d: int) -> np.ndarray:

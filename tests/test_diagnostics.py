@@ -171,10 +171,12 @@ class TestScoring:
                              ids=["rows-1", "rows", "2rows", "3rows+7"])
     def test_inputs_are_one_draw(self, blocks, extra):
         # the helper draws each pair into the buffer the calling thread is not
-        # reading; the teacher's blocks, in query order, are one draw, and the
-        # student reads each of them once
+        # reading; the teacher gets one call per pair, and its inputs, in query
+        # order, are one draw; the student reads each block of it once, and a
+        # last pair of at most one block hands the helper an empty second half
         net, student = self.perturbed_pair()
-        n_eval = blocks * block_rows(5) + extra
+        rows = block_rows(5)
+        n_eval = blocks * rows + extra
         seen = {"teacher": [], "student": []}
 
         def spy(name, evaluate):
@@ -187,9 +189,14 @@ class TestScoring:
         student.eval_batch = spy("student", student.eval_batch)
         match_and_score(student, net, n_eval=n_eval, seed=4)
         xs = np.random.default_rng(4).standard_normal((n_eval, 6))
-        assert np.array_equal(np.concatenate(seen["teacher"]), xs)
+        pairs = [xs[lo:lo + 2 * rows] for lo in range(0, n_eval, 2 * rows)]
+        assert len(seen["teacher"]) == len(pairs)
+        for got, pair in zip(seen["teacher"], pairs):
+            assert np.array_equal(got, pair)
+        halves = [half for pair in pairs for half in (pair[:rows], pair[rows:])]
+        # an empty second half is an empty call, b"" on both sides
         assert (sorted(block.tobytes() for block in seen["student"])
-                == sorted(block.tobytes() for block in seen["teacher"]))
+                == sorted(half.tobytes() for half in halves))
 
     def test_inputs_hold_under_a_short_switch_interval(self):
         # threads switching every microsecond: a draw racing a read of the
@@ -220,7 +227,7 @@ class TestScoring:
 
         def spy(name, evaluate):
             def wrapper(xs):
-                threads[name].append(threading.get_ident())
+                threads[name].append((threading.get_ident(), xs.shape[0]))
                 return evaluate(xs)
             return wrapper
 
@@ -234,16 +241,20 @@ class TestScoring:
         student.eval_batch = spy("student", student_spy)
         before = threading.active_count()
         rows = block_rows(5)
-        match_and_score(student, net, n_eval=3 * rows + 7, seed=4)
+        n_eval = 3 * rows + 7
+        match_and_score(student, net, n_eval=n_eval, seed=4)
         assert threading.active_count() == before
-        assert threads["teacher"] == [threading.get_ident()] * 4
-        assert len(threads["student"]) == 4
-        # pairs of blocks: the calling thread evaluates the student on the
-        # first block of each pair, the helper on the second
-        xs = np.random.default_rng(4).standard_normal((3 * rows + 7, 6))
+        # one teacher query per pair of blocks, on the calling thread
+        assert threads["teacher"] == [(threading.get_ident(), 2 * rows),
+                                      (threading.get_ident(), n_eval - 2 * rows)]
+        # the calling thread evaluates the student on the first block of each
+        # pair, the helper on the second, the 7-row tail among them
+        xs = np.random.default_rng(4).standard_normal((n_eval, 6))
         on_caller = [student_on[xs[block * rows, 0]] == threading.get_ident()
-                     for block in range(4)]
+                     for block in range(-(-n_eval // rows))]
         assert on_caller == [True, False, True, False]
+        assert sorted(n for _, n in threads["student"]) == sorted(
+            min(rows, n_eval - lo) for lo in range(0, n_eval, rows))
 
     def test_student_error_propagates_and_leaves_no_thread(self):
         net, student = self.perturbed_pair()

@@ -91,11 +91,18 @@ class TestProjectorInvariants:
         assert np.max(np.abs(basis.T @ basis - np.eye(15))) < 1e-10
 
     def test_matrices_are_unhvec_of_each_column_exactly(self, proj):
+        # reference: each upper-triangle entry written to both of its places,
+        # divided by its hvec scale, one column at a time
+        rows, cols = np.triu_indices(10)
+        scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
         basis = hvec_basis(proj)
         mats = _unhvec_columns(basis, 10)
         assert mats.flags.c_contiguous
         for j in range(15):
-            assert np.array_equal(mats[j], unhvec(basis[:, j], 10))
+            ref = np.zeros((10, 10))
+            ref[rows, cols] = ref[cols, rows] = basis[:, j] / scale
+            assert np.array_equal(mats[j], ref)
+            assert np.array_equal(unhvec(basis[:, j], 10), ref)
 
     def test_action_matches_dense_projection(self, proj):
         # oracle: P(u u^T) u through the explicit projector matrix
