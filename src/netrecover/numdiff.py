@@ -53,16 +53,17 @@ def hessian_stencil(base, steps) -> np.ndarray:
     base = np.asarray(base, dtype=float)
     steps = np.asarray(steps, dtype=float)
     d, k = steps.shape
-    iu, ju = _pairs(d)
-    n = iu.size
+    n = d * (d - 1) // 2
     rows = np.empty((1 + 2 * d + 2 * n, k))
     rows[0] = base
     plus, minus = rows[1:1 + d], rows[1 + d:1 + 2 * d]
     np.add(base, steps, out=plus)
     np.subtract(base, steps, out=minus)
-    lo = 1 + 2 * d
-    np.add(plus[iu], steps[ju], out=rows[lo:lo + n])
-    np.subtract(minus[iu], steps[ju], out=rows[lo + n:])
+    pp, mm = rows[1 + 2 * d:].reshape(2, n, k)
+    for i in range(d - 1):  # in triu order, the pairs (i, j > i) are one block
+        at = slice(i * (2 * d - i - 1) // 2, (i + 1) * (2 * d - i - 2) // 2)
+        np.add(plus[i], steps[i + 1:], out=pp[at])
+        np.subtract(minus[i], steps[i + 1:], out=mm[at])
     return rows
 
 

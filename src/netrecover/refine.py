@@ -2,7 +2,8 @@
 
 Only the shifts are trained; the weight estimates stay frozen, so the
 per-sample preactivations ``<w_k, x_i>`` are computed once and every step
-reduces to elementwise activation work.  Two methods:
+reduces to elementwise activation work, done in row blocks on every pass
+over the whole sample (:func:`_residual_in_blocks`).  Two methods:
 
 - ``"gn"``, Gauss-Newton: with the weights fixed the shifts solve a
   noiseless nonlinear least-squares problem in m unknowns, so a few
@@ -56,8 +57,8 @@ class RefineConfig:
         if self.method not in _METHODS:
             raise ConfigError(
                 f"unknown refine method {self.method!r}; expected 'gd' or 'gn'")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
         if self.n_train < 1:
             raise ConfigError("n_train must be >= 1")
         if self.batch < 0:
@@ -78,23 +79,23 @@ class RefineResult:
     stop_reason: str
 
 
-def _residual(act, pre, ys) -> np.ndarray:
-    """Prediction minus target for preactivations ``pre`` (n, m)."""
-    return np.add.reduce(act.g(pre), axis=1) - ys
-
-
 def _residual_and_slope(act, pre, ys):
-    """:func:`_residual` and g'(pre), from one evaluation of the activation."""
+    """Prediction minus target for preactivations ``pre`` (n, m), and g'(pre)."""
     g, g1 = act.g_and_g1(pre)
     return np.add.reduce(g, axis=1) - ys, g1
 
 
-def _residual_in_blocks(act, z, tau, ys) -> np.ndarray:
-    """:func:`_residual` at ``z + tau``, row block by row block."""
+def _residual_in_blocks(act, z, tau, ys, slope=None) -> np.ndarray:
+    """Prediction minus target at ``z + tau`` by row blocks; g'(z + tau) into ``slope``."""
     resid = np.empty_like(ys)
     rows = block_rows(z.shape[1])
     for lo in range(0, z.shape[0], rows):
-        resid[lo:lo + rows] = _residual(act, z[lo:lo + rows] + tau, ys[lo:lo + rows])
+        block = slice(lo, lo + rows)
+        pre = z[block] + tau
+        if slope is None:
+            resid[block] = np.add.reduce(act.g(pre), axis=1) - ys[block]
+        else:
+            resid[block], slope[block] = _residual_and_slope(act, pre, ys[block])
     return resid
 
 
@@ -126,10 +127,9 @@ def loss(student: StudentNetwork, xs, ys) -> float:
     return _half_mse(student.eval_batch(xs) - ys)
 
 
-def _kernel_lmax(act, pre) -> float:
-    """Largest eigenvalue of the empirical kernel F^T F / 2n, F = g'(pre)."""
-    f = act.g1(pre)
-    return float(np.linalg.eigvalsh((f.T @ f) / (2.0 * pre.shape[0]))[-1])
+def _kernel_lmax(f) -> float:
+    """Largest eigenvalue of the empirical kernel F^T F / 2n; F = g'(z + tau) is (n, m)."""
+    return float(np.linalg.eigvalsh((f.T @ f) / (2.0 * f.shape[0]))[-1])
 
 
 def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
@@ -157,9 +157,9 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     exists.  The blocks draw the inputs of one ``n_train``-row draw (a
     block's product can round differently from one whole product at some
     shapes).  A mini-batch step gathers its batch from ``z`` by index, and
-    an epoch's record evaluates the loss in row blocks; both are bit-equal
-    to per-batch gathers and a full-sample pass.  Full-batch steps and the
-    divergence diagnostic still form whole n_train x m arrays.
+    every full-sample pass is made in row blocks; both are bit-equal to
+    per-batch gathers and a whole-array pass.  Full-batch GD keeps g' of
+    the sample in one n_train x m buffer, which each record's pass writes.
     """
     rng = np.random.default_rng(seed)
     act = student.act
@@ -183,14 +183,12 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
     stop_reason = "max_steps"
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
     step = 0
+    slope = np.empty_like(z) if full_batch else None
     while True:
-        if full_batch:
-            resid, slope = _residual_and_slope(act, z + tau, ys)
-        else:
-            resid = _residual_in_blocks(act, z, tau, ys)
+        resid = _residual_in_blocks(act, z, tau, ys, slope)
         j = _half_mse(resid)
         if audit_grad and len(records) % 100 == 99:
-            _audit_gradient(act, z, tau, ys, _grad(act.g1(z + tau), resid))
+            _audit_gradient(act, z, tau, ys)
         records.append(tau.copy())
         rec_steps.append(step)
         losses.append(j)
@@ -203,7 +201,9 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
                 # suggest 0.9 / lambda_max of the kernel at the starting shifts,
                 # inside GD's 2/L edge of stability; the diverged iterate sits
                 # in activation saturation where the kernel vanishes
-                lam = _kernel_lmax(act, z + records[0])
+                f = np.empty_like(z)
+                _residual_in_blocks(act, z, records[0], ys, f)
+                lam = _kernel_lmax(f)
                 suggestion = 0.9 / lam if lam > 0 else None
                 raise DivergenceError(
                     f"loss failed to improve for {_DIVERGENCE_PATIENCE} consecutive "
@@ -232,11 +232,11 @@ def refine(student: StudentNetwork, teacher, cfg: RefineConfig, seed: int,
             perm = rng.permutation(cfg.n_train)
             for lo in range(0, cfg.n_train, cfg.batch):
                 idx = perm[lo:lo + cfg.batch]
-                resid, slope = _residual_and_slope(act, z.take(idx, axis=0) + tau,
-                                                   ys.take(idx))
+                resid, g1 = _residual_and_slope(act, z.take(idx, axis=0) + tau,
+                                                ys.take(idx))
                 # (lr * sum) / size, not lr * mean: the two round
                 # differently, and the pinned trajectories use this order
-                tau -= lr * (slope.T @ resid) / resid.size
+                tau -= lr * (g1.T @ resid) / resid.size
                 step += 1
                 if step >= cfg.max_steps:
                     break
@@ -260,11 +260,12 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig) -> Ref
     Each iteration linearizes the residual as ``r + F delta``, F = g'(z + tau),
     and takes the full step ``tau -= argmin_d ||F d - r||``, solved by least
     squares on F (conditioned as cond(F), not cond(F^T F), and defined when
-    F^T F is singular).  A step that lowers the loss is kept and recorded;
-    the loop ends at the first step that does not lower it by at least
-    ``_GN_MIN_SHRINK`` of its value, once the loss is at the rounding level
-    of the targets (half the mean of ``(eps y)^2``, below which steps only
-    churn round-off), at ``max_steps`` kept steps, or at the wall clock.
+    F^T F is singular); F is written in row blocks into one of two buffers,
+    which swap when a step is kept.  A step that lowers the loss is kept and
+    recorded; the loop ends at the first step that does not lower it by at
+    least ``_GN_MIN_SHRINK`` of its value, once the loss is at the rounding
+    level of the targets (half the mean of ``(eps y)^2``, below which steps
+    only churn round-off), at ``max_steps`` kept steps, or at the wall clock.
     The result holds the best iterate, and ``steps`` counts the kept steps.
     ``stop_loss`` never ends the loop -- the starting shifts may already
     meet it -- but the stop reason reads ``"stop_loss"`` whenever the final
@@ -273,8 +274,8 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig) -> Ref
     """
     act = student.act
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
-    # g' of the current iterate comes with its residual, for the next solve
-    resid, slope = _residual_and_slope(act, z + tau, ys)
+    slope, slope_c = np.empty_like(z), np.empty_like(z)
+    resid = _residual_in_blocks(act, z, tau, ys, slope)
     j = _half_mse(resid)
     records, losses = [tau], [j]
     floor = _half_mse(np.finfo(float).eps * ys)
@@ -287,11 +288,12 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig) -> Ref
             stop_reason = "timeout"
             break
         cand = tau - np.linalg.lstsq(slope, resid, rcond=None)[0]
-        resid_c, slope_c = _residual_and_slope(act, z + cand, ys)
+        resid_c = _residual_in_blocks(act, z, cand, ys, slope_c)
         j_c = _half_mse(resid_c)
         shrank = j_c < (1.0 - _GN_MIN_SHRINK) * j
         if j_c < j:
-            tau, slope, resid, j = cand, slope_c, resid_c, j_c
+            tau, resid, j = cand, resid_c, j_c
+            slope, slope_c = slope_c, slope
             records.append(tau)
             losses.append(j)
         if not shrank:
@@ -312,13 +314,15 @@ def _gauss_newton(student: StudentNetwork, z, tau, ys, cfg: RefineConfig) -> Ref
     )
 
 
-def _audit_gradient(act, z, tau, ys, grad, h: float = 1e-6, tol: float = 1e-6):
+def _audit_gradient(act, z, tau, ys, h: float = 1e-6, tol: float = 1e-6):
     """Spot-check the analytic gradient at ``tau`` against a central difference."""
+    slope = np.empty_like(z)
+    grad = _grad(slope, _residual_in_blocks(act, z, tau, ys, slope))
     for k in range(min(3, tau.size)):
         e = np.zeros_like(tau)
         e[k] = h
-        fd = (_half_mse(_residual(act, z + (tau + e), ys))
-              - _half_mse(_residual(act, z + (tau - e), ys))) / (2 * h)
+        fd = (_half_mse(_residual_in_blocks(act, z, tau + e, ys))
+              - _half_mse(_residual_in_blocks(act, z, tau - e, ys))) / (2 * h)
         if abs(fd - grad[k]) > tol:
             raise AssertionError(
                 f"gradient audit failed at component {k}: analytic {grad[k]!r} vs FD {fd!r}"

@@ -14,7 +14,7 @@ from netrecover import (ConfigError, FDEvaluationError, PipelineConfig, TeacherN
 from netrecover import teacher
 from netrecover.numdiff import hessian_stencil
 from netrecover.subspace import hvec
-from conftest import at_stencil_points, random_teacher, random_unit_columns
+from conftest import at_stencil_points, random_teacher, random_unit_columns, traced_peak
 
 
 class TestHessian:
@@ -71,6 +71,29 @@ class TestHessian:
         expected += [x - e[i] - e[j] for i in range(d) for j in range(i + 1, d)]
         assert len(expected) == d * d + d + 1
         assert np.array_equal(hessian_stencil(x, e), np.array(expected))
+
+    @staticmethod
+    def gather_stencil(base, steps):
+        """The stencil rows with the pair rows gathered by the triu indices."""
+        iu, ju = np.triu_indices(steps.shape[0], k=1)
+        plus, minus = base + steps, base - steps
+        return np.vstack([base[None], plus, minus, plus[iu] + steps[ju], minus[iu] - steps[ju]])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_stencil_rows_match_gather(self, d):
+        rng = np.random.default_rng(100 + d)
+        steps = 1e-2 * rng.standard_normal((d, 9))
+        for base in (np.zeros(9), rng.standard_normal(9)):
+            rows = hessian_stencil(base, steps)
+            assert rows.shape == (d * d + d + 1, 9)
+            assert np.array_equal(rows, self.gather_stencil(base, steps))
+
+    def test_stencil_holds_only_its_table(self):
+        # the paper regime's offset table, D=40 and m=102 (1.34 MB); gathering
+        # the pair rows held two more arrays of half the table
+        steps = 1e-3 * np.random.default_rng(19).standard_normal((40, 102))
+        rows, peak = traced_peak(hessian_stencil, np.zeros(102), steps)
+        assert peak <= 1.25 * rows.nbytes
 
     def test_cubic_exact(self):
         # the 7-point scheme's truncation error is a fourth derivative, so a

@@ -5,7 +5,7 @@ import pytest
 
 from netrecover import (ConfigError, DivergenceError, RefineConfig,
                         StudentNetwork, TeacherNetwork, loss, make_activation, refine)
-from netrecover.refine import _grad, _residual
+from netrecover.refine import _grad, _residual_in_blocks
 from netrecover.teacher import BLOCK_BYTES
 from conftest import random_teacher, traced_peak
 
@@ -19,8 +19,9 @@ def perturbed_student(net, scale, seed):
 
 def grad_loss(student, xs, ys):
     """Gradient of :func:`loss` in the shifts, by the descent's own formula."""
-    pre = xs @ student.weights + student.shifts
-    return _grad(student.act.g1(pre), _residual(student.act, pre, ys))
+    z = xs @ student.weights
+    return _grad(student.act.g1(z + student.shifts),
+                 _residual_in_blocks(student.act, z, student.shifts, ys))
 
 
 def kernel_step(student, n_train, seed):
@@ -188,6 +189,8 @@ class TestRefine:
             refine(student, net, cfg, seed=8)
         assert err.value.lr == 10.0
         assert err.value.suggested_lr is not None and err.value.suggested_lr < 1.0
+        # the kernel at the starting shifts, from a whole-array F
+        assert err.value.suggested_lr == kernel_step(student, 1200, seed=8)
 
     def test_minibatch_deterministic_trajectory(self):
         net = random_teacher(8, 5, seed=304)
@@ -347,6 +350,62 @@ def test_minibatch_matches_per_batch_gather(kind, n_train, batch, max_steps):
     assert np.array_equal(res.losses, losses)
 
 
+def whole_array_reference(student, teacher, cfg, seed):
+    """Gauss-Newton or full-batch GD with every pass over the whole sample at
+    once: records and losses of refine with stop_loss 0 and no timeout."""
+    act = student.act
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((cfg.n_train, student.dim))
+    ys = teacher.eval_batch(xs)
+    z = xs @ student.weights
+
+    def evaluate(tau):
+        pre = z + tau
+        resid = np.sum(act.g(pre), axis=1) - ys
+        return resid, act.g1(pre), 0.5 * float(np.sum(resid ** 2)) / resid.size
+
+    tau = np.array(student.shifts, dtype=float)
+    resid, slope, j = evaluate(tau)
+    path, losses = [tau], [j]
+    if cfg.method == "gd":
+        for _ in range(cfg.max_steps):
+            tau = tau - cfg.lr * ((slope.T @ resid) / resid.size)
+            resid, slope, j = evaluate(tau)
+            path.append(tau)
+            losses.append(j)
+        return np.array(path), np.array(losses)
+    floor = 0.5 * float(np.sum((np.finfo(float).eps * ys) ** 2)) / ys.size
+    while len(path) <= cfg.max_steps and j > floor:
+        cand = tau - np.linalg.lstsq(slope, resid, rcond=None)[0]
+        resid_c, slope_c, j_c = evaluate(cand)
+        shrank = j_c < (1.0 - 1e-3) * j
+        if j_c < j:
+            tau, resid, slope, j = cand, resid_c, slope_c, j_c
+            path.append(tau)
+            losses.append(j)
+        if not shrank:
+            break
+    return np.array(path), np.array(losses)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("method", ["gn", "gd"])
+def test_full_sample_paths_match_whole_array_reference(kind, method):
+    # m = 5: row blocks of 6,553, so 15,000 rows are two whole blocks and
+    # one of 1,894
+    net = random_teacher(8, 5, seed=305, act=make_activation(kind))
+    w = net.weights + 1e-3 * np.random.default_rng(25).standard_normal(net.weights.shape)
+    student = StudentNetwork(w / np.linalg.norm(w, axis=0),
+                             perturbed_student(net, 0.1, seed=25).shifts, net.act)
+    cfg = RefineConfig(n_train=15_000, lr=0.3, batch=0, max_steps=40, method=method,
+                       stop_loss=0.0, timeout_s=None)
+    res = refine(student, net, cfg, seed=125)
+    path, losses = whole_array_reference(student, net, cfg, seed=125)
+    assert res.steps == len(path) - 1 >= (40 if method == "gd" else 2)
+    assert np.array_equal(res.tau_path, path)
+    assert np.array_equal(res.losses, losses)
+
+
 class TestMemory:
     """The sample is drawn, queried and projected in row blocks: refine's only
     whole arrays are z = xs W (n_train x m), the targets and, per method, the
@@ -367,8 +426,8 @@ class TestMemory:
 
     def test_gauss_newton_draw_holds_row_blocks(self):
         # D >> m, so the n x D draw (6.1 MB) outweighs the iteration's own
-        # arrays: about six n x m (z, F, g, the candidate's F and g, lstsq's
-        # copy of F)
+        # arrays, which the bound allows six n x m of (four are held: z, the
+        # two slope buffers and lstsq's copy of F)
         dim, m, n = 100, 8, 8000
         net = random_teacher(dim, m, seed=311)
         student = perturbed_student(net, 0.1, seed=24)
@@ -376,6 +435,17 @@ class TestMemory:
         res, peak = traced_peak(refine, student, net, cfg, seed=124)
         assert res.steps >= 1
         assert peak < 6 * n * (m + 1) * 8 + 4 * BLOCK_BYTES
+
+    def test_gauss_newton_holds_four_sample_arrays(self):
+        # m >> D, so the iteration's own arrays set the peak: z, the two
+        # slope buffers and lstsq's copy of F, beside row blocks
+        dim, m, n = 10, 40, 8192
+        net = random_teacher(dim, m, seed=312)
+        student = perturbed_student(net, 0.1, seed=26)
+        cfg = RefineConfig(n_train=n, method="gn", stop_loss=0.0, timeout_s=None)
+        res, peak = traced_peak(refine, student, net, cfg, seed=126)
+        assert res.steps >= 1
+        assert peak <= 4 * n * m * 8
 
 
 class TestGaussNewton:
@@ -446,7 +516,12 @@ class TestGaussNewton:
         (dict(timeout_s=-1.0), "timeout_s must be positive, got -1.0"),
         (dict(stop_loss=float("nan")), "stop_loss must be finite and >= 0, got nan"),
         (dict(stop_loss=-1.0), "stop_loss must be finite and >= 0, got -1.0"),
-    ], ids=["timeout-negative", "stop-loss-nan", "stop-loss-negative"])
+        # a NaN step records NaN losses, which the divergence guard never flags
+        (dict(lr=float("nan")), "learning rate must be finite and positive, got nan"),
+        (dict(lr=float("inf")), "learning rate must be finite and positive, got inf"),
+        (dict(lr=0.0), "learning rate must be finite and positive, got 0.0"),
+    ], ids=["timeout-negative", "stop-loss-nan", "stop-loss-negative", "lr-nan", "lr-inf",
+            "lr-zero"])
     def test_bad_stop_rejected(self, setting, message):
         with pytest.raises(ConfigError, match=message):
             RefineConfig(n_train=10, method="gn", **setting)
